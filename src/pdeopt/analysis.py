@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .objectives import Objective
-from .optimizers import OptimizerConfig, init_state, step_entropy_sgd
+from .optimizers import OptimizerConfig, init_state, step
 from .pde_lab import ControlField, prox_point, solve_hjb_backward
 from .rng import substream
 
@@ -261,8 +261,8 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
                 state = init_state(objective, x0, cfg, seed=seed * 1000 + si, algo="entropy_sgd")
                 y_trace = np.empty(L)
                 for li in range(L):
-                    y_trace[li] = state.y[0]
-                    step_entropy_sgd(state, objective, cfg)
+                    y_trace[li] = state.rows[0][0]
+                    step(state, objective, cfg, "entropy_sgd")
                 drifts[si] = (state.x[0] - p) / cfg.eta
                 if ei == len(epsilons) - 1 and pi == 0 and si == 0 and beta_inv > 0:
                     if integrated_autocorrelation_time(y_trace) > L:

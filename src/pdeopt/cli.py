@@ -57,7 +57,7 @@ _FLAGS: dict[str, dict] = {
         "--record-every": dict(dest="record_every", type=int),
     },
     "pde": {
-        "--scheme": dict(dest="scheme", choices=["cole_hopf", "hopf_lax", "fd", "heat"]),
+        "--scheme": dict(dest="scheme", choices=["cole_hopf", "hopf_lax", "monotone_fd", "fd", "heat"]),
         "--beta-inv": dict(dest="beta_inv", type=float),
         "--t": dict(dest="t", type=float),
         "--grid-n": dict(dest="grid_n", type=int),
@@ -100,8 +100,6 @@ _GROUPS_BY_COMMAND = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pdeopt",
                                      description="PDE-smoothed optimizers and their verification lab")
-    parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="force single-threaded execution")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, groups in _GROUPS_BY_COMMAND.items():
         sp = sub.add_parser(name)
@@ -114,12 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "deterministic") and v is not None}
-    if args.deterministic:
-        overrides["threads"] = 1
-        overrides["deterministic"] = True
-    if overrides.get("scheme") == "fd":
-        overrides["scheme"] = "monotone_fd"
+                 if k not in ("command", "config") and v is not None}
     kind = _SUBCOMMANDS[args.command]
     try:
         cfg = parse_config(getattr(args, "config", None), overrides, kind=kind)

@@ -3,7 +3,8 @@
 Accepted config formats: an INI-style text file with flat ``key = value``
 sections, or the JSON equivalent (one object per section).  Flags override
 file values; unknown keys are rejected by name.  Every run directory gets a
-``manifest.json`` echoing the fully resolved configuration, and
+``manifest.json`` echoing the keys the user set (defaults are resolved later,
+per algorithm, by ``optimizers.default_config``), and
 ``parse_manifest(emit_manifest(cfg)) == cfg``.
 """
 
@@ -48,6 +49,11 @@ def _str_list(v) -> list[str]:
     return [s.strip() for s in str(v).split(",") if s.strip()]
 
 
+def _scheme(v) -> str:
+    s = str(v).strip()
+    return "monotone_fd" if s == "fd" else s    # the one place "fd" is accepted
+
+
 def _opt_int(v):
     if v is None or str(v).strip().lower() in ("none", ""):
         return None
@@ -63,7 +69,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "out": ("experiment", str),
     "repeats": ("experiment", int),
     "threads": ("experiment", int),
-    "deterministic": ("experiment", _bool),
     # optimizer section
     "algo": ("optimizer", str),
     "algos": ("optimizer", _str_list),
@@ -83,7 +88,7 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "anneal_factor": ("optimizer", float),
     "anneal_period": ("optimizer", float),
     # pde section
-    "scheme": ("pde", str),
+    "scheme": ("pde", _scheme),
     "beta_inv": ("pde", float),
     "t": ("pde", float),
     "grid_n": ("pde", int),
@@ -107,16 +112,12 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "window_frac": ("analysis", float),
     "min_gap": ("analysis", float),
     "n_random": ("analysis", int),
-    "times": ("analysis", _float_list),
     "tolerance": ("analysis", float),
     "rho0_sigma": ("analysis", float),
     "assert_vs_sgd": ("optimizer", _bool),
 }
 
-_EXPERIMENT_FIELDS = ("kind", "objective", "seed", "out", "repeats", "threads", "deterministic")
-
-# Defaults visible in every resolved optimizer config.
-PARAM_DEFAULTS = {"eta_y": 0.1, "alpha": 0.75, "delta": 0.9, "gamma1": 1e-3}
+_EXPERIMENT_FIELDS = ("kind", "objective", "seed", "out", "repeats", "threads")
 
 
 @dataclass
@@ -127,9 +128,7 @@ class ExperimentConfig:
     out: str | None = None
     repeats: int = 1
     threads: int = 1
-    deterministic: bool = True
     params: dict = field(default_factory=dict)
-    defaulted: tuple = ()   # param keys filled from PARAM_DEFAULTS, not user-set
 
     def param(self, key, default=None):
         return self.params.get(key, default)
@@ -194,10 +193,7 @@ def parse_config(path=None, overrides: dict | None = None, kind: str | None = No
     for name in _EXPERIMENT_FIELDS[1:]:
         if name in typed:
             setattr(cfg, name, typed.pop(name))
-    params = dict(PARAM_DEFAULTS)
-    cfg.defaulted = tuple(sorted(set(PARAM_DEFAULTS) - set(typed)))
-    params.update(typed)
-    cfg.params = params
+    cfg.params = typed
     return cfg
 
 
@@ -209,9 +205,7 @@ def emit_manifest(cfg: ExperimentConfig) -> dict:
         "out": cfg.out,
         "repeats": cfg.repeats,
         "threads": cfg.threads,
-        "deterministic": cfg.deterministic,
         "params": dict(cfg.params),
-        "defaulted": list(cfg.defaulted),
     }
 
 
@@ -221,7 +215,6 @@ def parse_manifest(data: dict) -> ExperimentConfig:
         if name in data:
             setattr(cfg, name, data[name])
     cfg.params = dict(data.get("params", {}))
-    cfg.defaulted = tuple(data.get("defaulted", ()))
     return cfg
 
 

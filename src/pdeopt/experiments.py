@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,35 +36,23 @@ class ExperimentResult:
 # variants; the zero-viscosity variants keep gamma fixed so the inner iterate
 # keeps averaging gradients instead of collapsing onto the last one.
 COMPARE_TUNING = {
-    "sgd": dict(eta=0.1, delta=0.0),
-    "entropy_sgd": dict(eta=0.5, eta_y=0.1, gamma0=0.1, gamma1=1e-3, alpha=0.75, delta=0.9),
-    "elastic": dict(eta=0.5, eta_y=0.1, gamma0=0.1, gamma1=1e-3, alpha=0.75, delta=0.9),
-    "hj": dict(eta=0.4, eta_y=0.025, gamma0=0.1, gamma1=0.0, delta=0.0),
-    "hj2": dict(eta=0.4, eta_y=0.025, gamma0=0.1, gamma1=0.0, delta=0.0),
-    "heat": dict(eta=0.3, gamma0=0.01, gamma1=0.0, delta=0.0),
+    "sgd": dict(eta=0.1),
+    "entropy_sgd": dict(eta=0.5, eta_y=0.1, gamma0=0.1, gamma1=1e-3, alpha=0.75),
+    "elastic": dict(eta=0.5, eta_y=0.1, gamma0=0.1, gamma1=1e-3, alpha=0.75),
+    "hj": dict(eta=0.4, eta_y=0.025, gamma0=0.1, gamma1=0.0),
+    "hj2": dict(eta=0.4, eta_y=0.025, gamma0=0.1, gamma1=0.0),
+    "heat": dict(eta=0.3, gamma0=0.01, gamma1=0.0),
 }
 
-_OPT_KEYS = ("eta", "eta_y", "L", "gamma0", "gamma1", "beta_inv_ex", "alpha",
-             "delta", "n_workers", "batch_size", "anneal_factor", "anneal_period")
+_OPT_KEYS = [f.name for f in fields(optimizers.OptimizerConfig)]
 
 
 def _optimizer_config(cfg: ExperimentConfig, algo: str, tuned: bool = False) -> optimizers.OptimizerConfig:
+    # explicit config keys win over the benchmark tuning, which wins over
+    # the per-algorithm defaults
     overrides = dict(COMPARE_TUNING.get(algo, {})) if tuned else {}
-    # explicit config keys win over the benchmark tuning; parse-time defaults
-    # do not override it
-    skip = set(cfg.defaulted) & set(overrides) if tuned else set()
-    for k in _OPT_KEYS:
-        if k in cfg.params and k not in skip:
-            overrides[k] = cfg.params[k]
+    overrides.update((k, cfg.params[k]) for k in _OPT_KEYS if k in cfg.params)
     return optimizers.default_config(algo, **overrides)
-
-
-def _grad_cost_per_outer(algo: str, ocfg: optimizers.OptimizerConfig) -> int:
-    if algo == "sgd":
-        return 1
-    if algo == "elastic":
-        return ocfg.L * ocfg.n_workers
-    return ocfg.L
 
 
 def _grid_for(entry, n: int) -> GridFunction:
@@ -141,8 +129,8 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
     curves = {}
     for algo in sorted(algos):
         ocfg = _optimizer_config(cfg, algo, tuned=True)
-        cost = _grad_cost_per_outer(algo, ocfg)
-        n_outer = max(1, budget // cost)
+        # an outer step costs L gradients per row
+        n_outer = max(1, budget // (ocfg.L * (ocfg.n_workers if algo == "elastic" else 1)))
         record_every = record_every_base or max(1, n_outer // 400)
         finals, epochs, walls = [], [], []
         last = None

@@ -87,10 +87,6 @@ class GridFunction:
         g.values = np.asarray(fn(g.points()), dtype=float).ravel()
         return g
 
-    @classmethod
-    def from_objective(cls, objective, lower, upper, n_points) -> "GridFunction":
-        return cls.from_callable(objective.value_batch, lower, upper, n_points)
-
     # -- calculus -----------------------------------------------------------
 
     def integral(self) -> float:

@@ -39,13 +39,9 @@ class Objective:
     def hessian(self, x: Array) -> Array:
         raise NotImplementedError(f"{type(self).__name__} has no dense Hessian")
 
-    @property
-    def has_hessian(self) -> bool:
-        try:
-            self.hessian(np.zeros(self.dim))
-        except NotImplementedError:
-            return False
-        return True
+    def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
+        """(samples per stochastic gradient, samples per epoch): 1 epoch per gradient."""
+        return 1, 1
 
     def stochastic_grad(self, x: Array, rng: np.random.Generator) -> Array:
         """Unbiased noisy gradient; equals grad(x) when noise_scale == 0."""
@@ -252,9 +248,8 @@ class TinyMLP(Objective):
     def initial_point(self) -> Array:
         return self._x0.copy()
 
-    def steps_per_epoch(self, batch_size: int | None = None) -> int:
-        b = batch_size or self.batch_size or self.n_samples
-        return max(1, int(np.ceil(self.n_samples / b)))
+    def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
+        return batch_size or self.batch_size or self.n_samples, self.n_samples
 
     def _unpack(self, x):
         h = self.hidden

@@ -1,27 +1,39 @@
 """Smoothing optimizers: SGD, entropy-regularized SGD, HJ, heat, elastic.
 
-The family shares one structure: an inner loop runs L noisy gradient steps
-on the coupled objective f(y) + |y - x|^2 / (2 gamma) around the current
-outer iterate, and every L-th step the outer iterate moves along
-(x - <y>) / gamma, an estimate of the gradient of the smoothed loss at
-scale gamma.  The variants differ in how <y> is formed (exponential
-average, last iterate, worker mean, Gaussian perturbation average) and in
-whether extrinsic noise is injected.
+All six share one inner step, :func:`step`: one minibatch gradient per inner
+row, and every L-th step (every step for ``sgd``) an outer update along d, an
+estimate of the gradient of the loss smoothed at scale
+gamma(k) = gamma0 * (1 - gamma1)^(k // L), with Nesterov lookahead ``delta``:
+x <- z - eta d, z <- x + delta (x - x_prev).  The algorithms are parameters
+of that step (s = min(eta_y, gamma), N a standard normal draw):
 
-Outer updates optionally use a Nesterov-style lookahead (``delta``), and the
-smoothing scale follows the geometric scoping schedule
-gamma(k) = gamma0 * (1 - gamma1)^(k // L).
+===========  =========================================  ===================
+algorithm    inner update of each row                   outer direction d
+===========  =========================================  ===================
+sgd          none (noise sqrt(eta beta_inv_ex) N is     grad_mb(z)
+             added to the outer step)
+entropy_sgd  y <- y - s (grad_mb(y) + (y - z) / gamma)  (z - <y>) / gamma
+             + sqrt(s beta_inv_ex) N, <y> <- alpha <y>
+             + (1 - alpha) y
+hj           entropy_sgd with alpha = 0, no noise       (z - y) / gamma
+elastic      entropy_sgd, one row per worker, <y>       (z - <y>) / gamma
+             averaging the worker mean
+hj2          y <- (1 - s / gamma) y + s grad_mb(z - y)  last grad_mb(z - y)
+heat         y <- y + grad_mb(z + sqrt(gamma) N)        y / L
+===========  =========================================  ===================
 
-Steps mutate only their own state; Elastic-SGD workers advance between
-synchronization barriers in a fixed round-robin order, so runs are bit-wise
-reproducible from (config, seed).
+After an outer update the rows restart at z (entropy_sgd, hj, elastic) or at
+zero (hj2, heat).  Elastic workers own independent streams and update in a
+fixed round-robin order, so runs are bit-wise reproducible from (config, seed).
+Noise is drawn as rng.normal(0, a): bit-equal to a * standard_normal, one
+array operation cheaper.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,14 +44,15 @@ Array = np.ndarray
 
 ALGORITHMS = ("sgd", "entropy_sgd", "hj", "hj2", "heat", "elastic")
 
-# per-algorithm defaults: inner steps per outer update and extrinsic noise
+# The one table of per-algorithm defaults: inner steps per outer update,
+# extrinsic noise and lookahead strength.
 ALGO_DEFAULTS = {
-    "sgd": dict(L=1, beta_inv_ex=0.0),
-    "entropy_sgd": dict(L=20, beta_inv_ex=1e-8),
-    "hj": dict(L=5, beta_inv_ex=0.0),
-    "hj2": dict(L=5, beta_inv_ex=0.0),
-    "heat": dict(L=20, beta_inv_ex=0.0),
-    "elastic": dict(L=20, beta_inv_ex=1e-8),
+    "sgd": dict(L=1, beta_inv_ex=0.0, delta=0.0),
+    "entropy_sgd": dict(L=20, beta_inv_ex=1e-8, delta=0.9),
+    "hj": dict(L=5, beta_inv_ex=0.0, delta=0.0),
+    "hj2": dict(L=5, beta_inv_ex=0.0, delta=0.0),
+    "heat": dict(L=20, beta_inv_ex=0.0, delta=0.0),
+    "elastic": dict(L=20, beta_inv_ex=1e-8, delta=0.9),
 }
 
 
@@ -76,14 +89,18 @@ class OptimizerConfig:
             raise ValueError("delta must lie in [0, 1)")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.anneal_factor is not None and self.anneal_factor <= 0:
+            raise ValueError("anneal_factor must be positive")
+        if self.anneal_period is not None and self.anneal_period <= 0:
+            raise ValueError("anneal_period must be positive")
 
 
 def default_config(algo: str, **overrides) -> OptimizerConfig:
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    merged = dict(ALGO_DEFAULTS[algo])
-    merged.update(overrides)
-    return OptimizerConfig(**merged)
+    return OptimizerConfig(**{**ALGO_DEFAULTS[algo], **overrides})
 
 
 def gamma_schedule(k: int, cfg: OptimizerConfig, dim: int | None = None) -> float:
@@ -94,225 +111,165 @@ def gamma_schedule(k: int, cfg: OptimizerConfig, dim: int | None = None) -> floa
     return g0 * (1.0 - cfg.gamma1) ** (k // cfg.L)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """An algorithm's constants, resolved once per run."""
+    cfg: OptimizerConfig
+    algo: str
+    inner: Callable              # the row update; returns d on the last inner step
+    grad: Callable               # (x, rng, batch_size) -> stochastic gradient
+    every: int                   # inner steps per outer update
+    grads: int                   # gradients per inner step
+    gamma0: float                # divided by the dimension under normalize_gamma
+    alpha: float
+    noise: float                 # extrinsic noise on the rows
+    outer_noise: float           # extrinsic noise on the outer step
+    anneal: bool
+
+
 @dataclass
 class OptimizerState:
     x: Array
     z: Array                       # lookahead anchor; equals x when delta == 0
-    y: Array
-    y_avg: Array
+    rows: list[Array]              # inner iterates (hj2: the offset, heat: the gradient sum)
+    y_avg: Array                   # running average <y> of the row mean
+    rngs: list[np.random.Generator]  # one stream per row; rngs[0] also drives sgd
     k: int = 0                     # inner-step counter
+    gamma: float = 0.0             # smoothing scale of the current outer step
     outer_steps: int = 0
     grad_evals: int = 0
     control_energy: float = 0.0
-    x_prev: Array | None = None
-    workers: list[Array] | None = None
-    rng: np.random.Generator = None
-    worker_rngs: list[np.random.Generator] | None = None
-    steps_per_epoch: int = 1
-
-    def check_dims(self, dim: int) -> None:
-        for v in (self.x, self.z, self.y, self.y_avg):
-            if v.shape != (dim,):
-                raise ValueError("state vectors must match the objective dimension")
+    epoch_size: tuple[int, int] = (1, 1)   # (samples per gradient, samples per epoch)
+    plan: _Plan | None = None
 
 
 def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd") -> OptimizerState:
     x0 = np.asarray(x0, dtype=float).copy()
-    y0 = np.zeros_like(x0) if algo == "hj2" else x0.copy()
-    state = OptimizerState(
-        x=x0,
-        z=x0.copy(),
-        y=y0,
-        y_avg=y0.copy(),
-        rng=substream(seed, "optimizer"),
-        steps_per_epoch=objective.steps_per_epoch() if hasattr(objective, "steps_per_epoch") else 1,
+    if x0.shape != (objective.dim,):
+        raise ValueError("state vectors must match the objective dimension")
+    rows = {"sgd": [], "hj2": [np.zeros_like(x0)], "heat": [np.zeros_like(x0)],
+            "elastic": [x0.copy() for _ in range(cfg.n_workers)]}.get(algo, [x0.copy()])
+    rngs = worker_streams(seed, "worker", cfg.n_workers) if algo == "elastic" else [substream(seed, "optimizer")]
+    state = OptimizerState(x=x0, z=x0.copy(), rows=rows, y_avg=x0.copy(), rngs=rngs,
+                           epoch_size=objective.epoch_size(cfg.batch_size))
+    _resolve(state, objective, cfg, algo)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# the inner step
+
+
+def _gamma(k: int, p: _Plan) -> float:
+    gamma = p.gamma0 * (1.0 - p.cfg.gamma1) ** (k // p.cfg.L)
+    if gamma <= 0.0:
+        raise ValueError(f"gamma underflowed to 0 at step {k}: gamma1 shrinks it too fast")
+    return gamma
+
+
+def _sgd(state, p, last):
+    return p.grad(state.z, state.rngs[0], p.cfg.batch_size)
+
+
+def _coupled(state, p, last):
+    """Each row takes a noisy descent step on f(y) + |y - z|^2 / (2 gamma),
+    its step clamped to gamma so the coupling stays stable as gamma shrinks."""
+    gamma = state.gamma
+    s = min(p.cfg.eta_y, gamma)
+    z = state.z
+    rows = []
+    for y, rng in zip(state.rows, state.rngs):
+        y = y - s * (p.grad(y, rng, p.cfg.batch_size) + (y - z) / gamma)
+        if p.noise:
+            y = y + rng.normal(0.0, math.sqrt(s * p.noise), y.shape[0])
+        rows.append(y)
+    state.rows = rows
+    ybar = rows[0] if len(rows) == 1 else np.mean(rows, axis=0)
+    state.y_avg = p.alpha * state.y_avg + (1.0 - p.alpha) * ybar if p.alpha else ybar
+    return (z - state.y_avg) / gamma if last else None
+
+
+def _hj2(state, p, last):
+    y = state.rows[0]
+    g = p.grad(state.z - y, state.rngs[0], p.cfg.batch_size)
+    gamma = state.gamma
+    s = min(p.cfg.eta_y, gamma)
+    state.rows = [(1.0 - s / gamma) * y + s * g]
+    return g
+
+
+def _heat(state, p, last):
+    rng = state.rngs[0]
+    eps = rng.normal(0.0, math.sqrt(state.gamma), state.z.shape[0])
+    total = state.rows[0] + p.grad(state.z + eps, rng, p.cfg.batch_size)
+    state.rows = [total]
+    return total / p.every if last else None
+
+
+def _resolve(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo: str) -> _Plan:
+    """Resolve ``algo``'s constants for ``state``, once per run."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    n_rows = {"sgd": 0, "elastic": cfg.n_workers}.get(algo, 1)
+    if len(state.rows) != n_rows:
+        raise ValueError(f"state was not initialized for {algo!r}")
+    grad = getattr(objective, "minibatch_grad", None)
+    if grad is None or cfg.batch_size is None:
+        grad = lambda x, rng, batch_size: objective.stochastic_grad(x, rng)  # noqa: E731
+    state.plan = p = _Plan(
+        cfg=cfg, algo=algo, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
+        grad=grad, every=1 if algo == "sgd" else cfg.L, grads=max(n_rows, 1),
+        gamma0=cfg.gamma0 / objective.dim if cfg.normalize_gamma else cfg.gamma0,
+        alpha=0.0 if algo == "hj" else cfg.alpha,
+        noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
+        outer_noise=cfg.beta_inv_ex if algo == "sgd" else 0.0,
+        anneal=bool(cfg.anneal_factor and cfg.anneal_period),
     )
-    if algo == "elastic":
-        state.workers = [x0.copy() for _ in range(cfg.n_workers)]
-        state.worker_rngs = worker_streams(seed, "worker", cfg.n_workers)
-    state.check_dims(objective.dim)
-    return state
+    state.gamma = _gamma(state.k, p)
+    return p
 
 
-# ---------------------------------------------------------------------------
-# update pieces
+def _epochs(state: OptimizerState) -> float:
+    batch, n_samples = state.epoch_size
+    return state.grad_evals * batch / n_samples
 
 
-def _grad_mb(objective: Objective, x: Array, rng, batch_size=None) -> Array:
-    if batch_size is not None and hasattr(objective, "minibatch_grad"):
-        return objective.minibatch_grad(x, rng, batch_size)
-    return objective.stochastic_grad(x, rng)
+def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
+    drops = _epochs(state) // cfg.anneal_period
+    try:
+        return cfg.eta * cfg.anneal_factor ** -drops
+    except OverflowError:       # a factor below 1 grows the step past the float range
+        return math.inf
 
 
-def _inner_y_step(y: Array, anchor: Array, objective: Objective, gamma: float,
-                  cfg: OptimizerConfig, rng) -> Array:
-    """One noisy descent step on f(y) + |y - anchor|^2 / (2 gamma).
-
-    The step size is clamped to gamma so the coupling term stays stable when
-    scoping drives gamma below eta_y.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    step = min(cfg.eta_y, gamma)
-    g = _grad_mb(objective, y, rng, cfg.batch_size)
-    y = y - step * (g + (y - anchor) / gamma)
-    if cfg.beta_inv_ex > 0.0:
-        y = y + math.sqrt(step * cfg.beta_inv_ex) * rng.standard_normal(y.shape[0])
-    return y
-
-
-def _effective_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
-    if not cfg.anneal_factor or not cfg.anneal_period:
-        return cfg.eta
-    epoch = state.grad_evals / state.steps_per_epoch
-    return cfg.eta / cfg.anneal_factor ** math.floor(epoch / cfg.anneal_period)
-
-
-def _outer_update(state: OptimizerState, cfg: OptimizerConfig, direction: Array) -> None:
-    """Move the outer iterate along -direction with Nesterov lookahead."""
-    eta = _effective_eta(state, cfg)
-    x_old = state.x
-    x_new = state.z - eta * direction
-    state.x_prev = x_old
-    state.x = x_new
-    state.z = x_new + cfg.delta * (x_new - x_old)
-    state.control_energy += 0.5 * float(direction @ direction) * eta
-    state.outer_steps += 1
-
-
-# ---------------------------------------------------------------------------
-# algorithm steps (one inner step per call unless noted)
-
-
-def step_sgd(state: OptimizerState, objective: Objective, eta: float,
-             beta_inv_ex: float = 0.0, batch_size: int | None = None) -> OptimizerState:
-    """x <- x - eta grad_mb(x) + sqrt(eta beta_inv_ex) * N(0, I)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    g = _grad_mb(objective, state.x, state.rng, batch_size)
-    x_new = state.x - eta * g
-    if beta_inv_ex > 0.0:
-        x_new = x_new + math.sqrt(eta * beta_inv_ex) * state.rng.standard_normal(state.x.shape[0])
-    state.x_prev = state.x
-    state.x = x_new
-    state.z = x_new.copy()
+def step(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo: str) -> OptimizerState:
+    """One inner step of ``algo``: one minibatch gradient per row, and the
+    outer update when it completes an outer step."""
+    p = state.plan
+    if p.cfg is not cfg or p.algo != algo:
+        p = _resolve(state, objective, cfg, algo)
+    last = (state.k + 1) % p.every == 0
+    d = p.inner(state, p, last)
     state.k += 1
-    state.outer_steps += 1
-    state.grad_evals += 1
-    state.control_energy += 0.5 * float(g @ g) * eta
-    return state
-
-
-def step_entropy_sgd(state: OptimizerState, objective: Objective, cfg: OptimizerConfig) -> OptimizerState:
-    """Inner noisy descent on the coupled objective with exponential averaging
-    <y> <- alpha <y> + (1 - alpha) y; every L-th call the outer iterate moves
-    along (x - <y>) / gamma and y, <y> reset to the outer anchor."""
-    gamma = gamma_schedule(state.k, cfg, objective.dim)
-    state.y = _inner_y_step(state.y, state.z, objective, gamma, cfg, state.rng)
-    state.y_avg = cfg.alpha * state.y_avg + (1.0 - cfg.alpha) * state.y
-    state.k += 1
-    state.grad_evals += 1
-    if state.k % cfg.L == 0:
-        _outer_update(state, cfg, (state.z - state.y_avg) / gamma)
-        state.y = state.z.copy()
-        state.y_avg = state.z.copy()
-    return state
-
-
-def step_hj(state: OptimizerState, objective: Objective, cfg: OptimizerConfig,
-            variant: str = "hj") -> OptimizerState:
-    """Zero-viscosity variants: no extrinsic noise, last-iterate average.
-
-    ``hj``   -- entropy dynamics with beta_inv_ex = 0 and <y> = y.
-    ``hj2``  -- offset form: y tracks a smoothed displacement via
-                y <- (1 - eta_y/gamma) y + eta_y grad_mb(x - y), and the outer
-                step descends along grad_mb(x - y); y resets to 0.
-    """
-    if variant not in ("hj", "hj2"):
-        raise ValueError("variant must be 'hj' or 'hj2'")
-    cfg_hj = replace(cfg, beta_inv_ex=0.0)
-    gamma = gamma_schedule(state.k, cfg_hj, objective.dim)
-    if variant == "hj":
-        state.y = _inner_y_step(state.y, state.z, objective, gamma, cfg_hj, state.rng)
-        state.y_avg = state.y.copy()
-        state.k += 1
-        state.grad_evals += 1
-        if state.k % cfg.L == 0:
-            _outer_update(state, cfg_hj, (state.z - state.y_avg) / gamma)
-            state.y = state.z.copy()
-            state.y_avg = state.z.copy()
+    state.grad_evals += p.grads
+    if not last:
         return state
-    g = _grad_mb(objective, state.z - state.y, state.rng, cfg.batch_size)
-    step = min(cfg.eta_y, gamma)
-    state.y = (1.0 - step / gamma) * state.y + step * g
-    state.k += 1
-    state.grad_evals += 1
-    if state.k % cfg.L == 0:
-        _outer_update(state, cfg_hj, g)
-        state.y = np.zeros_like(state.y)
-    return state
-
-
-def step_heat(state: OptimizerState, objective: Objective, cfg: OptimizerConfig) -> OptimizerState:
-    """One outer step: average grad_mb over L Gaussian parameter perturbations
-    of scale sqrt(gamma) and descend along the average."""
-    gamma = gamma_schedule(state.k, cfg, objective.dim)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    dim = state.x.shape[0]
-    acc = np.zeros(dim)
-    for _ in range(cfg.L):
-        eps = math.sqrt(gamma) * state.rng.standard_normal(dim)
-        acc += _grad_mb(objective, state.z + eps, state.rng, cfg.batch_size)
-    state.k += cfg.L
-    state.grad_evals += cfg.L
-    _outer_update(state, cfg, acc / cfg.L)
-    state.y = state.z.copy()
-    state.y_avg = state.z.copy()
-    return state
-
-
-def step_elastic(state: OptimizerState, objective: Objective, cfg: OptimizerConfig) -> OptimizerState:
-    """Coupled worker replicas with a synchronized barrier per call.
-
-    Each worker performs the inner noisy descent step coupled to the center
-    iterate; the center tracks the exponential average of the worker mean and
-    moves along (x - <y_bar>) / gamma every L-th call.  Workers own
-    independent RNG streams and update round-robin for determinism.
-    """
-    if state.workers is None or state.worker_rngs is None:
-        raise ValueError("state was not initialized for elastic workers")
-    if cfg.n_workers < 1:
-        raise ValueError("need at least one worker")
-    gamma = gamma_schedule(state.k, cfg, objective.dim)
-    state.workers = [
-        _inner_y_step(y_i, state.z, objective, gamma, cfg, rng_i)
-        for y_i, rng_i in zip(state.workers, state.worker_rngs)
-    ]
-    ybar = np.mean(state.workers, axis=0)
-    state.y = ybar
-    state.y_avg = cfg.alpha * state.y_avg + (1.0 - cfg.alpha) * ybar
-    state.k += 1
-    state.grad_evals += len(state.workers)
-    if state.k % cfg.L == 0:
-        _outer_update(state, cfg, (state.z - state.y_avg) / gamma)
-        state.workers = [state.z.copy() for _ in state.workers]
-        state.y = state.z.copy()
+    # outer update along -d with Nesterov lookahead, then restart the rows
+    eta = _annealed_eta(state, cfg) if p.anneal else cfg.eta
+    x_old = state.x
+    x = state.z - eta * d
+    if p.outer_noise:
+        x = x + state.rngs[0].normal(0.0, math.sqrt(eta * p.outer_noise), x.shape[0])
+    state.x = x
+    state.z = x + cfg.delta * (x - x_old) if cfg.delta else x
+    state.control_energy += 0.5 * float(d @ d) * eta
+    state.outer_steps += 1
+    if state.rows:
+        start = state.z if p.inner is _coupled else np.zeros_like(x)
+        state.rows = [start.copy() for _ in state.rows]
         state.y_avg = state.z.copy()
+        state.gamma = _gamma(state.k, p)
     return state
-
-
-def wrap_momentum(step_fn, delta: float):
-    """Return a step function running the wrapped update with Nesterov
-    lookahead strength ``delta`` at outer updates; delta=0 reproduces the
-    unwrapped trajectory exactly."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-
-    def stepped(state, objective, cfg, **kwargs):
-        return step_fn(state, objective, replace(cfg, delta=delta), **kwargs)
-
-    return stepped
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +286,6 @@ class RunRecord:
 
     COLUMNS = ("k", "effective_epoch", "loss", "grad_norm", "gamma", "control_energy")
 
-    def append(self, **row) -> None:
-        self.rows.append(row)
-
     def column(self, name: str) -> Array:
         return np.array([r[name] for r in self.rows])
 
@@ -339,13 +293,11 @@ class RunRecord:
     def final_loss(self) -> float:
         return self.rows[-1]["loss"] if self.rows else math.nan
 
-    def to_csv(self, path, include_wall_clock: bool = False) -> None:
-        # wall clock is excluded by default so reruns are byte-identical
-        cols = self.COLUMNS + (("wall_clock",) if include_wall_clock else ())
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(self.COLUMNS) + "\n")
             for r in self.rows:
-                fh.write(",".join(repr(r[c]) if c != "k" else str(r[c]) for c in cols) + "\n")
+                fh.write(",".join(repr(r[c]) if c != "k" else str(r[c]) for c in self.COLUMNS) + "\n")
 
     @classmethod
     def from_csv(cls, path, algo: str = "", seed: int = 0) -> "RunRecord":
@@ -366,42 +318,29 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     Deterministic replay: identical (config, seed) produce identical rows.
     A non-finite loss aborts and returns the partial record flagged.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
     cfg = cfg if cfg is not None else default_config(algo)
     if x0 is None:
         x0 = objective.initial_point() if hasattr(objective, "initial_point") else np.ones(objective.dim)
     state = init_state(objective, x0, cfg, seed, algo)
     record = RunRecord(algo=algo, seed=seed)
-    t_start = time.perf_counter()
 
     def log_row():
         loss = objective.value(state.x)
         gnorm = float(np.linalg.norm(objective.grad(state.x)))
-        record.append(
+        record.rows.append(dict(
             k=state.k,
-            effective_epoch=state.grad_evals / state.steps_per_epoch,
+            effective_epoch=_epochs(state),
             loss=loss,
             grad_norm=gnorm,
             gamma=gamma_schedule(max(state.k - 1, 0), cfg, objective.dim),
             control_energy=state.control_energy,
-            wall_clock=time.perf_counter() - t_start,
-        )
+        ))
         return loss
 
+    inner_steps = range(cfg.L)
     for outer in range(n_outer_steps):
-        if algo == "sgd":
-            step_sgd(state, objective, _effective_eta(state, cfg), cfg.beta_inv_ex, cfg.batch_size)
-        elif algo == "heat":
-            step_heat(state, objective, cfg)
-        else:
-            for _ in range(cfg.L):
-                if algo == "entropy_sgd":
-                    step_entropy_sgd(state, objective, cfg)
-                elif algo in ("hj", "hj2"):
-                    step_hj(state, objective, cfg, variant=algo)
-                else:
-                    step_elastic(state, objective, cfg)
+        for _ in inner_steps:
+            step(state, objective, cfg, algo)
         if (outer + 1) % record_every == 0 or outer == n_outer_steps - 1:
             loss = log_row()
             if not math.isfinite(loss):

@@ -98,14 +98,6 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
     return _cole_hopf_2d(objective, beta, t, sigma, grid, cfg)
 
 
-def _integrand_radius(objective, grid, t, sigma, pad_sigmas) -> float:
-    # contributions reach as far as the kernel tail or a distant low value of
-    # f can compete: |x - y|^2 / (2t) <= max f - min f on the box
-    fvals = objective.value_batch(grid.points())
-    spread = float(fvals.max() - fvals.min())
-    return pad_sigmas * sigma + math.sqrt(max(2.0 * t * spread, 0.0))
-
-
 def _cole_hopf_1d(objective, beta, t, sigma, grid, cfg) -> GridFunction:
     (n,) = grid.n_points
     h = grid.spacing[0]
@@ -114,7 +106,8 @@ def _cole_hopf_1d(objective, beta, t, sigma, grid, cfg) -> GridFunction:
     # quadrature in offset form: resolve the kernel even when it is narrower
     # than the evaluation grid
     h_q = min(h, sigma / 3.0) if sigma > 0 else h
-    radius = _integrand_radius(objective, grid, t, sigma, cfg.pad_sigmas)
+    # the kernel tail, plus the reach of a distant low value of f
+    radius = cfg.pad_sigmas * sigma + hopf_lax_search_radius(objective, grid, t)
     K = max(2, int(math.ceil(radius / h_q)))
     offs = h_q * np.arange(-K, K + 1)
     log_k = -beta * offs**2 / (2.0 * t)
@@ -159,7 +152,8 @@ def _cole_hopf_2d(objective, beta, t, sigma, grid, cfg) -> GridFunction:
     _check_2d_size(grid)
     if cfg.boundary == "periodic":
         raise NotImplementedError("periodic quadrature implemented for 1D only")
-    radius = _integrand_radius(objective, grid, t, sigma, cfg.pad_sigmas)
+    # the kernel tail, plus the reach of a distant low value of f
+    radius = cfg.pad_sigmas * sigma + hopf_lax_search_radius(objective, grid, t)
     pad0 = _pad_points(h0, radius)
     pad1 = _pad_points(h1, radius)
     y0 = _extended_axis(grid.lower[0], grid.upper[0], n0, pad0)

@@ -220,10 +220,7 @@ def test_09_elastic_entropy_equivalence():
         xs = np.empty(n_outer)
         for outer in range(n_outer):
             for _ in range(cfg.L):
-                if algo == "elastic":
-                    optimizers.step_elastic(st, q, cfg)
-                else:
-                    optimizers.step_entropy_sgd(st, q, cfg)
+                optimizers.step(st, q, cfg, algo)
             xs[outer] = st.x[0]
         return xs[discard:].mean()
 

@@ -14,18 +14,33 @@ from pdeopt.config import (
     parse_manifest,
     write_manifest,
 )
-from pdeopt.experiments import run_experiment
+from pdeopt.experiments import _optimizer_config, run_experiment
 from pdeopt.plotting import emit_plot
 from pdeopt.rng import substream
 
 
 class TestParseConfig:
-    def test_defaults_populated(self):
+    def test_resolved_delta_per_algorithm(self):
+        # params hold only what the user set; each algorithm's defaults
+        # resolve when its optimizer config is built
         cfg = parse_config(overrides={"kind": "optimize", "objective": "double_well_a1"})
-        assert cfg.params["eta_y"] == 0.1
-        assert cfg.params["alpha"] == 0.75
-        assert cfg.params["delta"] == 0.9
-        assert cfg.params["gamma1"] == 1e-3
+        assert cfg.params == {}
+        resolved = {a: _optimizer_config(cfg, a).delta for a in ("sgd", "entropy_sgd", "hj")}
+        assert resolved == {"sgd": 0.0, "entropy_sgd": 0.9, "hj": 0.0}
+        tuned = {a: _optimizer_config(cfg, a, tuned=True).delta for a in ("sgd", "entropy_sgd", "hj")}
+        assert tuned == resolved
+        cfg = parse_config(overrides={"kind": "optimize", "delta": 0.5})
+        assert _optimizer_config(cfg, "sgd").delta == 0.5
+
+    def test_fd_alias_in_config_file(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\nkind = solve_pde\n[pde]\nscheme = fd\n")
+        assert parse_config(p).params["scheme"] == "monotone_fd"
+
+    def test_removed_keys_rejected(self):
+        for key in ("deterministic", "times"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(overrides={"kind": "optimize", key: "1"})
 
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -268,12 +283,13 @@ class TestCliMain:
         assert (tmp_path / "manifest.json").exists()
 
     def test_solve_pde_fd_alias(self, tmp_path, capsys):
-        code = main(["solve-pde", "--objective", "quadratic_c1_n1", "--scheme", "fd",
-                     "--beta-inv", "0.0", "--t", "0.2", "--grid-n", "65",
-                     "--out", str(tmp_path / "pde")])
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["scheme"] == "monotone_fd"
+        for scheme in ("fd", "monotone_fd"):
+            code = main(["solve-pde", "--objective", "quadratic_c1_n1", "--scheme", scheme,
+                         "--beta-inv", "0.0", "--t", "0.2", "--grid-n", "65",
+                         "--out", str(tmp_path / scheme)])
+            assert code == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["scheme"] == "monotone_fd"
 
     def test_spectrum_cli(self, tmp_path, capsys):
         code = main(["spectrum", "--n-random", "10", "--seed", "1",

@@ -1,10 +1,12 @@
 """Optimizer update rules: fixed points, drifts, equivalences, replay."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
-from pdeopt.objectives import CustomObjective, make_double_well, make_quadratic
+from pdeopt.objectives import CustomObjective, get_entry, make_double_well, make_quadratic
 from pdeopt.rng import substream
 
 
@@ -18,36 +20,40 @@ def linear_objective(slope=3.0):
                            value_batch_fn=lambda X: slope * X[:, 0])
 
 
+def heat_outer_step(st, objective, cfg, n_calls=None):
+    # heat spends one gradient per call; L calls make one outer step
+    for _ in range(cfg.L if n_calls is None else n_calls):
+        opt.step(st, objective, cfg, "heat")
+
+
 class TestSgdStep:
     def test_zero_gradient_fixed_point(self):
         obj = zero_objective()
         cfg = opt.default_config("sgd")
         st = opt.init_state(obj, np.array([1.3]), cfg, seed=0, algo="sgd")
-        opt.step_sgd(st, obj, eta=0.1)
+        opt.step(st, obj, cfg, "sgd")
         assert st.x[0] == 1.3
 
     def test_quadratic_contraction(self):
         q = make_quadratic(1.0, 0.0, 1)
-        cfg = opt.default_config("sgd")
+        cfg = opt.default_config("sgd", eta=0.1)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="sgd")
-        opt.step_sgd(st, q, eta=0.1)
+        opt.step(st, q, cfg, "sgd")
         assert st.x[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_extrinsic_noise_variance(self):
         dw = make_double_well(1.0)
-        cfg = opt.default_config("sgd")
+        cfg = opt.default_config("sgd", eta=0.1, beta_inv_ex=0.01)
         xs = np.empty(10_000)
         for s in range(len(xs)):
             st = opt.init_state(dw, np.array([0.5]), cfg, seed=s, algo="sgd")
-            opt.step_sgd(st, dw, eta=0.1, beta_inv_ex=0.01)
+            opt.step(st, dw, cfg, "sgd")
             xs[s] = st.x[0]
         assert xs.var() == pytest.approx(0.1 * 0.01, rel=0.05)
 
     def test_rejects_bad_eta(self):
-        q = make_quadratic(1.0, 0.0, 1)
-        st = opt.init_state(q, np.ones(1), opt.default_config("sgd"), 0, "sgd")
-        with pytest.raises(ValueError):
-            opt.step_sgd(st, q, eta=0.0)
+        with pytest.raises(ValueError, match="step sizes"):
+            opt.OptimizerConfig(eta=0.0)
 
 
 class TestEntropyStep:
@@ -57,7 +63,7 @@ class TestEntropyStep:
                                  gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([2.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(3 * cfg.L):
-            opt.step_entropy_sgd(st, obj, cfg)
+            opt.step(st, obj, cfg, "entropy_sgd")
         assert st.x[0] == pytest.approx(2.0, abs=1e-14)
         assert st.y_avg[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -68,7 +74,7 @@ class TestEntropyStep:
                                  gamma1=0.0, delta=0.0, eta=0.1, eta_y=0.05)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(cfg.L):
-            opt.step_entropy_sgd(st, q, cfg)
+            opt.step(st, q, cfg, "entropy_sgd")
         drift = (st.x[0] - 1.0) / cfg.eta
         assert drift == pytest.approx(-0.5, rel=0.05)
 
@@ -77,9 +83,9 @@ class TestEntropyStep:
         cfg = opt.default_config("entropy_sgd", L=4, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(cfg.L):
-            opt.step_entropy_sgd(st, q, cfg)
+            opt.step(st, q, cfg, "entropy_sgd")
         assert st.k % cfg.L == 0
-        np.testing.assert_array_equal(st.y, st.x)
+        np.testing.assert_array_equal(st.rows[0], st.x)
         np.testing.assert_array_equal(st.y_avg, st.x)
 
     def test_gamma_must_be_positive(self):
@@ -95,7 +101,7 @@ class TestHjStep:
         cfg = opt.default_config(variant, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([1.5]), cfg, seed=0, algo=variant)
         for _ in range(2 * cfg.L):
-            opt.step_hj(st, obj, cfg, variant=variant)
+            opt.step(st, obj, cfg, variant)
         assert st.x[0] == pytest.approx(1.5, abs=1e-14)
 
     @pytest.mark.parametrize("variant", ["hj", "hj2"])
@@ -104,7 +110,7 @@ class TestHjStep:
         cfg = opt.default_config(variant, gamma0=0.5, gamma1=0.0, delta=0.0, eta=0.05)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo=variant)
         for _ in range(cfg.L):
-            opt.step_hj(st, q, cfg, variant=variant)
+            opt.step(st, q, cfg, variant)
         assert st.x[0] < 1.0  # moves toward 0, same sign as the proximal drift
 
     def test_default_L_is_five(self):
@@ -124,16 +130,16 @@ class TestHjStep:
         st1 = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="hj")
         st2 = opt.init_state(q, np.array([1.0]), cfg, seed=1, algo="hj")
         for _ in range(cfg.L):
-            opt.step_hj(st1, q, cfg)
-            opt.step_hj(st2, q, cfg)
+            opt.step(st1, q, cfg, "hj")
+            opt.step(st2, q, cfg, "hj")
         assert st1.x[0] == st2.x[0]  # no noise enters despite beta_inv_ex > 0
 
     def test_unknown_variant(self):
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("hj")
         st = opt.init_state(q, np.ones(1), cfg, 0, "hj")
-        with pytest.raises(ValueError):
-            opt.step_hj(st, q, cfg, variant="hj3")
+        with pytest.raises(ValueError, match="hj3"):
+            opt.step(st, q, cfg, "hj3")
 
 
 class TestHeatStep:
@@ -141,14 +147,14 @@ class TestHeatStep:
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("heat", L=20, gamma0=1e-12, gamma1=0.0, delta=0.0, eta=0.1)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="heat")
-        opt.step_heat(st, q, cfg)
+        heat_outer_step(st, q, cfg)
         assert abs(st.x[0] - 0.9) <= 1e-6
 
     def test_linear_gradient_exact(self):
         obj = linear_objective(3.0)
         cfg = opt.default_config("heat", L=20, gamma0=1.0, gamma1=0.0, delta=0.0, eta=0.1)
         st = opt.init_state(obj, np.array([0.0]), cfg, seed=0, algo="heat")
-        opt.step_heat(st, obj, cfg)
+        heat_outer_step(st, obj, cfg)
         assert st.x[0] == pytest.approx(-0.3, abs=1e-12)
 
     def test_unbiased_for_quadratics(self):
@@ -157,15 +163,17 @@ class TestHeatStep:
         updates = np.empty(10_000)
         for s in range(len(updates)):
             st = opt.init_state(q, np.array([1.0]), cfg, seed=s, algo="heat")
-            opt.step_heat(st, q, cfg)
+            heat_outer_step(st, q, cfg)
             updates[s] = st.x[0] - 1.0
         assert updates.mean() == pytest.approx(-0.1 * 1.0, rel=0.03)
 
-    def test_one_call_spends_L_gradients(self):
+    def test_outer_step_spends_L_gradients(self):
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("heat", L=7, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(q, np.ones(1), cfg, seed=0, algo="heat")
-        opt.step_heat(st, q, cfg)
+        opt.step(st, q, cfg, "heat")
+        assert st.grad_evals == 1 and st.outer_steps == 0
+        heat_outer_step(st, q, cfg, cfg.L - 1)
         assert st.grad_evals == 7 and st.outer_steps == 1
 
 
@@ -176,9 +184,9 @@ class TestElasticStep:
                                  gamma0=1.0, gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([0.7]), cfg, seed=0, algo="elastic")
         for _ in range(2 * cfg.L):
-            opt.step_elastic(st, obj, cfg)
+            opt.step(st, obj, cfg, "elastic")
         assert st.x[0] == pytest.approx(0.7, abs=1e-14)
-        for w in st.workers:
+        for w in st.rows:
             assert w[0] == pytest.approx(0.7, abs=1e-14)
 
     def test_identical_workers_reduce_to_entropy_sgd(self):
@@ -187,13 +195,13 @@ class TestElasticStep:
                   eta=0.1, eta_y=0.1, alpha=0.75)
         cfg_el = opt.default_config("elastic", n_workers=3, **kw)
         st_el = opt.init_state(dw, np.array([0.8]), cfg_el, seed=5, algo="elastic")
-        st_el.worker_rngs = [substream(123, "twin") for _ in range(3)]
+        st_el.rngs = [substream(123, "twin") for _ in range(3)]
         cfg_en = opt.default_config("entropy_sgd", **kw)
         st_en = opt.init_state(dw, np.array([0.8]), cfg_en, seed=5, algo="entropy_sgd")
-        st_en.rng = substream(123, "twin")
+        st_en.rngs = [substream(123, "twin")]
         for _ in range(3 * cfg_el.L):
-            opt.step_elastic(st_el, dw, cfg_el)
-            opt.step_entropy_sgd(st_en, dw, cfg_en)
+            opt.step(st_el, dw, cfg_el, "elastic")
+            opt.step(st_en, dw, cfg_en, "entropy_sgd")
         np.testing.assert_array_equal(st_el.x, st_en.x)
 
     def test_center_drift_matches_entropy_drift(self):
@@ -206,12 +214,12 @@ class TestElasticStep:
             cfg_el = opt.default_config("elastic", n_workers=8, **kw)
             st = opt.init_state(q, np.array([1.0]), cfg_el, seed=s, algo="elastic")
             for _ in range(cfg_el.L):
-                opt.step_elastic(st, q, cfg_el)
+                opt.step(st, q, cfg_el, "elastic")
             drifts_el.append(st.x[0] - 1.0)
             cfg_en = opt.default_config("entropy_sgd", **kw)
             st = opt.init_state(q, np.array([1.0]), cfg_en, seed=s, algo="entropy_sgd")
             for _ in range(cfg_en.L):
-                opt.step_entropy_sgd(st, q, cfg_en)
+                opt.step(st, q, cfg_en, "entropy_sgd")
             drifts_en.append(st.x[0] - 1.0)
         m_el, m_en = np.mean(drifts_el), np.mean(drifts_en)
         assert m_el == pytest.approx(m_en, rel=0.05)
@@ -220,26 +228,52 @@ class TestElasticStep:
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("elastic")
         st = opt.init_state(q, np.ones(1), cfg, 0, "entropy_sgd")  # no workers
-        with pytest.raises(ValueError):
-            opt.step_elastic(st, q, cfg)
+        with pytest.raises(ValueError, match="elastic"):
+            opt.step(st, q, cfg, "elastic")
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             opt.OptimizerConfig(n_workers=0)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_empty_batch(self, batch_size):
+        # a zero batch would make every minibatch gradient zero
+        with pytest.raises(ValueError, match="batch_size"):
+            opt.OptimizerConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("factor", [0.0, -2.0])
+    def test_rejects_nonpositive_anneal_factor(self, factor):
+        with pytest.raises(ValueError, match="anneal_factor"):
+            opt.OptimizerConfig(anneal_factor=factor, anneal_period=1.0)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_rejects_nonpositive_anneal_period(self, period):
+        with pytest.raises(ValueError, match="anneal_period"):
+            opt.OptimizerConfig(anneal_factor=10.0, anneal_period=period)
+
+    def test_long_annealing_underflows_instead_of_raising(self):
+        obj = get_entry("mlp_h8_n200").objective
+        cfg = opt.default_config("sgd", batch_size=32, anneal_factor=10.0, anneal_period=1.0)
+        rec = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=3000, record_every=500)
+        assert not rec.aborted
+        assert rec.rows[-1]["effective_epoch"] == 480.0
+        # the step size is 0.0 once 10^-drops underflows: the iterate stops
+        assert rec.rows[-1]["loss"] == rec.rows[-2]["loss"]
+
+
 class TestMomentum:
     def test_delta_zero_identity(self):
-        q = make_quadratic(1.0, 0.0, 1)
-        base = dict(gamma0=1.0, gamma1=0.0, beta_inv_ex=0.0, eta=0.1)
-        cfg0 = opt.default_config("entropy_sgd", delta=0.0, **base)
-        wrapped = opt.wrap_momentum(opt.step_entropy_sgd, 0.0)
-        st_a = opt.init_state(q, np.array([1.0]), cfg0, seed=0, algo="entropy_sgd")
-        st_b = opt.init_state(q, np.array([1.0]), cfg0, seed=0, algo="entropy_sgd")
-        for _ in range(3 * cfg0.L):
-            opt.step_entropy_sgd(st_a, q, cfg0)
-            wrapped(st_b, q, cfg0)
-        np.testing.assert_array_equal(st_a.x, st_b.x)
+        # without lookahead the anchor z is the outer iterate itself
+        dw = make_double_well(1.0)
+        for algo in opt.ALGORITHMS:
+            cfg = opt.default_config(algo, delta=0.0, gamma0=0.5, beta_inv_ex=0.01, n_workers=2)
+            st = opt.init_state(dw, np.array([0.3]), cfg, seed=0, algo=algo)
+            for _ in range(3 * cfg.L):
+                opt.step(st, dw, cfg, algo)
+            assert st.outer_steps == 3
+            np.testing.assert_array_equal(st.z, st.x)
 
     def test_momentum_accelerates_on_quadratic(self):
         q = make_quadratic(1.0, 0.0, 1)
@@ -255,9 +289,9 @@ class TestMomentum:
 
         assert steps_to_converge(0.9) < steps_to_converge(0.0)
 
-    def test_wrap_validates_delta(self):
-        with pytest.raises(ValueError):
-            opt.wrap_momentum(opt.step_entropy_sgd, 1.0)
+    def test_config_validates_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            opt.OptimizerConfig(delta=1.0)
 
 
 class TestGammaSchedule:
@@ -283,6 +317,12 @@ class TestGammaSchedule:
         with pytest.raises(ValueError):
             opt.gamma_schedule(-1, cfg)
 
+    def test_underflow_to_zero_fails_loudly(self):
+        q = make_quadratic(1.0, 0.0, 1)
+        cfg = opt.default_config("entropy_sgd", L=1, gamma1=0.9)
+        with pytest.raises(ValueError, match="gamma underflowed"):
+            opt.run("entropy_sgd", q, cfg, seed=0, n_outer_steps=400, x0=np.ones(1))
+
 
 class TestRun:
     def test_replay_identical(self):
@@ -298,6 +338,14 @@ class TestRun:
         cfg = opt.default_config("sgd", eta=0.1)
         rec = opt.run("sgd", q, cfg, seed=0, n_outer_steps=500, x0=np.array([1.0]))
         assert rec.final_loss <= 1e-6
+
+    @pytest.mark.parametrize("batch, epochs", [(8, 4.0), (32, 16.0), (200, 100.0)])
+    def test_effective_epochs_follow_the_batch(self, batch, epochs):
+        # epochs = gradient evaluations * batch / n_samples
+        obj = get_entry("mlp_h8_n200").objective
+        cfg = opt.default_config("sgd", batch_size=batch)
+        rec = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=100, record_every=100)
+        assert rec.rows[-1]["effective_epoch"] == epochs
 
     def test_effective_epoch_accounting(self):
         q = make_quadratic(1.0, 0.0, 1)
@@ -360,8 +408,38 @@ class TestInnerContraction:
         dists = []
         n_steps = 300
         for _ in range(n_steps):
-            opt.step_entropy_sgd(st, obj, cfg)
-            dists.append(np.linalg.norm(st.y - y_star))
+            opt.step(st, obj, cfg, "entropy_sgd")
+            dists.append(np.linalg.norm(st.rows[0] - y_star))
         s = np.arange(1, n_steps + 1) * eta_y  # time axis of the inner flow
         fitted = -np.polyfit(s, np.log(dists), 1)[0]
         assert fitted >= 0.9 * lam
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+class TestGoldenReplay:
+    """Runs on ``mlp_h8_n200`` (batch 32, no annealing; sgd with extrinsic
+    noise and no lookahead, the others with lookahead 0.9) replay bit for bit:
+    final loss, a digest of the terminal iterate's bytes and a digest of the
+    k, loss, gamma and control-energy columns, as recorded when each
+    algorithm had its own step function."""
+
+    GOLDEN = {
+        "sgd": (0.24590692473778045, "80808afb4b6c7489", "b21d3e6c492b54d9"),
+        "entropy_sgd": (0.083909711824003, "05169697e0e99a47", "1e085808f7a3bbea"),
+        "hj": (0.08074758139603422, "bf775f20022fd4f7", "e004ae6b0a5e7392"),
+        "hj2": (0.08074758139603423, "0c74bf2e2dad19bc", "e415c4aa546da2d7"),
+        "heat": (0.08162504829803507, "46da6acca40511e7", "0f06f4bd6e5d05a0"),
+        "elastic": (0.0828067485290235, "f9519b43877e024d", "4f3b30dd8316b426"),
+    }
+
+    @pytest.mark.parametrize("algo", opt.ALGORITHMS)
+    def test_replays_recorded_run(self, algo):
+        obj = get_entry("mlp_h8_n200").objective
+        extra = dict(delta=0.0, beta_inv_ex=1e-6) if algo == "sgd" else dict(delta=0.9)
+        cfg = opt.default_config(algo, batch_size=32, **extra)
+        rec = opt.run(algo, obj, cfg, seed=3, n_outer_steps=12)
+        cols = np.array([rec.column(c) for c in ("k", "loss", "gamma", "control_energy")])
+        assert (rec.final_loss, _digest(rec.terminal_x), _digest(cols)) == self.GOLDEN[algo]
