@@ -263,7 +263,7 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
                 for li in range(L):
                     y_trace[li] = state.rows[0][0]
                     step(state, objective, cfg, "entropy_sgd")
-                drifts[si] = (state.x[0] - p) / cfg.eta
+                drifts[si] = (state.x[0, 0] - p) / cfg.eta
                 if ei == len(epsilons) - 1 and pi == 0 and si == 0 and beta_inv > 0:
                     if integrated_autocorrelation_time(y_trace) > L:
                         ergodic = False

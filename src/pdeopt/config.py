@@ -6,6 +6,10 @@ file values; unknown keys are rejected by name.  Every run directory gets a
 ``manifest.json`` echoing the keys the user set (defaults are resolved later,
 per algorithm, by ``optimizers.default_config``), and
 ``parse_manifest(emit_manifest(cfg)) == cfg``.
+
+The ``threads`` key (``--threads``) is accepted and has no effect: repeats run
+as rows of one batched optimizer state, not on threads.  It stays only
+because existing configs and the benchmark's ops still pass it.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     repeats: int = 1
-    threads: int = 1
+    threads: int = 1              # accepted, no effect (see the module docstring)
     params: dict = field(default_factory=dict)
 
     def param(self, key, default=None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -86,32 +85,24 @@ def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
     # `--out foo.csv` names the run file directly (seed-suffixed for repeats)
     csv_name = Path(cfg.out).name if cfg.out and cfg.out.endswith(".csv") else None
 
-    def one(ridx: int):
-        seed = cfg.seed + ridx
-        rec = optimizers.run(algo, entry.objective, ocfg, seed, steps, record_every=record_every)
-        if out is not None:
+    records = optimizers.run(algo, entry.objective, ocfg, cfg.seed, steps,
+                             record_every=record_every, repeats=cfg.repeats)
+    if out is not None:
+        for rec in records:
             if csv_name and cfg.repeats == 1:
                 rec.to_csv(out / csv_name)
             elif csv_name:
-                rec.to_csv(out / f"{Path(csv_name).stem}_{seed}.csv")
+                rec.to_csv(out / f"{Path(csv_name).stem}_{rec.seed}.csv")
             else:
-                rec.to_csv(out / f"run_{seed}.csv")
-        return rec
-
-    if cfg.threads > 1 and cfg.repeats > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(one, range(cfg.repeats)))
-    else:
-        records = [one(r) for r in range(cfg.repeats)]
-    finals = np.array([r.final_loss for r in records])
-    aborted = any(r.aborted for r in records)
-    if out is not None:
+                rec.to_csv(out / f"run_{rec.seed}.csv")
         series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
         try:
             emit_plot(series, out / "plot.svg", title=f"{algo} on {cfg.objective}",
                       xlabel="effective epochs", ylabel="loss")
         except ValueError:
             pass
+    finals = np.array([r.final_loss for r in records])
+    aborted = any(r.aborted for r in records)
     return {
         "kind": "optimize", "algo": algo, "objective": cfg.objective,
         "final_loss_mean": float(finals.mean()), "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
@@ -125,40 +116,36 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
     algos = cfg.param("algos", ["sgd", "entropy_sgd", "hj"])
     budget = int(cfg.param("budget", 20000))
     record_every_base = cfg.param("record_every", 0)
-    rows = []
-    curves = {}
+    rows, curves, timings = [], {}, {}
     for algo in sorted(algos):
         ocfg = _optimizer_config(cfg, algo, tuned=True)
-        # an outer step costs L gradients per row
-        n_outer = max(1, budget // (ocfg.L * (ocfg.n_workers if algo == "elastic" else 1)))
+        # an outer step costs L gradients per repeat (per worker for elastic)
+        grads_per_outer = ocfg.L * (ocfg.n_workers if algo == "elastic" else 1)
+        n_outer = max(1, budget // grads_per_outer)
         record_every = record_every_base or max(1, n_outer // 400)
-        finals, epochs, walls = [], [], []
-        last = None
-        for r in range(cfg.repeats):
-            t0 = time.perf_counter()
-            rec = optimizers.run(algo, entry.objective, ocfg, cfg.seed + r, n_outer,
-                                 record_every=record_every)
-            walls.append(time.perf_counter() - t0)
-            finals.append(rec.final_loss)
-            epochs.append(rec.rows[-1]["effective_epoch"])
-            if out is not None:
-                rec.to_csv(out / f"run_{algo}_{cfg.seed + r}.csv")
-            last = rec
-        curves[algo] = last
-        finals = np.array(finals)
+        t0 = time.perf_counter()
+        records = optimizers.run(algo, entry.objective, ocfg, cfg.seed, n_outer,
+                                 record_every=record_every, repeats=cfg.repeats)
+        seconds = time.perf_counter() - t0
+        timings[algo] = {"run_s": seconds,
+                         "us_per_grad_eval": 1e6 * seconds / (cfg.repeats * n_outer * grads_per_outer)}
+        if out is not None:
+            for rec in records:
+                rec.to_csv(out / f"run_{algo}_{rec.seed}.csv")
+        curves[algo] = records[-1]
+        finals = np.array([rec.final_loss for rec in records])
         rows.append({
             "algorithm": algo,
             "final_loss_mean": float(finals.mean()),
             "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
-            "effective_epochs": float(np.mean(epochs)),
-            "wall_time_s": float(np.mean(walls)),
+            "effective_epochs": float(np.mean([rec.rows[-1]["effective_epoch"] for rec in records])),
         })
     if out is not None:
         with open(out / "comparison.csv", "w") as fh:
-            fh.write("algorithm,final_loss_mean,final_loss_std,effective_epochs,wall_time_s\n")
+            fh.write("algorithm,final_loss_mean,final_loss_std,effective_epochs\n")
             for row in rows:
                 fh.write(f"{row['algorithm']},{row['final_loss_mean']!r},{row['final_loss_std']!r},"
-                         f"{row['effective_epochs']!r},{row['wall_time_s']!r}\n")
+                         f"{row['effective_epochs']!r}\n")
         series = [(a, curves[a].column("effective_epoch"), curves[a].column("loss")) for a in sorted(curves)]
         emit_plot(series, out / "plot.svg", title=f"equal-budget comparison on {cfg.objective}",
                   xlabel="effective epochs", ylabel="loss")
@@ -169,7 +156,7 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
         for a in algos:
             if a != "sgd":
                 checks[f"{a}_not_worse_than_sgd"] = bool(by[a]["final_loss_mean"] <= bar)
-    return {"kind": "compare", "objective": cfg.objective, "rows": rows,
+    return {"kind": "compare", "objective": cfg.objective, "rows": rows, "timings": timings,
             "checks": checks, "passed": all(checks.values()) if checks else True}
 
 

@@ -50,6 +50,15 @@ class Objective:
             g = g + np.sqrt(self.noise_scale) * rng.standard_normal(self.dim)
         return g
 
+    def minibatch_grad(self, x: Array, rng, batch_size: int | None = None) -> Array:
+        """Stochastic gradient at x, shape (dim,), drawing from ``rng``; or at
+        each row of x, shape (R, dim), row r drawing from ``rng[r]``.  Without
+        a dataset there is no batch: ``batch_size`` is ignored."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.stochastic_grad(x, rng)
+        return np.array([self.stochastic_grad(row, r) for row, r in zip(x, rng)])
+
     def hvp(self, x: Array, v: Array, eps: float = 1e-6) -> Array:
         """Hessian-vector product by central differences of the gradient."""
         nv = np.linalg.norm(v)
@@ -235,6 +244,7 @@ class TinyMLP(Objective):
         c1 = rng.normal(loc=(1.0, 1.0), scale=0.75, size=(n_samples - half, 2))
         self.X = np.vstack([c0, c1])
         self.y = np.concatenate([np.zeros(half, dtype=int), np.ones(n_samples - half, dtype=int)])
+        self._onehot = np.eye(2)[self.y]
         self.dim = hidden * 2 + hidden + 2 * hidden + 2
         self._x0 = 0.5 * rng.standard_normal(self.dim)
         if batch_size is not None and batch_size > n_samples:
@@ -252,44 +262,55 @@ class TinyMLP(Objective):
         return batch_size or self.batch_size or self.n_samples, self.n_samples
 
     def _unpack(self, x):
-        h = self.hidden
+        """Layer weights of each row of x, shape (R, dim)."""
+        h, R = self.hidden, x.shape[0]
         i = 0
-        W1 = x[i : i + 2 * h].reshape(h, 2); i += 2 * h
-        b1 = x[i : i + h]; i += h
-        W2 = x[i : i + 2 * h].reshape(2, h); i += 2 * h
-        b2 = x[i : i + 2]
+        W1 = x[:, i : i + 2 * h].reshape(R, h, 2); i += 2 * h
+        b1 = x[:, i : i + h]; i += h
+        W2 = x[:, i : i + 2 * h].reshape(R, 2, h); i += 2 * h
+        b2 = x[:, i : i + 2]
         return W1, b1, W2, b2
 
-    def _loss_grad(self, x, idx):
-        W1, b1, W2, b2 = self._unpack(np.asarray(x, dtype=float))
-        X, y = self.X[idx], self.y[idx]
-        n = len(idx)
-        z1 = X @ W1.T + b1
+    def _forward(self, x, idx):
+        """Inputs, pre-activations, activations, output weights and class
+        probabilities of each row of x, shape (R, dim), on the samples idx,
+        shape (R, b).  Stacked matmul runs the same BLAS call per row as a
+        single row would, so every row is bit-equal to its own call."""
+        W1, b1, W2, b2 = self._unpack(x)
+        X = self.X[idx]
+        z1 = X @ W1.transpose(0, 2, 1) + b1[:, None, :]
         a1 = _relu(z1)
-        logits = a1 @ W2.T + b2
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = a1 @ W2.transpose(0, 2, 1) + b2[:, None, :]
+        # two classes: the max and the sum over them are one binary operation
+        # each, bit-equal to the reductions and several times cheaper
+        logits -= np.maximum(logits[..., :1], logits[..., 1:])
         ez = np.exp(logits)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        loss = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-        dlogits = probs.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        dW2 = dlogits.T @ a1
-        db2 = dlogits.sum(axis=0)
-        da1 = dlogits @ W2
-        dz1 = da1 * (z1 > 0)
-        dW1 = dz1.T @ X
-        db1 = dz1.sum(axis=0)
-        g = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
-        return loss, g
+        return X, z1, a1, W2, ez / (ez[..., :1] + ez[..., 1:])
+
+    def _loss(self, x, idx):
+        probs = self._forward(x, idx)[-1]
+        picked = np.take_along_axis(probs, self.y[idx][..., None], axis=2)[..., 0]
+        return -np.log(picked + 1e-300).mean(axis=1)
+
+    def _grad(self, x, idx):
+        X, z1, a1, W2, probs = self._forward(x, idx)
+        R, n = idx.shape
+        dlogits = (probs - self._onehot[idx]) / n
+        dW2 = dlogits.transpose(0, 2, 1) @ a1
+        db2 = dlogits.sum(axis=1)
+        dz1 = (dlogits @ W2) * (z1 > 0)
+        dW1 = dz1.transpose(0, 2, 1) @ X
+        db1 = dz1.sum(axis=1)
+        return np.concatenate([dW1.reshape(R, -1), db1, dW2.reshape(R, -1), db2], axis=1)
+
+    def _full(self, x):
+        return np.asarray(x, dtype=float)[None], np.arange(self.n_samples)[None]
 
     def value(self, x):
-        loss, _ = self._loss_grad(x, np.arange(self.n_samples))
-        return float(loss)
+        return float(self._loss(*self._full(x))[0])
 
     def grad(self, x):
-        _, g = self._loss_grad(x, np.arange(self.n_samples))
-        return g
+        return self._grad(*self._full(x))[0]
 
     def hessian(self, x):
         if self.dim > DENSE_HESSIAN_LIMIT:
@@ -302,16 +323,22 @@ class TinyMLP(Objective):
             H[:, j] = (self.grad(x + e) - self.grad(x - e)) / (2 * eps)
         return 0.5 * (H + H.T)
 
-    def minibatch_grad(self, x, rng: np.random.Generator, batch_size: int | None = None) -> Array:
+    def minibatch_grad(self, x, rng, batch_size: int | None = None) -> Array:
+        """Minibatch gradient at x, shape (dim,), with indices drawn from
+        ``rng``; or at each row of x, shape (R, dim), row r drawing from
+        ``rng[r]``.  The full batch uses every point once and draws nothing."""
         b = batch_size if batch_size is not None else (self.batch_size or self.n_samples)
         if b > self.n_samples:
             raise ValueError("batch_size cannot exceed n_samples")
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        rows, rngs = (x[None], (rng,)) if single else (x, rng)
         if b == self.n_samples:
-            idx = np.arange(self.n_samples)
+            idx = np.broadcast_to(np.arange(b), (len(rows), b))
         else:
-            idx = rng.integers(0, self.n_samples, size=b)
-        _, g = self._loss_grad(x, idx)
-        return g
+            idx = np.array([r.integers(0, self.n_samples, size=b) for r in rngs])
+        g = self._grad(rows, idx)
+        return g[0] if single else g
 
     def stochastic_grad(self, x, rng):
         return self.minibatch_grad(x, rng)

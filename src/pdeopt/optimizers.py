@@ -23,10 +23,30 @@ heat         y <- y + grad_mb(z + sqrt(gamma) N)        y / L
 ===========  =========================================  ===================
 
 After an outer update the rows restart at z (entropy_sgd, hj, elastic) or at
-zero (hj2, heat).  Elastic workers own independent streams and update in a
-fixed round-robin order, so runs are bit-wise reproducible from (config, seed).
-Noise is drawn as rng.normal(0, a): bit-equal to a * standard_normal, one
-array operation cheaper.
+zero (hj2, heat).  Noise is drawn as rng.normal(0, a): bit-equal to
+a * standard_normal, one array operation cheaper.
+
+The state is batched.  ``x``, ``z`` and ``<y>`` are (repeats, dim) arrays, one
+row per seed of a :func:`run`, and the inner rows are one (repeats * workers,
+dim) array, repeat-major, with one worker per repeat except for ``elastic``
+(``n_workers``; ``sgd`` has none).  A step updates every row with one array
+operation and one stacked minibatch gradient, so the per-call cost of Python
+and numpy is paid once for all rows.  A seed's record does not depend on the
+seeds run beside it, bit for bit:
+
+* each row draws from its own stream: the row of repeat p (seed + p) from
+  ``substream(seed + p, "optimizer")``, elastic worker w of repeat p from
+  ``worker_streams(seed + p, "worker", n_workers)[w]``; within a stream the
+  draws of a step keep their order (minibatch indices, then noise; for heat
+  the perturbation, then the indices), and a full batch draws no indices;
+* ``TinyMLP.minibatch_grad`` runs each row through the same BLAS call a
+  single row makes (stacked matmul; einsum would differ in the last bits);
+* the elastic worker mean reduces a (repeats, workers, dim) view over the
+  workers, the order a mean over a list of workers takes;
+* the control energy adds ``float(d[p] @ d[p])`` per repeat; a batched
+  einsum of the same products is not bit-equal;
+* a repeat whose loss turns non-finite stops recording (see :func:`run`)
+  while its rows keep being stepped with the others, which they do not touch.
 """
 
 from __future__ import annotations
@@ -117,9 +137,10 @@ class _Plan:
     cfg: OptimizerConfig
     algo: str
     inner: Callable              # the row update; returns d on the last inner step
-    grad: Callable               # (x, rng, batch_size) -> stochastic gradient
+    grad: Callable               # (rows, rngs, batch_size) -> one stochastic gradient per row
     every: int                   # inner steps per outer update
-    grads: int                   # gradients per inner step
+    width: int                   # inner rows per repeat (0 for sgd)
+    grads: int                   # gradients per repeat and inner step
     gamma0: float                # divided by the dimension under normalize_gamma
     alpha: float
     noise: float                 # extrinsic noise on the rows
@@ -129,30 +150,43 @@ class _Plan:
 
 @dataclass
 class OptimizerState:
-    x: Array
-    z: Array                       # lookahead anchor; equals x when delta == 0
-    rows: list[Array]              # inner iterates (hj2: the offset, heat: the gradient sum)
-    y_avg: Array                   # running average <y> of the row mean
-    rngs: list[np.random.Generator]  # one stream per row; rngs[0] also drives sgd
-    k: int = 0                     # inner-step counter
+    x: Array                       # (repeats, dim) outer iterates
+    z: Array                       # (repeats, dim) lookahead anchors; equal x when delta == 0
+    rows: Array                    # (repeats * width, dim) inner iterates, repeat-major
+                                   # (hj2: the offset, heat: the gradient sum)
+    y_avg: Array                   # (repeats, dim) running average <y> of each repeat's row mean
+    rngs: list[np.random.Generator]  # one stream per row (sgd: per repeat)
+    control_energy: Array          # (repeats,)
+    k: int = 0                     # inner-step counter, shared by the repeats
     gamma: float = 0.0             # smoothing scale of the current outer step
     outer_steps: int = 0
-    grad_evals: int = 0
-    control_energy: float = 0.0
+    grad_evals: int = 0            # per repeat
     epoch_size: tuple[int, int] = (1, 1)   # (samples per gradient, samples per epoch)
     plan: _Plan | None = None
 
 
-def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd") -> OptimizerState:
-    x0 = np.asarray(x0, dtype=float).copy()
+def _width(algo: str, cfg: OptimizerConfig) -> int:
+    return {"sgd": 0, "elastic": cfg.n_workers}.get(algo, 1)
+
+
+def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd",
+               repeats: int = 1) -> OptimizerState:
+    """State of ``repeats`` independent runs from ``x0``, repeat r seeded ``seed + r``."""
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (objective.dim,):
         raise ValueError("state vectors must match the objective dimension")
-    rows = {"sgd": [], "hj2": [np.zeros_like(x0)], "heat": [np.zeros_like(x0)],
-            "elastic": [x0.copy() for _ in range(cfg.n_workers)]}.get(algo, [x0.copy()])
-    rngs = worker_streams(seed, "worker", cfg.n_workers) if algo == "elastic" else [substream(seed, "optimizer")]
-    state = OptimizerState(x=x0, z=x0.copy(), rows=rows, y_avg=x0.copy(), rngs=rngs,
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    x = np.tile(x0, (repeats, 1))
+    width = _width(algo, cfg)
+    if algo == "elastic":
+        rngs = [g for r in range(repeats) for g in worker_streams(seed + r, "worker", width)]
+    else:
+        rngs = [substream(seed + r, "optimizer") for r in range(repeats)]
+    state = OptimizerState(x=x, z=x.copy(), rows=np.empty((repeats * width, x.shape[1])), y_avg=x.copy(),
+                           rngs=rngs, control_energy=np.zeros(repeats),
                            epoch_size=objective.epoch_size(cfg.batch_size))
-    _resolve(state, objective, cfg, algo)
+    _restart(state, _resolve(state, objective, cfg, algo))
     return state
 
 
@@ -167,8 +201,18 @@ def _gamma(k: int, p: _Plan) -> float:
     return gamma
 
 
+def _normal(rngs, scale: float, n: int) -> Array:
+    """One row of n N(0, scale^2) draws from each stream."""
+    return np.array([rng.normal(0.0, scale, n) for rng in rngs])
+
+
+def _per_row(a: Array, width: int) -> Array:
+    """Each repeat's (dim,) vector repeated for its ``width`` rows."""
+    return a if width == 1 else np.repeat(a, width, axis=0)
+
+
 def _sgd(state, p, last):
-    return p.grad(state.z, state.rngs[0], p.cfg.batch_size)
+    return p.grad(state.z, state.rngs, p.cfg.batch_size)
 
 
 def _coupled(state, p, last):
@@ -176,33 +220,28 @@ def _coupled(state, p, last):
     its step clamped to gamma so the coupling stays stable as gamma shrinks."""
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
-    z = state.z
-    rows = []
-    for y, rng in zip(state.rows, state.rngs):
-        y = y - s * (p.grad(y, rng, p.cfg.batch_size) + (y - z) / gamma)
-        if p.noise:
-            y = y + rng.normal(0.0, math.sqrt(s * p.noise), y.shape[0])
-        rows.append(y)
-    state.rows = rows
-    ybar = rows[0] if len(rows) == 1 else np.mean(rows, axis=0)
+    y = state.rows
+    y = y - s * (p.grad(y, state.rngs, p.cfg.batch_size) + (y - _per_row(state.z, p.width)) / gamma)
+    if p.noise:
+        y = y + _normal(state.rngs, math.sqrt(s * p.noise), y.shape[1])
+    state.rows = y
+    ybar = y if p.width == 1 else y.reshape(-1, p.width, y.shape[1]).mean(axis=1)
     state.y_avg = p.alpha * state.y_avg + (1.0 - p.alpha) * ybar if p.alpha else ybar
-    return (z - state.y_avg) / gamma if last else None
+    return (state.z - state.y_avg) / gamma if last else None
 
 
 def _hj2(state, p, last):
-    y = state.rows[0]
-    g = p.grad(state.z - y, state.rngs[0], p.cfg.batch_size)
+    y = state.rows
+    g = p.grad(state.z - y, state.rngs, p.cfg.batch_size)
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
-    state.rows = [(1.0 - s / gamma) * y + s * g]
+    state.rows = (1.0 - s / gamma) * y + s * g
     return g
 
 
 def _heat(state, p, last):
-    rng = state.rngs[0]
-    eps = rng.normal(0.0, math.sqrt(state.gamma), state.z.shape[0])
-    total = state.rows[0] + p.grad(state.z + eps, rng, p.cfg.batch_size)
-    state.rows = [total]
+    eps = _normal(state.rngs, math.sqrt(state.gamma), state.z.shape[1])
+    state.rows = total = state.rows + p.grad(state.z + eps, state.rngs, p.cfg.batch_size)
     return total / p.every if last else None
 
 
@@ -210,15 +249,13 @@ def _resolve(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, 
     """Resolve ``algo``'s constants for ``state``, once per run."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    n_rows = {"sgd": 0, "elastic": cfg.n_workers}.get(algo, 1)
-    if len(state.rows) != n_rows:
+    width = _width(algo, cfg)
+    if state.rows.shape[0] != width * state.x.shape[0]:
         raise ValueError(f"state was not initialized for {algo!r}")
-    grad = getattr(objective, "minibatch_grad", None)
-    if grad is None or cfg.batch_size is None:
-        grad = lambda x, rng, batch_size: objective.stochastic_grad(x, rng)  # noqa: E731
     state.plan = p = _Plan(
         cfg=cfg, algo=algo, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
-        grad=grad, every=1 if algo == "sgd" else cfg.L, grads=max(n_rows, 1),
+        grad=objective.minibatch_grad, every=1 if algo == "sgd" else cfg.L,
+        width=width, grads=max(width, 1),
         gamma0=cfg.gamma0 / objective.dim if cfg.normalize_gamma else cfg.gamma0,
         alpha=0.0 if algo == "hj" else cfg.alpha,
         noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
@@ -227,6 +264,12 @@ def _resolve(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, 
     )
     state.gamma = _gamma(state.k, p)
     return p
+
+
+def _restart(state: OptimizerState, p: _Plan) -> None:
+    """Start the rows of an outer step at z (coupled rows) or at zero."""
+    state.rows = _per_row(state.z, p.width).copy() if p.inner is _coupled else np.zeros_like(state.rows)
+    state.y_avg = state.z.copy()
 
 
 def _epochs(state: OptimizerState) -> float:
@@ -243,8 +286,8 @@ def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
 
 
 def step(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo: str) -> OptimizerState:
-    """One inner step of ``algo``: one minibatch gradient per row, and the
-    outer update when it completes an outer step."""
+    """One inner step of ``algo`` for every repeat: one minibatch gradient per
+    row, and the outer update when it completes an outer step."""
     p = state.plan
     if p.cfg is not cfg or p.algo != algo:
         p = _resolve(state, objective, cfg, algo)
@@ -259,15 +302,15 @@ def step(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo
     x_old = state.x
     x = state.z - eta * d
     if p.outer_noise:
-        x = x + state.rngs[0].normal(0.0, math.sqrt(eta * p.outer_noise), x.shape[0])
+        x = x + _normal(state.rngs, math.sqrt(eta * p.outer_noise), x.shape[1])
     state.x = x
     state.z = x + cfg.delta * (x - x_old) if cfg.delta else x
-    state.control_energy += 0.5 * float(d @ d) * eta
+    energy = state.control_energy
+    for r in range(len(d)):
+        energy[r] += 0.5 * float(d[r] @ d[r]) * eta
     state.outer_steps += 1
-    if state.rows:
-        start = state.z if p.inner is _coupled else np.zeros_like(x)
-        state.rows = [start.copy() for _ in state.rows]
-        state.y_avg = state.z.copy()
+    if p.width:
+        _restart(state, p)
         state.gamma = _gamma(state.k, p)
     return state
 
@@ -312,28 +355,35 @@ class RunRecord:
 
 
 def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
-        n_outer_steps: int, x0=None, record_every: int = 1) -> RunRecord:
+        n_outer_steps: int, x0=None, record_every: int = 1,
+        repeats: int | None = None) -> RunRecord | list[RunRecord]:
     """Execute ``n_outer_steps`` outer updates of the named optimizer.
 
-    Deterministic replay: identical (config, seed) produce identical rows.
-    A non-finite loss aborts and returns the partial record flagged.
+    With ``repeats`` given, the seeds ``seed .. seed + repeats - 1`` run as
+    rows of one batched state and a list of one record per seed is returned;
+    without it, one seed runs and its record is returned.  Either way a
+    seed's record is the same: identical (config, seed) produce identical
+    rows.  A non-finite loss aborts that seed: its record stops, flagged,
+    with the iterate of that moment, while the other seeds run on.
     """
     cfg = cfg if cfg is not None else default_config(algo)
     if x0 is None:
         x0 = objective.initial_point() if hasattr(objective, "initial_point") else np.ones(objective.dim)
-    state = init_state(objective, x0, cfg, seed, algo)
-    record = RunRecord(algo=algo, seed=seed)
+    n_seeds = 1 if repeats is None else repeats
+    state = init_state(objective, x0, cfg, seed, algo, n_seeds)
+    records = [RunRecord(algo=algo, seed=seed + r) for r in range(n_seeds)]
+    live = list(range(n_seeds))
 
-    def log_row():
-        loss = objective.value(state.x)
-        gnorm = float(np.linalg.norm(objective.grad(state.x)))
-        record.rows.append(dict(
+    def log_row(r):
+        x = state.x[r]
+        loss = objective.value(x)
+        records[r].rows.append(dict(
             k=state.k,
             effective_epoch=_epochs(state),
             loss=loss,
-            grad_norm=gnorm,
+            grad_norm=float(np.linalg.norm(objective.grad(x))),
             gamma=gamma_schedule(max(state.k - 1, 0), cfg, objective.dim),
-            control_energy=state.control_energy,
+            control_energy=float(state.control_energy[r]),
         ))
         return loss
 
@@ -342,9 +392,13 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
         for _ in inner_steps:
             step(state, objective, cfg, algo)
         if (outer + 1) % record_every == 0 or outer == n_outer_steps - 1:
-            loss = log_row()
-            if not math.isfinite(loss):
-                record.aborted = True
+            for r in list(live):
+                if not math.isfinite(log_row(r)):
+                    records[r].aborted = True
+                    records[r].terminal_x = state.x[r].copy()
+                    live.remove(r)
+            if not live:
                 break
-    record.terminal_x = state.x.copy()
-    return record
+    for r in live:
+        records[r].terminal_x = state.x[r].copy()
+    return records if repeats is not None else records[0]

@@ -221,7 +221,7 @@ def test_09_elastic_entropy_equivalence():
         for outer in range(n_outer):
             for _ in range(cfg.L):
                 optimizers.step(st, q, cfg, algo)
-            xs[outer] = st.x[0]
+            xs[outer] = st.x[0, 0]
         return xs[discard:].mean()
 
     means_en = np.array([stationary_mean("entropy_sgd", 1000 + s) for s in range(32)])

@@ -249,15 +249,32 @@ class TestRunExperiment:
             assert (tmp_path / "fig1" / f"{name}.csv").exists()
         assert (tmp_path / "fig1" / "plot.svg").exists()
 
-    def test_threads_match_sequential(self, tmp_path):
-        base = {"kind": "optimize", "objective": "double_well_a1", "seed": 11,
-                "algo": "sgd", "steps": 20, "repeats": 3}
-        seq = tmp_path / "seq"
-        par = tmp_path / "par"
-        run_experiment(parse_config(overrides={**base, "out": str(seq), "threads": 1}))
-        run_experiment(parse_config(overrides={**base, "out": str(par), "threads": 3}))
+    def test_repeats_match_single_runs(self, tmp_path):
+        # three repeats run as rows of one state write the bytes of three
+        # one-seed runs; ``threads`` parses and has no effect
+        base = {"kind": "optimize", "objective": "double_well_a1", "algo": "sgd",
+                "steps": 20, "beta_inv_ex": 0.01}
+        batched = tmp_path / "batched"
+        run_experiment(parse_config(overrides={**base, "seed": 11, "repeats": 3, "threads": 3,
+                                               "out": str(batched)}))
         for seed in (11, 12, 13):
-            assert (seq / f"run_{seed}.csv").read_bytes() == (par / f"run_{seed}.csv").read_bytes()
+            single = tmp_path / f"single_{seed}"
+            run_experiment(parse_config(overrides={**base, "seed": seed, "out": str(single)}))
+            assert (batched / f"run_{seed}.csv").read_bytes() == (single / f"run_{seed}.csv").read_bytes()
+
+    def test_compare_rerun_byte_identical(self, tmp_path):
+        overrides = {"kind": "compare", "objective": "mlp_h8_n200", "seed": 3,
+                     "algos": "sgd,hj", "budget": 200, "repeats": 2, "batch_size": 32}
+        for name in ("a", "b"):
+            run_experiment(parse_config(overrides={**overrides, "out": str(tmp_path / name)}))
+        first = (tmp_path / "a" / "comparison.csv").read_bytes()
+        assert first == (tmp_path / "b" / "comparison.csv").read_bytes()
+        assert first.splitlines()[0] == b"algorithm,final_loss_mean,final_loss_std,effective_epochs"
+        # the measured times go to summary.json only
+        timings = json.loads((tmp_path / "a" / "summary.json").read_text())["timings"]
+        assert sorted(timings) == ["hj", "sgd"]
+        for t in timings.values():
+            assert t["run_s"] > 0 and t["us_per_grad_eval"] > 0
 
 
 class TestCliMain:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdeopt.objectives import (
     CustomObjective,
@@ -152,6 +154,45 @@ class TestTinyMLP:
     def test_parameter_count(self):
         mlp = make_tiny_mlp(0, 8, 200)
         assert mlp.n_params == 8 * 2 + 8 + 2 * 8 + 2 == mlp.dim
+
+
+class TestStackedMinibatchGrad:
+    """Rows of x, shape (R, dim), each with its own generator, get the
+    gradients their single-row calls would, bit for bit."""
+
+    MLP = make_tiny_mlp(0, 8, 200)
+
+    @settings(max_examples=80, deadline=None)
+    @given(R=st.integers(1, 8), batch=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.01, 10.0))
+    def test_rows_match_single_calls(self, R, batch, seed, scale):
+        mlp = self.MLP
+        x = scale * np.random.default_rng(seed).standard_normal((R, mlp.dim))
+        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
+        twins = [np.random.default_rng([seed, r]) for r in range(R)]
+        g = mlp.minibatch_grad(x, rngs, batch)
+        assert g.shape == (R, mlp.dim)
+        for r in range(R):
+            assert g[r].tobytes() == mlp.minibatch_grad(x[r].copy(), twins[r], batch).tobytes()
+            assert rngs[r].bit_generator.state == twins[r].bit_generator.state
+
+    def test_full_batch_draws_nothing(self):
+        mlp = self.MLP
+        x = np.tile(mlp.initial_point(), (3, 1))
+        rngs = [np.random.default_rng(r) for r in range(3)]
+        before = [r.bit_generator.state for r in rngs]
+        g = mlp.minibatch_grad(x, rngs, mlp.n_samples)
+        assert [r.bit_generator.state for r in rngs] == before
+        for row in g:
+            np.testing.assert_array_equal(row, mlp.grad(mlp.initial_point()))
+
+    def test_base_objective_loops_rows(self):
+        q = make_quadratic(2.0, 0.5, 3)
+        q.noise_scale = 0.1
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)], 16)
+        for r in range(4):
+            np.testing.assert_array_equal(g[r], q.stochastic_grad(x[r], np.random.default_rng(r)))
 
 
 class TestNoiseModel:

@@ -48,7 +48,7 @@ class TestSgdStep:
         for s in range(len(xs)):
             st = opt.init_state(dw, np.array([0.5]), cfg, seed=s, algo="sgd")
             opt.step(st, dw, cfg, "sgd")
-            xs[s] = st.x[0]
+            xs[s] = st.x[0, 0]
         assert xs.var() == pytest.approx(0.1 * 0.01, rel=0.05)
 
     def test_rejects_bad_eta(self):
@@ -85,7 +85,7 @@ class TestEntropyStep:
         for _ in range(cfg.L):
             opt.step(st, q, cfg, "entropy_sgd")
         assert st.k % cfg.L == 0
-        np.testing.assert_array_equal(st.rows[0], st.x)
+        np.testing.assert_array_equal(st.rows, st.x)
         np.testing.assert_array_equal(st.y_avg, st.x)
 
     def test_gamma_must_be_positive(self):
@@ -164,7 +164,7 @@ class TestHeatStep:
         for s in range(len(updates)):
             st = opt.init_state(q, np.array([1.0]), cfg, seed=s, algo="heat")
             heat_outer_step(st, q, cfg)
-            updates[s] = st.x[0] - 1.0
+            updates[s] = st.x[0, 0] - 1.0
         assert updates.mean() == pytest.approx(-0.1 * 1.0, rel=0.03)
 
     def test_outer_step_spends_L_gradients(self):
@@ -387,6 +387,51 @@ class TestRun:
         rec = opt.run("entropy_sgd", q, opt.default_config("entropy_sgd", L=3), 0, 15, x0=np.ones(1))
         ks = [r["k"] for r in rec.rows]
         assert all(a < b for a, b in zip(ks, ks[1:]))
+
+
+class TestRepeats:
+    """Seeds run as rows of one batched state record what one-seed runs do."""
+
+    @staticmethod
+    def assert_same_records(batched, singles, tmp_path):
+        assert [r.seed for r in batched] == [r.seed for r in singles]
+        for rec, single in zip(batched, singles):
+            rec.to_csv(tmp_path / "batched.csv")
+            single.to_csv(tmp_path / "single.csv")
+            assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+            assert rec.aborted == single.aborted
+            assert rec.terminal_x.tobytes() == single.terminal_x.tobytes()
+
+    @pytest.mark.parametrize("algo", opt.ALGORITHMS)
+    def test_batched_matches_sequential(self, algo, tmp_path):
+        obj = get_entry("mlp_h8_n200").objective
+        cfg = opt.default_config(algo, batch_size=32, n_workers=3, beta_inv_ex=1e-4,
+                                 anneal_factor=2.0, anneal_period=0.5)
+        batched = opt.run(algo, obj, cfg, seed=7, n_outer_steps=5, record_every=2, repeats=3)
+        singles = [opt.run(algo, obj, cfg, seed=s, n_outer_steps=5, record_every=2, repeats=1)[0]
+                   for s in (7, 8, 9)]
+        self.assert_same_records(batched, singles, tmp_path)
+        assert [len(r.rows) for r in batched] == [3, 3, 3]
+
+    def test_rejects_zero_repeats(self):
+        q = make_quadratic(1.0, 0.0, 1)
+        with pytest.raises(ValueError, match="repeats"):
+            opt.run("sgd", q, None, seed=0, n_outer_steps=3, repeats=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_aborted_row_stops_alone(self, tmp_path):
+        # started near the edge of stability, seed 0 is kicked past it and
+        # diverges while seeds 1 and 2 settle
+        quartic = CustomObjective(1, lambda x: x[0] ** 4, lambda x: np.array([4 * x[0] ** 3]),
+                                  noise_scale=4.0)
+        cfg = opt.default_config("sgd", eta=0.1)
+        x0 = np.array([2.2])
+        batched = opt.run("sgd", quartic, cfg, seed=0, n_outer_steps=30, x0=x0, repeats=3)
+        singles = [opt.run("sgd", quartic, cfg, seed=s, n_outer_steps=30, x0=x0) for s in (0, 1, 2)]
+        assert [r.aborted for r in batched] == [True, False, False]
+        assert len(batched[0].rows) < 30 and not np.isfinite(batched[0].final_loss)
+        self.assert_same_records(batched, singles, tmp_path)
 
 
 class TestInnerContraction:
