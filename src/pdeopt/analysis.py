@@ -255,18 +255,17 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
         devs = np.empty((len(probes), n_seeds))
         drift_mean = np.empty(len(probes))
         for pi, p in enumerate(probes):
-            x0 = np.array([p])
-            drifts = np.empty(n_seeds)
-            for si in range(n_seeds):
-                state = init_state(objective, x0, cfg, seed=seed * 1000 + si, algo="entropy_sgd")
-                y_trace = np.empty(L)
-                for li in range(L):
-                    y_trace[li] = state.rows[0][0]
-                    step(state, objective, cfg, "entropy_sgd")
-                drifts[si] = (state.x[0, 0] - p) / cfg.eta
-                if ei == len(epsilons) - 1 and pi == 0 and si == 0 and beta_inv > 0:
-                    if integrated_autocorrelation_time(y_trace) > L:
-                        ergodic = False
+            # the seeds seed*1000 + s are the rows of one state
+            state = init_state(objective, np.array([p]), cfg, seed=seed * 1000, algo="entropy_sgd",
+                               repeats=n_seeds)
+            y_trace = np.empty(L)
+            for li in range(L):
+                y_trace[li] = state.rows[0, 0]
+                step(state, objective, cfg, "entropy_sgd")
+            drifts = (state.x[:, 0] - p) / cfg.eta
+            if ei == len(epsilons) - 1 and pi == 0 and beta_inv > 0:
+                if integrated_autocorrelation_time(y_trace) > L:
+                    ergodic = False
             devs[pi] = np.abs(drifts - (-ref[pi]))
             drift_mean[pi] = drifts.mean()
             all_samples[ei, pi] = drifts

@@ -12,6 +12,8 @@ float64 payload).
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -99,19 +101,7 @@ class GridFunction:
     def interp(self, x) -> float:
         """Multilinear interpolation at a point inside the box."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        h = self.spacing
-        t = np.clip((x - self.lower) / h, 0.0, np.array(self.n_points) - 1.0)
-        i = np.minimum(t.astype(int), np.array(self.n_points) - 2)
-        w = t - i
-        a = self.array
-        if self.dim == 1:
-            return float((1 - w[0]) * a[i[0]] + w[0] * a[i[0] + 1])
-        c00 = a[i[0], i[1]]
-        c10 = a[i[0] + 1, i[1]]
-        c01 = a[i[0], i[1] + 1]
-        c11 = a[i[0] + 1, i[1] + 1]
-        return float((1 - w[0]) * (1 - w[1]) * c00 + w[0] * (1 - w[1]) * c10
-                     + (1 - w[0]) * w[1] * c01 + w[0] * w[1] * c11)
+        return float(multilinear(self.array, self.lower, self.spacing, x[None, :])[0])
 
     def is_density(self, tol: float = _DENSITY_TOL) -> bool:
         return bool(self.values.min() >= -1e-12 and abs(self.integral() - 1.0) <= tol)
@@ -171,6 +161,40 @@ class GridFunction:
 
 # ---------------------------------------------------------------------------
 # discrete calculus helpers
+
+
+def multilinear(table: Array, lower: Array, spacing: Array, x: Array) -> Array:
+    """Multilinear interpolation of ``table`` (*n_points, *components), sampled
+    on the grid with corner ``lower`` and ``spacing``, at the rows of ``x``
+    (N, dim), clamped to the box.  Returns (N, *components).
+
+    Corner terms are summed with axis 0 varying fastest, e.g. in 2D
+    (1-w0)(1-w1) c00 + w0 (1-w1) c10 + (1-w0) w1 c01 + w0 w1 c11.
+    """
+    shape = table.shape[: x.shape[1]]
+    t = np.clip((x - lower) / spacing, 0.0, np.array(shape) - 1.0)
+    node = np.minimum(np.floor(t), np.array(shape) - 2.0)  # lower corner of the cell
+    w = t - node
+    i = node.astype(int)
+    stride = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
+    base = i[:, -1]  # flat index of the lower corner
+    for d in range(len(shape) - 1):
+        base = base + stride[d] * i[:, d]
+    vals = table.reshape(math.prod(shape), -1).T  # (components, nodes)
+    out = None
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        bits = corner[::-1]
+        weight = w[:, 0] if bits[0] else 1 - w[:, 0]
+        for d in range(1, len(shape)):
+            weight = weight * (w[:, d] if bits[d] else 1 - w[:, d])
+        offset = sum(b * s for b, s in zip(bits, stride))
+        term = np.take(vals, base + offset if offset else base, axis=1)
+        term *= weight
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out.T.reshape(len(x), *table.shape[len(shape) :])
 
 
 def gradient(gf: GridFunction, axis: int = 0) -> GridFunction:

@@ -6,17 +6,26 @@ Four routes to the smoothed loss u(x, t) of a 1D/2D objective f:
   the log-transformed heat solution, computed by stabilized log-sum-exp
   quadrature.  Solves u_t = -|grad u|^2/2 + (1/(2b)) Lap u.
 * ``solve_hj_hopf_lax`` -- the zero-viscosity limit: the inf-convolution
-  u(x,t) = min_y { f(y) + |x-y|^2/(2t) }, computed exactly on the grid with
-  the linear-time lower-envelope algorithm.
+  u(x,t) = min_y { f(y) + |x-y|^2/(2t) }, the exact minimum over the grid
+  nodes within the reachability radius.
 * ``solve_hj_monotone_fd`` -- explicit upwind (Godunov) finite differences
   for the same equation, any viscosity including zero.
 * ``solve_heat`` -- plain Gaussian blurring v = G_{t/b} * f for contrast.
 
+The three quadrature routes are one computation.  ``_sample_padded`` samples
+f once on the grid, refined ``ceil(3h/sigma)``-fold per axis so the kernel is
+resolved (not for Hopf-Lax), and padded by K nodes per side: extended past
+the box, or wrapped around the n-1 unique nodes when the boundary is
+periodic, in 1D and 2D alike.  ``_reduce_windows`` then reduces every
+(2K+1)-sample window along each axis in turn: log-sum-exp for Cole-Hopf, the
+minimum (lower envelope) for Hopf-Lax, a normalized dot product for heat.
+
 Plus the forward density evolution ``evolve_fokker_planck`` (conservative
 upwind finite volume), the backward value-function solver
-``solve_hjb_backward`` used by the control experiments, the proximal map
-``prox_point``, and small diagnostics (characteristic fixed points, shock
-time, convexity intervals).
+``solve_hjb_backward`` used by the control experiments (it shares the upwind
+stencil of ``solve_hj_monotone_fd``), the proximal map ``prox_point``, and
+small diagnostics (characteristic fixed points, shock time, convexity
+intervals).
 
 All solvers are pure functions of their inputs and run single-threaded.
 """
@@ -27,9 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from .grid import GridFunction
+from .grid import GridFunction, multilinear
 from .objectives import Objective
 
 Array = np.ndarray
@@ -66,147 +76,95 @@ class NanAbort(RuntimeError):
     """A solver produced NaN values."""
 
 
-def _extended_axis(lo: float, hi: float, n: int, pad_points: int) -> Array:
-    h = (hi - lo) / (n - 1)
-    return lo - pad_points * h + h * np.arange(n + 2 * pad_points)
-
-
 def _pad_points(h: float, radius: float) -> int:
     return int(math.ceil(max(radius, 0.0) / h))
 
 
+def _check_2d_size(grid: GridFunction) -> None:
+    # quadratic-cost reductions stay fast only up to 257 points per axis
+    if grid.dim == 2 and max(grid.n_points) > 257:
+        raise ValueError("2D solves are limited to 257 points per axis")
+
+
 # ---------------------------------------------------------------------------
-# Cole-Hopf quadrature
+# separable quadrature: one padded sample, one window reduction per axis
+
+_CHUNK = 1 << 20  # samples per reduced block, bounding the temporaries
+
+
+def _refinement(grid: GridFunction, sigma: float) -> list[int]:
+    """Per-axis refinement r = ceil(3h/sigma): quadrature nodes at most sigma/3
+    apart resolve the kernel even when it is narrower than the grid."""
+    return [max(1, math.ceil(3.0 * h / sigma)) for h in grid.spacing]
+
+
+def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: bool) -> Array:
+    """f once on the grid refined r[d]-fold and padded by K[d] nodes per side
+    of each axis d: extended past the box, or wrapped around the n - 1 unique
+    nodes when the boundary is periodic (the last node repeats the first)."""
+    axes = []
+    for lo, h, n, k, rd in zip(grid.lower, grid.spacing, grid.n_points, K, r):
+        hq = h / rd
+        if periodic:
+            axes.append(lo + hq * np.arange((n - 1) * rd))
+        else:
+            axes.append(lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    F = objective.value_batch(np.column_stack([m.ravel() for m in mesh])).reshape(mesh[0].shape)
+    return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
+
+
+def _reduce_windows(F: Array, K, r, ops) -> Array:
+    """Along each axis d in turn, reduce every window of 2K[d]+1 samples whose
+    centres are r[d] apart with ops[d], which maps (..., 2K+1) to (...)."""
+    for axis, (k, rd, op) in enumerate(zip(K, r, ops)):
+        win = sliding_window_view(np.moveaxis(F, axis, -1), 2 * k + 1, axis=-1)[..., ::rd, :]
+        out = np.empty(win.shape[:-1])
+        c = max(1, _CHUNK // win[..., 0, :].size)
+        for s in range(0, out.shape[-1], c):
+            out[..., s : s + c] = op(win[..., s : s + c, :])
+        F = np.moveaxis(out, -1, axis)
+    return F
+
+
+def _on_grid(grid: GridFunction, U: Array, boundary: str) -> GridFunction:
+    if boundary == "periodic":  # append each axis' end node, a copy of its first
+        U = np.pad(U, [(0, 1)] * U.ndim, mode="wrap")
+    return grid.with_values(U)
 
 
 def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
     """Smoothed loss via the log-transformed heat kernel.
 
-    The quadrature grid extends the evaluation box far enough that the
+    The quadrature nodes are the grid's, refined per axis until they are at
+    most sigma/3 apart.  They extend the evaluation box far enough that the
     Gaussian mass ignored outside it is below ~1e-10 (``cfg.pad_sigmas``
-    standard deviations).  All exponents are combined with log-sum-exp, so
-    beta * range(f) far beyond 700 is safe.
+    standard deviations), plus the reach of a distant low value of f.  All
+    exponents are combined with log-sum-exp, so beta * range(f) far beyond
+    700 is safe.
     """
     if cfg.beta_inv == 0.0:
         return solve_hj_hopf_lax(objective, cfg.t_final, grid)
+    _check_2d_size(grid)
     beta = 1.0 / cfg.beta_inv
     t = cfg.t_final
-    sigma2 = cfg.beta_inv * t
-    sigma = math.sqrt(sigma2)
-    if grid.dim == 1:
-        return _cole_hopf_1d(objective, beta, t, sigma, grid, cfg)
-    return _cole_hopf_2d(objective, beta, t, sigma, grid, cfg)
-
-
-def _cole_hopf_1d(objective, beta, t, sigma, grid, cfg) -> GridFunction:
-    (n,) = grid.n_points
-    h = grid.spacing[0]
-    if cfg.boundary == "periodic":
-        return _cole_hopf_periodic_1d(objective, beta, t, sigma, grid)
-    # quadrature in offset form: resolve the kernel even when it is narrower
-    # than the evaluation grid
-    h_q = min(h, sigma / 3.0) if sigma > 0 else h
-    # the kernel tail, plus the reach of a distant low value of f
+    sigma = math.sqrt(cfg.beta_inv * t)
     radius = cfg.pad_sigmas * sigma + hopf_lax_search_radius(objective, grid, t)
-    K = max(2, int(math.ceil(radius / h_q)))
-    offs = h_q * np.arange(-K, K + 1)
-    log_k = -beta * offs**2 / (2.0 * t)
-    xs = grid.axes()[0]
-    log_norm = math.log(h_q) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    out = np.empty(n)
-    chunk = max(1, int(4_000_000 // (2 * K + 1)))
-    for s in range(0, n, chunk):
-        xc = xs[s : s + chunk]
-        pts = (xc[:, None] + offs[None, :]).ravel()
-        log_f = -beta * objective.value_batch(pts[:, None]).reshape(len(xc), -1)
-        out[s : s + chunk] = logsumexp(log_f + log_k[None, :], axis=1)
-    u = -(out + log_norm) / beta
-    return grid.with_values(u)
-
-
-def _cole_hopf_periodic_1d(objective, beta, t, sigma, grid) -> GridFunction:
-    (n,) = grid.n_points
-    h = grid.spacing[0]
-    m = n - 1  # last node duplicates the first on a periodic box
-    xs = grid.axes()[0][:m]
-    log_f = -beta * objective.value_batch(xs[:, None])
-    K = _pad_points(h, 8.0 * sigma)
-    offs = h * np.arange(-K, K + 1)
-    log_k = -beta * offs**2 / (2.0 * t)
-    idx = (np.arange(m)[:, None] + np.arange(-K, K + 1)[None, :]) % m
-    log_norm = math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    vals = logsumexp(log_f[idx] + log_k[None, :], axis=1)
-    u = -(vals + log_norm) / beta
-    return grid.with_values(np.append(u, u[0]))
-
-
-def _check_2d_size(grid: GridFunction) -> None:
-    # quadratic-cost reductions stay fast only up to 257 points per axis
-    if max(grid.n_points) > 257:
-        raise ValueError("2D solves are limited to 257 points per axis")
-
-
-def _cole_hopf_2d(objective, beta, t, sigma, grid, cfg) -> GridFunction:
-    n0, n1 = grid.n_points
-    h0, h1 = grid.spacing
-    _check_2d_size(grid)
-    if cfg.boundary == "periodic":
-        raise NotImplementedError("periodic quadrature implemented for 1D only")
-    # the kernel tail, plus the reach of a distant low value of f
-    radius = cfg.pad_sigmas * sigma + hopf_lax_search_radius(objective, grid, t)
-    pad0 = _pad_points(h0, radius)
-    pad1 = _pad_points(h1, radius)
-    y0 = _extended_axis(grid.lower[0], grid.upper[0], n0, pad0)
-    y1 = _extended_axis(grid.lower[1], grid.upper[1], n1, pad1)
-    x0, x1 = grid.axes()
-    g0, g1 = np.meshgrid(y0, y1, indexing="ij")
-    F = -beta * objective.value_batch(np.column_stack([g0.ravel(), g1.ravel()])).reshape(len(y0), len(y1))
-    scale = -beta / (2.0 * t)
-    # separable kernel: reduce over y0 for each x0, then over y1 for each x1
-    A = np.empty((n0, len(y1)))
-    for i, x in enumerate(x0):
-        A[i] = logsumexp(F + scale * (x - y0)[:, None] ** 2, axis=0)
-    U = np.empty((n0, n1))
-    for j, x in enumerate(x1):
-        U[:, j] = logsumexp(A + scale * (x - y1)[None, :] ** 2, axis=1)
-    log_norm = math.log(h0 * h1) - math.log(2.0 * math.pi * sigma * sigma)
-    return grid.with_values((-(U + log_norm) / beta).ravel())
+    r = _refinement(grid, sigma)
+    hq = grid.spacing / r
+    K = [max(2, _pad_points(h, radius)) for h in hq]
+    ops, log_norm = [], 0.0
+    for h, k in zip(hq, K):
+        offs = h * np.arange(-k, k + 1)
+        log_k = -beta * offs**2 / (2.0 * t)
+        ops.append(lambda w, log_k=log_k: logsumexp(w + log_k, axis=-1))
+        log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    F = -beta * _sample_padded(objective, grid, K, r, cfg.boundary == "periodic")
+    return _on_grid(grid, -(_reduce_windows(F, K, r, ops) + log_norm) / beta, cfg.boundary)
 
 
 # ---------------------------------------------------------------------------
 # Hopf-Lax inf-convolution
-
-
-def _lower_envelope_1d(ys: Array, fvals: Array, xs: Array, t: float) -> Array:
-    """min_k { fvals[k] + (x - ys[k])^2 / (2t) } for each x, in O(len)."""
-    inv2t = 1.0 / (2.0 * t)
-    m = len(ys)
-    v = np.empty(m, dtype=int)
-    z = np.empty(m + 1)
-    k = 0
-    v[0] = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in range(1, m):
-        while True:
-            r = v[k]
-            s = ((fvals[q] - fvals[r]) * 2.0 * t + ys[q] ** 2 - ys[r] ** 2) / (2.0 * (ys[q] - ys[r]))
-            if k > 0 and s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    out = np.empty(len(xs))
-    j = 0
-    for i, x in enumerate(xs):
-        while z[j + 1] < x:
-            j += 1
-        yk = ys[v[j]]
-        out[i] = fvals[v[j]] + (x - yk) * (x - yk) * inv2t
-    return out
 
 
 def hopf_lax_search_radius(objective: Objective, grid: GridFunction, t: float) -> float:
@@ -220,35 +178,23 @@ def hopf_lax_search_radius(objective: Objective, grid: GridFunction, t: float) -
 def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> GridFunction:
     """Exact grid inf-convolution of f with the quadratic |x-y|^2/(2t).
 
-    The search grid is the evaluation grid padded by the reachability radius,
-    so minimizers slightly outside the box are not missed.
+    Each axis takes the lower envelope of the parabolas centred on the search
+    nodes within the reachability radius, which also pads the box, so
+    minimizers slightly outside it are not missed.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    radius = hopf_lax_search_radius(objective, grid, t)
-    if grid.dim == 1:
-        (n,) = grid.n_points
-        h = grid.spacing[0]
-        pad = _pad_points(h, radius)
-        ys = _extended_axis(grid.lower[0], grid.upper[0], n, pad)
-        fv = objective.value_batch(ys[:, None])
-        return grid.with_values(_lower_envelope_1d(ys, fv, grid.axes()[0], t))
-    n0, n1 = grid.n_points
     _check_2d_size(grid)
-    h0, h1 = grid.spacing
-    pad0, pad1 = _pad_points(h0, radius), _pad_points(h1, radius)
-    y0 = _extended_axis(grid.lower[0], grid.upper[0], n0, pad0)
-    y1 = _extended_axis(grid.lower[1], grid.upper[1], n1, pad1)
-    g0, g1 = np.meshgrid(y0, y1, indexing="ij")
-    F = objective.value_batch(np.column_stack([g0.ravel(), g1.ravel()])).reshape(len(y0), len(y1))
-    x0, x1 = grid.axes()
-    A = np.empty((n0, len(y1)))
-    for j in range(len(y1)):
-        A[:, j] = _lower_envelope_1d(y0, F[:, j], x0, t)
-    U = np.empty((n0, n1))
-    for i in range(n0):
-        U[i] = _lower_envelope_1d(y1, A[i], x1, t)
-    return grid.with_values(U.ravel())
+    radius = hopf_lax_search_radius(objective, grid, t)
+    K = [_pad_points(h, radius) for h in grid.spacing]
+    r = [1] * grid.dim
+    inv2t = 1.0 / (2.0 * t)
+    ops = []
+    for h, k in zip(grid.spacing, K):
+        offs = h * np.arange(-k, k + 1)
+        ops.append(lambda w, q=offs * offs * inv2t: (w + q).min(axis=-1))
+    F = _sample_padded(objective, grid, K, r, periodic=False)
+    return grid.with_values(_reduce_windows(F, K, r, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +299,23 @@ def prox_point(objective: Objective, x, t: float, scan_box=None, n_scan: int = 8
 # monotone finite differences
 
 
-def _linear_ghost_pad(a: Array) -> Array:
-    """One linear-extrapolation ghost cell per side, every axis."""
-    for axis in range(a.ndim):
-        lo = 2.0 * np.take(a, 0, axis=axis) - np.take(a, 1, axis=axis)
-        hi = 2.0 * np.take(a, -1, axis=axis) - np.take(a, -2, axis=axis)
-        a = np.concatenate(
-            [np.expand_dims(lo, axis), a, np.expand_dims(hi, axis)], axis=axis
-        )
-    return a
+def _godunov_differences(u: Array, spacing: Array) -> list[tuple[Array, Array, Array]]:
+    """Per axis, from one linear-extrapolation ghost cell per side: the
+    backward and forward differences (u_i - u_{i-1})/h and (u_{i+1} - u_i)/h,
+    and the undivided second difference u_{i+1} - 2 u_i + u_{i-1}."""
+    up = np.zeros(tuple(n + 2 for n in u.shape))  # no stencil reads the corners
+    inner = slice(1, -1)
+    up[(inner,) * u.ndim] = u
+    terms = []
+    for axis in range(u.ndim):
+        def at(i, rest):
+            return tuple(i if d == axis else rest for d in range(u.ndim))
+
+        up[at(0, inner)] = 2.0 * u[at(0, slice(None))] - u[at(1, slice(None))]
+        up[at(-1, inner)] = 2.0 * u[at(-1, slice(None))] - u[at(-2, slice(None))]
+        um, uc, upl = up[at(slice(0, -2), inner)], up[at(inner, inner)], up[at(slice(2, None), inner)]
+        terms.append(((uc - um) / spacing[axis], (upl - uc) / spacing[axis], upl - 2.0 * uc + um))
+    return terms
 
 
 def _max_abs_gradient(u: Array, spacing: Array) -> float:
@@ -405,22 +359,14 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
         dt = cfg.cfl_safety * limit
     n_steps = max(1, int(math.ceil(cfg.t_final / dt)))
     dt = cfg.t_final / n_steps
-    d = u.ndim
     h = spacing
 
     for step in range(n_steps):
-        up = _linear_ghost_pad(u)
         ham = np.zeros_like(u)
         lap = np.zeros_like(u)
-        for axis in range(d):
-            center = [slice(1, -1)] * d
-            lo = list(center); lo[axis] = slice(0, -2)
-            hi = list(center); hi[axis] = slice(2, None)
-            um, uc, upl = up[tuple(lo)], up[tuple(center)], up[tuple(hi)]
-            dminus = (uc - um) / h[axis]
-            dplus = (upl - uc) / h[axis]
+        for axis, (dminus, dplus, d2) in enumerate(_godunov_differences(u, h)):
             ham += 0.5 * (np.maximum(dminus, 0.0) ** 2 + np.minimum(dplus, 0.0) ** 2)
-            lap += (upl - 2.0 * uc + um) / h[axis] ** 2
+            lap += d2 / h[axis] ** 2
         u = u + dt * (-ham + 0.5 * cfg.beta_inv * lap)
         if step % 64 == 0 and not np.isfinite(u).all():
             raise NanAbort(f"NaN at step {step} (t={step * dt:g})")
@@ -436,49 +382,24 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
 def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
     """Gaussian smoothing v(., t) = G_{beta_inv * t} * f by direct quadrature.
 
-    Kernel weights are symmetric and normalized to sum to one, so affine
-    functions are reproduced exactly.  With the periodic boundary the
-    convolution wraps on the n-1 unique nodes (the last node must duplicate
-    the first).
+    Kernel weights are symmetric and normalized to sum to one per axis, so
+    affine functions are reproduced exactly.  With the periodic boundary the
+    convolution wraps on the n-1 unique nodes of each axis (the last node
+    must duplicate the first).
     """
     if cfg.beta_inv <= 0:
         raise ValueError("heat smoothing needs beta_inv > 0")
     sigma2 = cfg.beta_inv * cfg.t_final
     sigma = math.sqrt(sigma2)
-    if grid.dim == 1:
-        (n,) = grid.n_points
-        h = grid.spacing[0]
-        K = max(2, _pad_points(h, cfg.pad_sigmas * sigma))
-        offs = h * np.arange(-K, K + 1)
-        w = np.exp(-offs**2 / (2.0 * sigma2))
-        w /= w.sum()
-        if cfg.boundary == "periodic":
-            m = n - 1
-            base = objective.value_batch(grid.points()[:m])
-            idx = (np.arange(m)[:, None] + np.arange(-K, K + 1)[None, :]) % m
-            v = (base[idx] * w[None, :]).sum(axis=1)
-            return grid.with_values(np.append(v, v[0]))
-        xs = grid.axes()[0]
-        ext = np.concatenate([xs[0] + offs[:K], xs, xs[-1] + offs[K + 1 :]])
-        fv = objective.value_batch(ext[:, None])
-        v = np.convolve(fv, w[::-1], mode="valid")
-        return grid.with_values(v)
-    # 2D: separable convolution over an extended sampling of f
-    n0, n1 = grid.n_points
-    h0, h1 = grid.spacing
-    if cfg.boundary == "periodic":
-        raise NotImplementedError("periodic heat smoothing implemented for 1D only")
-    K0 = max(2, _pad_points(h0, cfg.pad_sigmas * sigma))
-    K1 = max(2, _pad_points(h1, cfg.pad_sigmas * sigma))
-    y0 = _extended_axis(grid.lower[0], grid.upper[0], n0, K0)
-    y1 = _extended_axis(grid.lower[1], grid.upper[1], n1, K1)
-    g0, g1 = np.meshgrid(y0, y1, indexing="ij")
-    F = objective.value_batch(np.column_stack([g0.ravel(), g1.ravel()])).reshape(len(y0), len(y1))
-    w0 = np.exp(-((h0 * np.arange(-K0, K0 + 1)) ** 2) / (2.0 * sigma2)); w0 /= w0.sum()
-    w1 = np.exp(-((h1 * np.arange(-K1, K1 + 1)) ** 2) / (2.0 * sigma2)); w1 /= w1.sum()
-    tmp = np.apply_along_axis(lambda col: np.convolve(col, w0[::-1], mode="valid"), 0, F)
-    out = np.apply_along_axis(lambda row: np.convolve(row, w1[::-1], mode="valid"), 1, tmp)
-    return grid.with_values(out.ravel())
+    r = _refinement(grid, sigma)
+    hq = grid.spacing / r
+    K = [max(2, _pad_points(h, cfg.pad_sigmas * sigma)) for h in hq]
+    ops = []
+    for h, k in zip(hq, K):
+        w = np.exp(-((h * np.arange(-k, k + 1)) ** 2) / (2.0 * sigma2))
+        ops.append(lambda win, w=w / w.sum(): win @ w)
+    F = _sample_padded(objective, grid, K, r, cfg.boundary == "periodic")
+    return _on_grid(grid, _reduce_windows(F, K, r, ops), cfg.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -574,25 +495,7 @@ class ControlField:
         th = (s - ts[j]) / (ts[j + 1] - ts[j])
         th = min(max(th, 0.0), 1.0)
         G = (1.0 - th) * self.gradients[j] + th * self.gradients[j + 1]
-        lo, hi = self.grid.lower, self.grid.upper
-        h = self.grid.spacing
-        npts = np.array(self.grid.n_points)
-        tt = np.clip((x - lo) / h, 0.0, npts - 1.0)
-        i = np.minimum(tt.astype(int), npts - 2)
-        w = tt - i
-        if self.grid.dim == 1:
-            g = G[..., 0]
-            return ((1 - w[:, 0]) * g[i[:, 0]] + w[:, 0] * g[i[:, 0] + 1])[:, None]
-        out = np.empty_like(x)
-        for c in range(2):
-            g = G[..., c]
-            c00 = g[i[:, 0], i[:, 1]]
-            c10 = g[i[:, 0] + 1, i[:, 1]]
-            c01 = g[i[:, 0], i[:, 1] + 1]
-            c11 = g[i[:, 0] + 1, i[:, 1] + 1]
-            out[:, c] = ((1 - w[:, 0]) * (1 - w[:, 1]) * c00 + w[:, 0] * (1 - w[:, 1]) * c10
-                         + (1 - w[:, 0]) * w[:, 1] * c01 + w[:, 0] * w[:, 1] * c11)
-        return out
+        return multilinear(G, self.grid.lower, self.grid.spacing, x)
 
 
 def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: float,
@@ -630,19 +533,12 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     taus = [0.0]
     grads = [grad_centered(w)]
     for it in range(1, n_steps + 1):
-        wp = _linear_ghost_pad(w)
         rhs = np.zeros_like(w)
-        for axis in range(d):
-            center = [slice(1, -1)] * d
-            lo = list(center); lo[axis] = slice(0, -2)
-            hi = list(center); hi[axis] = slice(2, None)
-            wm, wc, wpl = wp[tuple(lo)], wp[tuple(center)], wp[tuple(hi)]
-            dminus = (wc - wm) / spacing[axis]
-            dplus = (wpl - wc) / spacing[axis]
+        for axis, (dminus, dplus, d2) in enumerate(_godunov_differences(w, spacing)):
             badv = bfield[..., axis]
             rhs -= np.maximum(badv, 0.0) * dminus + np.minimum(badv, 0.0) * dplus
             rhs -= 0.5 * (np.maximum(dminus, 0.0) ** 2 + np.minimum(dplus, 0.0) ** 2)
-            rhs += 0.5 * beta_inv * (wpl - 2.0 * wc + wm) / spacing[axis] ** 2
+            rhs += 0.5 * beta_inv * d2 / spacing[axis] ** 2
         w = w + step * rhs
         if not np.isfinite(w).all():
             raise NanAbort(f"NaN in value function at reversed step {it}")

@@ -14,6 +14,7 @@ from pdeopt.objectives import (
     make_quadratic_form,
     make_rugged_1d,
 )
+from pdeopt.optimizers import OptimizerConfig, init_state, step
 from pdeopt.pde_lab import PdeSolveConfig, prox_point, solve_heat, solve_viscous_hj_cole_hopf
 
 
@@ -160,6 +161,22 @@ class TestHomogenization:
         # the smoothed-gradient at x=2, gamma=1 is 2/(1+1) = 1
         assert table.reference_grad[0] == pytest.approx(1.0, abs=1e-6)
         assert table.rows[-1].max_rel_deviation <= 0.02
+
+    def test_seed_rows_match_one_state_per_seed(self):
+        dw = make_double_well(1.0)
+        probes, eps, gamma, beta_inv = [0.55, 1.35], [0.2, 0.05], 0.3, 0.05
+        table = analysis.verify_homogenization(dw, probes, gamma=gamma, beta_inv=beta_inv,
+                                               epsilons=eps, n_seeds=3, seed=2)
+        for ei, e in enumerate(sorted(eps, reverse=True)):
+            L = int(round(1 / e))
+            cfg = OptimizerConfig(eta=0.1, eta_y=0.1, L=L, gamma0=gamma, gamma1=0.0,
+                                  beta_inv_ex=beta_inv, alpha=0.75, delta=0.0)
+            for pi, p in enumerate(probes):
+                for si in range(3):
+                    state = init_state(dw, np.array([p]), cfg, seed=2000 + si, algo="entropy_sgd")
+                    for _ in range(L):
+                        step(state, dw, cfg, "entropy_sgd")
+                    assert table.drift_samples[ei, pi, si] == (state.x[0, 0] - p) / cfg.eta
 
     def test_zero_objective_deviation_within_noise(self):
         zero = CustomObjective(1, lambda x: 0.0, lambda x: np.zeros(1),

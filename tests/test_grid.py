@@ -8,6 +8,7 @@ from pdeopt.grid import (
     gaussian_density,
     gradient,
     interior_max_second_difference,
+    multilinear,
     second_difference,
 )
 
@@ -68,6 +69,43 @@ class TestInterp:
     def test_2d_bilinear(self):
         g = GridFunction.from_callable(lambda P: 2 * P[:, 0] - P[:, 1], [0.0, 0.0], [1.0, 1.0], [6, 6])
         assert g.interp([0.3, 0.7]) == pytest.approx(2 * 0.3 - 0.7, abs=1e-12)
+
+
+class TestMultilinear:
+    """``multilinear`` against the hand-written corner sums, bit for bit."""
+
+    @staticmethod
+    def _cell(table, lower, spacing, x):
+        npts = np.array(table.shape[: x.shape[1]])
+        t = np.clip((x - lower) / spacing, 0.0, npts - 1.0)
+        i = np.minimum(t.astype(int), npts - 2)
+        return i, t - i
+
+    def test_1d_components(self):
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(33, 3))
+        lower, spacing = np.array([-1.0]), np.array([2.0 / 32])
+        x = rng.uniform(-1.3, 1.3, (500, 1))  # some points outside the box
+        i, w = self._cell(table, lower, spacing, x)
+        ref = np.stack([(1 - w[:, 0]) * table[i[:, 0], c] + w[:, 0] * table[i[:, 0] + 1, c]
+                        for c in range(3)], axis=1)
+        assert multilinear(table, lower, spacing, x).tobytes() == ref.tobytes()
+
+    def test_2d_components(self):
+        rng = np.random.default_rng(1)
+        table = rng.normal(size=(17, 9, 2))
+        lower, spacing = np.array([-1.0, 0.0]), np.array([0.125, 0.5])
+        x = np.column_stack([rng.uniform(-1.2, 1.2, 500), rng.uniform(-0.2, 4.2, 500)])
+        i, w = self._cell(table, lower, spacing, x)
+        ref = np.empty((500, 2))
+        for c in range(2):
+            g = table[..., c]
+            ref[:, c] = ((1 - w[:, 0]) * (1 - w[:, 1]) * g[i[:, 0], i[:, 1]]
+                         + w[:, 0] * (1 - w[:, 1]) * g[i[:, 0] + 1, i[:, 1]]
+                         + (1 - w[:, 0]) * w[:, 1] * g[i[:, 0], i[:, 1] + 1]
+                         + w[:, 0] * w[:, 1] * g[i[:, 0] + 1, i[:, 1] + 1])
+        got = np.ascontiguousarray(multilinear(table, lower, spacing, x))
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestCalculus:

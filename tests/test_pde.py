@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import iv
 
 from pdeopt import pde_lab
 from pdeopt.grid import GridFunction, gaussian_density, interior_max_second_difference
 from pdeopt.objectives import (
     CustomObjective,
+    get_entry,
     make_double_well,
     make_quadratic,
     make_rugged_1d,
@@ -40,6 +44,30 @@ def sin_objective():
     return CustomObjective(1, lambda x: float(np.sin(x[0])), lambda x: np.cos(x),
                            hessian_fn=lambda x: -np.sin(x).reshape(1, 1),
                            value_batch_fn=lambda X: np.sin(X[:, 0]))
+
+
+def cos_objective(dim):
+    """f = sum_i cos x_i."""
+    return CustomObjective(dim, lambda x: float(np.cos(x).sum()), lambda x: -np.sin(x),
+                           value_batch_fn=lambda X: np.cos(X).sum(axis=1))
+
+
+def cos_cole_hopf(x, beta_inv, t, n_terms=60):
+    """Cole-Hopf smoothing of f = cos x by its Bessel series:
+    exp(-beta cos y) = I0(beta) + 2 sum_n (-1)^n In(beta) cos ny, and the heat
+    flow damps mode n by exp(-n^2 sigma^2 / 2)."""
+    beta, sigma2 = 1.0 / beta_inv, beta_inv * t
+    n = np.arange(1, n_terms)
+    modes = (-1.0) ** n * iv(n, beta) * np.exp(-n**2 * sigma2 / 2) * np.cos(np.multiply.outer(x, n))
+    return -beta_inv * np.log(iv(0, beta) + 2 * modes.sum(axis=-1))
+
+
+def quadratic_129(beta_inv, t):
+    """quadratic_c1_n2 on its box at 129^2, with |x|^2 and the |x_i| <= 1 mask."""
+    entry = get_entry("quadratic_c1_n2")
+    grid = GridFunction.geometry(*entry.domain_box, [129, 129])
+    pts = grid.points()
+    return entry.objective, grid, (pts**2).sum(axis=1), (np.abs(pts) <= 1.0).all(axis=1)
 
 
 class TestColeHopf:
@@ -85,6 +113,28 @@ class TestColeHopf:
         pts = grid.points()
         exact = (pts**2).sum(axis=1) / (2 * 1.5) + 0.1 * 2 / 2 * np.log(1.5)
         np.testing.assert_allclose(u.values, exact, atol=1e-6)
+
+    def test_2d_kernel_narrower_than_grid(self):
+        # sigma = 0.022 < 3h = 0.094: the nodes must be refined on both axes
+        q, grid, r2, inner = quadratic_129(0.01, 0.05)
+        u = solve_viscous_hj_cole_hopf(q, PdeSolveConfig(beta_inv=0.01, t_final=0.05), grid)
+        exact = r2 / (2 * 1.05) + 0.01 * math.log(1.05)
+        assert np.abs(u.values - exact)[inner].max() <= 1e-10
+
+    def test_samples_each_node_once(self):
+        obj = make_rugged_1d(7, 5)
+        seen = []
+
+        def value_batch(X):
+            seen.append(X[:, 0].copy())
+            return obj.value_batch(X)
+
+        counted = CustomObjective(1, obj.value, obj.grad, value_batch_fn=value_batch)
+        grid = GridFunction.geometry([-3.0], [3.0], [513])
+        solve_viscous_hj_cole_hopf(counted, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
+        pts = np.concatenate(seen)
+        # the radius probe reads the grid, the quadrature every node once
+        assert len(pts) <= 2 * len(np.unique(pts))
 
 
 class TestHopfLax:
@@ -243,6 +293,66 @@ class TestMonotoneFd:
         assert np.abs(u.values - exact)[interior].max() < 10 * grid.spacing[0]
 
 
+def wavy(P):
+    """A smooth non-polynomial field, so that reordered arithmetic shows."""
+    return (np.sin(2.1 * P) + 0.3 * P**2).sum(axis=1)
+
+
+class TestUpwindStencil:
+    """Both upwind solvers against a reference loop of their update, bit for bit."""
+
+    @staticmethod
+    def _sides(u, axis):
+        # linear-extrapolation ghost cells on every axis, then the neighbours
+        for ax in range(u.ndim):
+            lo = 2.0 * np.take(u, 0, axis=ax) - np.take(u, 1, axis=ax)
+            hi = 2.0 * np.take(u, -1, axis=ax) - np.take(u, -2, axis=ax)
+            u = np.concatenate([np.expand_dims(lo, ax), u, np.expand_dims(hi, ax)], axis=ax)
+        inner = u[(slice(1, -1),) * u.ndim]
+        shift = lambda k: np.roll(u, k, axis=axis)[(slice(1, -1),) * u.ndim]
+        return shift(1), inner, shift(-1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_monotone_fd_matches_reference(self, dim):
+        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [31] * dim)  # h not a power of 2
+        dt, n = 2.0**-8, 20
+        u = wavy(grid.points()).reshape(grid.n_points)
+        h = grid.spacing
+        for _ in range(n):
+            ham, lap = np.zeros_like(u), np.zeros_like(u)
+            for axis in range(dim):
+                um, uc, up = self._sides(u, axis)
+                dm, dp = (uc - um) / h[axis], (up - uc) / h[axis]
+                ham += 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
+                lap += (up - 2.0 * uc + um) / h[axis] ** 2
+            u = u + dt * (-ham + 0.5 * 0.2 * lap)
+        cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
+        got = solve_hj_monotone_fd(grid.with_values(wavy(grid.points())), cfg, grid)
+        assert got.values.tobytes() == u.ravel().tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_hjb_backward_matches_reference(self, dim):
+        q = make_quadratic(1.0, 0.3, dim)
+        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [31] * dim)  # h not a power of 2
+        dt, n, beta_inv = 2.0**-8, 20, 0.2
+        pts = grid.points()
+        w = wavy(pts).reshape(grid.n_points)
+        b = q.grad_batch(pts).reshape(*grid.n_points, dim)
+        h = grid.spacing
+        for _ in range(n):
+            rhs = np.zeros_like(w)
+            for axis in range(dim):
+                wm, wc, wp = self._sides(w, axis)
+                dm, dp = (wc - wm) / h[axis], (wp - wc) / h[axis]
+                rhs -= np.maximum(b[..., axis], 0.0) * dm + np.minimum(b[..., axis], 0.0) * dp
+                rhs -= 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
+                rhs += 0.5 * beta_inv * (wp - 2.0 * wc + wm) / h[axis] ** 2
+            w = w + dt * rhs
+        field = pde_lab.solve_hjb_backward(q, wavy, n * dt, beta_inv, grid, dt=dt)
+        ref = np.stack([np.gradient(w, h[a], axis=a, edge_order=2) for a in range(dim)], axis=-1)
+        assert field.gradients[0].tobytes() == ref.tobytes()
+
+
 class TestHeat:
     def test_affine_reproduced_exactly(self):
         lin = CustomObjective(1, lambda x: 3.0 * x[0], lambda x: np.array([3.0]),
@@ -274,6 +384,114 @@ class TestHeat:
         grid = GridFunction.geometry([-1.0], [1.0], [33])
         with pytest.raises(ValueError):
             solve_heat(q, PdeSolveConfig(beta_inv=0.0, t_final=1.0, scheme="hopf_lax"), grid)
+
+    def test_2d_kernel_narrower_than_grid(self):
+        q, grid, r2, inner = quadratic_129(0.01, 0.05)
+        v = solve_heat(q, PdeSolveConfig(beta_inv=0.01, t_final=0.05, scheme="heat"), grid)
+        assert np.abs(v.values - (r2 / 2 + 0.01 * 0.05))[inner].max() <= 1e-10
+
+
+class TestPeriodic:
+    """Quadrature on a periodic box: the last node of each axis repeats the first."""
+
+    @pytest.mark.parametrize("beta_inv,t", [(0.5, 0.5), (1.0, 2.0), (0.2, 0.05)])
+    def test_cole_hopf_bessel_series(self, beta_inv, t):
+        # (0.2, 0.05): sigma = 0.1 < 3h, so the quadrature nodes are refined
+        grid = GridFunction.geometry([0.0], [2 * np.pi], [129])
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t, boundary="periodic")
+        u = solve_viscous_hj_cole_hopf(cos_objective(1), cfg, grid)
+        np.testing.assert_allclose(u.values, cos_cole_hopf(grid.axes()[0], beta_inv, t), atol=1e-10)
+        assert u.values[-1] == u.values[0]
+
+    def test_cole_hopf_honours_pad_sigmas(self):
+        # on constant f the result is f - beta_inv log(kernel mass kept), so a
+        # window of one standard deviation shows in the answer
+        const = CustomObjective(1, lambda x: 1.0, lambda x: 0.0 * x,
+                                value_batch_fn=lambda X: np.ones(len(X)))
+        grid = GridFunction.geometry([0.0], [2 * np.pi], [129])
+        beta_inv, t = 0.1, 0.5
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t, boundary="periodic", pad_sigmas=1.0)
+        u = solve_viscous_hj_cole_hopf(const, cfg, grid)
+        sigma = math.sqrt(beta_inv * t)  # >= 3h: nodes are the grid's
+        h = grid.spacing[0]
+        offs = h * np.arange(-math.ceil(sigma / h), math.ceil(sigma / h) + 1)
+        mass = (h * np.exp(-offs**2 / (2 * sigma**2))).sum() / math.sqrt(2 * math.pi * sigma**2)
+        assert mass < 0.8
+        np.testing.assert_allclose(u.values, 1.0 - beta_inv * math.log(mass), atol=1e-13)
+
+    @pytest.mark.parametrize("beta_inv,t", [(0.5, 0.5), (0.2, 0.05)])
+    def test_2d_separable_cosines(self, beta_inv, t):
+        grid = GridFunction.geometry([0.0, 0.0], [2 * np.pi, 2 * np.pi], [65, 65])
+        x, y = grid.points().T
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t, boundary="periodic")
+        u = solve_viscous_hj_cole_hopf(cos_objective(2), cfg, grid)
+        exact = cos_cole_hopf(x, beta_inv, t) + cos_cole_hopf(y, beta_inv, t)
+        np.testing.assert_allclose(u.values, exact, atol=1e-10)
+        v = solve_heat(cos_objective(2), PdeSolveConfig(beta_inv=beta_inv, t_final=t, scheme="heat",
+                                                        boundary="periodic"), grid)
+        np.testing.assert_allclose(v.values, math.exp(-beta_inv * t / 2) * (np.cos(x) + np.cos(y)),
+                                   atol=1e-12)
+
+
+# seeded landscapes for the property tests: rugged_s<seed>_m<modes> on
+# [-3, 3] and double wells on [-max(2, 2a), max(2, 2a)]
+landscapes = st.one_of(
+    st.builds(lambda s, m: f"rugged_s{s}_m{m}", st.integers(0, 40), st.integers(2, 8)),
+    st.builds(lambda a: f"double_well_a{a}", st.sampled_from(["0.5", "0.8", "1", "1.3"])),
+)
+
+
+def corpus_grid(name, n):
+    entry = get_entry(name)
+    return entry.objective, GridFunction.geometry(*entry.domain_box, [n])
+
+
+class TestQuadratureProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(name=landscapes, t=st.floats(0.01, 2.0))
+    def test_hopf_lax_never_above_f(self, name, t):
+        obj, grid = corpus_grid(name, 257)
+        u = solve_hj_hopf_lax(obj, t, grid)
+        assert np.isfinite(u.values).all()
+        assert np.all(u.values <= obj.value_batch(grid.points()) + 1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=landscapes, t=st.floats(0.01, 1.0), later=st.floats(1.01, 4.0))
+    def test_hopf_lax_non_increasing_in_t(self, name, t, later):
+        obj, grid = corpus_grid(name, 257)
+        u1 = solve_hj_hopf_lax(obj, t, grid).values
+        u2 = solve_hj_hopf_lax(obj, t * later, grid).values
+        assert np.isfinite(u2).all()
+        assert np.all(u2 <= u1 + 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), c=st.floats(0.5, 2.0), p=st.floats(-0.5, 0.5),
+           beta_inv=st.floats(0.05, 0.5), t=st.floats(0.1, 1.0))
+    def test_cole_hopf_minus_hopf_lax_on_quadratics(self, dim, c, p, beta_inv, t):
+        # f = c|x|^2/2 + p.x: u_CH - u_HL = (beta_inv/2) log(1 + ct) per
+        # dimension; grid minimization lifts u_HL by at most
+        # (h/2)^2 (c + 1/t) / 2 per axis
+        q = make_quadratic(c, p, dim)
+        n = 129 if dim == 1 else 65
+        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [n] * dim)
+        u_ch = solve_viscous_hj_cole_hopf(q, PdeSolveConfig(beta_inv=beta_inv, t_final=t), grid)
+        u_hl = solve_hj_hopf_lax(q, t, grid)
+        assert np.isfinite(u_ch.values).all()
+        gap = u_ch.values - u_hl.values - dim * beta_inv / 2 * math.log1p(c * t)
+        bias = dim * (grid.spacing[0] / 2) ** 2 * (c + 1.0 / t) / 2
+        assert np.all(gap <= 1e-9) and np.all(gap >= -bias - 1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), a=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+           b=st.floats(-5.0, 5.0), beta_inv=st.floats(0.01, 1.0), t=st.floats(0.01, 1.0))
+    def test_heat_reproduces_affine(self, dim, a, b, beta_inv, t):
+        slope = np.array(a[:dim])
+        lin = CustomObjective(dim, lambda x: float(slope @ x + b), lambda x: slope,
+                              value_batch_fn=lambda X: X @ slope + b)
+        n = 129 if dim == 1 else 65
+        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [n] * dim)
+        v = solve_heat(lin, PdeSolveConfig(beta_inv=beta_inv, t_final=t, scheme="heat"), grid)
+        np.testing.assert_allclose(v.values, lin.value_batch(grid.points()), atol=1e-12 * (1 + abs(b) + 6 * np.abs(slope).sum()))
 
 
 class TestMaximumPrinciple:
