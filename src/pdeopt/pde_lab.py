@@ -20,12 +20,14 @@ periodic, in 1D and 2D alike.  ``_reduce_windows`` then reduces every
 (2K+1)-sample window along each axis in turn: log-sum-exp for Cole-Hopf, the
 minimum (lower envelope) for Hopf-Lax, a normalized dot product for heat.
 
-Plus the forward density evolution ``evolve_fokker_planck`` (conservative
-upwind finite volume), the backward value-function solver
-``solve_hjb_backward`` used by the control experiments (it shares the upwind
-stencil of ``solve_hj_monotone_fd``), the proximal map ``prox_point``, and
-small diagnostics (characteristic fixed points, shock time, convexity
-intervals).
+Plus one reflected-diffusion generator ``_generator``: the sparse rate
+matrix G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes, upwinded per
+face, with reflecting walls like the path simulator's.  Its transpose steps
+densities forward (``evolve_fokker_planck``); G itself steps the Cole-Hopf
+transform phi = exp(-beta (w - min w)) of the backward HJB value function
+backward (``solve_hjb_backward``, used by the control experiments), so the
+control solve is linear.  Also the proximal map ``prox_point`` and small
+diagnostics (characteristic fixed points, shock time, convexity intervals).
 
 All solvers are pure functions of their inputs and run single-threaded.
 """
@@ -318,20 +320,25 @@ def _godunov_differences(u: Array, spacing: Array) -> list[tuple[Array, Array, A
     return terms
 
 
-def _max_abs_gradient(u: Array, spacing: Array) -> float:
-    return max(
-        float(np.abs(np.diff(u, axis=axis)).max()) / spacing[axis]
-        for axis in range(u.ndim)
-    )
-
-
 def cfl_limit(u0: Array, spacing: Array, beta_inv: float) -> float:
     """Largest dt allowed by the monotone restriction
     dt <= h^2 / (d (beta_inv + h max|grad u|))."""
     h = float(spacing.min())
     d = u0.ndim
-    G = _max_abs_gradient(u0, spacing)
+    G = max(float(np.abs(np.diff(u0, axis=axis)).max()) / spacing[axis] for axis in range(d))
     return h * h / (d * (beta_inv + h * G) + 1e-300)
+
+
+def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tuple[int, float]:
+    """(n, t / n): the fewest equal explicit steps no longer than dt, or than
+    safety * limit when dt is None.  An explicit dt above the stability
+    limit raises CflError."""
+    if dt is None:
+        dt = safety * limit
+    elif dt > limit * (1.0 + 1e-12):
+        raise CflError(f"dt={dt:g} exceeds the stability limit {limit:g}")
+    n = max(1, int(math.ceil(t / dt)))
+    return n, t / n
 
 
 def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
@@ -349,17 +356,8 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
         u = objective_or_u0.array.copy()
     else:
         u = objective_or_u0.value_batch(grid.points()).reshape(grid.n_points)
-    spacing = grid.spacing
-    limit = cfl_limit(u, spacing, cfg.beta_inv)
-    if cfg.dt is not None:
-        if cfg.dt > limit * (1.0 + 1e-12):
-            raise CflError(f"dt={cfg.dt:g} exceeds the monotone limit {limit:g}")
-        dt = cfg.dt
-    else:
-        dt = cfg.cfl_safety * limit
-    n_steps = max(1, int(math.ceil(cfg.t_final / dt)))
-    dt = cfg.t_final / n_steps
-    h = spacing
+    h = grid.spacing
+    n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u, h, cfg.beta_inv))
 
     for step in range(n_steps):
         ham = np.zeros_like(u)
@@ -403,7 +401,39 @@ def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) ->
 
 
 # ---------------------------------------------------------------------------
-# Fokker-Planck density evolution
+# one reflected-diffusion generator: Fokker-Planck (G^T), backward HJB (G)
+
+
+def _generator(drifts: list[Array], spacing: Array, beta_inv: float):
+    """Sparse generator G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes,
+    any dimension, reflected at the walls (no rate leaves the box).
+
+    ``drifts`` holds b's component along each axis on the grid.  Across each
+    face, with the face drift b_f the mean of its two nodes and
+    D = beta_inv / 2, node i jumps to i+1 at rate (D/h - min(b_f, 0))/h and
+    i+1 to i at rate (D/h + max(b_f, 0))/h; each diagonal entry is minus its
+    row's sum.  G^T rho is the zero-flux upwind finite-volume divergence, and
+    an explicit step no longer than ``fp_cfl_limit`` is a convex combination
+    in either direction.
+    """
+    from scipy import sparse
+
+    shape = drifts[0].shape
+    size = math.prod(shape)
+    idx = np.arange(size).reshape(shape)
+    D = 0.5 * beta_inv
+    rows, cols, rates = [], [], []
+    for axis, (b, h) in enumerate(zip(drifts, spacing)):
+        ia = np.moveaxis(idx, axis, 0)
+        ba = np.moveaxis(b, axis, 0)
+        bf = (0.5 * (ba[:-1] + ba[1:])).ravel()
+        left, right = ia[:-1].ravel(), ia[1:].ravel()
+        rows += [left, right]
+        cols += [right, left]
+        rates += [(D / h - np.minimum(bf, 0.0)) / h, (D / h + np.maximum(bf, 0.0)) / h]
+    jumps = sparse.csr_matrix((np.concatenate(rates), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(size, size))
+    return (jumps - sparse.diags(np.asarray(jumps.sum(axis=1)).ravel())).tocsr()
 
 
 def fp_cfl_limit(drifts: list[Array], spacing: Array, beta_inv: float) -> float:
@@ -415,13 +445,15 @@ def fp_cfl_limit(drifts: list[Array], spacing: Array, beta_inv: float) -> float:
 
 def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: float,
                          dt: float | None = None, cfl_safety: float = 0.8) -> GridFunction:
-    """Conservative upwind finite-volume evolution of
+    """Conservative upwind evolution of
     rho_t = div(drift * rho) + (beta_inv/2) Lap rho on a closed box.
 
     ``drift`` is a GridFunction on the same geometry as ``rho0`` (a sequence
-    of two for 2D).  Walls carry zero flux, so mass is conserved exactly up
-    to roundoff; the scheme is positivity-preserving under its CFL limit and
-    aborts if the density dips below -1e-12.
+    of two for 2D).  Each step is rho += dt * G^T rho with the reflecting
+    generator of ``_generator``: the walls carry zero flux, so the plain sum
+    of rho is conserved up to roundoff, and the scheme is
+    positivity-preserving under ``fp_cfl_limit``; it aborts if the density
+    dips below -1e-12 or turns NaN.
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")
@@ -434,36 +466,11 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
         if d.n_points != rho0.n_points:
             raise ValueError("drift and density must share the grid")
     b = [d.array for d in drifts]
-    rho = rho0.array.copy()
-    spacing = rho0.spacing
-    limit = fp_cfl_limit(b, spacing, beta_inv)
-    if dt is not None:
-        if dt > limit * (1.0 + 1e-12):
-            raise CflError(f"dt={dt:g} exceeds the positivity limit {limit:g}")
-        step = dt
-    else:
-        step = cfl_safety * limit
-    if t_final == 0:
-        return rho0.with_values(rho.ravel())
-    n_steps = max(1, int(math.ceil(t_final / step)))
-    step = t_final / n_steps
-    D = 0.5 * beta_inv
-
+    n_steps, step = _time_steps(t_final, dt, cfl_safety, fp_cfl_limit(b, rho0.spacing, beta_inv))
+    Gt = _generator(b, rho0.spacing, beta_inv).T
+    rho = rho0.values.copy()
     for it in range(n_steps):
-        update = np.zeros_like(rho)
-        for axis in range(rho.ndim):
-            h = spacing[axis]
-            r = np.moveaxis(rho, axis, 0)
-            ba = np.moveaxis(b[axis], axis, 0)
-            bf = 0.5 * (ba[:-1] + ba[1:])
-            # flux bf*rho_upwind + D * d(rho)/dx at interior faces
-            flux = np.minimum(bf, 0.0) * r[:-1] + np.maximum(bf, 0.0) * r[1:]
-            flux += D * (r[1:] - r[:-1]) / h
-            dr = np.zeros_like(r)
-            dr[:-1] += flux / h
-            dr[1:] -= flux / h
-            update += np.moveaxis(dr, 0, axis)
-        rho = rho + step * update
+        rho += step * (Gt @ rho)
         if it % 32 == 0:
             m = float(rho.min())
             if m < -1e-12:
@@ -472,11 +479,7 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
                 raise NanAbort(f"NaN density at step {it}")
     if float(rho.min()) < -1e-12:
         raise NanAbort(f"density went negative ({float(rho.min()):g}) at final step")
-    return rho0.with_values(rho.ravel())
-
-
-# ---------------------------------------------------------------------------
-# backward value function (controlled dynamics)
+    return rho0.with_values(rho)
 
 
 @dataclass
@@ -499,56 +502,51 @@ class ControlField:
 
 
 def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: float,
-                       grid: GridFunction, dt: float | None = None, max_slices: int = 1024,
-                       cfl_safety: float = 0.5) -> ControlField:
+                       grid: GridFunction, dt: float | None = None,
+                       max_slices: int = 1024) -> ControlField:
     """Backward value function for drift-controlled descent.
 
-    Solves, in reversed time tau = T - s,
-        w_tau + grad f . grad w + |grad w|^2 / 2 = (beta_inv/2) Lap w,
-    from w(., 0) = terminal values, with upwinding on both transport terms.
+    In reversed time tau = T - s the value function solves
+        w_tau + grad f . grad w + |grad w|^2 / 2 = (beta_inv/2) Lap w
+    from w(., 0) = terminal values.  The Cole-Hopf transform
+    w = -beta_inv log phi makes it the linear backward Kolmogorov equation
+    phi_tau = G phi, with G the reflecting generator of dX = -grad f dt +
+    sqrt(beta_inv) dW (``_generator``), whose walls match the reflecting
+    path simulator.  Explicit steps under ``fp_cfl_limit`` keep phi inside
+    [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
+    underflows after the first exp, which needs beta * (max V - min V) <= 700
+    on the grid; beyond that, or for beta_inv <= 0, a ValueError is raised.
     Returns the gradient field grad u(x, s) ready for path simulation.
     """
+    if beta_inv <= 0:
+        raise ValueError(f"the log transform needs beta_inv > 0, got beta_inv={beta_inv:g}")
     pts = grid.points()
-    w = np.asarray(terminal_fn(pts), dtype=float).reshape(grid.n_points)
-    bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
+    V = np.asarray(terminal_fn(pts), dtype=float).reshape(grid.n_points)
+    spread = float(V.max() - V.min()) / beta_inv
+    if spread > 700.0:
+        raise ValueError(f"exp(-(V - min V) / beta_inv) underflows: range(V) / beta_inv = {spread:.4g} "
+                         f"> 700 on the grid; raise beta_inv={beta_inv:g}")
     spacing = grid.spacing
-    d = w.ndim
-    h = float(spacing.min())
-    Gb = float(np.abs(bfield).max())
-    Gw = _max_abs_gradient(w, spacing)
-    limit = h * h / (d * (beta_inv + h * (Gb + Gw)) + 1e-300)
-    step = dt if dt is not None else cfl_safety * limit
-    if step > limit * (1.0 + 1e-12):
-        raise CflError(f"dt={step:g} exceeds the monotone limit {limit:g}")
-    n_steps = max(1, int(math.ceil(T / step)))
-    step = T / n_steps
+    bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
+    drifts = [bfield[..., axis] for axis in range(grid.dim)]
+    n_steps, step = _time_steps(T, dt, 0.8, fp_cfl_limit(drifts, spacing, beta_inv))
+    G = _generator(drifts, spacing, beta_inv)
     keep_every = max(1, int(math.ceil((n_steps + 1) / max_slices)))
-
-    def grad_centered(a):
-        return np.stack(
-            [np.gradient(a, spacing[axis], axis=axis, edge_order=2) for axis in range(d)],
-            axis=-1,
-        )
-
-    taus = [0.0]
-    grads = [grad_centered(w)]
-    for it in range(1, n_steps + 1):
-        rhs = np.zeros_like(w)
-        for axis, (dminus, dplus, d2) in enumerate(_godunov_differences(w, spacing)):
-            badv = bfield[..., axis]
-            rhs -= np.maximum(badv, 0.0) * dminus + np.minimum(badv, 0.0) * dplus
-            rhs -= 0.5 * (np.maximum(dminus, 0.0) ** 2 + np.minimum(dplus, 0.0) ** 2)
-            rhs += 0.5 * beta_inv * d2 / spacing[axis] ** 2
-        w = w + step * rhs
-        if not np.isfinite(w).all():
+    kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})
+    # slices ascend in forward time s = T - tau: tau = 0 fills the last one
+    gradients = np.empty((len(kept), *grid.n_points, grid.dim))
+    phi = np.exp(-(V - V.min()).ravel() / beta_inv)
+    done = 0
+    for slot, it in enumerate(kept, start=1):
+        for _ in range(it - done):
+            phi += step * (G @ phi)
+        done = it
+        if not np.isfinite(phi).all():
             raise NanAbort(f"NaN in value function at reversed step {it}")
-        if it % keep_every == 0 or it == n_steps:
-            taus.append(it * step)
-            grads.append(grad_centered(w))
-    # reindex from reversed time tau to forward time s = T - tau
-    s_times = T - np.array(taus)[::-1]
-    gradients = np.stack(grads[::-1])
-    return ControlField(grid=grid, times=s_times, gradients=gradients)
+        w = (-beta_inv * np.log(phi)).reshape(grid.n_points)
+        for axis in range(grid.dim):
+            gradients[-slot, ..., axis] = np.gradient(w, spacing[axis], axis=axis, edge_order=2)
+    return ControlField(grid=grid, times=T - step * np.array(kept[::-1]), gradients=gradients)
 
 
 # ---------------------------------------------------------------------------

@@ -214,18 +214,19 @@ def test_09_elastic_entropy_equivalence():
               eta=0.05, eta_y=0.1, alpha=0.75, delta=0.0)
     n_outer, discard = 300, 100
 
-    def stationary_mean(algo, seed):
+    def stationary_means(algo, seed):
+        # the 32 seeds seed ... seed+31 run as rows of one state
         cfg = optimizers.default_config(algo, **(kw | ({"n_workers": 8} if algo == "elastic" else {})))
-        st = optimizers.init_state(q, x0, cfg, seed, algo)
-        xs = np.empty(n_outer)
+        st = optimizers.init_state(q, x0, cfg, seed, algo, repeats=32)
+        xs = np.empty((32, n_outer))
         for outer in range(n_outer):
             for _ in range(cfg.L):
                 optimizers.step(st, q, cfg, algo)
-            xs[outer] = st.x[0, 0]
-        return xs[discard:].mean()
+            xs[:, outer] = st.x[:, 0]
+        return xs[:, discard:].mean(axis=1)
 
-    means_en = np.array([stationary_mean("entropy_sgd", 1000 + s) for s in range(32)])
-    means_el = np.array([stationary_mean("elastic", 2000 + s) for s in range(32)])
+    means_en = stationary_means("entropy_sgd", 1000)
+    means_el = stationary_means("elastic", 2000)
     se = math.hypot(means_en.std(ddof=1) / math.sqrt(32), means_el.std(ddof=1) / math.sqrt(32))
     diff = abs(means_en.mean() - means_el.mean())
     ok = diff <= 2.0 * se

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import iv
 
 from pdeopt import pde_lab
@@ -299,7 +300,7 @@ def wavy(P):
 
 
 class TestUpwindStencil:
-    """Both upwind solvers against a reference loop of their update, bit for bit."""
+    """The monotone scheme against a reference loop of its update, bit for bit."""
 
     @staticmethod
     def _sides(u, axis):
@@ -329,28 +330,6 @@ class TestUpwindStencil:
         cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
         got = solve_hj_monotone_fd(grid.with_values(wavy(grid.points())), cfg, grid)
         assert got.values.tobytes() == u.ravel().tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_hjb_backward_matches_reference(self, dim):
-        q = make_quadratic(1.0, 0.3, dim)
-        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [31] * dim)  # h not a power of 2
-        dt, n, beta_inv = 2.0**-8, 20, 0.2
-        pts = grid.points()
-        w = wavy(pts).reshape(grid.n_points)
-        b = q.grad_batch(pts).reshape(*grid.n_points, dim)
-        h = grid.spacing
-        for _ in range(n):
-            rhs = np.zeros_like(w)
-            for axis in range(dim):
-                wm, wc, wp = self._sides(w, axis)
-                dm, dp = (wc - wm) / h[axis], (wp - wc) / h[axis]
-                rhs -= np.maximum(b[..., axis], 0.0) * dm + np.minimum(b[..., axis], 0.0) * dp
-                rhs -= 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
-                rhs += 0.5 * beta_inv * (wp - 2.0 * wc + wm) / h[axis] ** 2
-            w = w + dt * rhs
-        field = pde_lab.solve_hjb_backward(q, wavy, n * dt, beta_inv, grid, dt=dt)
-        ref = np.stack([np.gradient(w, h[a], axis=a, edge_order=2) for a in range(dim)], axis=-1)
-        assert field.gradients[0].tobytes() == ref.tobytes()
 
 
 class TestHeat:
@@ -587,6 +566,86 @@ class TestFokkerPlanck:
         cell = grid.spacing.prod()
         var_x = float((w * pts[:, 0] ** 2).sum() * cell)
         assert var_x == pytest.approx(var0 + 0.4, rel=0.03)
+
+
+@st.composite
+def diffusions(draw):
+    """Random drift components, spacing and viscosity on a small 1D/2D grid."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(3, 9)) for _ in range(dim))
+    drifts = [draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0))) for _ in range(dim)]
+    spacing = np.array([draw(st.floats(0.05, 1.0)) for _ in range(dim)])
+    return drifts, spacing, draw(st.floats(0.01, 1.0))
+
+
+class TestGenerator:
+    """The reflecting generator shared by Fokker-Planck and the backward HJB."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions())
+    def test_rows_sum_to_zero_and_rates_are_nonnegative(self, case):
+        G = pde_lab._generator(*case).tocoo()
+        off = G.row != G.col
+        assert np.all(G.data[off] >= 0.0)
+        rows = np.bincount(G.row, weights=G.data, minlength=G.shape[0])
+        assert np.all(np.abs(rows) <= 1e-12 * np.abs(G.diagonal()).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=diffusions(), t=st.floats(0.0, 0.2), seed=st.integers(0, 2**16))
+    def test_fokker_planck_conserves_sum_and_sign(self, case, t, seed):
+        drifts, spacing, beta_inv = case
+        shape = drifts[0].shape
+        grid = GridFunction.geometry([0.0] * len(shape), (np.array(shape) - 1) * spacing, shape)
+        rho0 = grid.with_values(np.random.default_rng(seed).random(grid.values.size)).normalized()
+        rho = evolve_fokker_planck([grid.with_values(b) for b in drifts], rho0, beta_inv, t)
+        assert abs(rho.values.sum() - rho0.values.sum()) <= 1e-12 * rho0.values.sum()
+        assert rho.values.min() >= -1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions(), seed=st.integers(0, 2**16))
+    def test_backward_step_at_the_limit_is_a_convex_combination(self, case, seed):
+        drifts, spacing, beta_inv = case
+        phi = np.random.default_rng(seed).random(drifts[0].size)
+        step = pde_lab.fp_cfl_limit(drifts, spacing, beta_inv)
+        nxt = phi + step * (pde_lab._generator(drifts, spacing, beta_inv) @ phi)
+        tol = 1e-12 * phi.max()
+        assert np.all(nxt >= phi.min() - tol) and np.all(nxt <= phi.max() + tol)
+
+
+class TestHjbBackward:
+    @staticmethod
+    def riccati(c, q, tau):
+        """a(tau) with a' = -2ca - a^2, a(0) = q."""
+        e = math.exp(-2.0 * c * tau)
+        return q * e / (1.0 + q * (1.0 - e) / (2.0 * c))
+
+    @pytest.mark.parametrize("dim,n", [(1, 129), (1, 257), (2, 65)])
+    def test_ou_riccati_closed_form(self, dim, n):
+        # f = c|x|^2/2 and V = q|x|^2/2 give grad u(x, s) = a(T - s) x; the
+        # scheme is first order in h
+        c, q, T = 1.0, 1.0, 1.0
+        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [n] * dim)
+        field = pde_lab.solve_hjb_backward(make_quadratic(c, 0.0, dim),
+                                           lambda X: 0.5 * q * (X**2).sum(axis=1), T, 0.3, grid)
+        pts = grid.points()
+        inner = pts[(np.abs(pts) <= 1.0).all(axis=1)]
+        for s in (0.0, T / 2):
+            err = np.abs(field.alpha(inner, s) - self.riccati(c, q, T - s) * inner).max()
+            assert err <= 0.1 * grid.spacing[0]
+
+    @pytest.mark.parametrize("beta_inv", [0.0, -0.1])
+    def test_rejects_nonpositive_beta_inv(self, beta_inv):
+        dw = make_double_well(1.0)
+        grid = GridFunction.geometry([-2.5], [2.5], [65])
+        with pytest.raises(ValueError, match="beta_inv"):
+            pde_lab.solve_hjb_backward(dw, dw.value_batch, 1.0, beta_inv, grid)
+
+    def test_rejects_underflowing_log_transform(self):
+        # range(V) = 27.56 on the grid over [-2.5, 2.5]: beta * range = 919 > 700
+        dw = make_double_well(1.0)
+        grid = GridFunction.geometry([-2.5], [2.5], [65])
+        with pytest.raises(ValueError, match="beta_inv"):
+            pde_lab.solve_hjb_backward(dw, dw.value_batch, 1.0, 0.03, grid)
 
 
 class TestBurgers:
