@@ -29,6 +29,9 @@ class Objective:
 
     dim: int
     noise_scale: float = 0.0
+    # True when every row of grad_batch(X) is bit-equal to grad(X[r]), so the
+    # rows of minibatch_grad may come from one grad_batch call
+    grad_batch_exact: bool = False
 
     def value(self, x: Array) -> float:
         raise NotImplementedError
@@ -53,11 +56,18 @@ class Objective:
     def minibatch_grad(self, x: Array, rng, batch_size: int | None = None) -> Array:
         """Stochastic gradient at x, shape (dim,), drawing from ``rng``; or at
         each row of x, shape (R, dim), row r drawing from ``rng[r]``.  Without
-        a dataset there is no batch: ``batch_size`` is ignored."""
+        a dataset there is no batch: ``batch_size`` is ignored.  Rows equal
+        their ``stochastic_grad`` bit for bit, and each generator ends where
+        it would."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self.stochastic_grad(x, rng)
-        return np.array([self.stochastic_grad(row, r) for row, r in zip(x, rng)])
+        if not self.grad_batch_exact:
+            return np.array([self.stochastic_grad(row, r) for row, r in zip(x, rng)])
+        g = self.grad_batch(x)
+        if self.noise_scale > 0.0:
+            g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rng])
+        return g
 
     def hvp(self, x: Array, v: Array, eps: float = 1e-6) -> Array:
         """Hessian-vector product by central differences of the gradient."""
@@ -121,6 +131,12 @@ class Quadratic(Objective):
         X = np.atleast_2d(X)
         return X @ self.Q.T + self.p
 
+    @property
+    def grad_batch_exact(self) -> bool:
+        # in 1D both are one product; beyond, matmul and matvec may sum in
+        # different orders
+        return self.dim == 1
+
     def minimizer(self) -> Array:
         return np.linalg.solve(self.Q, -self.p)
 
@@ -129,6 +145,7 @@ class DoubleWell(Objective):
     """f(x) = (x^2 - a^2)^2 in 1D: minima at +-a, barrier a^4 at the origin."""
 
     dim = 1
+    grad_batch_exact = True
 
     def __init__(self, a: float):
         if a <= 0:
@@ -166,6 +183,7 @@ class Rugged1D(Objective):
     """
 
     dim = 1
+    grad_batch_exact = True
 
     def __init__(self, seed: int, n_modes: int, box: tuple[float, float] = (-3.0, 3.0)):
         if n_modes < 2:

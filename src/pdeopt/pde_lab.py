@@ -3,8 +3,11 @@
 Four routes to the smoothed loss u(x, t) of a 1D/2D objective f:
 
 * ``solve_viscous_hj_cole_hopf`` -- u = -(1/b) log(G_{t/b} * exp(-b f)),
-  the log-transformed heat solution, computed by stabilized log-sum-exp
-  quadrature.  Solves u_t = -|grad u|^2/2 + (1/(2b)) Lap u.
+  the log-transformed heat solution: per axis, exp once per sample of each
+  line shifted by its maximum, heat's window sums, log once per centre; a
+  pass whose lines span 700 or more in the exponent, where a sum could
+  underflow, combines each window by log-sum-exp instead.  Solves
+  u_t = -|grad u|^2/2 + (1/(2b)) Lap u.
 * ``solve_hj_hopf_lax`` -- the zero-viscosity limit: the inf-convolution
   u(x,t) = min_y { f(y) + |x-y|^2/(2t) }, the exact minimum over the grid
   nodes within the reachability radius.
@@ -16,9 +19,14 @@ The three quadrature routes are one computation.  ``_sample_padded`` samples
 f once on the grid, refined ``ceil(3h/sigma)``-fold per axis so the kernel is
 resolved (not for Hopf-Lax), and padded by K nodes per side: extended past
 the box, or wrapped around the n-1 unique nodes when the boundary is
-periodic, in 1D and 2D alike.  ``_reduce_windows`` then reduces every
-(2K+1)-sample window along each axis in turn: log-sum-exp for Cole-Hopf, the
-minimum (lower envelope) for Hopf-Lax, a normalized dot product for heat.
+periodic, in 1D and 2D alike; f on the grid nodes, which sets the reach of
+Cole-Hopf and Hopf-Lax, is evaluated once and reused by every sample that
+falls on a node.
+``_windows`` sizes the windows and refuses, before f is sampled, work
+beyond a fixed budget of samples and window terms.  ``_reduce_windows`` then
+reduces every (2K+1)-sample window along each axis in turn: a dot product
+with the Gaussian for Cole-Hopf (in linear space) and heat (normalized), the
+minimum (lower envelope) for Hopf-Lax.
 
 Plus one reflected-diffusion generator ``_generator``: the sparse rate
 matrix G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes, upwinded per
@@ -82,16 +90,17 @@ def _pad_points(h: float, radius: float) -> int:
     return int(math.ceil(max(radius, 0.0) / h))
 
 
-def _check_2d_size(grid: GridFunction) -> None:
-    # quadratic-cost reductions stay fast only up to 257 points per axis
-    if grid.dim == 2 and max(grid.n_points) > 257:
-        raise ValueError("2D solves are limited to 257 points per axis")
-
-
 # ---------------------------------------------------------------------------
 # separable quadrature: one padded sample, one window reduction per axis
 
 _CHUNK = 1 << 20  # samples per reduced block, bounding the temporaries
+# the work budget of one quadrature: samples in the padded sample, each about
+# 8 (2 dim + 2) bytes across the coordinates, f and its transform (0.4 GiB at
+# the limit in 2D), and window terms, windows * (2K + 1) summed over the axis
+# passes (a few seconds on the linear path, a minute through log-sum-exp)
+_MAX_SAMPLES = 1 << 23
+_MAX_TERMS = 1 << 30
+_EXP_RANGE = 700.0  # exp(-x) is a normal double for x below about 708
 
 
 def _refinement(grid: GridFunction, sigma: float) -> list[int]:
@@ -100,33 +109,100 @@ def _refinement(grid: GridFunction, sigma: float) -> list[int]:
     return [max(1, math.ceil(3.0 * h / sigma)) for h in grid.spacing]
 
 
-def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: bool) -> Array:
+def _windows(grid: GridFunction, r, radius: float, periodic: bool, beta_inv: float, t: float,
+             least: int = 2) -> list[int]:
+    """Half-widths K[d] >= least of the windows reaching ``radius`` on each
+    axis refined r[d]-fold, checked against the work budget before f is
+    sampled: a ValueError names the inputs that set the work."""
+    K = [max(least, _pad_points(h / rd, radius)) for h, rd in zip(grid.spacing, r)]
+    sizes = [(n - 1) * rd + (not periodic) + 2 * k for n, k, rd in zip(grid.n_points, K, r)]
+    centres = [n - periodic for n in grid.n_points]
+    samples = math.prod(sizes)
+    terms = sum(math.prod(centres[: d + 1]) * math.prod(sizes[d + 1 :]) * (2 * k + 1) for d, k in enumerate(K))
+    if samples > _MAX_SAMPLES or terms > _MAX_TERMS:
+        # refined nodes (r > 1) mean a kernel narrower than the grid resolves,
+        # and a coarser grid only refines more
+        remedy = ("use scheme 'hopf_lax', the zero-viscosity limit" if max(r) > 1
+                  else "lower grid_n or t")
+        raise ValueError(
+            f"quadrature at beta_inv={beta_inv:g}, t={t:g}, grid_n={max(grid.n_points)} needs {samples:,} "
+            f"samples (about {samples * 8 * (2 * grid.dim + 2) / 2**20:,.0f} MiB) and {terms:.3g} window "
+            f"terms (refinement {r}, half-widths {K}), over the budget of {_MAX_SAMPLES:,} samples and "
+            f"{_MAX_TERMS:.3g} terms; {remedy}")
+    return K
+
+
+def _search_radius(nodes: Array, t: float) -> float:
+    """|x - y*|^2 <= 2 t (max f - min f) for f's values on the grid nodes."""
+    return math.sqrt(max(2.0 * t * float(nodes.max() - nodes.min()), 0.0))
+
+
+def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: bool,
+                   nodes: Array | None = None) -> Array:
     """f once on the grid refined r[d]-fold and padded by K[d] nodes per side
     of each axis d: extended past the box, or wrapped around the n - 1 unique
-    nodes when the boundary is periodic (the last node repeats the first)."""
-    axes = []
-    for lo, h, n, k, rd in zip(grid.lower, grid.spacing, grid.n_points, K, r):
+    nodes when the boundary is periodic (the last node repeats the first).
+
+    ``nodes``, f on ``grid.points()``, supplies the samples that fall on a
+    grid node to the last bit (all of them when the spacing is dyadic), so f
+    is evaluated once per unique point; every other sample is evaluated at
+    the same coordinates as without it."""
+    axes, on_node, node_index = [], [], []
+    for lo, h, n, k, rd, xs in zip(grid.lower, grid.spacing, grid.n_points, K, r, grid.axes()):
         hq = h / rd
         if periodic:
-            axes.append(lo + hq * np.arange((n - 1) * rd))
+            n -= 1
+            axis, first = lo + hq * np.arange(n * rd), 0
         else:
-            axes.append(lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k))
+            axis, first = lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k), k
+        same = np.flatnonzero(axis[first : first + n * rd : rd] == xs[:n])
+        axes.append(axis)
+        on_node.append(first + rd * same)
+        node_index.append(same)
     mesh = np.meshgrid(*axes, indexing="ij")
-    F = objective.value_batch(np.column_stack([m.ravel() for m in mesh])).reshape(mesh[0].shape)
+    F = np.empty(mesh[0].shape)
+    todo = np.ones(F.shape, dtype=bool)
+    if nodes is not None:
+        F[np.ix_(*on_node)] = nodes.reshape(grid.n_points)[np.ix_(*node_index)]
+        todo[np.ix_(*on_node)] = False
+    F[todo] = objective.value_batch(np.column_stack([m[todo] for m in mesh]))
     return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
 
 
 def _reduce_windows(F: Array, K, r, ops) -> Array:
     """Along each axis d in turn, reduce every window of 2K[d]+1 samples whose
-    centres are r[d] apart with ops[d], which maps (..., 2K+1) to (...)."""
+    centres are r[d] apart.  ops[d] maps the lines along the axis, shape
+    (..., samples), to (samples to window, block op mapping (..., 2K+1) to
+    (...), map of the reduced lines); the block op runs on blocks of at most
+    _CHUNK samples, which bounds the temporaries."""
     for axis, (k, rd, op) in enumerate(zip(K, r, ops)):
-        win = sliding_window_view(np.moveaxis(F, axis, -1), 2 * k + 1, axis=-1)[..., ::rd, :]
+        samples, block, finish = op(np.moveaxis(F, axis, -1))
+        win = sliding_window_view(samples, 2 * k + 1, axis=-1)[..., ::rd, :]
         out = np.empty(win.shape[:-1])
         c = max(1, _CHUNK // win[..., 0, :].size)
         for s in range(0, out.shape[-1], c):
-            out[..., s : s + c] = op(win[..., s : s + c, :])
-        F = np.moveaxis(out, -1, axis)
+            out[..., s : s + c] = block(win[..., s : s + c, :])
+        F = np.moveaxis(finish(out), -1, axis)
     return F
+
+
+def _as_sampled(block):
+    """An axis pass that windows the samples as they are."""
+    return lambda lines: (lines, block, lambda out: out)
+
+
+def _log_window_sums(lines: Array, log_k: Array):
+    """Cole-Hopf's axis pass, log sum_j exp(F[i + j] + log_k[j]) on lines F,
+    in linear space: each line is shifted by its maximum and exponentiated
+    once per sample, the windows are heat's dot against exp(log_k), and the
+    sums are logged and shifted back.  A window's centre term is at least
+    exp(-range(line)), so no sum underflows while every line's range is below
+    _EXP_RANGE; a pass with a wider line log-sum-exps each window instead."""
+    top = lines.max(axis=-1, keepdims=True)
+    if float((top - lines.min(axis=-1, keepdims=True)).max()) < _EXP_RANGE:
+        samples = np.exp(lines - top)
+        return samples, lambda win, w=np.exp(log_k): win @ w, lambda out: np.log(out) + top
+    return lines, lambda win: logsumexp(win + log_k, axis=-1), lambda out: out
 
 
 def _on_grid(grid: GridFunction, U: Array, boundary: str) -> GridFunction:
@@ -141,27 +217,30 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
     The quadrature nodes are the grid's, refined per axis until they are at
     most sigma/3 apart.  They extend the evaluation box far enough that the
     Gaussian mass ignored outside it is below ~1e-10 (``cfg.pad_sigmas``
-    standard deviations), plus the reach of a distant low value of f.  All
-    exponents are combined with log-sum-exp, so beta * range(f) far beyond
-    700 is safe.
+    standard deviations), plus the reach of a distant low value of f.  Each
+    axis pass is linear (``_log_window_sums``): with every line shifted by
+    its maximum, exp once per sample, heat's window sum, log once per centre.
+    A pass whose lines span 700 or more in the exponent log-sum-exps every
+    window instead, so beta * range(f) far beyond 700 stays safe.  The work
+    is checked against the budget before f is evaluated at all, and again
+    once f on the grid nodes sets the reach.
     """
     if cfg.beta_inv == 0.0:
         return solve_hj_hopf_lax(objective, cfg.t_final, grid)
-    _check_2d_size(grid)
     beta = 1.0 / cfg.beta_inv
     t = cfg.t_final
+    periodic = cfg.boundary == "periodic"
     sigma = math.sqrt(cfg.beta_inv * t)
-    radius = cfg.pad_sigmas * sigma + hopf_lax_search_radius(objective, grid, t)
     r = _refinement(grid, sigma)
-    hq = grid.spacing / r
-    K = [max(2, _pad_points(h, radius)) for h in hq]
+    _windows(grid, r, cfg.pad_sigmas * sigma, periodic, cfg.beta_inv, t)
+    nodes = objective.value_batch(grid.points())
+    K = _windows(grid, r, cfg.pad_sigmas * sigma + _search_radius(nodes, t), periodic, cfg.beta_inv, t)
     ops, log_norm = [], 0.0
-    for h, k in zip(hq, K):
+    for h, k in zip(grid.spacing / r, K):
         offs = h * np.arange(-k, k + 1)
-        log_k = -beta * offs**2 / (2.0 * t)
-        ops.append(lambda w, log_k=log_k: logsumexp(w + log_k, axis=-1))
+        ops.append(lambda lines, log_k=-beta * offs**2 / (2.0 * t): _log_window_sums(lines, log_k))
         log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    F = -beta * _sample_padded(objective, grid, K, r, cfg.boundary == "periodic")
+    F = -beta * _sample_padded(objective, grid, K, r, periodic, nodes)
     return _on_grid(grid, -(_reduce_windows(F, K, r, ops) + log_norm) / beta, cfg.boundary)
 
 
@@ -172,9 +251,7 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
 def hopf_lax_search_radius(objective: Objective, grid: GridFunction, t: float) -> float:
     """Radius beyond the box that can still host a minimizer of the
     inf-convolution: |x - y*|^2 <= 2 t (max f - min f) on the box."""
-    fvals = objective.value_batch(grid.points())
-    spread = float(fvals.max() - fvals.min())
-    return math.sqrt(max(2.0 * t * spread, 0.0))
+    return _search_radius(objective.value_batch(grid.points()), t)
 
 
 def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> GridFunction:
@@ -186,16 +263,15 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    _check_2d_size(grid)
-    radius = hopf_lax_search_radius(objective, grid, t)
-    K = [_pad_points(h, radius) for h in grid.spacing]
+    nodes = objective.value_batch(grid.points())
     r = [1] * grid.dim
+    K = _windows(grid, r, _search_radius(nodes, t), False, 0.0, t, least=0)
     inv2t = 1.0 / (2.0 * t)
     ops = []
     for h, k in zip(grid.spacing, K):
         offs = h * np.arange(-k, k + 1)
-        ops.append(lambda w, q=offs * offs * inv2t: (w + q).min(axis=-1))
-    F = _sample_padded(objective, grid, K, r, periodic=False)
+        ops.append(_as_sampled(lambda w, q=offs * offs * inv2t: (w + q).min(axis=-1)))
+    F = _sample_padded(objective, grid, K, r, False, nodes)
     return grid.with_values(_reduce_windows(F, K, r, ops))
 
 
@@ -389,14 +465,14 @@ def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) ->
         raise ValueError("heat smoothing needs beta_inv > 0")
     sigma2 = cfg.beta_inv * cfg.t_final
     sigma = math.sqrt(sigma2)
+    periodic = cfg.boundary == "periodic"
     r = _refinement(grid, sigma)
-    hq = grid.spacing / r
-    K = [max(2, _pad_points(h, cfg.pad_sigmas * sigma)) for h in hq]
+    K = _windows(grid, r, cfg.pad_sigmas * sigma, periodic, cfg.beta_inv, cfg.t_final)
     ops = []
-    for h, k in zip(hq, K):
+    for h, k in zip(grid.spacing / r, K):
         w = np.exp(-((h * np.arange(-k, k + 1)) ** 2) / (2.0 * sigma2))
-        ops.append(lambda win, w=w / w.sum(): win @ w)
-    F = _sample_padded(objective, grid, K, r, cfg.boundary == "periodic")
+        ops.append(_as_sampled(lambda win, w=w / w.sum(): win @ w))
+    F = _sample_padded(objective, grid, K, r, periodic)
     return _on_grid(grid, _reduce_windows(F, K, r, ops), cfg.boundary)
 
 

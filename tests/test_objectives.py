@@ -186,10 +186,31 @@ class TestStackedMinibatchGrad:
         for row in g:
             np.testing.assert_array_equal(row, mlp.grad(mlp.initial_point()))
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "double_well", "rugged"]), param=st.integers(0, 40),
+           R=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0),
+           noise=st.sampled_from([0.0, 0.3]))
+    def test_stacked_grad_matches_row_loop(self, kind, param, R, seed, scale, noise):
+        # objectives whose grad_batch rows equal grad take one grad_batch call
+        obj = {"quadratic": lambda: make_quadratic(0.5 + param / 10, param / 20 - 1, 1),
+               "double_well": lambda: make_double_well(0.5 + param / 40),
+               "rugged": lambda: make_rugged_1d(param, 2 + param % 7)}[kind]()
+        obj.noise_scale = noise
+        assert obj.grad_batch_exact
+        x = scale * np.random.default_rng(seed).standard_normal((R, 1))
+        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
+        twins = [np.random.default_rng([seed, r]) for r in range(R)]
+        g = obj.minibatch_grad(x, rngs)
+        assert g.shape == (R, 1)
+        for r in range(R):
+            assert g[r].tobytes() == obj.stochastic_grad(x[r].copy(), twins[r]).tobytes()
+            assert rngs[r].bit_generator.state == twins[r].bit_generator.state
+
     def test_base_objective_loops_rows(self):
         q = make_quadratic(2.0, 0.5, 3)
         q.noise_scale = 0.1
         x = np.random.default_rng(0).standard_normal((4, 3))
+        assert not q.grad_batch_exact  # matmul and matvec may sum in different orders
         g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)], 16)
         for r in range(4):
             np.testing.assert_array_equal(g[r], q.stochastic_grad(x[r], np.random.default_rng(r)))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import iv
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import iv, logsumexp
 
 from pdeopt import pde_lab
 from pdeopt.grid import GridFunction, gaussian_density, interior_max_second_difference
@@ -134,8 +135,8 @@ class TestColeHopf:
         grid = GridFunction.geometry([-3.0], [3.0], [513])
         solve_viscous_hj_cole_hopf(counted, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
         pts = np.concatenate(seen)
-        # the radius probe reads the grid, the quadrature every node once
-        assert len(pts) <= 2 * len(np.unique(pts))
+        # the radius probe reads the grid nodes and the padded sample reuses them
+        assert len(pts) == len(np.unique(pts))
 
 
 class TestHopfLax:
@@ -423,6 +424,111 @@ landscapes = st.one_of(
 def corpus_grid(name, n):
     entry = get_entry(name)
     return entry.objective, GridFunction.geometry(*entry.domain_box, [n])
+
+
+def log_sum_exp_cole_hopf(objective, cfg, grid):
+    """Reference Cole-Hopf quadrature on the solver's own samples and windows,
+    each window's exponents combined by scipy's log-sum-exp."""
+    beta, t = 1.0 / cfg.beta_inv, cfg.t_final
+    sigma = math.sqrt(cfg.beta_inv * t)
+    r = pde_lab._refinement(grid, sigma)
+    spread = pde_lab._search_radius(objective.value_batch(grid.points()), t)
+    K = pde_lab._windows(grid, r, cfg.pad_sigmas * sigma + spread, False, cfg.beta_inv, t)
+    F = -beta * pde_lab._sample_padded(objective, grid, K, r, False)
+    log_norm = 0.0
+    for axis, (h, k, rd) in enumerate(zip(grid.spacing / r, K, r)):
+        log_k = -beta * (h * np.arange(-k, k + 1)) ** 2 / (2.0 * t)
+        win = sliding_window_view(np.moveaxis(F, axis, -1), 2 * k + 1, axis=-1)[..., ::rd, :]
+        F = np.moveaxis(logsumexp(win + log_k, axis=-1), -1, axis)
+        log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    return -(F.ravel() + log_norm) / beta
+
+
+def spy_logsumexp(monkeypatch, allowed=True):
+    """Count the solver's log-sum-exp calls; with allowed=False any call fails."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        assert allowed, "the log-sum-exp fallback ran"
+        calls.append(1)
+        return logsumexp(*args, **kwargs)
+
+    monkeypatch.setattr(pde_lab, "logsumexp", spy)
+    return calls
+
+
+class TestLinearColeHopf:
+    """Cole-Hopf's axis passes in linear space (exp, window dot, log) against
+    the windowed log-sum-exp they replace."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.one_of(landscapes, st.builds(lambda c, d: f"quadratic_c{c}_n{d}",
+                                                 st.sampled_from(["0.5", "1", "2"]), st.sampled_from([1, 2]))),
+           beta_inv=st.floats(0.05, 0.5), t=st.floats(0.05, 0.5))
+    def test_matches_log_sum_exp(self, name, beta_inv, t):
+        entry = get_entry(name)
+        dim = len(entry.domain_box[0])
+        grid = GridFunction.geometry(*entry.domain_box, [257 if dim == 1 else 33] * dim)
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t)
+        u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
+        np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
+
+    def test_wide_lines_fall_back_to_log_sum_exp(self, monkeypatch):
+        # beta * range(f) along the padded line is far above 700
+        entry = get_entry("rugged_s7_m5")
+        grid = GridFunction.geometry(*entry.domain_box, [2049])
+        cfg = PdeSolveConfig(beta_inv=0.01, t_final=0.05)
+        calls = spy_logsumexp(monkeypatch)
+        u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
+        assert calls and np.isfinite(u.values).all()
+        np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name,n", [("rugged_s7_m5", 2049), ("quadratic_c1_n2", 129)])
+    def test_smooth_lab_cases_stay_linear(self, name, n, monkeypatch):
+        entry = get_entry(name)
+        grid = GridFunction.geometry(*entry.domain_box, [n] * len(entry.domain_box[0]))
+        spy_logsumexp(monkeypatch, allowed=False)
+        u = solve_viscous_hj_cole_hopf(entry.objective, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
+        assert np.isfinite(u.values).all()
+
+
+class TestWorkBudget:
+    """Quadratures whose padded sample or window sums exceed the budget are
+    refused by name before the padded sample is taken."""
+
+    @staticmethod
+    def counted(objective, calls):
+        return CustomObjective(objective.dim, objective.value, objective.grad,
+                               value_batch_fn=lambda X: calls.append(len(X)) or objective.value_batch(X))
+
+    @pytest.mark.parametrize("scheme", ["cole_hopf", "heat"])
+    def test_rejects_before_any_evaluation(self, scheme):
+        # solve-pde --objective quadratic_c1_n2 --grid-n 129 --beta-inv 1e-4 --t 0.05:
+        # the kernel alone refines each axis 42-fold, 29 M samples
+        q, grid, _, _ = quadratic_129(1e-4, 0.05)
+        calls = []
+        with pytest.raises(ValueError, match=r"beta_inv=0\.0001, t=0\.05, grid_n=129 .*budget.*hopf_lax"):
+            solve_pde(self.counted(q, calls), PdeSolveConfig(beta_inv=1e-4, t_final=0.05, scheme=scheme), grid)
+        assert calls == []
+
+    def test_hopf_lax_reach_is_budgeted(self):
+        # t = 1000 reaches 89 past the box: K = 2863, a sample of 5855^2 nodes
+        q, grid, _, _ = quadratic_129(0.1, 0.5)
+        calls = []
+        with pytest.raises(ValueError, match=r"t=1000, grid_n=129"):
+            solve_hj_hopf_lax(self.counted(q, calls), 1000.0, grid)
+        assert calls == [129 * 129]  # the grid nodes that set the reach, no more
+
+    def test_2d_grid_above_257_within_budget(self):
+        # refused by a fixed 257-points-per-axis limit before the budget
+        q = get_entry("quadratic_c1_n2").objective
+        grid = GridFunction.geometry([-2.0, -2.0], [2.0, 2.0], [301, 301])
+        t, h = 0.05, grid.spacing[0]
+        u = solve_hj_hopf_lax(q, t, grid)
+        pts = grid.points()
+        inner = (np.abs(pts) <= 1.0).all(axis=1)
+        err = np.abs(u.values - (pts**2).sum(axis=1) / (2 * (1 + t)))[inner].max()
+        assert err <= 2 * (h / 2) ** 2 * (1 + 1 / t)
 
 
 class TestQuadratureProperties:
