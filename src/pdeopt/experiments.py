@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, optimizers, pde_lab
-from .config import ExperimentConfig, write_manifest
+from .config import OPTIMIZER_KEYS, PER_ALGORITHM, ExperimentConfig, write_manifest
 from .grid import GridFunction, gaussian_density, gradient
 from .objectives import Quadratic, get_entry, global_minimum
 from .plotting import emit_plot
@@ -43,14 +43,11 @@ COMPARE_TUNING = {
     "heat": dict(eta=0.3, gamma0=0.01, gamma1=0.0),
 }
 
-_OPT_KEYS = [f.name for f in fields(optimizers.OptimizerConfig)]
-
-
 def _optimizer_config(cfg: ExperimentConfig, algo: str, tuned: bool = False) -> optimizers.OptimizerConfig:
     # explicit config keys win over the benchmark tuning, which wins over
     # the per-algorithm defaults
     overrides = dict(COMPARE_TUNING.get(algo, {})) if tuned else {}
-    overrides.update((k, cfg.params[k]) for k in _OPT_KEYS if k in cfg.params)
+    overrides.update((k, v) for k in OPTIMIZER_KEYS if (v := cfg.param(k)) != PER_ALGORITHM)
     return optimizers.default_config(algo, **overrides)
 
 
@@ -77,19 +74,19 @@ def _jsonable(v):
 
 
 def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective)
-    algo = cfg.param("algo", "sgd")
+    objective = cfg.param("objective")
+    entry = get_entry(objective)
+    algo = cfg.param("algo")
     ocfg = _optimizer_config(cfg, algo)
-    steps = cfg.param("steps", 200)
-    record_every = cfg.param("record_every", 1)
+    repeats = cfg.param("repeats")
     # `--out foo.csv` names the run file directly (seed-suffixed for repeats)
     csv_name = Path(cfg.out).name if cfg.out and cfg.out.endswith(".csv") else None
 
-    records = optimizers.run(algo, entry.objective, ocfg, cfg.seed, steps,
-                             record_every=record_every, repeats=cfg.repeats)
+    records = optimizers.run(algo, entry.objective, ocfg, cfg.param("seed"), cfg.param("steps"),
+                             record_every=cfg.param("record_every"), repeats=repeats)
     if out is not None:
         for rec in records:
-            if csv_name and cfg.repeats == 1:
+            if csv_name and repeats == 1:
                 rec.to_csv(out / csv_name)
             elif csv_name:
                 rec.to_csv(out / f"{Path(csv_name).stem}_{rec.seed}.csv")
@@ -97,14 +94,14 @@ def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
                 rec.to_csv(out / f"run_{rec.seed}.csv")
         series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
         try:
-            emit_plot(series, out / "plot.svg", title=f"{algo} on {cfg.objective}",
+            emit_plot(series, out / "plot.svg", title=f"{algo} on {objective}",
                       xlabel="effective epochs", ylabel="loss")
         except ValueError:
             pass
     finals = np.array([r.final_loss for r in records])
     aborted = any(r.aborted for r in records)
     return {
-        "kind": "optimize", "algo": algo, "objective": cfg.objective,
+        "kind": "optimize", "algo": algo, "objective": objective,
         "final_loss_mean": float(finals.mean()), "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
         "checks": {"no_abort": not aborted},
         "passed": not aborted,
@@ -112,10 +109,12 @@ def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective)
-    algos = cfg.param("algos", ["sgd", "entropy_sgd", "hj"])
-    budget = int(cfg.param("budget", 20000))
-    record_every_base = cfg.param("record_every", 0)
+    objective = cfg.param("objective")
+    entry = get_entry(objective)
+    algos = cfg.param("algos")
+    budget = cfg.param("budget")
+    record_every_base = cfg.param("record_every")
+    seed, repeats = cfg.param("seed"), cfg.param("repeats")
     rows, curves, timings = [], {}, {}
     for algo in sorted(algos):
         ocfg = _optimizer_config(cfg, algo, tuned=True)
@@ -124,11 +123,11 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
         n_outer = max(1, budget // grads_per_outer)
         record_every = record_every_base or max(1, n_outer // 400)
         t0 = time.perf_counter()
-        records = optimizers.run(algo, entry.objective, ocfg, cfg.seed, n_outer,
-                                 record_every=record_every, repeats=cfg.repeats)
+        records = optimizers.run(algo, entry.objective, ocfg, seed, n_outer,
+                                 record_every=record_every, repeats=repeats)
         seconds = time.perf_counter() - t0
         timings[algo] = {"run_s": seconds,
-                         "us_per_grad_eval": 1e6 * seconds / (cfg.repeats * n_outer * grads_per_outer)}
+                         "us_per_grad_eval": 1e6 * seconds / (repeats * n_outer * grads_per_outer)}
         if out is not None:
             for rec in records:
                 rec.to_csv(out / f"run_{algo}_{rec.seed}.csv")
@@ -147,30 +146,31 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
                 fh.write(f"{row['algorithm']},{row['final_loss_mean']!r},{row['final_loss_std']!r},"
                          f"{row['effective_epochs']!r}\n")
         series = [(a, curves[a].column("effective_epoch"), curves[a].column("loss")) for a in sorted(curves)]
-        emit_plot(series, out / "plot.svg", title=f"equal-budget comparison on {cfg.objective}",
+        emit_plot(series, out / "plot.svg", title=f"equal-budget comparison on {objective}",
                   xlabel="effective epochs", ylabel="loss")
     checks = {}
-    if cfg.param("assert_vs_sgd", True) and "sgd" in algos and len(algos) > 1:
+    if cfg.param("assert_vs_sgd") and "sgd" in algos and len(algos) > 1:
         by = {r["algorithm"]: r for r in rows}
         bar = by["sgd"]["final_loss_mean"] + by["sgd"]["final_loss_std"]
         for a in algos:
             if a != "sgd":
                 checks[f"{a}_not_worse_than_sgd"] = bool(by[a]["final_loss_mean"] <= bar)
-    return {"kind": "compare", "objective": cfg.objective, "rows": rows, "timings": timings,
+    return {"kind": "compare", "objective": objective, "rows": rows, "timings": timings,
             "checks": checks, "passed": all(checks.values()) if checks else True}
 
 
 def _run_solve_pde(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective)
+    objective = cfg.param("objective")
+    entry = get_entry(objective)
     if entry.objective.dim > 2:
         raise ValueError("grid solves support 1D and 2D objectives only")
-    grid = _grid_for(entry, cfg.param("grid_n", 513))
+    grid = _grid_for(entry, cfg.param("grid_n"))
     pcfg = pde_lab.PdeSolveConfig(
-        beta_inv=cfg.param("beta_inv", 0.1),
-        t_final=cfg.param("t", 0.5),
+        beta_inv=cfg.param("beta_inv"),
+        t_final=cfg.param("t"),
         dt=cfg.param("dt"),
-        scheme=cfg.param("scheme", "cole_hopf"),
-        boundary=cfg.param("boundary", "extrapolating"),
+        scheme=cfg.param("scheme"),
+        boundary=cfg.param("boundary"),
     )
     u = pde_lab.solve_pde(entry.objective, pcfg, grid)
     if out is not None:
@@ -180,23 +180,24 @@ def _run_solve_pde(cfg: ExperimentConfig, out: Path | None) -> dict:
         if grid.dim == 1:
             xs = grid.axes()[0]
             emit_plot([("initial", xs, f.values), (pcfg.scheme, xs, u.values)],
-                      out / "plot.svg", title=f"{pcfg.scheme} smoothing of {cfg.objective}",
+                      out / "plot.svg", title=f"{pcfg.scheme} smoothing of {objective}",
                       xlabel="x", ylabel="value")
-    return {"kind": "solve_pde", "objective": cfg.objective, "scheme": pcfg.scheme,
+    return {"kind": "solve_pde", "objective": objective, "scheme": pcfg.scheme,
             "min_value": float(u.values.min()), "max_value": float(u.values.max()),
             "checks": {}, "passed": True}
 
 
 def _run_figure1(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective or "rugged_s3_m6")
+    entry = get_entry(cfg.param("objective"))
     obj = entry.objective
-    grid = _grid_for(entry, cfg.param("grid_n", 513))
-    t_smooth = cfg.param("t_smooth", 1.0)
-    beta_inv_smooth = cfg.param("beta_inv", 0.2)
-    beta_inv_fp = cfg.param("beta_inv_fp", 0.02)
-    horizon = cfg.param("T", 6.0)
-    window_frac = cfg.param("window_frac", 0.1)
-    min_gap = cfg.param("min_gap", 0.02)
+    grid = _grid_for(entry, cfg.param("grid_n"))
+    t_smooth = cfg.param("t_smooth")
+    beta_inv_smooth = cfg.param("beta_inv")
+    beta_inv_fp = cfg.param("beta_inv_fp")
+    horizon = cfg.param("T")
+    window_frac = cfg.param("window_frac")
+    min_gap = cfg.param("min_gap")
+    rho0_sigma = cfg.param("rho0_sigma")
 
     x_star = global_minimum(entry)[0]
     width = float(grid.upper[0] - grid.lower[0])
@@ -207,7 +208,7 @@ def _run_figure1(cfg: ExperimentConfig, out: Path | None) -> dict:
     drift_hl = gradient(u_hl)
     drift_f = grid.with_values(obj.grad_batch(grid.points())[:, 0])
     rho0 = gaussian_density(grid, mean=[0.5 * (grid.lower[0] + grid.upper[0])],
-                            var=(cfg.param("rho0_sigma", 0.3 * width)) ** 2)
+                            var=(0.3 * width if rho0_sigma is None else rho0_sigma) ** 2)
 
     def terminal_mass(drift):
         rho = pde_lab.evolve_fokker_planck(drift, rho0, beta_inv_fp, horizon)
@@ -244,19 +245,15 @@ def _run_figure1(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_homogenization(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective or "double_well_a1")
-    gamma = cfg.param("gamma", 0.3)
-    beta_inv = cfg.param("beta_inv", 1e-8)
-    epsilons = cfg.param("epsilons", [1e-1, 1e-2, 1e-3])
-    probes = cfg.param("probes") or [-1.6, -1.35, -0.75, -0.55, -0.35, 0.35, 0.55, 0.75, 1.35, 1.6]
-    tol = cfg.param("tolerance", 0.05)
+    entry = get_entry(cfg.param("objective"))
+    gamma = cfg.param("gamma")
     table = analysis.verify_homogenization(
-        entry.objective, probes, gamma, beta_inv, epsilons,
-        n_seeds=cfg.param("n_seeds", 32), seed=cfg.seed,
+        entry.objective, cfg.param("probes"), gamma, cfg.param("beta_inv"), cfg.param("epsilons"),
+        n_seeds=cfg.param("n_seeds"), seed=cfg.param("seed"),
     )
     finest = table.rows[-1]
     checks = {
-        "finest_eps_within_tolerance": bool(finest.max_rel_deviation <= tol),
+        "finest_eps_within_tolerance": bool(finest.max_rel_deviation <= cfg.param("tolerance")),
         "deviation_monotone_in_eps": bool(table.is_monotone()),
     }
     if out is not None:
@@ -273,15 +270,13 @@ def _run_homogenization(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_control(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective or "double_well_a1")
+    entry = get_entry(cfg.param("objective"))
     obj = entry.objective
-    horizon = cfg.param("T", 2.0)
-    beta_inv = cfg.param("beta_inv", 0.2)
-    n_paths = cfg.param("n_paths", 10000)
-    grid = _grid_for(entry, cfg.param("grid_n", 1025))
-    x0 = np.full(obj.dim, cfg.param("x0", 0.0))
+    horizon = cfg.param("T")
+    grid = _grid_for(entry, cfg.param("grid_n"))
+    x0 = np.full(obj.dim, cfg.param("x0"))
     comparison = analysis.control_improvement_experiment(
-        obj, obj.value_batch, horizon, beta_inv, n_paths, cfg.seed, x0, grid,
+        obj, obj.value_batch, horizon, cfg.param("beta_inv"), cfg.param("n_paths"), cfg.param("seed"), x0, grid,
     )
     checks = {
         "improvement_inequality": comparison.improvement_holds,
@@ -306,15 +301,14 @@ def _run_control(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_invariant_measure(cfg: ExperimentConfig, out: Path | None) -> dict:
-    entry = get_entry(cfg.objective or "quadratic_c1_n1")
+    entry = get_entry(cfg.param("objective"))
     obj = entry.objective
-    gamma = cfg.param("gamma", 1.0)
-    beta = cfg.param("beta", 1.0)
-    x = np.full(obj.dim, cfg.param("x", 2.0))
+    gamma = cfg.param("gamma")
+    beta = cfg.param("beta")
+    x = np.full(obj.dim, cfg.param("x"))
     est = analysis.sample_invariant_measure(
-        obj, x, gamma, 1.0 / beta, n_steps=cfg.param("n_steps", 1_000_000),
-        burn_in=cfg.param("burn_in", 2000), seed=cfg.seed,
-        n_chains=cfg.param("n_chains", 32),
+        obj, x, gamma, 1.0 / beta, n_steps=cfg.param("n_steps"),
+        burn_in=cfg.param("burn_in"), seed=cfg.param("seed"), n_chains=cfg.param("n_chains"),
     )
     checks = {}
     closed = None
@@ -341,8 +335,8 @@ def _run_invariant_measure(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
-    rng = substream(cfg.seed, "spectrum")
-    n_random = cfg.param("n_random", 100)
+    rng = substream(cfg.param("seed"), "spectrum")
+    n_random = cfg.param("n_random")
     dim = 8
     hm_violations = 0
     for _ in range(n_random):
@@ -358,8 +352,8 @@ def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
         if not (v.min() - 1e-12 <= hm <= len(v) * v.min() + 1e-12):
             sandwich_violations += 1
     summary_obj = None
-    if cfg.objective:
-        entry = get_entry(cfg.objective)
+    if cfg.param("objective"):
+        entry = get_entry(cfg.param("objective"))
         x_star = global_minimum(entry)
         summary_obj = analysis.spectrum_summary(entry.objective, x_star)
     checks = {

@@ -90,7 +90,6 @@ class OptimizerConfig:
     batch_size: int | None = None
     anneal_factor: float | None = None      # step-size drop factor
     anneal_period: float | None = None      # in effective epochs
-    normalize_gamma: bool = False           # divide gamma0 by the dimension
 
     def __post_init__(self):
         if self.eta <= 0 or self.eta_y <= 0:
@@ -123,12 +122,11 @@ def default_config(algo: str, **overrides) -> OptimizerConfig:
     return OptimizerConfig(**{**ALGO_DEFAULTS[algo], **overrides})
 
 
-def gamma_schedule(k: int, cfg: OptimizerConfig, dim: int | None = None) -> float:
+def gamma_schedule(k: int, cfg: OptimizerConfig) -> float:
     """Scoping schedule gamma0 * (1 - gamma1)^(k // L), non-increasing in k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    g0 = cfg.gamma0 / dim if (cfg.normalize_gamma and dim) else cfg.gamma0
-    return g0 * (1.0 - cfg.gamma1) ** (k // cfg.L)
+    return cfg.gamma0 * (1.0 - cfg.gamma1) ** (k // cfg.L)
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ class _Plan:
     every: int                   # inner steps per outer update
     width: int                   # inner rows per repeat (0 for sgd)
     grads: int                   # gradients per repeat and inner step
-    gamma0: float                # divided by the dimension under normalize_gamma
     alpha: float
     noise: float                 # extrinsic noise on the rows
     outer_noise: float           # extrinsic noise on the outer step
@@ -194,11 +191,13 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
 # the inner step
 
 
-def _gamma(k: int, p: _Plan) -> float:
-    gamma = p.gamma0 * (1.0 - p.cfg.gamma1) ** (k // p.cfg.L)
-    if gamma <= 0.0:
-        raise ValueError(f"gamma underflowed to 0 at step {k}: gamma1 shrinks it too fast")
-    return gamma
+def _scope(state: OptimizerState, cfg: OptimizerConfig) -> None:
+    """Set the smoothing scale of the outer step starting at ``state.k``.
+    The rows divide by it; ``sgd``, which has none, only logs the schedule
+    and may run on after it underflows."""
+    state.gamma = gamma_schedule(state.k, cfg)
+    if state.gamma <= 0.0:
+        raise ValueError(f"gamma underflowed to 0 at step {state.k}: gamma1 shrinks it too fast")
 
 
 def _normal(rngs, scale: float, n: int) -> Array:
@@ -256,13 +255,12 @@ def _resolve(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, 
         cfg=cfg, algo=algo, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
         grad=objective.minibatch_grad, every=1 if algo == "sgd" else cfg.L,
         width=width, grads=max(width, 1),
-        gamma0=cfg.gamma0 / objective.dim if cfg.normalize_gamma else cfg.gamma0,
         alpha=0.0 if algo == "hj" else cfg.alpha,
         noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
         outer_noise=cfg.beta_inv_ex if algo == "sgd" else 0.0,
         anneal=bool(cfg.anneal_factor and cfg.anneal_period),
     )
-    state.gamma = _gamma(state.k, p)
+    _scope(state, cfg)
     return p
 
 
@@ -311,7 +309,7 @@ def step(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo
     state.outer_steps += 1
     if p.width:
         _restart(state, p)
-        state.gamma = _gamma(state.k, p)
+        _scope(state, cfg)
     return state
 
 
@@ -382,7 +380,7 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
             effective_epoch=_epochs(state),
             loss=loss,
             grad_norm=float(np.linalg.norm(objective.grad(x))),
-            gamma=gamma_schedule(max(state.k - 1, 0), cfg, objective.dim),
+            gamma=gamma_schedule(max(state.k - 1, 0), cfg),
             control_energy=float(state.control_energy[r]),
         ))
         return loss

@@ -55,6 +55,7 @@ from .objectives import Objective
 Array = np.ndarray
 
 SCHEMES = ("cole_hopf", "hopf_lax", "monotone_fd", "heat")
+BOUNDARIES = ("extrapolating", "periodic")
 
 
 @dataclass
@@ -74,8 +75,8 @@ class PdeSolveConfig:
             raise ValueError("t_final must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.boundary not in ("extrapolating", "periodic"):
-            raise ValueError("boundary must be 'extrapolating' or 'periodic'")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
 
 
 class CflError(ValueError):

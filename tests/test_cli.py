@@ -1,12 +1,16 @@
 """Config parsing, experiment artifacts, plotting, CLI dispatch."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pdeopt.cli import main
+from pdeopt import optimizers
+from pdeopt.cli import build_parser, main
 from pdeopt.config import (
+    KEY_SPECS,
+    KINDS,
     ConfigError,
     ExperimentConfig,
     emit_manifest,
@@ -141,7 +145,121 @@ class TestEmitPlot:
             emit_plot([("a", [0.0, 1.0], [0.0, 2.0])], tmp_path / "p.svg", log_y=True)
 
 
+class TestKeyTable:
+    """``config.KINDS`` is the one declaration of each kind's keys: the CLI
+    flags, the keys a config may set and the defaults a runner reads."""
+
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_flags_are_exactly_the_kinds_keys(self):
+        subparsers = self._subparsers()
+        assert sorted(subparsers) == sorted(k.command for k in KINDS.values())
+        for kind, (command, defaults) in KINDS.items():
+            sp = subparsers[command]
+            assert sp.get_default("kind") == kind
+            flags = {f for a in sp._actions for f in a.option_strings} - {"-h", "--help"}
+            assert flags == {"--config"} | {"--" + k.replace("_", "-") for k in defaults}, command
+
+    def test_flags_that_changed(self):
+        subparsers = self._subparsers()
+        flags = {c: {f for a in sp._actions for f in a.option_strings} for c, sp in subparsers.items()}
+        assert "--n-workers" in flags["optimize"] and "--workers" not in flags["optimize"]
+        assert {"--tolerance"} <= flags["verify-homogenization"]
+        assert {"--rho0-sigma"} <= flags["reproduce-figure1"]
+        assert {"--assert-vs-sgd", "--anneal-factor", "--anneal-period"} <= flags["compare"]
+        assert not {"--t", "--scheme", "--repeats"} & flags["control-improvement"]
+        for command in set(flags) - {"optimize", "compare"}:
+            assert "--repeats" not in flags[command]
+
+    def test_every_key_spec_is_read_by_a_kind(self):
+        read = {key for kind in KINDS.values() for key in kind.defaults}
+        assert read == set(KEY_SPECS)
+
+    def test_key_outside_the_table_raises_in_the_runner(self):
+        cfg = parse_config(overrides={"kind": "solve_pde"})
+        assert cfg.param("grid_n") == 513
+        with pytest.raises(LookupError, match="steps"):
+            cfg.param("steps")
+
+    def test_objective_defaults_per_kind(self):
+        assert parse_config(overrides={"kind": "figure1"}).param("objective") == "rugged_s3_m6"
+        cfg = parse_config(overrides={"kind": "figure1", "objective": "rugged_s7_m5"})
+        assert cfg.param("objective") == "rugged_s7_m5"
+        assert parse_config(overrides={"kind": "spectrum"}).param("objective") == ""
+
+    def test_key_not_read_by_the_kind_refused_from_file(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\nkind = compare\n[optimizer]\nsteps = 5\n")
+        with pytest.raises(ConfigError, match="'compare'.*'steps'"):
+            parse_config(p)
+        with pytest.raises(ConfigError, match="repeats"):
+            parse_config(overrides={"kind": "solve_pde", "repeats": 2})
+
+    def test_control_refuses_t_from_file_and_flag(self, tmp_path, capsys):
+        p = tmp_path / "ctl.cfg"
+        p.write_text("[experiment]\nkind = control\n[pde]\nt = 5\n")
+        assert main(["control-improvement", "--config", str(p), "--out", str(tmp_path / "a")]) == 2
+        assert "experiment kind 'control' reads no key 't'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'control'.*'t'"):
+            parse_config(overrides={"kind": "control", "t": 5})
+        with pytest.raises(SystemExit) as exc:
+            main(["control-improvement", "--t", "5", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t 5" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_bad_value_same_from_file_and_flag(self, tmp_path, capsys):
+        p = tmp_path / "opt.cfg"
+        p.write_text("[optimizer]\neta = abc\n")
+        assert main(["optimize", "--config", str(p)]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["optimize", "--eta", "abc"]) == 2
+        from_flag = capsys.readouterr().err
+        assert from_file == from_flag
+        assert "bad value for 'eta'" in from_flag
+
+    def test_names_checked_by_the_converters(self):
+        for key, value in (("scheme", "upwind"), ("boundary", "wrap")):
+            with pytest.raises(ConfigError, match=f"bad value for '{key}'.*{value}"):
+                parse_config(overrides={"kind": "solve_pde", key: value})
+        with pytest.raises(ConfigError, match="bad value for 'algo'.*zzz"):
+            parse_config(overrides={"kind": "optimize", "algo": "zzz"})
+
+    def test_unknown_algorithm_refused_before_any_step(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(optimizers, "step", lambda *a: steps.append(a))
+        code = main(["compare", "--objective", "quadratic_c1_n1", "--algos", "sgd,zzz",
+                     "--budget", "100", "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "bad value for 'algos'" in capsys.readouterr().err
+        assert steps == []
+
+
 class TestRunExperiment:
+    """Runs all eight kinds.  A runner reading a key outside its kind's table
+    in ``config.KINDS`` raises ``LookupError``, so these runs also check that
+    each runner's keys are declared; the fixture checks the converse."""
+
+    @pytest.fixture(autouse=True)
+    def _reads_every_key(self, monkeypatch):
+        """Each run reads every key of its kind's table, except the common
+        keys a runner may leave alone (``out`` is read by ``run_experiment``)."""
+        read = {}
+        param = ExperimentConfig.param
+
+        def spy(cfg, key):
+            read.setdefault(cfg.kind, set()).add(key)
+            return param(cfg, key)
+
+        monkeypatch.setattr(ExperimentConfig, "param", spy)
+        yield
+        for kind, keys in read.items():
+            assert set(KINDS[kind].defaults) - keys <= {"seed", "out", "threads"}, kind
+
     def test_optimize_artifacts(self, tmp_path):
         cfg = parse_config(overrides={
             "kind": "optimize", "objective": "double_well_a1", "seed": 4,
@@ -307,6 +425,15 @@ class TestCliMain:
             assert code == 0
             summary = json.loads(capsys.readouterr().out)
             assert summary["scheme"] == "monotone_fd"
+
+    def test_solver_value_error_is_one_line(self, tmp_path, capsys):
+        # the Cole-Hopf work budget refuses this solve
+        code = main(["solve-pde", "--objective", "quadratic_c1_n2", "--grid-n", "129",
+                     "--beta-inv", "1e-4", "--t", "0.05", "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+        assert err.count("\n") == 1
 
     def test_spectrum_cli(self, tmp_path, capsys):
         code = main(["spectrum", "--n-random", "10", "--seed", "1",

@@ -308,14 +308,17 @@ class TestGammaSchedule:
         vals = [opt.gamma_schedule(k, cfg) for k in range(0, 400)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_dimension_normalization(self):
-        cfg = opt.OptimizerConfig(gamma0=0.1, gamma1=0.0, L=1, normalize_gamma=True)
-        assert opt.gamma_schedule(0, cfg, dim=10) == pytest.approx(0.01)
-
     def test_negative_k_rejected(self):
         cfg = opt.OptimizerConfig()
         with pytest.raises(ValueError):
             opt.gamma_schedule(-1, cfg)
+
+    def test_sgd_logs_an_underflowed_schedule(self):
+        # sgd never divides by gamma: its rows log the schedule, 0 once it underflows
+        q = make_quadratic(1.0, 0.0, 1)
+        cfg = opt.default_config("sgd", gamma1=0.9)
+        rec = opt.run("sgd", q, cfg, seed=0, n_outer_steps=400, x0=np.ones(1))
+        assert rec.rows[-1]["gamma"] == 0.0
 
     def test_underflow_to_zero_fails_loudly(self):
         q = make_quadratic(1.0, 0.0, 1)
