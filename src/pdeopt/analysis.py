@@ -10,7 +10,6 @@ Checks implemented here, each backed by an independent oracle:
 * the controlled-descent improvement inequality
   E[V(x_ctrl(T))] + (1/2) E int |alpha|^2 <= E[V(x_plain(T))]
   with common random numbers,
-* curvature decay (semiconcavity) bounds 1/(C^-1 + t) for smoothed losses,
 * harmonic-mean spectral bounds HM(eigs) <= HM(diag) for SPD Hessians.
 """
 
@@ -134,24 +133,13 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
 class QuadraticMeasure:
     mean: Array
     covariance: Array
-    penalty: str
-    neumann: bool
-    neumann_valid: bool | None = None
 
 
-def quadratic_invariant_closed_form(Q, p, x, gamma: float, beta: float,
-                                    penalty: str = "inverse_gamma",
-                                    neumann: bool = False) -> QuadraticMeasure:
-    """Gaussian parameters of the coupled Gibbs measure for quadratic
-    f(y) = p.y + y'Qy/2.
-
-    ``penalty='inverse_gamma'`` (default) matches the |y-x|^2/(2 gamma)
-    coupling used everywhere else in the package: precision beta (Q + I/gamma)
-    and mean x - (Q + I/gamma)^{-1} grad f(x).  ``penalty='gamma'`` is the
-    alternative (gamma/2)|y-x|^2 convention with covariance (Q + gamma I)^{-1};
-    both are exposed so the two can be compared.  With ``neumann=True`` the
-    matrix inverse is replaced by its two-term series, valid for
-    gamma ||Q|| < 1 (resp. gamma > ||Q||).
+def quadratic_invariant_closed_form(Q, p, x, gamma: float, beta: float) -> QuadraticMeasure:
+    """Gaussian parameters of the coupled Gibbs measure
+    rho(y) ~ exp(-beta [f(y) + |y - x|^2 / (2 gamma)]) for quadratic
+    f(y) = p.y + y'Qy/2: precision beta (Q + I/gamma) and mean
+    x - (Q + I/gamma)^{-1} grad f(x).
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n = Q.shape[0]
@@ -159,33 +147,8 @@ def quadratic_invariant_closed_form(Q, p, x, gamma: float, beta: float,
     x = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (n,))
     if gamma <= 0 or beta <= 0:
         raise ValueError("gamma and beta must be positive")
-    if penalty not in ("inverse_gamma", "gamma"):
-        raise ValueError("penalty must be 'inverse_gamma' or 'gamma'")
-    grad_at_x = p + Q @ x
-    I = np.eye(n)
-    qnorm = float(np.linalg.norm(Q, 2))
-    if penalty == "inverse_gamma":
-        A = Q + I / gamma
-        if neumann:
-            Sigma_shape = gamma * I - gamma**2 * Q
-            valid = gamma * qnorm < 1.0
-        else:
-            Sigma_shape = _spd_inverse(A)
-            valid = None
-        mean = x - Sigma_shape @ grad_at_x
-        cov = Sigma_shape / beta
-    else:
-        A = Q + gamma * I
-        if neumann:
-            Sigma_shape = I / gamma - Q / gamma**2
-            valid = gamma > qnorm
-        else:
-            Sigma_shape = _spd_inverse(A)
-            valid = None
-        mean = x - Sigma_shape @ grad_at_x
-        cov = Sigma_shape
-    return QuadraticMeasure(mean=mean, covariance=cov, penalty=penalty,
-                            neumann=neumann, neumann_valid=valid)
+    Sigma_shape = _spd_inverse(Q + np.eye(n) / gamma)
+    return QuadraticMeasure(mean=x - Sigma_shape @ (p + Q @ x), covariance=Sigma_shape / beta)
 
 
 def _spd_inverse(A: Array) -> Array:
@@ -379,78 +342,6 @@ def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
         gap=gap, gap_stderr=se_gap,
         bound_margin=margin, bound_margin_stderr=se_margin,
     )
-
-
-# ---------------------------------------------------------------------------
-# semiconcavity
-
-
-@dataclass
-class SemiconcavityRow:
-    t: float
-    quantity: str           # 'axis0', 'axis1' or 'laplacian'
-    measured: float
-    bound: float
-    tolerance: float
-    violated: bool
-
-
-def initial_semiconcavity_constants(objective: Objective, grid: GridFunction) -> tuple[Array, float]:
-    """Per-axis sup of the second difference of f on the grid, and the sup of
-    the discrete Laplacian; the seeds of the decay bounds 1/(C^-1 + t)."""
-    from .grid import second_difference
-
-    f = grid.with_values(objective.value_batch(grid.points()))
-    c_axes = []
-    lap = np.zeros(grid.n_points)
-    for axis in range(grid.dim):
-        d2 = second_difference(f, axis=axis).array
-        sl = tuple(slice(1, -1) for _ in range(grid.dim))
-        c_axes.append(float(d2[sl].max()))
-        lap += d2
-    sl = tuple(slice(1, -1) for _ in range(grid.dim))
-    return np.array(c_axes), float(lap[sl].max())
-
-
-def semiconcavity_report(u_series, C=None, C_lap: float | None = None,
-                         tol_spacings: float = 10.0) -> list[SemiconcavityRow]:
-    """Check curvature decay of a family of smoothed losses.
-
-    ``u_series`` is a list of (t, GridFunction).  Per time and axis the
-    maximum interior second difference is compared against 1/(C_k^-1 + t)
-    (1/t when no initial constant is given); the discrete Laplacian against
-    1/(C_lap^-1 + t/n).  A violation is flagged only beyond a tolerance of
-    ``tol_spacings`` grid spacings.
-    """
-    from .grid import second_difference
-
-    rows: list[SemiconcavityRow] = []
-    for t, u in u_series:
-        if t <= 0:
-            raise ValueError("report times must be positive")
-        sl = tuple(slice(1, -1) for _ in range(u.dim))
-        lap = np.zeros(u.n_points)
-        for axis in range(u.dim):
-            d2 = second_difference(u, axis=axis).array
-            lap += d2
-            ck = None if C is None else float(np.atleast_1d(C)[axis])
-            bound = 1.0 / t if ck is None or ck <= 0 else 1.0 / (1.0 / ck + t)
-            tol = tol_spacings * float(u.spacing[axis])
-            measured = float(d2[sl].max())
-            rows.append(SemiconcavityRow(
-                t=t, quantity=f"axis{axis}", measured=measured, bound=bound,
-                tolerance=tol, violated=measured > bound + tol,
-            ))
-        n = u.dim
-        cl = C_lap if (C_lap is not None and C_lap > 0) else None
-        bound = n / t if cl is None else 1.0 / (1.0 / cl + t / n)
-        tol = tol_spacings * float(u.spacing.max())
-        measured = float(lap[sl].max())
-        rows.append(SemiconcavityRow(
-            t=t, quantity="laplacian", measured=measured, bound=bound,
-            tolerance=tol, violated=measured > bound + tol,
-        ))
-    return rows
 
 
 # ---------------------------------------------------------------------------

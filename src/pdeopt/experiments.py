@@ -1,9 +1,9 @@
 """Experiment drivers: dispatch configs, write artifacts, check assertions.
 
-Each experiment writes ``manifest.json``, its data files (CSV / binary
-grids / per-seed run files), a ``summary.json`` with a ``passed`` field and
-per-check booleans, and optionally ``plot.svg``.  All randomness flows from
-the single config seed through named sub-streams.
+Each experiment writes its data files (CSV / binary grids / per-seed run
+files), optionally ``plot.svg``, and, once it has finished, ``manifest.json``
+and a ``summary.json`` with a ``passed`` field and per-check booleans.  All
+randomness flows from the single config seed through named sub-streams.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def _grid_for(entry, n: int) -> GridFunction:
     return GridFunction.geometry(lo, hi, [n] * len(np.atleast_1d(lo)))
 
 
-def _write_summary(out: Path | None, summary: dict) -> None:
-    if out is not None:
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
-
-
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -93,11 +88,8 @@ def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
             else:
                 rec.to_csv(out / f"run_{rec.seed}.csv")
         series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
-        try:
-            emit_plot(series, out / "plot.svg", title=f"{algo} on {objective}",
-                      xlabel="effective epochs", ylabel="loss")
-        except ValueError:
-            pass
+        emit_plot(series, out / "plot.svg", title=f"{algo} on {objective}",
+                  xlabel="effective epochs", ylabel="loss")
     finals = np.array([r.final_loss for r in records])
     aborted = any(r.aborted for r in records)
     return {
@@ -335,7 +327,8 @@ def _run_invariant_measure(cfg: ExperimentConfig, out: Path | None) -> dict:
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
-    rng = substream(cfg.param("seed"), "spectrum")
+    # the stream acceptance criterion 7 has always drawn from (at seed 123)
+    rng = substream(cfg.param("seed"), "acceptance-spectrum")
     n_random = cfg.param("n_random")
     dim = 8
     hm_violations = 0
@@ -394,11 +387,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = Path(cfg.out) if cfg.out else None
     if out is not None and out.suffix == ".csv":
         out = out.parent if str(out.parent) else Path(".")
-    if out is not None:
-        write_manifest(cfg, out)
     runner = _RUNNERS.get(cfg.kind)
     if runner is None:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     summary = runner(cfg, out)
-    _write_summary(out, summary)
+    if out is not None:     # a run its solver refused leaves no manifest behind
+        write_manifest(cfg, out)
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
     return ExperimentResult(passed=bool(summary.get("passed", True)), summary=summary, out_dir=out)

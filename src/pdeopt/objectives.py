@@ -2,9 +2,10 @@
 
 All optimizers and PDE solvers in this package consume the :class:`Objective`
 interface: a scalar loss with an exact gradient, an optional dense Hessian
-(small dimensions only), and a stochastic gradient whose noise is either
-synthetic (additive Gaussian, variance ``noise_scale`` per component) or real
-minibatch noise (:class:`TinyMLP`).
+(the analytic objectives have one, :class:`TinyMLP` has none), and a
+stochastic gradient whose noise is either synthetic (additive Gaussian,
+variance ``noise_scale`` per component) or real minibatch noise
+(:class:`TinyMLP`).
 
 Objectives are pure and reentrant; stochastic gradients draw from a
 ``numpy.random.Generator`` passed in by the caller, so concurrent callers own
@@ -19,10 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Array = np.ndarray
-
-# Dense Hessians are only supplied up to this dimension; use hvp() beyond it.
-DENSE_HESSIAN_LIMIT = 64
-
 
 class Objective:
     """Scalar loss f: R^n -> R with exact gradient."""
@@ -68,14 +65,6 @@ class Objective:
         if self.noise_scale > 0.0:
             g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rng])
         return g
-
-    def hvp(self, x: Array, v: Array, eps: float = 1e-6) -> Array:
-        """Hessian-vector product by central differences of the gradient."""
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.zeros_like(v)
-        u = v / nv
-        return (self.grad(x + eps * u) - self.grad(x - eps * u)) / (2.0 * eps) * nv
 
     # Vectorized evaluation over rows of X, shape (N, dim).  The defaults
     # loop; analytic subclasses override with array arithmetic because the
@@ -269,10 +258,6 @@ class TinyMLP(Objective):
             raise ValueError("batch_size cannot exceed n_samples")
         self.batch_size = batch_size
 
-    @property
-    def n_params(self) -> int:
-        return self.dim
-
     def initial_point(self) -> Array:
         return self._x0.copy()
 
@@ -329,17 +314,6 @@ class TinyMLP(Objective):
 
     def grad(self, x):
         return self._grad(*self._full(x))[0]
-
-    def hessian(self, x):
-        if self.dim > DENSE_HESSIAN_LIMIT:
-            raise NotImplementedError("dense Hessian limited to small parameter counts")
-        eps = 1e-5
-        H = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = eps
-            H[:, j] = (self.grad(x + e) - self.grad(x - e)) / (2 * eps)
-        return 0.5 * (H + H.T)
 
     def minibatch_grad(self, x, rng, batch_size: int | None = None) -> Array:
         """Minibatch gradient at x, shape (dim,), with indices drawn from
@@ -400,13 +374,6 @@ def make_quadratic(c: float, p, n: int) -> Quadratic:
         raise ValueError("c must be positive")
     p = np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,)).copy()
     return Quadratic(c * np.eye(n), p)
-
-
-def make_quadratic_form(Q, p=None) -> Quadratic:
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if p is None:
-        p = np.zeros(Q.shape[0])
-    return Quadratic(Q, p)
 
 
 def make_double_well(a: float) -> DoubleWell:

@@ -43,7 +43,7 @@ All solvers are pure functions of their inputs and run single-threaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -287,7 +287,6 @@ class ProxResult:
     grad_u: Array          # (x - y*) / t
     grad_f_at_y: Array
     non_unique: bool
-    candidates: list = field(default_factory=list)
 
     @property
     def consistency_gap(self) -> float:
@@ -370,7 +369,6 @@ def prox_point(objective: Objective, x, t: float, scan_box=None, n_scan: int = 8
         grad_u=(x - best_y) / t,
         grad_f_at_y=objective.grad(best_y),
         non_unique=non_unique,
-        candidates=polished,
     )
 
 

@@ -27,13 +27,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
-def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
-              log_y: bool = False) -> None:
+def _span(v: np.ndarray) -> tuple[float, float]:
+    if v.size == 0:
+        return 0.0, 1.0
+    lo, hi = float(v.min()), float(v.max())
+    return lo, hi if hi > lo else lo + 1.0
+
+
+def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write a labeled multi-polyline SVG.
 
     ``series`` is a list of (label, xs, ys) with equal-length pairs.  Legend
-    entries appear in input order.  ``log_y`` plots log10(y) and requires
-    positive values.
+    entries appear in input order.  Points with a non-finite coordinate (a
+    diverged loss) are left out of their polyline and of the axis ranges.
     """
     if not series:
         raise ValueError("series must be non-empty")
@@ -43,20 +49,11 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1 or len(xs) == 0:
             raise ValueError(f"series {label!r}: x and y must be equal-length 1D arrays")
-        if log_y:
-            if (ys <= 0).any():
-                raise ValueError(f"series {label!r}: log scale requires positive y values")
-            ys = np.log10(ys)
-        prepared.append((str(label), xs, ys))
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        prepared.append((str(label), xs[finite], ys[finite]))
 
-    x_lo = min(float(xs.min()) for _, xs, _ in prepared)
-    x_hi = max(float(xs.max()) for _, xs, _ in prepared)
-    y_lo = min(float(ys.min()) for _, _, ys in prepared)
-    y_hi = max(float(ys.max()) for _, _, ys in prepared)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(np.concatenate([xs for _, xs, _ in prepared]))
+    y_lo, y_hi = _span(np.concatenate([ys for _, _, ys in prepared]))
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def sx(x):
@@ -78,9 +75,8 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         parts.append(f'<text x="{px:.1f}" y="{_MT + ph + 18}" text-anchor="middle">{tx:g}</text>')
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
-        label = f"1e{ty:g}" if log_y else f"{ty:g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>')
-        parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{label}</text>')
+        parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{ty:g}</text>')
     if title:
         parts.append(f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
     if xlabel:

@@ -4,29 +4,37 @@ Each test exercises one end-to-end claim at its pinned tolerance and prints a
 single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 The expected values are closed forms or quantities produced by the
 independent oracles asserted throughout the rest of the suite.
+
+Criteria 3, 4, 7, 8 and 10 run the experiment kind that reports the claim,
+exactly as the CLI would, and assert on its ``summary["checks"]``.  The
+others call the library: 1, 2, 6 and 9 have no kind, and 5 needs a wider
+box, [-2.5, 2.5], than the ``control`` kind's corpus box [-2, 2].
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from pdeopt import analysis, optimizers, pde_lab
 from pdeopt.config import parse_config
 from pdeopt.experiments import run_experiment
-from pdeopt.grid import GridFunction, gaussian_density, gradient, interior_max_second_difference
-from pdeopt.objectives import (
-    get_entry,
-    global_minimum,
-    make_double_well,
-    make_quadratic,
-    make_rugged_1d,
-)
-from pdeopt.rng import substream
+from pdeopt.grid import GridFunction, interior_max_second_difference
+from pdeopt.objectives import make_double_well, make_quadratic, make_rugged_1d
 
 
 def report(idx: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {idx:2d} [{'PASS' if ok else 'FAIL'}] {detail}")
+
+
+def run_kind(tmp_path, kind: str, **keys) -> dict:
+    """Run an experiment kind as the CLI would, at its defaults except
+    ``keys``; its run directory must hold a manifest and a summary."""
+    result = run_experiment(parse_config(overrides={"kind": kind, "out": str(tmp_path / kind), **keys}))
+    assert (result.out_dir / "manifest.json").exists()
+    assert (result.out_dir / "summary.json").exists()
+    return result.summary
 
 
 def test_01_quadratic_closed_form():
@@ -75,40 +83,35 @@ def test_02_solver_cross_validation():
     assert elapsed < 30.0
 
 
-def test_03_homogenization_limit():
+def test_03_homogenization_limit(tmp_path):
     """Averaged inner drift matches the smoothed gradient as eps -> 0."""
-    dw = make_double_well(1.0)
-    probes = [-1.6, -1.35, -0.75, -0.55, -0.35, 0.35, 0.55, 0.75, 1.35, 1.6]
-    table = analysis.verify_homogenization(
-        dw, probes, gamma=0.3, beta_inv=1e-8,
-        epsilons=[1e-1, 1e-2, 1e-3], n_seeds=32, seed=0)
-    finest = table.rows[-1]
-    monotone = table.is_monotone(n_stderr=2.0)
-    ok = finest.max_rel_deviation <= 0.05 and monotone
-    report(3, ok, f"homogenization: max rel dev at eps=1e-3 is "
-                  f"{finest.max_rel_deviation:.2e} (tol 5e-2), monotone={monotone}")
-    assert finest.max_rel_deviation <= 0.05
-    assert monotone
+    summary = run_kind(tmp_path, "homogenization")
+    checks = summary["checks"]
+    finest = summary["rows"][-1]["max_rel_deviation"]
+    ok = summary["passed"]
+    report(3, ok, f"homogenization: max rel dev at eps=1e-3 is {finest:.2e} (tol 5e-2), "
+                  f"monotone={checks['deviation_monotone_in_eps']}")
+    assert checks["finest_eps_within_tolerance"]
+    assert checks["deviation_monotone_in_eps"]
 
 
-def test_04_invariant_measure_closed_form():
+def test_04_invariant_measure_closed_form(tmp_path):
     """Sampled coupled-Gibbs moments match the Gaussian closed form."""
     t0 = time.perf_counter()
-    q = make_quadratic(1.0, 0.0, 1)
-    est = analysis.sample_invariant_measure(
-        q, np.array([2.0]), gamma=1.0, beta_inv=1.0,
-        n_steps=1_000_000, burn_in=2000, seed=42)
+    summary = run_kind(tmp_path, "invariant_measure", seed=42)
     elapsed = time.perf_counter() - t0
-    dev_mean = abs(est.mean[0] - 1.0)
-    dev_var = abs(est.covariance[0, 0] - 0.5)
-    ok = (est.n_samples >= 1_000_000 and dev_mean <= 3 * est.mean_stderr[0]
-          and dev_var <= 3 * est.variance_stderr[0] and elapsed < 60.0)
-    report(4, ok, f"invariant measure: mean={est.mean[0]:.4f} (1.0 +- {3*est.mean_stderr[0]:.4f}), "
-                  f"var={est.covariance[0,0]:.4f} (0.5 +- {3*est.variance_stderr[0]:.4f}), "
-                  f"n={est.n_samples}, {elapsed:.1f}s (< 60s)")
-    assert est.n_samples >= 1_000_000
-    assert dev_mean <= 3 * est.mean_stderr[0]
-    assert dev_var <= 3 * est.variance_stderr[0]
+    checks = summary["checks"]
+    ok = summary["passed"] and summary["n_samples"] >= 1_000_000 and elapsed < 60.0
+    report(4, ok, f"invariant measure: mean={summary['mean'][0]:.4f} (1.0), "
+                  f"var={summary['variance'][0]:.4f} (0.5), within 3 stderr: "
+                  f"{checks['mean_within_3_stderr']}/{checks['variance_within_3_stderr']}, "
+                  f"n={summary['n_samples']}, {elapsed:.1f}s (< 60s)")
+    # the kind's closed form is the Gaussian of beta (Q + I/gamma) at x = 2
+    assert summary["closed_form_mean"] == pytest.approx([1.0], abs=1e-14)
+    assert summary["closed_form_variance"] == pytest.approx([0.5], abs=1e-14)
+    assert summary["n_samples"] >= 1_000_000
+    assert checks["mean_within_3_stderr"]
+    assert checks["variance_within_3_stderr"]
     assert elapsed < 60.0
 
 
@@ -150,59 +153,30 @@ def test_06_semiconcavity_bounds():
     assert violations == 0
 
 
-def test_07_spectral_bounds():
+def test_07_spectral_bounds(tmp_path):
     """Harmonic-mean comparisons hold on random SPD matrices and vectors."""
-    rng = substream(123, "acceptance-spectrum")
-    hm_violations = 0
-    for _ in range(100):
-        A = rng.standard_normal((8, 8))
-        spd = A @ A.T + 0.1 * np.eye(8)
-        if analysis.harmonic_mean(np.linalg.eigvalsh(spd)) > \
-           analysis.harmonic_mean(np.diag(spd)) + 1e-12:
-            hm_violations += 1
-    sandwich_violations = 0
-    for _ in range(100):
-        v = rng.uniform(0.05, 10.0, size=int(rng.integers(2, 12)))
-        hm = analysis.harmonic_mean(v)
-        if not (v.min() - 1e-12 <= hm <= len(v) * v.min() + 1e-12):
-            sandwich_violations += 1
-    ok = hm_violations == 0 and sandwich_violations == 0
-    report(7, ok, f"spectral bounds: HM(eig)<=HM(diag) violations={hm_violations}/100, "
-                  f"sandwich violations={sandwich_violations}/100")
-    assert hm_violations == 0
-    assert sandwich_violations == 0
+    summary = run_kind(tmp_path, "spectrum", seed=123)
+    hm, sandwich = summary["hm_violations"], summary["sandwich_violations"]
+    ok = summary["passed"]
+    report(7, ok, f"spectral bounds: HM(eig)<=HM(diag) violations={hm}/100, "
+                  f"sandwich violations={sandwich}/100")
+    assert summary["n_random"] == 100
+    assert summary["checks"]["hm_eig_le_hm_diag"]
+    assert summary["checks"]["hm_sandwich"]
 
 
-def test_08_terminal_density_ordering():
+def test_08_terminal_density_ordering(tmp_path):
     """Mass near the global minimum: viscous >= non-viscous >= plain gradient."""
     t0 = time.perf_counter()
-    entry = get_entry("rugged_s3_m6")
-    obj = entry.objective
-    lo, hi = entry.domain_box
-    grid = GridFunction.geometry(lo, hi, [513])
-    x_star = float(global_minimum(entry)[0])
-    width = float(hi[0] - lo[0])
-    t_smooth, beta_inv_smooth, beta_inv_fp, horizon = 1.0, 0.2, 0.02, 6.0
-    cfg = pde_lab.PdeSolveConfig(beta_inv=beta_inv_smooth, t_final=t_smooth)
-    drift_visc = gradient(pde_lab.solve_viscous_hj_cole_hopf(obj, cfg, grid))
-    drift_hl = gradient(pde_lab.solve_hj_hopf_lax(obj, t_smooth, grid))
-    drift_f = grid.with_values(obj.grad_batch(grid.points())[:, 0])
-    rho0 = gaussian_density(grid, [0.5 * (lo[0] + hi[0])], (0.3 * width) ** 2)
-    xs = grid.axes()[0]
-    mask = np.abs(xs - x_star) <= 0.1 * width
-    w = np.gradient(xs)
-
-    def mass(drift):
-        rho = pde_lab.evolve_fokker_planck(drift, rho0, beta_inv_fp, horizon)
-        return float((rho.values * w * mask).sum())
-
-    m_visc, m_hl, m_f = mass(drift_visc), mass(drift_hl), mass(drift_f)
+    summary = run_kind(tmp_path, "figure1")
     elapsed = time.perf_counter() - t0
-    ok = m_visc >= m_hl + 0.02 and m_hl >= m_f + 0.02 and elapsed < 60.0
+    checks = summary["checks"]
+    m_visc, m_hl, m_f = summary["mass_viscous"], summary["mass_nonviscous"], summary["mass_sgd"]
+    ok = summary["passed"] and elapsed < 60.0
     report(8, ok, f"terminal densities: viscous={m_visc:.3f} >= non-viscous={m_hl:.3f}+0.02 "
                   f">= plain={m_f:.3f}+0.02, {elapsed:.1f}s (< 60s)")
-    assert m_visc >= m_hl + 0.02
-    assert m_hl >= m_f + 0.02
+    assert checks["viscous_beats_nonviscous"]
+    assert checks["nonviscous_beats_sgd"]
     assert elapsed < 60.0
 
 
@@ -238,16 +212,12 @@ def test_09_elastic_entropy_equivalence():
 def test_10_optimizer_benchmark(tmp_path):
     """Equal-budget benchmark: smoothing variants match or beat plain SGD."""
     t0 = time.perf_counter()
-    cfg = parse_config(overrides={
-        "kind": "compare", "objective": "mlp_h8_n200", "seed": 100,
-        "algos": "sgd,entropy_sgd,hj", "budget": 200_000, "repeats": 6,
-        "batch_size": 32, "out": str(tmp_path / "bench"),
-    })
-    result = run_experiment(cfg)
+    summary = run_kind(tmp_path, "compare", objective="mlp_h8_n200", seed=100,
+                       algos="sgd,entropy_sgd,hj", budget=200_000, repeats=6, batch_size=32)
     elapsed = time.perf_counter() - t0
-    by = {r["algorithm"]: r for r in result.summary["rows"]}
+    by = {r["algorithm"]: r for r in summary["rows"]}
     bar = by["sgd"]["final_loss_mean"] + by["sgd"]["final_loss_std"]
-    ok = result.passed and elapsed < 600.0
+    ok = summary["passed"] and elapsed < 600.0
     report(10, ok, f"equal-budget benchmark: sgd={by['sgd']['final_loss_mean']:.4f}"
                    f"+-{by['sgd']['final_loss_std']:.4f}, "
                    f"entropy={by['entropy_sgd']['final_loss_mean']:.4f}, "
@@ -255,5 +225,5 @@ def test_10_optimizer_benchmark(tmp_path):
                    f"{elapsed:.0f}s (< 600s)")
     assert by["entropy_sgd"]["final_loss_mean"] <= bar
     assert by["hj"]["final_loss_mean"] <= bar
-    assert result.passed
+    assert summary["passed"]
     assert elapsed < 600.0

@@ -140,9 +140,15 @@ class TestEmitPlot:
         positions = [svg.index(f">{lbl}</text>") for lbl in labels]
         assert positions == sorted(positions)
 
-    def test_log_scale_requires_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot([("a", [0.0, 1.0], [0.0, 2.0])], tmp_path / "p.svg", log_y=True)
+    def test_non_finite_points_are_skipped(self, tmp_path):
+        path = tmp_path / "p.svg"
+        emit_plot([("a", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, np.nan, np.inf]),
+                   ("b", [0.0, 1.0], [np.nan, np.nan])], path)
+        svg = path.read_text()
+        assert svg.count("<polyline") == 2
+        assert "nan" not in svg and "inf" not in svg
+        # the y axis spans the finite values 1..2 only
+        assert ">1</text>" in svg and ">2</text>" in svg and ">3</text>" not in svg
 
 
 class TestKeyTable:
@@ -434,6 +440,21 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "p" / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_diverged_compare_fails_its_checks(self, tmp_path, capsys):
+        # the tuned entropy_sgd step diverges on the double well: its loss
+        # turns NaN, and the run still writes its plot and summary
+        out = tmp_path / "c"
+        code = main(["compare", "--objective", "double_well_a1", "--budget", "300",
+                     "--out", str(out)])
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        failing = [k for k, v in summary["checks"].items() if not v]
+        assert failing and "entropy_sgd_not_worse_than_sgd" in failing
+        assert f"FAILED checks: {', '.join(failing)}" in capsys.readouterr().err
+        assert (out / "manifest.json").exists() and (out / "plot.svg").exists()
 
     def test_spectrum_cli(self, tmp_path, capsys):
         code = main(["spectrum", "--n-random", "10", "--seed", "1",

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from pdeopt.objectives import (
     CustomObjective,
+    Quadratic,
     get_entry,
     global_minimum,
     make_double_well,
     make_quadratic,
-    make_quadratic_form,
     make_rugged_1d,
     make_tiny_mlp,
 )
@@ -45,7 +45,7 @@ class TestQuadratic:
         A = rng.standard_normal((3, 3))
         Q = A @ A.T + 0.5 * np.eye(3)
         p = rng.standard_normal(3)
-        obj = make_quadratic_form(Q, p)
+        obj = Quadratic(Q, p)
         m = obj.minimizer()
         assert np.linalg.norm(obj.grad(m)) < 1e-10
 
@@ -153,7 +153,7 @@ class TestTinyMLP:
 
     def test_parameter_count(self):
         mlp = make_tiny_mlp(0, 8, 200)
-        assert mlp.n_params == 8 * 2 + 8 + 2 * 8 + 2 == mlp.dim
+        assert mlp.dim == 8 * 2 + 8 + 2 * 8 + 2
 
 
 class TestStackedMinibatchGrad:
@@ -286,14 +286,6 @@ class TestCorpus:
         x_star = global_minimum(entry)
         vals = [v for _, v in entry.known_minima]
         assert entry.objective.value(x_star) == min(vals)
-
-
-class TestHvp:
-    def test_matches_hessian_column(self):
-        obj = get_entry("quadratic_c1_n2").objective
-        x = np.array([0.5, -1.0])
-        v = np.array([1.0, 2.0])
-        np.testing.assert_allclose(obj.hvp(x, v), obj.hessian(x) @ v, rtol=1e-6, atol=1e-8)
 
 
 class TestCustomObjective:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
-from pdeopt.objectives import CustomObjective, get_entry, make_double_well, make_quadratic
+from pdeopt.objectives import CustomObjective, Quadratic, get_entry, make_double_well, make_quadratic
 from pdeopt.rng import substream
 
 
@@ -443,8 +443,7 @@ class TestInnerContraction:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((3, 3))
         Q = A @ A.T + 0.5 * np.eye(3)
-        from pdeopt.objectives import make_quadratic_form
-        obj = make_quadratic_form(Q, np.zeros(3))
+        obj = Quadratic(Q, np.zeros(3))
         gamma = 0.4
         lam = np.linalg.eigvalsh(Q).min() + 1.0 / gamma
         x = np.array([1.0, -0.5, 0.3])

@@ -241,6 +241,18 @@ class TestProx:
         assert not res.non_unique
         assert res.y[0] == pytest.approx(0.0, abs=1e-8)
 
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["rugged_s7_m5", "double_well_a1"]), u=st.floats(0.0, 1.0),
+           t=st.floats(0.01, 2.0))
+    def test_consistency_gap_small_where_unique(self, name, u, t):
+        # at a unique minimizer y of f(y) + |x-y|^2/(2t), grad u(x) = (x-y)/t
+        # equals grad f(y)
+        entry = get_entry(name)
+        lo, hi = entry.domain_box
+        res = prox_point(entry.objective, lo + u * (hi - lo), t)
+        if not res.non_unique:
+            assert res.consistency_gap <= 1e-6
+
 
 class TestMonotoneFd:
     def test_quadratic_zero_viscosity(self):
