@@ -24,7 +24,7 @@ import numpy as np
 from .grid import GridFunction
 from .objectives import Objective
 from .optimizers import OptimizerConfig, init_state, step
-from .pde_lab import ControlField, prox_point, solve_hjb_backward
+from .pde_lab import prox_point, solve_hjb_backward
 from .rng import substream
 
 Array = np.ndarray
@@ -34,11 +34,14 @@ Array = np.ndarray
 # autocorrelation
 
 
-def integrated_autocorrelation_time(series: Array, c: float = 5.0) -> float:
+ACT_WINDOW_C = 5.0      # automatic window: the smallest M >= ACT_WINDOW_C * tau(M)
+
+
+def integrated_autocorrelation_time(series: Array) -> float:
     """Integrated autocorrelation time with automatic windowing.
 
-    Uses the smallest window M with M >= c * tau(M); returns 1.0 for
-    uncorrelated or constant series.
+    Uses the smallest window M with M >= ACT_WINDOW_C * tau(M); returns 1.0
+    for uncorrelated or constant series.
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
@@ -53,7 +56,7 @@ def integrated_autocorrelation_time(series: Array, c: float = 5.0) -> float:
     acf /= acf[0]
     taus = 2.0 * np.cumsum(acf) - 1.0
     for m in range(1, n):
-        if m >= c * taus[m]:
+        if m >= ACT_WINDOW_C * taus[m]:
             return float(max(taus[m], 1.0))
     return float(max(taus[-1], 1.0))
 
@@ -190,9 +193,12 @@ class HomogenizationTable:
         return True
 
 
+HOMOGENIZATION_ETA_Y = 0.1     # inner step of verify_homogenization's entropy optimizer
+HOMOGENIZATION_ALPHA = 0.75    # and its averaging weight
+
+
 def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: float,
-                          epsilons, n_seeds: int = 32, seed: int = 0,
-                          eta_y: float = 0.1, alpha: float = 0.75) -> HomogenizationTable:
+                          epsilons, n_seeds: int = 32, seed: int = 0) -> HomogenizationTable:
     """Compare the averaged-inner-iterate drift against the smoothed-loss
     gradient for a sweep of time-scale separations.
 
@@ -213,8 +219,8 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
     ergodic = True
     for ei, eps in enumerate(epsilons):
         L = max(1, int(round(1.0 / eps)))
-        cfg = OptimizerConfig(eta=0.1, eta_y=eta_y, L=L, gamma0=gamma, gamma1=0.0,
-                              beta_inv_ex=beta_inv, alpha=alpha, delta=0.0)
+        cfg = OptimizerConfig(eta=0.1, eta_y=HOMOGENIZATION_ETA_Y, L=L, gamma0=gamma, gamma1=0.0,
+                              beta_inv_ex=beta_inv, alpha=HOMOGENIZATION_ALPHA, delta=0.0)
         devs = np.empty((len(probes), n_seeds))
         drift_mean = np.empty(len(probes))
         for pi, p in enumerate(probes):
@@ -278,11 +284,13 @@ class ControlComparison:
         return self.gap > 3.0 * self.gap_stderr
 
 
+CONTROL_DT = 1e-3       # path step of control_improvement_experiment
+CONTROL_BATCHES = 20    # batches its standard errors come from
+
+
 def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
                                    beta_inv: float, n_paths: int, seed: int,
-                                   x0, grid: GridFunction, dt: float = 1e-3,
-                                   n_batches: int = 20,
-                                   control: ControlField | None = None) -> ControlComparison:
+                                   x0, grid: GridFunction) -> ControlComparison:
     """Paired simulation of plain vs drift-controlled noisy descent.
 
     The control alpha(x, s) is the gradient of the backward value function
@@ -295,13 +303,13 @@ def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = objective.dim
     rng = substream(seed, "control-paths")
-    if control is None and T > 0:
-        control = solve_hjb_backward(objective, terminal_fn, T, beta_inv, grid)
+    control = solve_hjb_backward(objective, terminal_fn, T, beta_inv, grid) if T > 0 else None
     xc = np.tile(x0, (n_paths, 1))
     xp = xc.copy()
     energy = np.zeros(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
     lo, hi = grid.lower, grid.upper
+    dt = CONTROL_DT
     n_steps = int(round(T / dt)) if T > 0 else 0
     amp = math.sqrt(dt * beta_inv)
     for kstep in range(n_steps):
@@ -325,7 +333,7 @@ def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
     v_plain = np.asarray(terminal_fn(xp), dtype=float)
 
     def batch_stats(values):
-        b = np.array_split(values, n_batches)
+        b = np.array_split(values, CONTROL_BATCHES)
         means = np.array([chunk.mean() for chunk in b])
         return float(values.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
 
@@ -362,24 +370,16 @@ class SpectrumSummary:
     diagonal: Array
     hm_lambda: float
     hm_diag: float
-    am_lambda: float
-    c_axes: Array
-    c_lap: float
     indefinite: bool
     satisfies_eig_diag: bool
-    hm_bound: float | None = None
-    satisfies_hm_bound: bool | None = None
 
 
-def spectrum_summary(objective: Objective, x_star, t: float | None = None,
-                     C=None) -> SpectrumSummary:
+def spectrum_summary(objective: Objective, x_star) -> SpectrumSummary:
     """Hessian eigenvalue/diagonal summary at a local minimum.
 
-    Asserts the harmonic-mean comparison HM(eigs) <= HM(diag); when the
-    smoothing scale ``t`` and initial per-axis curvature bounds ``C`` are
-    supplied, also evaluates the smoothed bound HM(eigs) <= 1/(t + HM(C)^-1).
-    An indefinite Hessian triggers a warning and restricts the harmonic
-    means to the positive part.
+    Asserts the harmonic-mean comparison HM(eigs) <= HM(diag).  An
+    indefinite Hessian triggers a warning and restricts the harmonic means
+    to the positive part.
     """
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     gnorm = float(np.linalg.norm(objective.grad(x_star)))
@@ -397,19 +397,11 @@ def spectrum_summary(objective: Objective, x_star, t: float | None = None,
         pos_e, pos_d = eigs, diag
     hm_l = harmonic_mean(pos_e) if len(pos_e) else math.nan
     hm_d = harmonic_mean(pos_d) if len(pos_d) else math.nan
-    summary = SpectrumSummary(
+    return SpectrumSummary(
         eigenvalues=np.sort(eigs),
         diagonal=diag,
         hm_lambda=hm_l,
         hm_diag=hm_d,
-        am_lambda=float(eigs.mean()),
-        c_axes=diag.copy(),
-        c_lap=float(np.trace(H)),
         indefinite=indefinite,
         satisfies_eig_diag=bool(hm_l <= hm_d + 1e-12),
     )
-    if t is not None and C is not None:
-        hm_c = harmonic_mean(C)
-        summary.hm_bound = 1.0 / (t + 1.0 / hm_c)
-        summary.satisfies_hm_bound = bool(summary.hm_lambda <= summary.hm_bound + 1e-12)
-    return summary

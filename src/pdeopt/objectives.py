@@ -1,11 +1,13 @@
 """Test objectives with exact derivatives and controllable gradient noise.
 
 All optimizers and PDE solvers in this package consume the :class:`Objective`
-interface: a scalar loss with an exact gradient, an optional dense Hessian
-(the analytic objectives have one, :class:`TinyMLP` has none), and a
-stochastic gradient whose noise is either synthetic (additive Gaussian,
-variance ``noise_scale`` per component) or real minibatch noise
-(:class:`TinyMLP`).
+interface.  A subclass defines its loss and exact gradient once, on rows:
+``value_batch`` and ``grad_batch`` take points of shape (R, dim), and one
+point is row 0 of a one-row batch, so ``value`` and ``grad`` equal the batch
+bit for bit.  The analytic objectives also have a dense Hessian,
+:class:`TinyMLP` has none.  Stochastic gradients add noise that is either
+synthetic (additive Gaussian, variance ``noise_scale`` per component) or real
+minibatch noise (:class:`TinyMLP`).
 
 Objectives are pure and reentrant; stochastic gradients draw from a
 ``numpy.random.Generator`` passed in by the caller, so concurrent callers own
@@ -22,19 +24,23 @@ import numpy as np
 Array = np.ndarray
 
 class Objective:
-    """Scalar loss f: R^n -> R with exact gradient."""
+    """Scalar loss f: R^n -> R with exact gradient, defined on rows X of
+    shape (N, dim) by ``value_batch`` and ``grad_batch``."""
 
     dim: int
     noise_scale: float = 0.0
-    # True when every row of grad_batch(X) is bit-equal to grad(X[r]), so the
-    # rows of minibatch_grad may come from one grad_batch call
-    grad_batch_exact: bool = False
+
+    def value_batch(self, X: Array) -> Array:
+        raise NotImplementedError
+
+    def grad_batch(self, X: Array) -> Array:
+        raise NotImplementedError
 
     def value(self, x: Array) -> float:
-        raise NotImplementedError
+        return float(self.value_batch(_as_vec(x, self.dim)[None])[0])
 
     def grad(self, x: Array) -> Array:
-        raise NotImplementedError
+        return self.grad_batch(_as_vec(x, self.dim)[None])[0]
 
     def hessian(self, x: Array) -> Array:
         raise NotImplementedError(f"{type(self).__name__} has no dense Hessian")
@@ -43,39 +49,19 @@ class Objective:
         """(samples per stochastic gradient, samples per epoch): 1 epoch per gradient."""
         return 1, 1
 
-    def stochastic_grad(self, x: Array, rng: np.random.Generator) -> Array:
-        """Unbiased noisy gradient; equals grad(x) when noise_scale == 0."""
-        g = self.grad(x)
-        if self.noise_scale > 0.0:
-            g = g + np.sqrt(self.noise_scale) * rng.standard_normal(self.dim)
-        return g
-
     def minibatch_grad(self, x: Array, rng, batch_size: int | None = None) -> Array:
         """Stochastic gradient at x, shape (dim,), drawing from ``rng``; or at
-        each row of x, shape (R, dim), row r drawing from ``rng[r]``.  Without
-        a dataset there is no batch: ``batch_size`` is ignored.  Rows equal
-        their ``stochastic_grad`` bit for bit, and each generator ends where
-        it would."""
+        each row of x, shape (R, dim), row r drawing from ``rng[r]``: the exact
+        gradient plus, when ``noise_scale > 0``, sqrt(noise_scale) times one
+        ``standard_normal(dim)`` draw per row.  Without a dataset there is no
+        batch: ``batch_size`` is ignored."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.stochastic_grad(x, rng)
-        if not self.grad_batch_exact:
-            return np.array([self.stochastic_grad(row, r) for row, r in zip(x, rng)])
-        g = self.grad_batch(x)
+        single = x.ndim == 1
+        rows, rngs = (x[None], (rng,)) if single else (x, rng)
+        g = self.grad_batch(rows)
         if self.noise_scale > 0.0:
-            g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rng])
-        return g
-
-    # Vectorized evaluation over rows of X, shape (N, dim).  The defaults
-    # loop; analytic subclasses override with array arithmetic because the
-    # grid solvers call these on many thousands of points.
-    def value_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(X)
-        return np.array([self.value(row) for row in X])
-
-    def grad_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(X)
-        return np.stack([self.grad(row) for row in X])
+            g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rngs])
+        return g[0] if single else g
 
 
 def _as_vec(x, dim: int) -> Array:
@@ -101,30 +87,18 @@ class Quadratic(Objective):
         self.p = p
         self.dim = p.shape[0]
 
-    def value(self, x):
-        x = _as_vec(x, self.dim)
-        return float(0.5 * x @ self.Q @ x + self.p @ x)
-
-    def grad(self, x):
-        x = _as_vec(x, self.dim)
-        return self.Q @ x + self.p
-
     def hessian(self, x):
         return self.Q.copy()
 
+    # Qx by einsum and f = x.(Qx/2 + p) by a row sum, not matmul: matmul runs
+    # one row through another BLAS kernel than many, which may sum in another
+    # order
     def value_batch(self, X):
         X = np.atleast_2d(X)
-        return 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X) + X @ self.p
+        return (X * (0.5 * np.einsum("ij,nj->ni", self.Q, X) + self.p)).sum(axis=1)
 
     def grad_batch(self, X):
-        X = np.atleast_2d(X)
-        return X @ self.Q.T + self.p
-
-    @property
-    def grad_batch_exact(self) -> bool:
-        # in 1D both are one product; beyond, matmul and matvec may sum in
-        # different orders
-        return self.dim == 1
+        return np.einsum("ij,nj->ni", self.Q, np.atleast_2d(X)) + self.p
 
     def minimizer(self) -> Array:
         return np.linalg.solve(self.Q, -self.p)
@@ -134,20 +108,11 @@ class DoubleWell(Objective):
     """f(x) = (x^2 - a^2)^2 in 1D: minima at +-a, barrier a^4 at the origin."""
 
     dim = 1
-    grad_batch_exact = True
 
     def __init__(self, a: float):
         if a <= 0:
             raise ValueError("a must be positive")
         self.a = float(a)
-
-    def value(self, x):
-        x = _as_vec(x, 1)[0]
-        return float((x * x - self.a**2) ** 2)
-
-    def grad(self, x):
-        x = _as_vec(x, 1)[0]
-        return np.array([4.0 * x * (x * x - self.a**2)])
 
     def hessian(self, x):
         x = _as_vec(x, 1)[0]
@@ -172,7 +137,6 @@ class Rugged1D(Objective):
     """
 
     dim = 1
-    grad_batch_exact = True
 
     def __init__(self, seed: int, n_modes: int, box: tuple[float, float] = (-3.0, 3.0)):
         if n_modes < 2:
@@ -195,18 +159,6 @@ class Rugged1D(Objective):
         self._amps = np.array(amps)
         self._omegas = np.array(omegas)
         self._phases = phases
-
-    def _waves(self, x):
-        return self._amps * np.sin(np.multiply.outer(x, self._omegas) + self._phases)
-
-    def value(self, x):
-        x = _as_vec(x, 1)[0]
-        return float(0.5 * self.k_env * (x - self.center) ** 2 + self._waves(x).sum())
-
-    def grad(self, x):
-        x = _as_vec(x, 1)[0]
-        dw = (self._amps * self._omegas * np.cos(x * self._omegas + self._phases)).sum()
-        return np.array([self.k_env * (x - self.center) + dw])
 
     def hessian(self, x):
         x = _as_vec(x, 1)[0]
@@ -306,14 +258,16 @@ class TinyMLP(Objective):
         db1 = dz1.sum(axis=1)
         return np.concatenate([dW1.reshape(R, -1), db1, dW2.reshape(R, -1), db2], axis=1)
 
-    def _full(self, x):
-        return np.asarray(x, dtype=float)[None], np.arange(self.n_samples)[None]
+    def _full(self, X):
+        """X as rows, shape (R, dim), and every sample index for each row, (R, n)."""
+        X = np.atleast_2d(X)
+        return X, np.arange(self.n_samples)[None].repeat(len(X), axis=0)
 
-    def value(self, x):
-        return float(self._loss(*self._full(x))[0])
+    def value_batch(self, X):
+        return self._loss(*self._full(X))
 
-    def grad(self, x):
-        return self._grad(*self._full(x))[0]
+    def grad_batch(self, X):
+        return self._grad(*self._full(X))
 
     def minibatch_grad(self, x, rng, batch_size: int | None = None) -> Array:
         """Minibatch gradient at x, shape (dim,), with indices drawn from
@@ -326,14 +280,10 @@ class TinyMLP(Objective):
         single = x.ndim == 1
         rows, rngs = (x[None], (rng,)) if single else (x, rng)
         if b == self.n_samples:
-            idx = np.broadcast_to(np.arange(b), (len(rows), b))
+            g = self.grad_batch(rows)
         else:
-            idx = np.array([r.integers(0, self.n_samples, size=b) for r in rngs])
-        g = self._grad(rows, idx)
+            g = self._grad(rows, np.array([r.integers(0, self.n_samples, size=b) for r in rngs]))
         return g[0] if single else g
-
-    def stochastic_grad(self, x, rng):
-        return self.minibatch_grad(x, rng)
 
 
 class CustomObjective(Objective):
@@ -347,21 +297,19 @@ class CustomObjective(Objective):
         self._value_batch = value_batch_fn
         self.noise_scale = noise_scale
 
-    def value(self, x):
-        return float(self._value(_as_vec(x, self.dim)))
-
-    def grad(self, x):
-        return np.atleast_1d(np.asarray(self._grad(_as_vec(x, self.dim)), dtype=float))
-
     def hessian(self, x):
         if self._hessian is None:
             raise NotImplementedError("no Hessian supplied")
         return np.atleast_2d(np.asarray(self._hessian(_as_vec(x, self.dim)), dtype=float))
 
     def value_batch(self, X):
+        X = np.atleast_2d(X)
         if self._value_batch is not None:
-            return np.asarray(self._value_batch(np.atleast_2d(X)), dtype=float)
-        return super().value_batch(X)
+            return np.asarray(self._value_batch(X), dtype=float)
+        return np.array([float(self._value(row)) for row in X])
+
+    def grad_batch(self, X):
+        return np.array([np.atleast_1d(np.asarray(self._grad(row), dtype=float)) for row in np.atleast_2d(X)])
 
 
 # ---------------------------------------------------------------------------

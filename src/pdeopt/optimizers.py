@@ -41,6 +41,9 @@ seeds run beside it, bit for bit:
   the perturbation, then the indices), and a full batch draws no indices;
 * ``TinyMLP.minibatch_grad`` runs each row through the same BLAS call a
   single row makes (stacked matmul; einsum would differ in the last bits);
+* the analytic objectives' ``grad_batch`` rows do not depend on the rows
+  beside them (``Quadratic`` forms Qx by einsum: matmul runs one row
+  through another kernel than many);
 * the elastic worker mean reduces a (repeats, workers, dim) view over the
   workers, the order a mean over a list of workers takes;
 * the control energy adds ``float(d[p] @ d[p])`` per repeat; a batched

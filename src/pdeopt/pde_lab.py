@@ -34,8 +34,9 @@ face, with reflecting walls like the path simulator's.  Its transpose steps
 densities forward (``evolve_fokker_planck``); G itself steps the Cole-Hopf
 transform phi = exp(-beta (w - min w)) of the backward HJB value function
 backward (``solve_hjb_backward``, used by the control experiments), so the
-control solve is linear.  Also the proximal map ``prox_point`` and small
-diagnostics (characteristic fixed points, shock time, convexity intervals).
+control solve is linear.  Also the proximal map ``prox_point``, and the
+characteristic fixed point and shock time of Burgers' equation, the
+independent oracle for the derivative of the Hopf-Lax solution.
 
 All solvers are pure functions of their inputs and run single-threaded.
 """
@@ -249,12 +250,6 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
 # Hopf-Lax inf-convolution
 
 
-def hopf_lax_search_radius(objective: Objective, grid: GridFunction, t: float) -> float:
-    """Radius beyond the box that can still host a minimizer of the
-    inf-convolution: |x - y*|^2 <= 2 t (max f - min f) on the box."""
-    return _search_radius(objective.value_batch(grid.points()), t)
-
-
 def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> GridFunction:
     """Exact grid inf-convolution of f with the quadratic |x-y|^2/(2t).
 
@@ -293,15 +288,18 @@ class ProxResult:
         return float(np.linalg.norm(self.grad_u - self.grad_f_at_y))
 
 
-def prox_point(objective: Objective, x, t: float, scan_box=None, n_scan: int = 801,
-               n_starts: int = 4) -> ProxResult:
+PROX_SCAN_POINTS = 801  # about this many points in prox_point's scan
+PROX_STARTS = 4         # and the best distinct starts it polishes
+
+
+def prox_point(objective: Objective, x, t: float) -> ProxResult:
     """argmin_y { f(y) + |x-y|^2/(2t) } by multi-start descent.
 
-    In one or two dimensions the starts come from a grid scan of the
-    objective, so distant competing minimizers are found; in higher
-    dimensions descent starts from x.  The result is flagged non-unique when
-    two polished minimizers farther apart than 1e-4 have objective values
-    within 1e-10 of each other.
+    In one or two dimensions the starts come from a scan of the objective on
+    a grid of about ``PROX_SCAN_POINTS`` points, so distant competing
+    minimizers are found; in higher dimensions descent starts from x.  The
+    result is flagged non-unique when two polished minimizers farther apart
+    than 1e-4 have objective values within 1e-10 of each other.
     """
     from scipy.optimize import minimize
 
@@ -318,35 +316,31 @@ def prox_point(objective: Objective, x, t: float, scan_box=None, n_scan: int = 8
 
     starts: list[Array]
     if dim <= 2:
-        if scan_box is None:
-            if hasattr(objective, "box"):
-                lo = np.minimum(np.full(dim, objective.box[0]), x - 0.5)
-                hi = np.maximum(np.full(dim, objective.box[1]), x + 0.5)
-            else:
-                f_here = objective.value(x)
-                R = math.sqrt(2.0 * t * max(1.0, abs(f_here) + 1.0)) + 1.0
-                lo, hi = x - R, x + R
+        if hasattr(objective, "box"):
+            lo = np.minimum(np.full(dim, objective.box[0]), x - 0.5)
+            hi = np.maximum(np.full(dim, objective.box[1]), x + 0.5)
         else:
-            lo = np.atleast_1d(np.asarray(scan_box[0], dtype=float))
-            hi = np.atleast_1d(np.asarray(scan_box[1], dtype=float))
+            f_here = objective.value(x)
+            R = math.sqrt(2.0 * t * max(1.0, abs(f_here) + 1.0)) + 1.0
+            lo, hi = x - R, x + R
         if dim == 1:
-            ys = np.linspace(lo[0], hi[0], n_scan)[:, None]
+            ys = np.linspace(lo[0], hi[0], PROX_SCAN_POINTS)[:, None]
         else:
-            side = int(math.sqrt(n_scan)) + 1
+            side = int(math.sqrt(PROX_SCAN_POINTS)) + 1
             a0 = np.linspace(lo[0], hi[0], side)
             a1 = np.linspace(lo[1], hi[1], side)
             g0, g1 = np.meshgrid(a0, a1, indexing="ij")
             ys = np.column_stack([g0.ravel(), g1.ravel()])
         hv = objective.value_batch(ys) + ((x - ys) ** 2).sum(axis=1) / (2.0 * t)
         order = np.argsort(hv)
-        starts = [ys[i] for i in order[: 3 * n_starts]]
+        starts = [ys[i] for i in order[: 3 * PROX_STARTS]]
         # keep starts that are mutually distant so symmetric minimizers survive
         kept: list[Array] = []
         min_sep = 0.05 * float(np.max(hi - lo))
         for s in starts:
             if all(np.linalg.norm(s - kk) > min_sep for kk in kept):
                 kept.append(s)
-            if len(kept) == n_starts:
+            if len(kept) == PROX_STARTS:
                 break
         starts = kept + [x]
     else:
@@ -576,9 +570,11 @@ class ControlField:
         return multilinear(G, self.grid.lower, self.grid.spacing, x)
 
 
+HJB_MAX_SLICES = 1024   # time slices of grad u kept by solve_hjb_backward, at most
+
+
 def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: float,
-                       grid: GridFunction, dt: float | None = None,
-                       max_slices: int = 1024) -> ControlField:
+                       grid: GridFunction) -> ControlField:
     """Backward value function for drift-controlled descent.
 
     In reversed time tau = T - s the value function solves
@@ -591,7 +587,8 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
     underflows after the first exp, which needs beta * (max V - min V) <= 700
     on the grid; beyond that, or for beta_inv <= 0, a ValueError is raised.
-    Returns the gradient field grad u(x, s) ready for path simulation.
+    Returns the gradient field grad u(x, s) ready for path simulation, on at
+    most ``HJB_MAX_SLICES`` time slices.
     """
     if beta_inv <= 0:
         raise ValueError(f"the log transform needs beta_inv > 0, got beta_inv={beta_inv:g}")
@@ -604,9 +601,9 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     spacing = grid.spacing
     bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
     drifts = [bfield[..., axis] for axis in range(grid.dim)]
-    n_steps, step = _time_steps(T, dt, 0.8, fp_cfl_limit(drifts, spacing, beta_inv))
+    n_steps, step = _time_steps(T, None, 0.8, fp_cfl_limit(drifts, spacing, beta_inv))
     G = _generator(drifts, spacing, beta_inv)
-    keep_every = max(1, int(math.ceil((n_steps + 1) / max_slices)))
+    keep_every = max(1, int(math.ceil((n_steps + 1) / HJB_MAX_SLICES)))
     kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})
     # slices ascend in forward time s = T - tau: tau = 0 fills the last one
     gradients = np.empty((len(kept), *grid.n_points, grid.dim))
@@ -625,7 +622,7 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
+# Burgers characteristics
 
 
 def burgers_characteristic_check(objective: Objective, x: float, t: float,
@@ -667,31 +664,6 @@ def shock_time(objective: Objective, box: tuple[float, float], n: int = 4001) ->
     fpp = np.gradient(g, xs)
     m = float(fpp.min())
     return math.inf if m >= 0 else 1.0 / (-m)
-
-
-def convexity_interval(u: GridFunction, x_min: float, tol: float = -1e-10) -> tuple[float, float]:
-    """Widest interval around a grid-local minimum where the discrete second
-    difference stays >= tol."""
-    if u.dim != 1:
-        raise ValueError("convexity intervals are one-dimensional")
-    xs = u.axes()[0]
-    vals = u.values
-    i = int(np.argmin(np.abs(xs - x_min)))
-    i = max(1, min(len(xs) - 2, i))
-    neighborhood = vals[max(0, i - 1) : i + 2]
-    if vals[i] > neighborhood.min() + 1e-12:
-        raise ValueError(f"x_min={x_min:g} is not a grid-local minimum")
-    h2 = u.spacing[0] ** 2
-    d2 = np.empty(len(xs))
-    d2[1:-1] = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h2
-    d2[0], d2[-1] = d2[1], d2[-2]
-    left = i
-    while left > 0 and d2[left - 1] >= tol:
-        left -= 1
-    right = i
-    while right < len(xs) - 1 and d2[right + 1] >= tol:
-        right += 1
-    return float(xs[left]), float(xs[right])
 
 
 def solve_pde(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:

@@ -282,12 +282,6 @@ class TestSpectrumSummary:
             s = analysis.spectrum_summary(obj, np.zeros(8))
             assert s.satisfies_eig_diag
 
-    def test_smoothed_bound(self):
-        obj = Quadratic(np.diag([1.0, 2.0]), np.zeros(2))
-        s = analysis.spectrum_summary(obj, np.zeros(2), t=0.5, C=[1.0, 2.0])
-        hm_c = analysis.harmonic_mean([1.0, 2.0])
-        assert s.hm_bound == pytest.approx(1.0 / (0.5 + 1.0 / hm_c))
-
     def test_indefinite_warns_and_flags(self):
         obj = Quadratic(np.diag([1.0, -0.5]), np.zeros(2))
         with pytest.warns(UserWarning):

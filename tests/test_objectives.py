@@ -191,29 +191,72 @@ class TestStackedMinibatchGrad:
            R=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0),
            noise=st.sampled_from([0.0, 0.3]))
     def test_stacked_grad_matches_row_loop(self, kind, param, R, seed, scale, noise):
-        # objectives whose grad_batch rows equal grad take one grad_batch call
         obj = {"quadratic": lambda: make_quadratic(0.5 + param / 10, param / 20 - 1, 1),
                "double_well": lambda: make_double_well(0.5 + param / 40),
                "rugged": lambda: make_rugged_1d(param, 2 + param % 7)}[kind]()
         obj.noise_scale = noise
-        assert obj.grad_batch_exact
         x = scale * np.random.default_rng(seed).standard_normal((R, 1))
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
         twins = [np.random.default_rng([seed, r]) for r in range(R)]
         g = obj.minibatch_grad(x, rngs)
         assert g.shape == (R, 1)
         for r in range(R):
-            assert g[r].tobytes() == obj.stochastic_grad(x[r].copy(), twins[r]).tobytes()
+            assert g[r].tobytes() == obj.minibatch_grad(x[r].copy(), twins[r]).tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
     def test_base_objective_loops_rows(self):
+        # a 3D quadratic: grad_batch's matmul gives each row what grad gives it
         q = make_quadratic(2.0, 0.5, 3)
         q.noise_scale = 0.1
         x = np.random.default_rng(0).standard_normal((4, 3))
-        assert not q.grad_batch_exact  # matmul and matvec may sum in different orders
         g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)], 16)
         for r in range(4):
-            np.testing.assert_array_equal(g[r], q.stochastic_grad(x[r], np.random.default_rng(r)))
+            assert g[r].tobytes() == q.minibatch_grad(x[r].copy(), np.random.default_rng(r), 16).tobytes()
+
+
+class TestOneDefinition:
+    """Each objective is defined once, on rows: a point's value and gradient
+    are its row of the batch, bit for bit, and each row of a stacked
+    minibatch gradient is its own one-row call."""
+
+    KINDS = ["quadratic", "spd3", "double_well", "rugged", "mlp", "custom"]
+    MLP = make_tiny_mlp(0, 8, 200)
+
+    @classmethod
+    def build(cls, kind, param):
+        if kind == "quadratic":
+            return get_entry(f"quadratic_c{0.5 + param / 10:g}_n{1 + param % 3}").objective
+        if kind == "spd3":
+            A = np.random.default_rng(param).standard_normal((3, 3))
+            return Quadratic(A @ A.T + 0.1 * np.eye(3), np.random.default_rng(param + 1).standard_normal(3))
+        if kind == "double_well":
+            return get_entry(f"double_well_a{0.5 + param / 40:g}").objective
+        if kind == "rugged":
+            return make_rugged_1d(param, 2 + param % 7)
+        if kind == "mlp":
+            return cls.MLP
+        return CustomObjective(2, lambda x: float(np.sin(x[0]) * x[1] + 0.1 * x[1] ** 3),
+                               lambda x: np.array([np.cos(x[0]) * x[1], np.sin(x[0]) + 0.3 * x[1] ** 2]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(KINDS), param=st.integers(0, 40), R=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0), noise=st.sampled_from([0.0, 0.3]))
+    def test_point_is_its_row(self, kind, param, R, seed, scale, noise):
+        obj = self.build(kind, param)
+        x = scale * np.random.default_rng(seed).standard_normal((R, obj.dim))
+        values, grads = obj.value_batch(x), obj.grad_batch(x)
+        for r in range(R):
+            assert np.float64(obj.value(x[r].copy())).tobytes() == values[r].tobytes()
+            assert obj.grad(x[r].copy()).tobytes() == grads[r].tobytes()
+        if kind != "mlp":      # minibatch noise, not additive
+            obj.noise_scale = noise
+        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
+        twins = [np.random.default_rng([seed, r]) for r in range(R)]
+        g = obj.minibatch_grad(x, rngs)
+        assert g.shape == (R, obj.dim)
+        for r in range(R):
+            assert g[r].tobytes() == obj.minibatch_grad(x[r].copy(), twins[r]).tobytes()
+            assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
 
 class TestNoiseModel:
@@ -222,14 +265,14 @@ class TestNoiseModel:
         q.noise_scale = 0.05
         x = np.array([0.7, -0.2])
         rng = np.random.default_rng(9)
-        draws = np.stack([q.stochastic_grad(x, rng) for _ in range(20_000)])
+        draws = np.stack([q.minibatch_grad(x, rng) for _ in range(20_000)])
         np.testing.assert_allclose(draws.mean(axis=0), q.grad(x), atol=0.01)
         np.testing.assert_allclose(draws.var(axis=0), 0.05, rtol=0.1)
 
     def test_zero_noise_is_exact(self):
         q = make_quadratic(1.0, 0.0, 2)
         x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(q.stochastic_grad(x, np.random.default_rng(0)), q.grad(x))
+        np.testing.assert_array_equal(q.minibatch_grad(x, np.random.default_rng(0)), q.grad(x))
 
 
 class TestCorpus:

@@ -23,7 +23,6 @@ from pdeopt.pde_lab import (
     CflError,
     PdeSolveConfig,
     burgers_characteristic_check,
-    convexity_interval,
     evolve_fokker_planck,
     prox_point,
     shock_time,
@@ -176,7 +175,8 @@ class TestHopfLax:
         u = solve_hj_hopf_lax(obj, t, grid)
         xs = grid.axes()[0]
         h = grid.spacing[0]
-        radius = pde_lab.hopf_lax_search_radius(obj, grid, t)
+        # minimizers lie within sqrt(2 t range f) of x, range f on the nodes
+        radius = math.sqrt(2.0 * t * np.ptp(obj.value_batch(grid.points())))
         pad = int(math.ceil(radius / h))
         ys = -3.0 - pad * h + h * np.arange(201 + 2 * pad)
         fv = obj.value_batch(ys[:, None])
@@ -802,49 +802,6 @@ class TestBurgers:
             p, ok = burgers_characteristic_check(dw, xs[i], t)
             assert ok
             assert abs(p - du) < 10 * h
-
-
-class TestConvexityInterval:
-    def test_globally_convex(self):
-        grid = GridFunction.from_callable(lambda P: P[:, 0] ** 2 / 2, [-1.0], [1.0], [101])
-        lo, hi = convexity_interval(grid, 0.0)
-        assert lo == -1.0 and hi == 1.0
-
-    def test_rejects_non_minimum(self):
-        grid = GridFunction.from_callable(lambda P: P[:, 0] ** 2 / 2, [-1.0], [1.0], [101])
-        with pytest.raises(ValueError):
-            convexity_interval(grid, 0.9)
-
-    def test_double_well_interval_widens(self):
-        dw = make_double_well(1.0)
-        grid = GridFunction.geometry([-2.0], [2.0], [1601])
-        t_star = shock_time(dw, (-2.0, 2.0))
-        intervals = []
-        for t in (0.3 * t_star, 0.6 * t_star, 0.9 * t_star):
-            u = solve_hj_hopf_lax(dw, t, grid)
-            intervals.append(convexity_interval(u, 1.0))
-        h = grid.spacing[0]
-        for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-            assert lo2 <= lo1 + h / 2 and hi2 >= hi1 - h / 2
-
-    def test_rugged_interval_widens_over_five_times(self):
-        obj = make_rugged_1d(7, 5)
-        t_star = shock_time(obj, (-3.0, 3.0))
-        grid = GridFunction.geometry([-3.0], [3.0], [2049])
-        from pdeopt.objectives import get_entry, global_minimum
-        x_min = float(global_minimum(get_entry("rugged_s7_m5"))[0])
-        times = np.linspace(0.15, 0.9, 5) * t_star
-        widths = []
-        intervals = []
-        for t in times:
-            u = solve_hj_hopf_lax(obj, float(t), grid)
-            lo, hi = convexity_interval(u, x_min)
-            intervals.append((lo, hi))
-            widths.append(hi - lo)
-        h = grid.spacing[0]
-        for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-            assert lo2 <= lo1 + h / 2 and hi2 >= hi1 - h / 2
-        assert widths[-1] > widths[0]
 
 
 class TestConfigValidation:
