@@ -117,13 +117,15 @@ class GridFunction:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        pts = self.points()
+        """One ``x[,y],value`` row per point in row-major order, every number
+        written by ``repr``: each axis coordinate is formatted once and the
+        rows stream from the product of the axes."""
         header = ("x,value" if self.dim == 1 else "x,y,value")
+        axes = [[repr(float(c)) for c in ax] for ax in self.axes()]
+        rows = map(",".join, itertools.product(*axes))
         with open(path, "w", newline="") as fh:
             fh.write(header + "\n")
-            for row, v in zip(pts, self.values):
-                coords = ",".join(repr(float(c)) for c in row)
-                fh.write(f"{coords},{float(v)!r}\n")
+            fh.writelines(map("{},{!r}\n".format, rows, map(float, self.values)))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":

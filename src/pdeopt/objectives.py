@@ -287,9 +287,14 @@ class TinyMLP(Objective):
 
 
 class CustomObjective(Objective):
-    """Wrap plain callables as an objective (used for ad-hoc test functions)."""
+    """Wrap plain callables as an objective (used for ad-hoc test functions).
+
+    The value comes from exactly one of ``value_fn`` (one point) and
+    ``value_batch_fn`` (rows of points); pass None for the other."""
 
     def __init__(self, dim, value_fn, grad_fn, hessian_fn=None, value_batch_fn=None, noise_scale=0.0):
+        if (value_fn is None) == (value_batch_fn is None):
+            raise ValueError("CustomObjective takes exactly one of value_fn and value_batch_fn")
         self.dim = dim
         self._value = value_fn
         self._grad = grad_fn

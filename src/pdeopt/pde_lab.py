@@ -370,25 +370,6 @@ def prox_point(objective: Objective, x, t: float) -> ProxResult:
 # monotone finite differences
 
 
-def _godunov_differences(u: Array, spacing: Array) -> list[tuple[Array, Array, Array]]:
-    """Per axis, from one linear-extrapolation ghost cell per side: the
-    backward and forward differences (u_i - u_{i-1})/h and (u_{i+1} - u_i)/h,
-    and the undivided second difference u_{i+1} - 2 u_i + u_{i-1}."""
-    up = np.zeros(tuple(n + 2 for n in u.shape))  # no stencil reads the corners
-    inner = slice(1, -1)
-    up[(inner,) * u.ndim] = u
-    terms = []
-    for axis in range(u.ndim):
-        def at(i, rest):
-            return tuple(i if d == axis else rest for d in range(u.ndim))
-
-        up[at(0, inner)] = 2.0 * u[at(0, slice(None))] - u[at(1, slice(None))]
-        up[at(-1, inner)] = 2.0 * u[at(-1, slice(None))] - u[at(-2, slice(None))]
-        um, uc, upl = up[at(slice(0, -2), inner)], up[at(inner, inner)], up[at(slice(2, None), inner)]
-        terms.append(((uc - um) / spacing[axis], (upl - uc) / spacing[axis], upl - 2.0 * uc + um))
-    return terms
-
-
 def cfl_limit(u0: Array, spacing: Array, beta_inv: float) -> float:
     """Largest dt allowed by the monotone restriction
     dt <= h^2 / (d (beta_inv + h max|grad u|))."""
@@ -400,8 +381,11 @@ def cfl_limit(u0: Array, spacing: Array, beta_inv: float) -> float:
 
 def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tuple[int, float]:
     """(n, t / n): the fewest equal explicit steps no longer than dt, or than
-    safety * limit when dt is None.  An explicit dt above the stability
-    limit raises CflError."""
+    safety * limit when dt is None.  A limit that is not finite and positive,
+    or an explicit dt above it, raises CflError."""
+    if not (math.isfinite(limit) and limit > 0.0):
+        raise CflError(f"the stability limit {limit:g} is not finite and positive: "
+                       "the input values or drifts are not finite")
     if dt is None:
         dt = safety * limit
     elif dt > limit * (1.0 + 1e-12):
@@ -418,28 +402,75 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
     extrapolation ghost cells.  Zero viscosity is allowed.  The time step is
     validated against the monotone restriction before stepping and NaNs abort
     with a diagnostic.
+
+    u lives in a padded array with one ghost cell per side (no stencil reads
+    the corners), and each step writes into views and buffers made once per
+    solve.  Per axis, D = (u_{i+1} - u_i)/h over the padded axis holds the
+    backward and forward differences as two slices, the second difference is
+    (u_{i+1} - 2 u_i) + u_{i-1}, and ham and lap are summed from zero.
     """
     if cfg.boundary != "extrapolating":
         raise NotImplementedError("the upwind scheme supports extrapolating boundaries only")
     if isinstance(objective_or_u0, GridFunction):
-        u = objective_or_u0.array.copy()
+        u0 = objective_or_u0.array
     else:
-        u = objective_or_u0.value_batch(grid.points()).reshape(grid.n_points)
+        u0 = objective_or_u0.value_batch(grid.points()).reshape(grid.n_points)
     h = grid.spacing
-    n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u, h, cfg.beta_inv))
+    n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u0, h, cfg.beta_inv))
+
+    dim, inner = u0.ndim, slice(1, -1)
+    padded = np.zeros(tuple(n + 2 for n in u0.shape))
+    u = padded[(inner,) * dim]
+    u[...] = u0
+    ham, lap, work, term = (np.empty_like(u) for _ in range(4))
+    axes = []   # per axis: the views each step reads and writes, made once
+    for axis in range(dim):
+        def at(i, axis=axis, rest=inner):
+            return tuple(i if d == axis else rest for d in range(dim))
+
+        def slab(i):   # one layer across the axis, a view in 1D too
+            return padded[at(slice(i, (i + 1) or None))]
+
+        diff = np.empty(tuple(n + (d == axis) for d, n in enumerate(u.shape)))
+        axes.append((slab(0), slab(1), slab(2),       # low ghost, u_0, u_1
+                     slab(-1), slab(-2), slab(-3),    # high ghost, u_n, u_{n-1}
+                     padded[at(slice(1, None))], padded[at(slice(None, -1))], diff,
+                     diff[at(slice(None, -1), rest=slice(None))], diff[at(slice(1, None), rest=slice(None))],
+                     padded[at(slice(None, -2))], padded[at(slice(2, None))], h[axis], h[axis] ** 2))
+    half_viscosity = 0.5 * cfg.beta_inv
 
     for step in range(n_steps):
-        ham = np.zeros_like(u)
-        lap = np.zeros_like(u)
-        for axis, (dminus, dplus, d2) in enumerate(_godunov_differences(u, h)):
-            ham += 0.5 * (np.maximum(dminus, 0.0) ** 2 + np.minimum(dplus, 0.0) ** 2)
-            lap += d2 / h[axis] ** 2
-        u = u + dt * (-ham + 0.5 * cfg.beta_inv * lap)
+        ham.fill(0.0)   # summed from zero: 0.0 + -0.0 is +0.0, and that sign can reach u
+        lap.fill(0.0)
+        for (lo, first, second, hi, last, penult, ahead, behind, diff, dminus, dplus,
+             um, up, hx, h2) in axes:
+            np.multiply(first, 2.0, out=lo)
+            np.subtract(lo, second, out=lo)
+            np.multiply(last, 2.0, out=hi)
+            np.subtract(hi, penult, out=hi)
+            np.subtract(ahead, behind, out=diff)
+            np.divide(diff, hx, out=diff)
+            np.maximum(dminus, 0.0, out=work)
+            np.square(work, out=work)
+            np.minimum(dplus, 0.0, out=term)
+            np.square(term, out=term)
+            np.add(work, term, out=work)
+            np.multiply(work, 0.5, out=work)
+            ham += work
+            np.multiply(u, 2.0, out=work)
+            np.subtract(up, work, out=work)
+            np.add(work, um, out=work)
+            np.divide(work, h2, out=work)
+            lap += work
+        np.multiply(lap, half_viscosity, out=lap)   # u += dt * (-ham + (beta_inv/2) lap)
+        np.subtract(lap, ham, out=lap)
+        np.multiply(lap, dt, out=lap)
+        u += lap
         if step % 64 == 0 and not np.isfinite(u).all():
             raise NanAbort(f"NaN at step {step} (t={step * dt:g})")
     if not np.isfinite(u).all():
         raise NanAbort("NaN in final solution")
-    return grid.with_values(u.ravel())
+    return grid.with_values(u.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TestSampleInvariantMeasure:
         assert abs(est.covariance[0, 0] - 0.5) <= 3 * est.variance_stderr[0]
 
     def test_free_particle_ornstein_uhlenbeck(self):
-        zero = CustomObjective(1, lambda x: 0.0, lambda x: np.zeros(1),
+        zero = CustomObjective(1, None, lambda x: np.zeros(1),
                                value_batch_fn=lambda X: np.zeros(len(X)))
         zero.grad_batch = lambda X: np.zeros_like(np.atleast_2d(X))
         est = analysis.sample_invariant_measure(zero, np.array([0.5]), 2.0, 0.25,
@@ -96,7 +96,7 @@ class TestSampleInvariantMeasure:
 
     def test_divergence_detected(self):
         # concave objective overwhelms the coupling: gamma too large
-        bad = CustomObjective(1, lambda x: -5.0 * x[0] ** 2, lambda x: -10.0 * x,
+        bad = CustomObjective(1, None, lambda x: -10.0 * x,
                               value_batch_fn=lambda X: -5.0 * X[:, 0] ** 2)
         bad.grad_batch = lambda X: -10.0 * np.atleast_2d(X)
         with pytest.raises(RuntimeError):
@@ -163,7 +163,7 @@ class TestHomogenization:
                     assert table.drift_samples[ei, pi, si] == (state.x[0, 0] - p) / cfg.eta
 
     def test_zero_objective_deviation_within_noise(self):
-        zero = CustomObjective(1, lambda x: 0.0, lambda x: np.zeros(1),
+        zero = CustomObjective(1, None, lambda x: np.zeros(1),
                                value_batch_fn=lambda X: np.zeros(len(X)))
         n_seeds = 8
         table = analysis.verify_homogenization(zero, [0.3], gamma=0.5, beta_inv=1e-6,
@@ -227,7 +227,7 @@ class TestSemiconcavity:
     def test_heat_flow_decays_slower(self):
         # eigenfunction decay exp(-beta_inv t / 2) stays above the 1/(1/C0+t)
         # curve for small t, so the heat flow breaks the curvature bound
-        sin_obj = CustomObjective(1, lambda x: float(np.sin(x[0])), lambda x: np.cos(x),
+        sin_obj = CustomObjective(1, None, lambda x: np.cos(x),
                                   value_batch_fn=lambda X: np.sin(X[:, 0]))
         grid = GridFunction.geometry([0.0], [2 * np.pi], [513])
         beta_inv = 0.1

@@ -141,6 +141,20 @@ class TestSerialization:
         assert back.n_points == (5, 7)
         assert path.read_text().splitlines()[0] == "x,y,value"
 
+    @pytest.mark.parametrize("lower, upper, n_points", [
+        ([-0.7], [2.3], [11]),                 # spacings 0.3, 0.3 and 0.24: not dyadic
+        ([-0.3, 0.1], [0.9, 1.3], [5, 6]),
+    ])
+    def test_csv_bytes_are_repr_per_row(self, tmp_path, lower, upper, n_points):
+        # the per-row formula: every coordinate and value of a row through repr
+        g = GridFunction.from_callable(lambda P: np.exp(P.sum(axis=1)) / 3.0, lower, upper, n_points)
+        g.values[:5] = [-0.0, 1e-7, 1e17, np.nan, np.inf]
+        path = tmp_path / "g.csv"
+        g.to_csv(path)
+        header = "x,value" if g.dim == 1 else "x,y,value"
+        rows = [",".join(repr(float(c)) for c in (*p, v)) for p, v in zip(g.points(), g.values)]
+        assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
+
     def test_binary_roundtrip(self, tmp_path):
         g = GridFunction.from_callable(lambda P: np.cos(P[:, 0]) + P[:, 1], [0.0, 0.0], [3.0, 2.0], [9, 5])
         path = tmp_path / "g.bin"

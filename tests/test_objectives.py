@@ -333,9 +333,17 @@ class TestCorpus:
 
 class TestCustomObjective:
     def test_wraps_callables(self):
-        obj = CustomObjective(1, lambda x: float(np.sin(x[0])), lambda x: np.cos(x),
+        obj = CustomObjective(1, None, lambda x: np.cos(x),
                               value_batch_fn=lambda X: np.sin(X[:, 0]))
         assert obj.value(np.array([0.3])) == pytest.approx(np.sin(0.3))
         np.testing.assert_allclose(obj.value_batch(np.array([[0.1], [0.2]])), np.sin([0.1, 0.2]))
         with pytest.raises(NotImplementedError):
             obj.hessian(np.array([0.0]))
+
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_takes_exactly_one_value_source(self, given):
+        # with both, value_fn would never be called; with neither, there is no value
+        value_fn, batch_fn = ((lambda x: float(np.sin(x[0])), lambda X: np.sin(X[:, 0]))
+                              if given == "both" else (None, None))
+        with pytest.raises(ValueError, match="exactly one of value_fn and value_batch_fn"):
+            CustomObjective(1, value_fn, lambda x: np.cos(x), value_batch_fn=batch_fn)

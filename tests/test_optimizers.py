@@ -11,12 +11,12 @@ from pdeopt.rng import substream
 
 
 def zero_objective(dim=1):
-    return CustomObjective(dim, lambda x: 0.0, lambda x: np.zeros(dim),
+    return CustomObjective(dim, None, lambda x: np.zeros(dim),
                            value_batch_fn=lambda X: np.zeros(len(np.atleast_2d(X))))
 
 
 def linear_objective(slope=3.0):
-    return CustomObjective(1, lambda x: slope * x[0], lambda x: np.array([slope]),
+    return CustomObjective(1, None, lambda x: np.array([slope]),
                            value_batch_fn=lambda X: slope * X[:, 0])
 
 
@@ -364,8 +364,7 @@ class TestRun:
     def test_nan_aborts_with_flag(self):
         # gradient explodes: step size far beyond stability
         q = make_quadratic(1.0, 0.0, 1)
-        bad = CustomObjective(1, lambda x: float(x[0] ** 3) * 1e100,
-                              lambda x: np.array([3e100 * x[0] ** 2]),
+        bad = CustomObjective(1, None, lambda x: np.array([3e100 * x[0] ** 2]),
                               value_batch_fn=lambda X: 1e100 * X[:, 0] ** 3)
         cfg = opt.default_config("sgd", eta=1e200)
         rec = opt.run("sgd", bad, cfg, seed=0, n_outer_steps=10, x0=np.array([1.0]))

@@ -42,14 +42,14 @@ def brute_force_infconv(objective, xs, t, search_lo, search_hi, n_search):
 
 
 def sin_objective():
-    return CustomObjective(1, lambda x: float(np.sin(x[0])), lambda x: np.cos(x),
+    return CustomObjective(1, None, lambda x: np.cos(x),
                            hessian_fn=lambda x: -np.sin(x).reshape(1, 1),
                            value_batch_fn=lambda X: np.sin(X[:, 0]))
 
 
 def cos_objective(dim):
     """f = sum_i cos x_i."""
-    return CustomObjective(dim, lambda x: float(np.cos(x).sum()), lambda x: -np.sin(x),
+    return CustomObjective(dim, None, lambda x: -np.sin(x),
                            value_batch_fn=lambda X: np.cos(X).sum(axis=1))
 
 
@@ -130,7 +130,7 @@ class TestColeHopf:
             seen.append(X[:, 0].copy())
             return obj.value_batch(X)
 
-        counted = CustomObjective(1, obj.value, obj.grad, value_batch_fn=value_batch)
+        counted = CustomObjective(1, None, obj.grad, value_batch_fn=value_batch)
         grid = GridFunction.geometry([-3.0], [3.0], [513])
         solve_viscous_hj_cole_hopf(counted, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
         pts = np.concatenate(seen)
@@ -296,6 +296,15 @@ class TestMonotoneFd:
         with pytest.raises(CflError):
             solve_hj_monotone_fd(q, cfg, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_initial_values_named(self, bad):
+        grid = GridFunction.geometry([-1.0], [1.0], [33])
+        u0 = np.zeros(33)
+        u0[5] = bad
+        cfg = PdeSolveConfig(beta_inv=0.1, t_final=0.1, scheme="monotone_fd")
+        with pytest.raises(CflError, match="stability limit .* not finite and positive"):
+            solve_hj_monotone_fd(grid.with_values(u0), cfg, grid)
+
     def test_2d_quadratic(self):
         q = make_quadratic(1.0, 0.0, 2)
         grid = GridFunction.geometry([-1.5, -1.5], [1.5, 1.5], [49, 49])
@@ -329,10 +338,11 @@ class TestUpwindStencil:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_monotone_fd_matches_reference(self, dim):
         grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [31] * dim)  # h not a power of 2
-        dt, n = 2.0**-8, 20
+        dt = 2.0**-8
         u = wavy(grid.points()).reshape(grid.n_points)
         h = grid.spacing
-        for _ in range(n):
+        # 130 steps pass the solver's every-64-steps NaN check twice after step 0
+        for n in range(1, 131):
             ham, lap = np.zeros_like(u), np.zeros_like(u)
             for axis in range(dim):
                 um, uc, up = self._sides(u, axis)
@@ -340,14 +350,18 @@ class TestUpwindStencil:
                 ham += 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
                 lap += (up - 2.0 * uc + um) / h[axis] ** 2
             u = u + dt * (-ham + 0.5 * 0.2 * lap)
-        cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
-        got = solve_hj_monotone_fd(grid.with_values(wavy(grid.points())), cfg, grid)
-        assert got.values.tobytes() == u.ravel().tobytes()
+            if n in (20, 130):
+                cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
+                u0 = grid.with_values(wavy(grid.points()))
+                got = solve_hj_monotone_fd(u0, cfg, grid)
+                assert got.values.tobytes() == u.ravel().tobytes(), n
+                # the solver steps its own buffers, never the caller's values
+                assert u0.values.tobytes() == wavy(grid.points()).tobytes()
 
 
 class TestHeat:
     def test_affine_reproduced_exactly(self):
-        lin = CustomObjective(1, lambda x: 3.0 * x[0], lambda x: np.array([3.0]),
+        lin = CustomObjective(1, None, lambda x: np.array([3.0]),
                               value_batch_fn=lambda X: 3.0 * X[:, 0])
         grid = GridFunction.geometry([-2.0], [2.0], [257])
         cfg = PdeSolveConfig(beta_inv=0.3, t_final=1.0, scheme="heat")
@@ -398,7 +412,7 @@ class TestPeriodic:
     def test_cole_hopf_honours_pad_sigmas(self):
         # on constant f the result is f - beta_inv log(kernel mass kept), so a
         # window of one standard deviation shows in the answer
-        const = CustomObjective(1, lambda x: 1.0, lambda x: 0.0 * x,
+        const = CustomObjective(1, None, lambda x: 0.0 * x,
                                 value_batch_fn=lambda X: np.ones(len(X)))
         grid = GridFunction.geometry([0.0], [2 * np.pi], [129])
         beta_inv, t = 0.1, 0.5
@@ -510,7 +524,7 @@ class TestWorkBudget:
 
     @staticmethod
     def counted(objective, calls):
-        return CustomObjective(objective.dim, objective.value, objective.grad,
+        return CustomObjective(objective.dim, None, objective.grad,
                                value_batch_fn=lambda X: calls.append(len(X)) or objective.value_batch(X))
 
     @pytest.mark.parametrize("scheme", ["cole_hopf", "heat"])
@@ -583,7 +597,7 @@ class TestQuadratureProperties:
            b=st.floats(-5.0, 5.0), beta_inv=st.floats(0.01, 1.0), t=st.floats(0.01, 1.0))
     def test_heat_reproduces_affine(self, dim, a, b, beta_inv, t):
         slope = np.array(a[:dim])
-        lin = CustomObjective(dim, lambda x: float(slope @ x + b), lambda x: slope,
+        lin = CustomObjective(dim, None, lambda x: slope,
                               value_batch_fn=lambda X: X @ slope + b)
         n = 129 if dim == 1 else 65
         grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [n] * dim)
@@ -598,7 +612,7 @@ class TestMaximumPrinciple:
     def _pair():
         f1 = make_rugged_1d(4, 5)
         f2 = CustomObjective(
-            1, lambda x: f1.value(x) + 0.5 + 0.2 * float(np.sin(3 * x[0])),
+            1, None,
             lambda x: f1.grad(x) + 0.6 * np.cos(3 * x),
             value_batch_fn=lambda X: f1.value_batch(X) + 0.5 + 0.2 * np.sin(3 * X[:, 0]),
         )
@@ -670,6 +684,15 @@ class TestFokkerPlanck:
         drift = grid.with_values(np.zeros(101))
         with pytest.raises(CflError):
             evolve_fokker_planck(drift, rho0, 1.0, 0.1, dt=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_drift_named(self, bad):
+        grid = GridFunction.geometry([-1.0], [1.0], [33])
+        rho0 = gaussian_density(grid, [0.0], 0.05)
+        b = np.zeros(33)
+        b[7] = bad
+        with pytest.raises(CflError, match="stability limit .* drifts are not finite"):
+            evolve_fokker_planck(grid.with_values(b), rho0, 0.1, 0.1)
 
     def test_2d_mass_and_diffusion(self):
         grid = GridFunction.geometry([-5.0, -5.0], [5.0, 5.0], [101, 101])
