@@ -1,16 +1,20 @@
 """Experiment drivers: dispatch configs, write artifacts, check assertions.
 
-Each experiment writes its data files (CSV / binary grids / per-seed run
-files), optionally ``plot.svg``, and, once it has finished, ``manifest.json``
-and a ``summary.json`` with a ``passed`` field and per-check booleans.  All
-randomness flows from the single config seed through named sub-streams.
+Each kind's runner returns ``(summary, files)``: the summary with its
+per-check booleans, and a map from file name to a writer of that path (run
+CSVs, tables, grids, ``plot.svg``).  ``run_experiment`` alone sets
+``passed``, then creates the run directory and writes the files,
+``manifest.json`` and ``summary.json``, so a run a solver refuses leaves no
+directory.  All randomness flows from the single config seed through named
+sub-streams.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,50 +68,59 @@ def _jsonable(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+def _table(header, rows):
+    """A writer of a CSV table: a string as is, an int by ``str``, any other
+    number by ``repr(float(v))``."""
+    def cell(v) -> str:
+        return v if isinstance(v, str) else str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+    def write(path) -> None:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(cell, row)) + "\n")
+    return write
+
+
 # ---------------------------------------------------------------------------
 # kinds
 
 
-def _run_optimize(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_optimize(cfg: ExperimentConfig) -> tuple[dict, dict]:
     objective = cfg.param("objective")
     entry = get_entry(objective)
     algo = cfg.param("algo")
     ocfg = _optimizer_config(cfg, algo)
     repeats = cfg.param("repeats")
     # `--out foo.csv` names the run file directly (seed-suffixed for repeats)
-    csv_name = Path(cfg.out).name if cfg.out and cfg.out.endswith(".csv") else None
+    stem = Path(cfg.out).stem if cfg.out and cfg.out.endswith(".csv") else None
 
     records = optimizers.run(algo, entry.objective, ocfg, cfg.param("seed"), cfg.param("steps"),
                              record_every=cfg.param("record_every"), repeats=repeats)
-    if out is not None:
-        for rec in records:
-            if csv_name and repeats == 1:
-                rec.to_csv(out / csv_name)
-            elif csv_name:
-                rec.to_csv(out / f"{Path(csv_name).stem}_{rec.seed}.csv")
-            else:
-                rec.to_csv(out / f"run_{rec.seed}.csv")
-        series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
-        emit_plot(series, out / "plot.svg", title=f"{algo} on {objective}",
-                  xlabel="effective epochs", ylabel="loss")
+    files = {}
+    for rec in records:
+        name = f"run_{rec.seed}" if stem is None else stem if repeats == 1 else f"{stem}_{rec.seed}"
+        files[f"{name}.csv"] = rec.to_csv
+    series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
+    files["plot.svg"] = partial(emit_plot, series, title=f"{algo} on {objective}",
+                                xlabel="effective epochs", ylabel="loss")
     finals = np.array([r.final_loss for r in records])
     aborted = any(r.aborted for r in records)
     return {
         "kind": "optimize", "algo": algo, "objective": objective,
         "final_loss_mean": float(finals.mean()), "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
         "checks": {"no_abort": not aborted},
-        "passed": not aborted,
-    }
+    }, files
 
 
-def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
     objective = cfg.param("objective")
     entry = get_entry(objective)
     algos = cfg.param("algos")
     budget = cfg.param("budget")
     record_every_base = cfg.param("record_every")
     seed, repeats = cfg.param("seed"), cfg.param("repeats")
-    rows, curves, timings = [], {}, {}
+    rows, curves, timings, files = [], {}, {}, {}
     for algo in sorted(algos):
         ocfg = _optimizer_config(cfg, algo, tuned=True)
         # an outer step costs L gradients per repeat (per worker for elastic)
@@ -120,9 +133,7 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
         seconds = time.perf_counter() - t0
         timings[algo] = {"run_s": seconds,
                          "us_per_grad_eval": 1e6 * seconds / (repeats * n_outer * grads_per_outer)}
-        if out is not None:
-            for rec in records:
-                rec.to_csv(out / f"run_{algo}_{rec.seed}.csv")
+        files.update((f"run_{algo}_{rec.seed}.csv", rec.to_csv) for rec in records)
         curves[algo] = records[-1]
         finals = np.array([rec.final_loss for rec in records])
         rows.append({
@@ -131,15 +142,11 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
             "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
             "effective_epochs": float(np.mean([rec.rows[-1]["effective_epoch"] for rec in records])),
         })
-    if out is not None:
-        with open(out / "comparison.csv", "w") as fh:
-            fh.write("algorithm,final_loss_mean,final_loss_std,effective_epochs\n")
-            for row in rows:
-                fh.write(f"{row['algorithm']},{row['final_loss_mean']!r},{row['final_loss_std']!r},"
-                         f"{row['effective_epochs']!r}\n")
-        series = [(a, curves[a].column("effective_epoch"), curves[a].column("loss")) for a in sorted(curves)]
-        emit_plot(series, out / "plot.svg", title=f"equal-budget comparison on {objective}",
-                  xlabel="effective epochs", ylabel="loss")
+    header = ("algorithm", "final_loss_mean", "final_loss_std", "effective_epochs")
+    files["comparison.csv"] = _table(header, [[row[h] for h in header] for row in rows])
+    series = [(a, curves[a].column("effective_epoch"), curves[a].column("loss")) for a in sorted(curves)]
+    files["plot.svg"] = partial(emit_plot, series, title=f"equal-budget comparison on {objective}",
+                                xlabel="effective epochs", ylabel="loss")
     checks = {}
     if cfg.param("assert_vs_sgd") and "sgd" in algos and len(algos) > 1:
         by = {r["algorithm"]: r for r in rows}
@@ -148,10 +155,10 @@ def _run_compare(cfg: ExperimentConfig, out: Path | None) -> dict:
             if a != "sgd":
                 checks[f"{a}_not_worse_than_sgd"] = bool(by[a]["final_loss_mean"] <= bar)
     return {"kind": "compare", "objective": objective, "rows": rows, "timings": timings,
-            "checks": checks, "passed": all(checks.values()) if checks else True}
+            "checks": checks}, files
 
 
-def _run_solve_pde(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_solve_pde(cfg: ExperimentConfig) -> tuple[dict, dict]:
     objective = cfg.param("objective")
     entry = get_entry(objective)
     if entry.objective.dim > 2:
@@ -165,21 +172,19 @@ def _run_solve_pde(cfg: ExperimentConfig, out: Path | None) -> dict:
         boundary=cfg.param("boundary"),
     )
     u = pde_lab.solve_pde(entry.objective, pcfg, grid)
-    if out is not None:
-        u.to_csv(out / "solution.csv")
-        u.to_binary(out / "solution.bin")
-        f = grid.with_values(entry.objective.value_batch(grid.points()))
-        if grid.dim == 1:
-            xs = grid.axes()[0]
-            emit_plot([("initial", xs, f.values), (pcfg.scheme, xs, u.values)],
-                      out / "plot.svg", title=f"{pcfg.scheme} smoothing of {objective}",
-                      xlabel="x", ylabel="value")
+    files = {"solution.csv": u.to_csv, "solution.bin": u.to_binary}
+    if grid.dim == 1:
+        xs = grid.axes()[0]
+        f = entry.objective.value_batch(grid.points())
+        files["plot.svg"] = partial(emit_plot, [("initial", xs, f), (pcfg.scheme, xs, u.values)],
+                                    title=f"{pcfg.scheme} smoothing of {objective}",
+                                    xlabel="x", ylabel="value")
     return {"kind": "solve_pde", "objective": objective, "scheme": pcfg.scheme,
             "min_value": float(u.values.min()), "max_value": float(u.values.max()),
-            "checks": {}, "passed": True}
+            "checks": {}}, files
 
 
-def _run_figure1(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_figure1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     entry = get_entry(cfg.param("objective"))
     obj = entry.objective
     grid = _grid_for(entry, cfg.param("grid_n"))
@@ -217,26 +222,22 @@ def _run_figure1(cfg: ExperimentConfig, out: Path | None) -> dict:
         "viscous_beats_nonviscous": bool(m_visc >= m_hl + min_gap),
         "nonviscous_beats_sgd": bool(m_hl >= m_f + min_gap),
     }
-    if out is not None:
-        xs = grid.axes()[0]
-        for name, g in (("density_viscous", rho_visc), ("density_nonviscous", rho_hl),
-                        ("density_sgd", rho_f)):
-            g.to_csv(out / f"{name}.csv")
-        emit_plot([
-            ("viscous drift", xs, rho_visc.values),
-            ("non-viscous drift", xs, rho_hl.values),
-            ("plain gradient drift", xs, rho_f.values),
-        ], out / "plot.svg", title="terminal densities near the global minimum",
-            xlabel="x", ylabel="density")
+    xs = grid.axes()[0]
+    series = [("viscous drift", xs, rho_visc.values), ("non-viscous drift", xs, rho_hl.values),
+              ("plain gradient drift", xs, rho_f.values)]
+    files = {"density_viscous.csv": rho_visc.to_csv, "density_nonviscous.csv": rho_hl.to_csv,
+             "density_sgd.csv": rho_f.to_csv,
+             "plot.svg": partial(emit_plot, series, title="terminal densities near the global minimum",
+                                 xlabel="x", ylabel="density")}
     return {
         "kind": "figure1", "objective": entry.name, "x_star": float(x_star),
         "mass_viscous": m_visc, "mass_nonviscous": m_hl, "mass_sgd": m_f,
         "window_halfwidth": window_frac * width,
-        "checks": checks, "passed": all(checks.values()),
-    }
+        "checks": checks,
+    }, files
 
 
-def _run_homogenization(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_homogenization(cfg: ExperimentConfig) -> tuple[dict, dict]:
     entry = get_entry(cfg.param("objective"))
     gamma = cfg.param("gamma")
     table = analysis.verify_homogenization(
@@ -248,20 +249,15 @@ def _run_homogenization(cfg: ExperimentConfig, out: Path | None) -> dict:
         "finest_eps_within_tolerance": bool(finest.max_rel_deviation <= cfg.param("tolerance")),
         "deviation_monotone_in_eps": bool(table.is_monotone()),
     }
-    if out is not None:
-        with open(out / "homogenization.csv", "w") as fh:
-            fh.write("epsilon,inner_steps,mean_abs_deviation,stderr,mean_rel_deviation,max_rel_deviation\n")
-            for r in table.rows:
-                fh.write(f"{r.epsilon!r},{r.inner_steps},{r.mean_abs_deviation!r},{r.stderr!r},"
-                         f"{r.mean_rel_deviation!r},{r.max_rel_deviation!r}\n")
+    header = [f.name for f in fields(analysis.HomogenizationRow)]
     return {
         "kind": "homogenization", "objective": entry.name, "gamma": gamma,
         "rows": [r.__dict__ for r in table.rows],
-        "checks": checks, "passed": all(checks.values()),
-    }
+        "checks": checks,
+    }, {"homogenization.csv": _table(header, [astuple(r) for r in table.rows])}
 
 
-def _run_control(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_control(cfg: ExperimentConfig) -> tuple[dict, dict]:
     entry = get_entry(cfg.param("objective"))
     obj = entry.objective
     horizon = cfg.param("T")
@@ -275,24 +271,24 @@ def _run_control(cfg: ExperimentConfig, out: Path | None) -> dict:
         "strict_gap": comparison.strict_gap if horizon > 0 else True,
         "exits_below_1pct": comparison.exit_fraction <= 0.01,
     }
-    if out is not None:
-        with open(out / "control.csv", "w") as fh:
-            fh.write("quantity,mean,stderr\n")
-            fh.write(f"terminal_controlled,{comparison.terminal_ctrl!r},{comparison.terminal_ctrl_stderr!r}\n")
-            fh.write(f"terminal_plain,{comparison.terminal_plain!r},{comparison.terminal_plain_stderr!r}\n")
-            fh.write(f"control_energy,{comparison.control_energy!r},{comparison.control_energy_stderr!r}\n")
-            fh.write(f"gap,{comparison.gap!r},{comparison.gap_stderr!r}\n")
-            fh.write(f"bound_margin,{comparison.bound_margin!r},{comparison.bound_margin_stderr!r}\n")
+    c = comparison
+    table = _table(("quantity", "mean", "stderr"), [
+        ("terminal_controlled", c.terminal_ctrl, c.terminal_ctrl_stderr),
+        ("terminal_plain", c.terminal_plain, c.terminal_plain_stderr),
+        ("control_energy", c.control_energy, c.control_energy_stderr),
+        ("gap", c.gap, c.gap_stderr),
+        ("bound_margin", c.bound_margin, c.bound_margin_stderr),
+    ])
     return {
         "kind": "control", "objective": entry.name, "T": horizon,
         "terminal_controlled": comparison.terminal_ctrl, "terminal_plain": comparison.terminal_plain,
         "control_energy": comparison.control_energy, "gap": comparison.gap,
         "gap_stderr": comparison.gap_stderr, "bound_margin": comparison.bound_margin,
-        "checks": checks, "passed": all(checks.values()),
-    }
+        "checks": checks,
+    }, {"control.csv": table}
 
 
-def _run_invariant_measure(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_invariant_measure(cfg: ExperimentConfig) -> tuple[dict, dict]:
     entry = get_entry(cfg.param("objective"))
     obj = entry.objective
     gamma = cfg.param("gamma")
@@ -310,23 +306,20 @@ def _run_invariant_measure(cfg: ExperimentConfig, out: Path | None) -> dict:
         var_ok = bool(np.all(np.abs(np.diag(est.covariance) - np.diag(closed.covariance))
                              <= 3.0 * est.variance_stderr))
         checks = {"mean_within_3_stderr": mean_ok, "variance_within_3_stderr": var_ok}
-    if out is not None:
-        with open(out / "invariant_measure.csv", "w") as fh:
-            fh.write("component,mean,mean_stderr,variance,variance_stderr\n")
-            for i in range(obj.dim):
-                fh.write(f"{i},{est.mean[i]!r},{est.mean_stderr[i]!r},"
-                         f"{est.covariance[i, i]!r},{est.variance_stderr[i]!r}\n")
+    table = _table(("component", "mean", "mean_stderr", "variance", "variance_stderr"),
+                   [(i, est.mean[i], est.mean_stderr[i], est.covariance[i, i], est.variance_stderr[i])
+                    for i in range(obj.dim)])
     return {
         "kind": "invariant_measure", "objective": entry.name,
         "mean": est.mean.tolist(), "variance": np.diag(est.covariance).tolist(),
         "closed_form_mean": closed.mean.tolist() if closed else None,
         "closed_form_variance": np.diag(closed.covariance).tolist() if closed else None,
         "n_samples": est.n_samples, "autocorrelation_time": est.autocorrelation_time,
-        "checks": checks, "passed": all(checks.values()) if checks else True,
-    }
+        "checks": checks,
+    }, {"invariant_measure.csv": table}
 
 
-def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     # the stream acceptance criterion 7 has always drawn from (at seed 123)
     rng = substream(cfg.param("seed"), "acceptance-spectrum")
     n_random = cfg.param("n_random")
@@ -353,13 +346,11 @@ def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
         "hm_eig_le_hm_diag": hm_violations == 0,
         "hm_sandwich": sandwich_violations == 0,
     }
+    files = {}
     if summary_obj is not None:
         checks["objective_hm_eig_le_hm_diag"] = summary_obj.satisfies_eig_diag
-    if out is not None and summary_obj is not None:
-        with open(out / "spectrum.csv", "w") as fh:
-            fh.write("eigenvalue,diagonal\n")
-            for e, d in zip(summary_obj.eigenvalues, summary_obj.diagonal):
-                fh.write(f"{e!r},{d!r}\n")
+        files["spectrum.csv"] = _table(("eigenvalue", "diagonal"),
+                                       list(zip(summary_obj.eigenvalues, summary_obj.diagonal)))
     return {
         "kind": "spectrum",
         "n_random": n_random,
@@ -367,8 +358,8 @@ def _run_spectrum(cfg: ExperimentConfig, out: Path | None) -> dict:
         "sandwich_violations": sandwich_violations,
         "objective_hm_lambda": summary_obj.hm_lambda if summary_obj else None,
         "objective_hm_diag": summary_obj.hm_diag if summary_obj else None,
-        "checks": checks, "passed": all(checks.values()),
-    }
+        "checks": checks,
+    }, files
 
 
 _RUNNERS = {
@@ -384,16 +375,20 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    out = Path(cfg.out) if cfg.out else None
-    if out is not None and out.suffix == ".csv":
-        out = out.parent if str(out.parent) else Path(".")
+    """Run the kind, then write its run directory if ``cfg.out`` is set."""
     runner = _RUNNERS.get(cfg.kind)
     if runner is None:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    summary, files = runner(cfg)
+    summary["passed"] = all(summary["checks"].values())
+    # the directory is made only now, so a run its solver refused leaves none
+    out = Path(cfg.out) if cfg.out else None
     if out is not None:
+        if out.suffix == ".csv":    # `--out foo.csv` names optimize's run file
+            out = out.parent
         out.mkdir(parents=True, exist_ok=True)
-    summary = runner(cfg, out)
-    if out is not None:     # a run its solver refused leaves no manifest behind
+        for name, write in files.items():
+            write(out / name)
         write_manifest(cfg, out)
         (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
-    return ExperimentResult(passed=bool(summary.get("passed", True)), summary=summary, out_dir=out)
+    return ExperimentResult(passed=summary["passed"], summary=summary, out_dir=out)

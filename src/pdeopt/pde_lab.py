@@ -34,7 +34,7 @@ face, with reflecting walls like the path simulator's.  Its transpose steps
 densities forward (``evolve_fokker_planck``); G itself steps the Cole-Hopf
 transform phi = exp(-beta (w - min w)) of the backward HJB value function
 backward (``solve_hjb_backward``, used by the control experiments), so the
-control solve is linear.  Also the proximal map ``prox_point``, and the
+control solve is linear.  Also the 1D proximal map ``prox_point``, and the
 characteristic fixed point and shock time of Burgers' equation, the
 independent oracle for the derivative of the Hopf-Lax solution.
 
@@ -288,25 +288,25 @@ class ProxResult:
         return float(np.linalg.norm(self.grad_u - self.grad_f_at_y))
 
 
-PROX_SCAN_POINTS = 801  # about this many points in prox_point's scan
+PROX_SCAN_POINTS = 801  # points in prox_point's scan
 PROX_STARTS = 4         # and the best distinct starts it polishes
 
 
 def prox_point(objective: Objective, x, t: float) -> ProxResult:
-    """argmin_y { f(y) + |x-y|^2/(2t) } by multi-start descent.
+    """argmin_y { f(y) + |x-y|^2/(2t) } of a 1D objective by multi-start descent.
 
-    In one or two dimensions the starts come from a scan of the objective on
-    a grid of about ``PROX_SCAN_POINTS`` points, so distant competing
-    minimizers are found; in higher dimensions descent starts from x.  The
-    result is flagged non-unique when two polished minimizers farther apart
-    than 1e-4 have objective values within 1e-10 of each other.
+    The starts come from a scan of the objective on ``PROX_SCAN_POINTS``
+    points, so distant competing minimizers are found.  The result is
+    flagged non-unique when two polished minimizers farther apart than 1e-4
+    have objective values within 1e-10 of each other.
     """
     from scipy.optimize import minimize
 
     if t <= 0:
         raise ValueError("t must be positive")
+    if objective.dim != 1:
+        raise ValueError(f"prox_point supports 1D objectives only, got dim={objective.dim}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    dim = objective.dim
 
     def h_val(y):
         return objective.value(y) + float(((x - y) ** 2).sum()) / (2.0 * t)
@@ -314,37 +314,23 @@ def prox_point(objective: Objective, x, t: float) -> ProxResult:
     def h_grad(y):
         return objective.grad(y) + (y - x) / t
 
-    starts: list[Array]
-    if dim <= 2:
-        if hasattr(objective, "box"):
-            lo = np.minimum(np.full(dim, objective.box[0]), x - 0.5)
-            hi = np.maximum(np.full(dim, objective.box[1]), x + 0.5)
-        else:
-            f_here = objective.value(x)
-            R = math.sqrt(2.0 * t * max(1.0, abs(f_here) + 1.0)) + 1.0
-            lo, hi = x - R, x + R
-        if dim == 1:
-            ys = np.linspace(lo[0], hi[0], PROX_SCAN_POINTS)[:, None]
-        else:
-            side = int(math.sqrt(PROX_SCAN_POINTS)) + 1
-            a0 = np.linspace(lo[0], hi[0], side)
-            a1 = np.linspace(lo[1], hi[1], side)
-            g0, g1 = np.meshgrid(a0, a1, indexing="ij")
-            ys = np.column_stack([g0.ravel(), g1.ravel()])
-        hv = objective.value_batch(ys) + ((x - ys) ** 2).sum(axis=1) / (2.0 * t)
-        order = np.argsort(hv)
-        starts = [ys[i] for i in order[: 3 * PROX_STARTS]]
-        # keep starts that are mutually distant so symmetric minimizers survive
-        kept: list[Array] = []
-        min_sep = 0.05 * float(np.max(hi - lo))
-        for s in starts:
-            if all(np.linalg.norm(s - kk) > min_sep for kk in kept):
-                kept.append(s)
-            if len(kept) == PROX_STARTS:
-                break
-        starts = kept + [x]
+    if hasattr(objective, "box"):
+        lo = min(objective.box[0], x[0] - 0.5)
+        hi = max(objective.box[1], x[0] + 0.5)
     else:
-        starts = [x]
+        R = math.sqrt(2.0 * t * max(1.0, abs(objective.value(x)) + 1.0)) + 1.0
+        lo, hi = x[0] - R, x[0] + R
+    ys = np.linspace(lo, hi, PROX_SCAN_POINTS)[:, None]
+    hv = objective.value_batch(ys) + ((x - ys) ** 2).sum(axis=1) / (2.0 * t)
+    # keep starts that are mutually distant so symmetric minimizers survive
+    starts: list[Array] = []
+    min_sep = 0.05 * (hi - lo)
+    for i in np.argsort(hv)[: 3 * PROX_STARTS]:
+        if all(np.linalg.norm(ys[i] - kk) > min_sep for kk in starts):
+            starts.append(ys[i])
+        if len(starts) == PROX_STARTS:
+            break
+    starts.append(x)
 
     polished = []
     for s in starts:

@@ -206,6 +206,23 @@ class TestControlImprovement:
         assert comp.gap > 0
         assert comp.exit_fraction <= 0.01
 
+    @staticmethod
+    def _run_in_box(half_width):
+        dw = make_double_well(1.0)
+        grid = GridFunction.geometry([-half_width], [half_width], [257])
+        return analysis.control_improvement_experiment(
+            dw, dw.value_batch, T=1.0, beta_inv=0.2, n_paths=400, seed=0,
+            x0=np.array([0.0]), grid=grid)
+
+    def test_paths_reflect_at_the_walls(self):
+        # on [-1.3, 1.3] a few paths reach a wall and are reflected back in
+        assert 0.0 < self._run_in_box(1.3).exit_fraction <= 0.01
+
+    def test_too_many_exits_refused(self):
+        # on [-1.1, 1.1] about half of the paths reach a wall
+        with pytest.raises(RuntimeError, match="left the box"):
+            self._run_in_box(1.1)
+
 
 class TestSemiconcavity:
     """Curvature of smoothed losses against the decay bound 1/(C^-1 + t),

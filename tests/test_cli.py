@@ -400,6 +400,51 @@ class TestRunExperiment:
         for t in timings.values():
             assert t["run_s"] > 0 and t["us_per_grad_eval"] > 0
 
+    # one small run of every kind, and the run CSVs it writes
+    CSV_RUNS = {
+        "optimize_out_csv": ({"kind": "optimize", "objective": "double_well_a1", "algo": "sgd",
+                              "steps": 20, "seed": 7, "repeats": 2, "out": "mine.csv"},
+                             {"mine_7.csv", "mine_8.csv"}),
+        "compare": ({"kind": "compare", "objective": "quadratic_c1_n2", "algos": "sgd,hj",
+                     "budget": 200, "seed": 1, "repeats": 2},
+                    {"comparison.csv", "run_hj_1.csv", "run_hj_2.csv", "run_sgd_1.csv", "run_sgd_2.csv"}),
+        "solve_pde_1d": ({"kind": "solve_pde", "objective": "double_well_a1", "scheme": "hopf_lax",
+                          "t": 0.1, "grid_n": 65}, {"solution.csv"}),
+        "solve_pde_2d": ({"kind": "solve_pde", "objective": "quadratic_c1_n2", "scheme": "hopf_lax",
+                          "t": 0.2, "grid_n": 17}, {"solution.csv"}),
+        "figure1": ({"kind": "figure1", "objective": "rugged_s3_m6", "grid_n": 129},
+                    {"density_viscous.csv", "density_nonviscous.csv", "density_sgd.csv"}),
+        "homogenization": ({"kind": "homogenization", "objective": "double_well_a1", "gamma": 0.3,
+                            "epsilons": "0.01,0.005", "probes": "-1.6,0.75", "n_seeds": 2},
+                           {"homogenization.csv"}),
+        "control": ({"kind": "control", "objective": "double_well_a1", "seed": 3, "T": 0.5,
+                     "beta_inv": 0.2, "n_paths": 600, "grid_n": 257, "x0": 0.0}, {"control.csv"}),
+        "invariant_measure": ({"kind": "invariant_measure", "objective": "quadratic_c1_n2", "seed": 5,
+                               "gamma": 1.0, "beta": 1.0, "x": 2.0, "n_steps": 4000, "burn_in": 500,
+                               "n_chains": 4}, {"invariant_measure.csv"}),
+        "spectrum": ({"kind": "spectrum", "objective": "quadratic_c1_n2", "n_random": 5},
+                     {"spectrum.csv"}),
+    }
+    LABEL_COLUMNS = {"algorithm", "quantity"}
+
+    @pytest.mark.parametrize("run", sorted(CSV_RUNS))
+    def test_every_csv_cell_is_a_number(self, tmp_path, run):
+        overrides, expected = self.CSV_RUNS[run]
+        out = tmp_path / "run"
+        # ``--out mine.csv`` names the run files and writes them beside it
+        target = out / overrides["out"] if "out" in overrides else out
+        run_experiment(parse_config(overrides={**overrides, "out": str(target)}))
+        written = {p.name for p in out.glob("*.csv")}
+        assert written == expected
+        for name in written:
+            header, *rows = [line.split(",") for line in (out / name).read_text().splitlines()]
+            assert rows, name
+            for row in rows:
+                assert len(row) == len(header), name
+                for column, cell in zip(header, row):
+                    if column not in self.LABEL_COLUMNS:
+                        float(cell)     # an int or a float; raises on anything else
+
 
 class TestCliMain:
     def test_optimize_exit_zero(self, tmp_path, capsys):
@@ -440,7 +485,7 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1
-        assert not (tmp_path / "p" / "manifest.json").exists()
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_diverged_compare_fails_its_checks(self, tmp_path, capsys):
@@ -455,6 +500,22 @@ class TestCliMain:
         assert failing and "entropy_sgd_not_worse_than_sgd" in failing
         assert f"FAILED checks: {', '.join(failing)}" in capsys.readouterr().err
         assert (out / "manifest.json").exists() and (out / "plot.svg").exists()
+
+    def test_assert_vs_sgd_false_runs_no_sgd_checks(self, tmp_path, capsys):
+        args = ["compare", "--objective", "quadratic_c1_n2", "--algos", "sgd,hj", "--budget", "200"]
+        main(args + ["--out", str(tmp_path / "on")])
+        assert "hj_not_worse_than_sgd" in json.loads(capsys.readouterr().out)["checks"]
+        assert main(args + ["--assert-vs-sgd", "false", "--out", str(tmp_path / "off")]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"] == {}
+
+    def test_bad_boolean_in_file_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[optimizer]\nassert_vs_sgd = maybe\n")
+        code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'assert_vs_sgd'" in err and "maybe" in err
+        assert not (tmp_path / "c").exists()
 
     def test_spectrum_cli(self, tmp_path, capsys):
         code = main(["spectrum", "--n-random", "10", "--seed", "1",

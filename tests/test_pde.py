@@ -241,6 +241,10 @@ class TestProx:
         assert not res.non_unique
         assert res.y[0] == pytest.approx(0.0, abs=1e-8)
 
+    def test_one_dimension_only(self):
+        with pytest.raises(ValueError, match="1D"):
+            prox_point(make_quadratic(1.0, 0.0, 2), np.zeros(2), 1.0)
+
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["rugged_s7_m5", "double_well_a1"]), u=st.floats(0.0, 1.0),
            t=st.floats(0.01, 2.0))
