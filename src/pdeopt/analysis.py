@@ -230,7 +230,7 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
             y_trace = np.empty(L)
             for li in range(L):
                 y_trace[li] = state.rows[0, 0]
-                step(state, objective, cfg, "entropy_sgd")
+                step(state)
             drifts = (state.x[:, 0] - p) / cfg.eta
             if ei == len(epsilons) - 1 and pi == 0 and beta_inv > 0:
                 if integrated_autocorrelation_time(y_trace) > L:

@@ -43,9 +43,10 @@ def main(argv=None) -> int:
         cfg = parse_config(path, {k: v for k, v in args.items() if v is not None}, kind=kind)
         result = run_experiment(cfg)
     except (ConfigError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message
+        print(f"config error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:        # a solver's precondition, e.g. its work budget
+    except (ValueError, RuntimeError) as exc:   # a solver's refusal: its work budget, a NaN, paths exiting
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(result.summary, indent=2, sort_keys=True, default=str))

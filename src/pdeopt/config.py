@@ -24,8 +24,9 @@ state, not on threads.  It stays only because the benchmark's ops pass it.
 
 Accepted config formats: an INI-style text file with ``key = value``
 sections, or the JSON equivalent (one object per section).  Sections are
-labels: the loader flattens them.  Flags override file values.  Every run
-directory gets a ``manifest.json`` echoing the keys the user set, and
+labels: the loader flattens them.  Flags override file values.  A config is
+its kind and exactly the keys the user set, ``out`` included; every run
+directory gets a ``manifest.json`` of the two, and
 ``parse_manifest(emit_manifest(cfg)) == cfg``.
 """
 
@@ -118,14 +119,8 @@ KEY_SPECS: dict[str, object] = {
 
 @dataclass
 class ExperimentConfig:
-    """The run record (the top level of ``manifest.json``) and the other
-    keys the user set (``params``)."""
+    """An experiment kind and exactly the keys the user set (``params``)."""
     kind: str
-    objective: str = ""
-    seed: int = 0
-    out: str | None = None
-    repeats: int = 1
-    threads: int = 1              # accepted, no effect (see the module docstring)
     params: dict = field(default_factory=dict)
 
     def param(self, key):
@@ -134,14 +129,13 @@ class ExperimentConfig:
         defaults = KINDS[self.kind].defaults
         if key not in defaults:
             raise LookupError(f"experiment kind {self.kind!r} reads no key {key!r}")
-        if key in _RECORD:
-            value = getattr(self, key)
-            return defaults[key] if value == _RECORD[key] else value
         return self.params.get(key, defaults[key])
 
+    @property
+    def objective(self) -> str:
+        """The objective as set, or "" when unset."""
+        return self.params.get("objective", "")
 
-# the run record's keys and their defaults
-_RECORD = {f.name: f.default for f in fields(ExperimentConfig) if f.name not in ("kind", "params")}
 
 PER_ALGORITHM = "per-algorithm"
 OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig))
@@ -152,8 +146,8 @@ class Kind(NamedTuple):
     defaults: dict        # every key the runner reads -> its default
 
 
-_COMMON = {k: _RECORD[k] for k in ("objective", "seed", "out", "threads")}
-_OPTIMIZING = {**_COMMON, "repeats": _RECORD["repeats"], **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
+_COMMON = {"objective": "", "seed": 0, "out": None, "threads": 1}
+_OPTIMIZING = {**_COMMON, "repeats": 1, **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
 
 KINDS: dict[str, Kind] = {
     "optimize": Kind("optimize", {**_OPTIMIZING, "algo": "sgd", "steps": 200, "record_every": 1}),
@@ -245,20 +239,16 @@ def parse_config(path=None, overrides: dict | None = None, kind: str | None = No
     for key, value in raw.items():
         if key not in KINDS[kind].defaults:
             raise ConfigError(f"experiment kind {kind!r} reads no key {key!r}")
-        if key in _RECORD:
-            setattr(cfg, key, _convert(key, value))
-        else:
-            cfg.params[key] = _convert(key, value)
+        cfg.params[key] = _convert(key, value)
     return cfg
 
 
 def emit_manifest(cfg: ExperimentConfig) -> dict:
-    return {"kind": cfg.kind, **{k: getattr(cfg, k) for k in _RECORD}, "params": dict(cfg.params)}
+    return {"kind": cfg.kind, "params": dict(cfg.params)}
 
 
 def parse_manifest(data: dict) -> ExperimentConfig:
-    return ExperimentConfig(kind=data["kind"], params=dict(data.get("params", {})),
-                            **{k: data[k] for k in _RECORD if k in data})
+    return ExperimentConfig(kind=data["kind"], params=dict(data["params"]))
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir) -> Path:

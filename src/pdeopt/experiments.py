@@ -93,7 +93,8 @@ def _run_optimize(cfg: ExperimentConfig) -> tuple[dict, dict]:
     ocfg = _optimizer_config(cfg, algo)
     repeats = cfg.param("repeats")
     # `--out foo.csv` names the run file directly (seed-suffixed for repeats)
-    stem = Path(cfg.out).stem if cfg.out and cfg.out.endswith(".csv") else None
+    out = cfg.param("out")
+    stem = Path(out).stem if out and out.endswith(".csv") else None
 
     records = optimizers.run(algo, entry.objective, ocfg, cfg.param("seed"), cfg.param("steps"),
                              record_every=cfg.param("record_every"), repeats=repeats)
@@ -375,14 +376,15 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the kind, then write its run directory if ``cfg.out`` is set."""
+    """Run the kind, then write its run directory if ``out`` is set."""
     runner = _RUNNERS.get(cfg.kind)
     if runner is None:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     summary, files = runner(cfg)
     summary["passed"] = all(summary["checks"].values())
     # the directory is made only now, so a run its solver refused leaves none
-    out = Path(cfg.out) if cfg.out else None
+    out = cfg.param("out")
+    out = Path(out) if out else None
     if out is not None:
         if out.suffix == ".csv":    # `--out foo.csv` names optimize's run file
             out = out.parent

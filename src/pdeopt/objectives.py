@@ -49,19 +49,15 @@ class Objective:
         """(samples per stochastic gradient, samples per epoch): 1 epoch per gradient."""
         return 1, 1
 
-    def minibatch_grad(self, x: Array, rng, batch_size: int | None = None) -> Array:
-        """Stochastic gradient at x, shape (dim,), drawing from ``rng``; or at
-        each row of x, shape (R, dim), row r drawing from ``rng[r]``: the exact
-        gradient plus, when ``noise_scale > 0``, sqrt(noise_scale) times one
-        ``standard_normal(dim)`` draw per row.  Without a dataset there is no
-        batch: ``batch_size`` is ignored."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        rows, rngs = (x[None], (rng,)) if single else (x, rng)
-        g = self.grad_batch(rows)
+    def minibatch_grad(self, X: Array, rngs, batch_size: int | None = None) -> Array:
+        """Stochastic gradient at each row of X, shape (R, dim), row r drawing
+        from ``rngs[r]``: the exact gradient plus, when ``noise_scale > 0``,
+        sqrt(noise_scale) times one ``standard_normal(dim)`` draw per row.
+        Without a dataset there is no batch: ``batch_size`` is ignored."""
+        g = self.grad_batch(X)
         if self.noise_scale > 0.0:
             g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rngs])
-        return g[0] if single else g
+        return g
 
 
 def _as_vec(x, dim: int) -> Array:
@@ -269,21 +265,16 @@ class TinyMLP(Objective):
     def grad_batch(self, X):
         return self._grad(*self._full(X))
 
-    def minibatch_grad(self, x, rng, batch_size: int | None = None) -> Array:
-        """Minibatch gradient at x, shape (dim,), with indices drawn from
-        ``rng``; or at each row of x, shape (R, dim), row r drawing from
-        ``rng[r]``.  The full batch uses every point once and draws nothing."""
+    def minibatch_grad(self, X, rngs, batch_size: int | None = None) -> Array:
+        """Minibatch gradient at each row of X, shape (R, dim), row r drawing
+        its indices from ``rngs[r]``.  The full batch uses every point once
+        and draws nothing."""
         b = batch_size if batch_size is not None else (self.batch_size or self.n_samples)
         if b > self.n_samples:
             raise ValueError("batch_size cannot exceed n_samples")
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        rows, rngs = (x[None], (rng,)) if single else (x, rng)
         if b == self.n_samples:
-            g = self.grad_batch(rows)
-        else:
-            g = self._grad(rows, np.array([r.integers(0, self.n_samples, size=b) for r in rngs]))
-        return g[0] if single else g
+            return self.grad_batch(X)
+        return self._grad(X, np.array([r.integers(0, self.n_samples, size=b) for r in rngs]))
 
 
 class CustomObjective(Objective):

@@ -26,6 +26,10 @@ After an outer update the rows restart at z (entropy_sgd, hj, elastic) or at
 zero (hj2, heat).  Noise is drawn as rng.normal(0, a): bit-equal to
 a * standard_normal, one array operation cheaper.
 
+:func:`init_state` binds a state to its objective, config and algorithm
+once; ``step(state)`` takes nothing else, so a state cannot be stepped as
+another run than the one it was made for.
+
 The state is batched.  ``x``, ``z`` and ``<y>`` are (repeats, dim) arrays, one
 row per seed of a :func:`run`, and the inner rows are one (repeats * workers,
 dim) array, repeat-major, with one worker per repeat except for ``elastic``
@@ -134,9 +138,8 @@ def gamma_schedule(k: int, cfg: OptimizerConfig) -> float:
 
 @dataclass(frozen=True)
 class _Plan:
-    """An algorithm's constants, resolved once per run."""
+    """An algorithm's constants, resolved once per run by :func:`init_state`."""
     cfg: OptimizerConfig
-    algo: str
     inner: Callable              # the row update; returns d on the last inner step
     grad: Callable               # (rows, rngs, batch_size) -> one stochastic gradient per row
     every: int                   # inner steps per outer update
@@ -165,28 +168,38 @@ class OptimizerState:
     plan: _Plan | None = None
 
 
-def _width(algo: str, cfg: OptimizerConfig) -> int:
-    return {"sgd": 0, "elastic": cfg.n_workers}.get(algo, 1)
-
-
 def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd",
                repeats: int = 1) -> OptimizerState:
-    """State of ``repeats`` independent runs from ``x0``, repeat r seeded ``seed + r``."""
+    """State of ``repeats`` independent runs of ``algo`` on ``objective``
+    from ``x0``, repeat r seeded ``seed + r``.  The state is bound to the
+    three: :func:`step` reads them from ``state.plan``."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (objective.dim,):
         raise ValueError("state vectors must match the objective dimension")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     x = np.tile(x0, (repeats, 1))
-    width = _width(algo, cfg)
+    width = {"sgd": 0, "elastic": cfg.n_workers}.get(algo, 1)
     if algo == "elastic":
         rngs = [g for r in range(repeats) for g in worker_streams(seed + r, "worker", width)]
     else:
         rngs = [substream(seed + r, "optimizer") for r in range(repeats)]
+    plan = _Plan(
+        cfg=cfg, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
+        grad=objective.minibatch_grad, every=1 if algo == "sgd" else cfg.L,
+        width=width, grads=max(width, 1),
+        alpha=0.0 if algo == "hj" else cfg.alpha,
+        noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
+        outer_noise=cfg.beta_inv_ex if algo == "sgd" else 0.0,
+        anneal=bool(cfg.anneal_factor and cfg.anneal_period),
+    )
     state = OptimizerState(x=x, z=x.copy(), rows=np.empty((repeats * width, x.shape[1])), y_avg=x.copy(),
                            rngs=rngs, control_energy=np.zeros(repeats),
-                           epoch_size=objective.epoch_size(cfg.batch_size))
-    _restart(state, _resolve(state, objective, cfg, algo))
+                           epoch_size=objective.epoch_size(cfg.batch_size), plan=plan)
+    _scope(state, cfg)
+    _restart(state, plan)
     return state
 
 
@@ -247,26 +260,6 @@ def _heat(state, p, last):
     return total / p.every if last else None
 
 
-def _resolve(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo: str) -> _Plan:
-    """Resolve ``algo``'s constants for ``state``, once per run."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    width = _width(algo, cfg)
-    if state.rows.shape[0] != width * state.x.shape[0]:
-        raise ValueError(f"state was not initialized for {algo!r}")
-    state.plan = p = _Plan(
-        cfg=cfg, algo=algo, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
-        grad=objective.minibatch_grad, every=1 if algo == "sgd" else cfg.L,
-        width=width, grads=max(width, 1),
-        alpha=0.0 if algo == "hj" else cfg.alpha,
-        noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
-        outer_noise=cfg.beta_inv_ex if algo == "sgd" else 0.0,
-        anneal=bool(cfg.anneal_factor and cfg.anneal_period),
-    )
-    _scope(state, cfg)
-    return p
-
-
 def _restart(state: OptimizerState, p: _Plan) -> None:
     """Start the rows of an outer step at z (coupled rows) or at zero."""
     state.rows = _per_row(state.z, p.width).copy() if p.inner is _coupled else np.zeros_like(state.rows)
@@ -286,12 +279,11 @@ def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
         return math.inf
 
 
-def step(state: OptimizerState, objective: Objective, cfg: OptimizerConfig, algo: str) -> OptimizerState:
-    """One inner step of ``algo`` for every repeat: one minibatch gradient per
-    row, and the outer update when it completes an outer step."""
+def step(state: OptimizerState) -> OptimizerState:
+    """One inner step of the state's algorithm for every repeat: one minibatch
+    gradient per row, and the outer update when it completes an outer step."""
     p = state.plan
-    if p.cfg is not cfg or p.algo != algo:
-        p = _resolve(state, objective, cfg, algo)
+    cfg = p.cfg
     last = (state.k + 1) % p.every == 0
     d = p.inner(state, p, last)
     state.k += 1
@@ -391,7 +383,7 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     inner_steps = range(cfg.L)
     for outer in range(n_outer_steps):
         for _ in inner_steps:
-            step(state, objective, cfg, algo)
+            step(state)
         if (outer + 1) % record_every == 0 or outer == n_outer_steps - 1:
             for r in list(live):
                 if not math.isfinite(log_row(r)):

@@ -78,6 +78,8 @@ class PdeSolveConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
+        if self.scheme == "monotone_fd" and self.boundary != "extrapolating":
+            raise ValueError("the upwind scheme supports extrapolating boundaries only")
 
 
 class CflError(ValueError):
@@ -395,8 +397,6 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
     backward and forward differences as two slices, the second difference is
     (u_{i+1} - 2 u_i) + u_{i-1}, and ham and lap are summed from zero.
     """
-    if cfg.boundary != "extrapolating":
-        raise NotImplementedError("the upwind scheme supports extrapolating boundaries only")
     if isinstance(objective_or_u0, GridFunction):
         u0 = objective_or_u0.array
     else:

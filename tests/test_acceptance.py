@@ -195,7 +195,7 @@ def test_09_elastic_entropy_equivalence():
         xs = np.empty((32, n_outer))
         for outer in range(n_outer):
             for _ in range(cfg.L):
-                optimizers.step(st, q, cfg, algo)
+                optimizers.step(st)
             xs[:, outer] = st.x[:, 0]
         return xs[:, discard:].mean(axis=1)
 

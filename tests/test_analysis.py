@@ -159,7 +159,7 @@ class TestHomogenization:
                 for si in range(3):
                     state = init_state(dw, np.array([p]), cfg, seed=2000 + si, algo="entropy_sgd")
                     for _ in range(L):
-                        step(state, dw, cfg, "entropy_sgd")
+                        step(state)
                     assert table.drift_samples[ei, pi, si] == (state.x[0, 0] - p) / cfg.eta
 
     def test_zero_objective_deviation_within_noise(self):

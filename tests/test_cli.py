@@ -28,7 +28,7 @@ class TestParseConfig:
         # params hold only what the user set; each algorithm's defaults
         # resolve when its optimizer config is built
         cfg = parse_config(overrides={"kind": "optimize", "objective": "double_well_a1"})
-        assert cfg.params == {}
+        assert cfg.params == {"objective": "double_well_a1"}
         resolved = {a: _optimizer_config(cfg, a).delta for a in ("sgd", "entropy_sgd", "hj")}
         assert resolved == {"sgd": 0.0, "entropy_sgd": 0.9, "hj": 0.0}
         tuned = {a: _optimizer_config(cfg, a, tuned=True).delta for a in ("sgd", "entropy_sgd", "hj")}
@@ -51,8 +51,7 @@ class TestParseConfig:
         p.write_text("[experiment]\nkind = optimize\nobjective = double_well_a1\nseed = 3\n"
                      "[optimizer]\neta = 0.2\n")
         cfg = parse_config(p, overrides={"eta": 0.05})
-        assert cfg.params["eta"] == 0.05
-        assert cfg.seed == 3
+        assert cfg.params == {"objective": "double_well_a1", "seed": 3, "eta": 0.05}
 
     def test_json_equivalent(self, tmp_path):
         p = tmp_path / "exp.json"
@@ -88,9 +87,25 @@ class TestParseConfig:
 
 class TestManifest:
     def test_roundtrip(self):
-        cfg = ExperimentConfig(kind="compare", objective="mlp_h8_n200", seed=5,
-                               repeats=3, params={"eta": 0.1, "algos": ["sgd", "hj"]})
+        cfg = ExperimentConfig(kind="compare", params={"objective": "mlp_h8_n200", "seed": 5, "repeats": 3,
+                                                       "eta": 0.1, "algos": ["sgd", "hj"]})
         assert parse_manifest(emit_manifest(cfg)) == cfg
+
+    def test_holds_exactly_the_keys_set(self, tmp_path, capsys):
+        out = str(tmp_path / "fig1")
+        assert main(["reproduce-figure1", "--out", out]) == 0
+        data = json.loads((tmp_path / "fig1" / "manifest.json").read_text())
+        assert data == {"kind": "figure1", "params": {"out": out}}
+
+    def test_rerun_from_manifest_byte_identical(self, tmp_path):
+        first = tmp_path / "a"
+        run_experiment(parse_config(overrides={"kind": "optimize", "objective": "double_well_a1",
+                                               "algo": "entropy_sgd", "steps": 10, "seed": 4,
+                                               "out": str(first)}))
+        cfg = parse_manifest(json.loads((first / "manifest.json").read_text()))
+        cfg.params["out"] = str(tmp_path / "b")
+        run_experiment(cfg)
+        assert (first / "run_4.csv").read_bytes() == (tmp_path / "b" / "run_4.csv").read_bytes()
 
     def test_written_file_roundtrip(self, tmp_path):
         cfg = parse_config(overrides={"kind": "optimize", "objective": "double_well_a1",
@@ -460,6 +475,11 @@ class TestCliMain:
         assert code == 2
         assert "bogus_b1" in capsys.readouterr().err
 
+    def test_unknown_objective_message_unquoted(self, tmp_path, capsys):
+        assert main(["solve-pde", "--objective", "nope", "--out", str(tmp_path / "n")]) == 2
+        assert capsys.readouterr().err == "config error: unknown objective name: 'nope'\n"
+        assert not (tmp_path / "n").exists()
+
     def test_out_csv_names_run_file(self, tmp_path, capsys):
         target = tmp_path / "mine.csv"
         code = main(["optimize", "--objective", "quadratic_c1_n1", "--algo", "sgd",
@@ -486,6 +506,20 @@ class TestCliMain:
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # 2.5 % of the paths leave the box at this diffusion
+        (["control-improvement", "--beta-inv", "3", "--n-paths", "400", "--grid-n", "129", "--T", "1"],
+         "left the box"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--boundary", "periodic",
+          "--grid-n", "65"], "extrapolating boundaries only"),
+    ], ids=["control_paths_exit", "fd_periodic"])
+    def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_diverged_compare_fails_its_checks(self, tmp_path, capsys):

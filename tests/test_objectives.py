@@ -112,7 +112,7 @@ class TestTinyMLP:
         mlp = make_tiny_mlp(0, 8, 200)
         x = mlp.initial_point()
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(mlp.minibatch_grad(x, rng, 200), mlp.grad(x))
+        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng], 200)[0], mlp.grad(x))
 
     def test_loss_finite_positive(self):
         mlp = make_tiny_mlp(1, 8, 100)
@@ -123,7 +123,7 @@ class TestTinyMLP:
         mlp = make_tiny_mlp(0, 8, 200)
         x = mlp.initial_point()
         rng = np.random.default_rng(2)
-        mean = np.mean([mlp.minibatch_grad(x, rng, 32) for _ in range(10_000)], axis=0)
+        mean = np.mean([mlp.minibatch_grad(x[None], [rng], 32)[0] for _ in range(10_000)], axis=0)
         full = mlp.grad(x)
         assert np.linalg.norm(mean - full) <= 0.03 * np.linalg.norm(full)
 
@@ -133,7 +133,7 @@ class TestTinyMLP:
         traces = []
         for b in (10, 25, 50, 100, 200):
             rng = np.random.default_rng(11)
-            draws = np.stack([mlp.minibatch_grad(x, rng, b) for _ in range(400)])
+            draws = np.stack([mlp.minibatch_grad(x[None], [rng], b)[0] for _ in range(400)])
             traces.append(draws.var(axis=0).sum())
         assert all(a >= b - 1e-12 for a, b in zip(traces, traces[1:]))
 
@@ -142,7 +142,7 @@ class TestTinyMLP:
             make_tiny_mlp(0, 8, 50, batch_size=64)
         mlp = make_tiny_mlp(0, 8, 50, batch_size=16)
         with pytest.raises(ValueError):
-            mlp.minibatch_grad(mlp.initial_point(), np.random.default_rng(0), 51)
+            mlp.minibatch_grad(mlp.initial_point()[None], [np.random.default_rng(0)], 51)
 
     def test_gradient_matches_finite_differences(self):
         mlp = make_tiny_mlp(0, 4, 40)
@@ -158,7 +158,7 @@ class TestTinyMLP:
 
 class TestStackedMinibatchGrad:
     """Rows of x, shape (R, dim), each with its own generator, get the
-    gradients their single-row calls would, bit for bit."""
+    gradients their own one-row batches would, bit for bit."""
 
     MLP = make_tiny_mlp(0, 8, 200)
 
@@ -173,7 +173,7 @@ class TestStackedMinibatchGrad:
         g = mlp.minibatch_grad(x, rngs, batch)
         assert g.shape == (R, mlp.dim)
         for r in range(R):
-            assert g[r].tobytes() == mlp.minibatch_grad(x[r].copy(), twins[r], batch).tobytes()
+            assert g[r].tobytes() == mlp.minibatch_grad(x[r:r + 1].copy(), [twins[r]], batch)[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
     def test_full_batch_draws_nothing(self):
@@ -201,7 +201,7 @@ class TestStackedMinibatchGrad:
         g = obj.minibatch_grad(x, rngs)
         assert g.shape == (R, 1)
         for r in range(R):
-            assert g[r].tobytes() == obj.minibatch_grad(x[r].copy(), twins[r]).tobytes()
+            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]])[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
     def test_base_objective_loops_rows(self):
@@ -211,7 +211,7 @@ class TestStackedMinibatchGrad:
         x = np.random.default_rng(0).standard_normal((4, 3))
         g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)], 16)
         for r in range(4):
-            assert g[r].tobytes() == q.minibatch_grad(x[r].copy(), np.random.default_rng(r), 16).tobytes()
+            assert g[r].tobytes() == q.minibatch_grad(x[r:r + 1].copy(), [np.random.default_rng(r)], 16)[0].tobytes()
 
 
 class TestOneDefinition:
@@ -255,7 +255,7 @@ class TestOneDefinition:
         g = obj.minibatch_grad(x, rngs)
         assert g.shape == (R, obj.dim)
         for r in range(R):
-            assert g[r].tobytes() == obj.minibatch_grad(x[r].copy(), twins[r]).tobytes()
+            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]])[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
 
@@ -265,14 +265,14 @@ class TestNoiseModel:
         q.noise_scale = 0.05
         x = np.array([0.7, -0.2])
         rng = np.random.default_rng(9)
-        draws = np.stack([q.minibatch_grad(x, rng) for _ in range(20_000)])
+        draws = np.stack([q.minibatch_grad(x[None], [rng])[0] for _ in range(20_000)])
         np.testing.assert_allclose(draws.mean(axis=0), q.grad(x), atol=0.01)
         np.testing.assert_allclose(draws.var(axis=0), 0.05, rtol=0.1)
 
     def test_zero_noise_is_exact(self):
         q = make_quadratic(1.0, 0.0, 2)
         x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(q.minibatch_grad(x, np.random.default_rng(0)), q.grad(x))
+        np.testing.assert_array_equal(q.minibatch_grad(x[None], [np.random.default_rng(0)])[0], q.grad(x))
 
 
 class TestCorpus:

@@ -20,10 +20,10 @@ def linear_objective(slope=3.0):
                            value_batch_fn=lambda X: slope * X[:, 0])
 
 
-def heat_outer_step(st, objective, cfg, n_calls=None):
+def heat_outer_step(st, cfg, n_calls=None):
     # heat spends one gradient per call; L calls make one outer step
     for _ in range(cfg.L if n_calls is None else n_calls):
-        opt.step(st, objective, cfg, "heat")
+        opt.step(st)
 
 
 class TestSgdStep:
@@ -31,14 +31,14 @@ class TestSgdStep:
         obj = zero_objective()
         cfg = opt.default_config("sgd")
         st = opt.init_state(obj, np.array([1.3]), cfg, seed=0, algo="sgd")
-        opt.step(st, obj, cfg, "sgd")
+        opt.step(st)
         assert st.x[0] == 1.3
 
     def test_quadratic_contraction(self):
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("sgd", eta=0.1)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="sgd")
-        opt.step(st, q, cfg, "sgd")
+        opt.step(st)
         assert st.x[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_extrinsic_noise_variance(self):
@@ -47,7 +47,7 @@ class TestSgdStep:
         xs = np.empty(10_000)
         for s in range(len(xs)):
             st = opt.init_state(dw, np.array([0.5]), cfg, seed=s, algo="sgd")
-            opt.step(st, dw, cfg, "sgd")
+            opt.step(st)
             xs[s] = st.x[0, 0]
         assert xs.var() == pytest.approx(0.1 * 0.01, rel=0.05)
 
@@ -63,7 +63,7 @@ class TestEntropyStep:
                                  gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([2.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(3 * cfg.L):
-            opt.step(st, obj, cfg, "entropy_sgd")
+            opt.step(st)
         assert st.x[0] == pytest.approx(2.0, abs=1e-14)
         assert st.y_avg[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -74,7 +74,7 @@ class TestEntropyStep:
                                  gamma1=0.0, delta=0.0, eta=0.1, eta_y=0.05)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(cfg.L):
-            opt.step(st, q, cfg, "entropy_sgd")
+            opt.step(st)
         drift = (st.x[0] - 1.0) / cfg.eta
         assert drift == pytest.approx(-0.5, rel=0.05)
 
@@ -83,7 +83,7 @@ class TestEntropyStep:
         cfg = opt.default_config("entropy_sgd", L=4, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="entropy_sgd")
         for _ in range(cfg.L):
-            opt.step(st, q, cfg, "entropy_sgd")
+            opt.step(st)
         assert st.k % cfg.L == 0
         np.testing.assert_array_equal(st.rows, st.x)
         np.testing.assert_array_equal(st.y_avg, st.x)
@@ -101,7 +101,7 @@ class TestHjStep:
         cfg = opt.default_config(variant, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([1.5]), cfg, seed=0, algo=variant)
         for _ in range(2 * cfg.L):
-            opt.step(st, obj, cfg, variant)
+            opt.step(st)
         assert st.x[0] == pytest.approx(1.5, abs=1e-14)
 
     @pytest.mark.parametrize("variant", ["hj", "hj2"])
@@ -110,7 +110,7 @@ class TestHjStep:
         cfg = opt.default_config(variant, gamma0=0.5, gamma1=0.0, delta=0.0, eta=0.05)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo=variant)
         for _ in range(cfg.L):
-            opt.step(st, q, cfg, variant)
+            opt.step(st)
         assert st.x[0] < 1.0  # moves toward 0, same sign as the proximal drift
 
     def test_default_L_is_five(self):
@@ -130,16 +130,14 @@ class TestHjStep:
         st1 = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="hj")
         st2 = opt.init_state(q, np.array([1.0]), cfg, seed=1, algo="hj")
         for _ in range(cfg.L):
-            opt.step(st1, q, cfg, "hj")
-            opt.step(st2, q, cfg, "hj")
+            opt.step(st1)
+            opt.step(st2)
         assert st1.x[0] == st2.x[0]  # no noise enters despite beta_inv_ex > 0
 
     def test_unknown_variant(self):
         q = make_quadratic(1.0, 0.0, 1)
-        cfg = opt.default_config("hj")
-        st = opt.init_state(q, np.ones(1), cfg, 0, "hj")
         with pytest.raises(ValueError, match="hj3"):
-            opt.step(st, q, cfg, "hj3")
+            opt.init_state(q, np.ones(1), opt.default_config("hj"), 0, algo="hj3")
 
 
 class TestHeatStep:
@@ -147,14 +145,14 @@ class TestHeatStep:
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("heat", L=20, gamma0=1e-12, gamma1=0.0, delta=0.0, eta=0.1)
         st = opt.init_state(q, np.array([1.0]), cfg, seed=0, algo="heat")
-        heat_outer_step(st, q, cfg)
+        heat_outer_step(st, cfg)
         assert abs(st.x[0] - 0.9) <= 1e-6
 
     def test_linear_gradient_exact(self):
         obj = linear_objective(3.0)
         cfg = opt.default_config("heat", L=20, gamma0=1.0, gamma1=0.0, delta=0.0, eta=0.1)
         st = opt.init_state(obj, np.array([0.0]), cfg, seed=0, algo="heat")
-        heat_outer_step(st, obj, cfg)
+        heat_outer_step(st, cfg)
         assert st.x[0] == pytest.approx(-0.3, abs=1e-12)
 
     def test_unbiased_for_quadratics(self):
@@ -163,7 +161,7 @@ class TestHeatStep:
         updates = np.empty(10_000)
         for s in range(len(updates)):
             st = opt.init_state(q, np.array([1.0]), cfg, seed=s, algo="heat")
-            heat_outer_step(st, q, cfg)
+            heat_outer_step(st, cfg)
             updates[s] = st.x[0, 0] - 1.0
         assert updates.mean() == pytest.approx(-0.1 * 1.0, rel=0.03)
 
@@ -171,9 +169,9 @@ class TestHeatStep:
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("heat", L=7, gamma0=0.5, gamma1=0.0, delta=0.0)
         st = opt.init_state(q, np.ones(1), cfg, seed=0, algo="heat")
-        opt.step(st, q, cfg, "heat")
+        opt.step(st)
         assert st.grad_evals == 1 and st.outer_steps == 0
-        heat_outer_step(st, q, cfg, cfg.L - 1)
+        heat_outer_step(st, cfg, cfg.L - 1)
         assert st.grad_evals == 7 and st.outer_steps == 1
 
 
@@ -184,7 +182,7 @@ class TestElasticStep:
                                  gamma0=1.0, gamma1=0.0, delta=0.0)
         st = opt.init_state(obj, np.array([0.7]), cfg, seed=0, algo="elastic")
         for _ in range(2 * cfg.L):
-            opt.step(st, obj, cfg, "elastic")
+            opt.step(st)
         assert st.x[0] == pytest.approx(0.7, abs=1e-14)
         for w in st.rows:
             assert w[0] == pytest.approx(0.7, abs=1e-14)
@@ -200,8 +198,8 @@ class TestElasticStep:
         st_en = opt.init_state(dw, np.array([0.8]), cfg_en, seed=5, algo="entropy_sgd")
         st_en.rngs = [substream(123, "twin")]
         for _ in range(3 * cfg_el.L):
-            opt.step(st_el, dw, cfg_el, "elastic")
-            opt.step(st_en, dw, cfg_en, "entropy_sgd")
+            opt.step(st_el)
+            opt.step(st_en)
         np.testing.assert_array_equal(st_el.x, st_en.x)
 
     def test_center_drift_matches_entropy_drift(self):
@@ -214,22 +212,15 @@ class TestElasticStep:
             cfg_el = opt.default_config("elastic", n_workers=8, **kw)
             st = opt.init_state(q, np.array([1.0]), cfg_el, seed=s, algo="elastic")
             for _ in range(cfg_el.L):
-                opt.step(st, q, cfg_el, "elastic")
+                opt.step(st)
             drifts_el.append(st.x[0] - 1.0)
             cfg_en = opt.default_config("entropy_sgd", **kw)
             st = opt.init_state(q, np.array([1.0]), cfg_en, seed=s, algo="entropy_sgd")
             for _ in range(cfg_en.L):
-                opt.step(st, q, cfg_en, "entropy_sgd")
+                opt.step(st)
             drifts_en.append(st.x[0] - 1.0)
         m_el, m_en = np.mean(drifts_el), np.mean(drifts_en)
         assert m_el == pytest.approx(m_en, rel=0.05)
-
-    def test_requires_worker_state(self):
-        q = make_quadratic(1.0, 0.0, 1)
-        cfg = opt.default_config("elastic")
-        st = opt.init_state(q, np.ones(1), cfg, 0, "entropy_sgd")  # no workers
-        with pytest.raises(ValueError, match="elastic"):
-            opt.step(st, q, cfg, "elastic")
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -271,7 +262,7 @@ class TestMomentum:
             cfg = opt.default_config(algo, delta=0.0, gamma0=0.5, beta_inv_ex=0.01, n_workers=2)
             st = opt.init_state(dw, np.array([0.3]), cfg, seed=0, algo=algo)
             for _ in range(3 * cfg.L):
-                opt.step(st, dw, cfg, algo)
+                opt.step(st)
             assert st.outer_steps == 3
             np.testing.assert_array_equal(st.z, st.x)
 
@@ -454,7 +445,7 @@ class TestInnerContraction:
         dists = []
         n_steps = 300
         for _ in range(n_steps):
-            opt.step(st, obj, cfg, "entropy_sgd")
+            opt.step(st)
             dists.append(np.linalg.norm(st.rows[0] - y_star))
         s = np.arange(1, n_steps + 1) * eta_y  # time axis of the inner flow
         fitted = -np.polyfit(s, np.log(dists), 1)[0]
