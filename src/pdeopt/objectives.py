@@ -265,16 +265,31 @@ class TinyMLP(Objective):
     def grad_batch(self, X):
         return self._grad(*self._full(X))
 
-    def minibatch_grad(self, X, rngs, batch_size: int | None = None) -> Array:
-        """Minibatch gradient at each row of X, shape (R, dim), row r drawing
-        its indices from ``rngs[r]``.  The full batch uses every point once
-        and draws nothing."""
+    def _batch(self, batch_size: int | None) -> int:
         b = batch_size if batch_size is not None else (self.batch_size or self.n_samples)
         if b > self.n_samples:
             raise ValueError("batch_size cannot exceed n_samples")
+        return b
+
+    def minibatch_indices(self, rngs, batch_size: int | None = None, steps: int = 1) -> Array:
+        """Sample indices of the next ``steps`` minibatches of each stream,
+        shape (R, steps, b), drawn with replacement by one ``integers`` call
+        per stream.  One call of steps * b draws the same values as steps
+        calls of b and leaves the stream in the same state: numpy's bounded
+        draws keep the unused half of a 64-bit word in the bit generator,
+        across calls as within one."""
+        b = self._batch(batch_size)
+        return np.array([r.integers(0, self.n_samples, size=steps * b) for r in rngs]).reshape(len(rngs), steps, b)
+
+    def minibatch_grad(self, X, rngs, batch_size: int | None = None, idx: Array | None = None) -> Array:
+        """Minibatch gradient at each row of X, shape (R, dim), on the sample
+        indices ``idx``, shape (R, b), or without them on one minibatch per
+        row drawn from ``rngs[r]`` by :meth:`minibatch_indices`.  The full
+        batch uses every point once and draws nothing."""
+        b = self._batch(batch_size)
         if b == self.n_samples:
             return self.grad_batch(X)
-        return self._grad(X, np.array([r.integers(0, self.n_samples, size=b) for r in rngs]))
+        return self._grad(X, self.minibatch_indices(rngs, b)[:, 0] if idx is None else idx)
 
 
 class CustomObjective(Objective):

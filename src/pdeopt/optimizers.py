@@ -42,7 +42,12 @@ seeds run beside it, bit for bit:
   ``substream(seed + p, "optimizer")``, elastic worker w of repeat p from
   ``worker_streams(seed + p, "worker", n_workers)[w]``; within a stream the
   draws of a step keep their order (minibatch indices, then noise; for heat
-  the perturbation, then the indices), and a full batch draws no indices;
+  the perturbation, then the indices), and a full batch draws no indices.
+  Inside :func:`run`, rows whose streams draw nothing but indices (hj, hj2,
+  and sgd, entropy_sgd and elastic without extrinsic noise, on a dataset
+  with b < n) draw them for up to 128 steps in one call per stream: the
+  same values, and the same stream state at the end, as one call per step.
+  A direct :func:`step` draws per step;
 * ``TinyMLP.minibatch_grad`` runs each row through the same BLAS call a
   single row makes (stacked matmul; einsum would differ in the last bits);
 * the analytic objectives' ``grad_batch`` rows do not depend on the rows
@@ -136,12 +141,22 @@ def gamma_schedule(k: int, cfg: OptimizerConfig) -> float:
     return cfg.gamma0 * (1.0 - cfg.gamma1) ** (k // cfg.L)
 
 
+# Rows whose streams draw nothing but minibatch indices draw them inside
+# :func:`run` for up to this many steps in one call per stream.  Longer
+# chunks save no more time and cost memory: on a compare of mlp_h8_n200
+# with 6 repeats, 1,024 steps ran at the same speed with a peak RSS 4 MB
+# (7 %) higher.
+_INDEX_CHUNK = 128
+
+
 @dataclass(frozen=True)
 class _Plan:
     """An algorithm's constants, resolved once per run by :func:`init_state`."""
     cfg: OptimizerConfig
     inner: Callable              # the row update; returns d on the last inner step
-    grad: Callable               # (rows, rngs, batch_size) -> one stochastic gradient per row
+    grad: Callable               # (rows, rngs, batch_size[, idx]) -> one stochastic gradient per row
+    draw: Callable | None        # (rngs, batch_size, steps) -> (rows, steps, b) minibatch indices,
+                                 # when the rows' streams draw nothing else
     every: int                   # inner steps per outer update
     width: int                   # inner rows per repeat (0 for sgd)
     grads: int                   # gradients per repeat and inner step
@@ -166,6 +181,8 @@ class OptimizerState:
     grad_evals: int = 0            # per repeat
     epoch_size: tuple[int, int] = (1, 1)   # (samples per gradient, samples per epoch)
     plan: _Plan | None = None
+    draw_until: int = 0            # the step run stops at; before it, a plan.draw draws indices ahead
+    indices: Array | None = None   # (rows, steps, b) indices drawn ahead, the chunk holding step k
 
 
 def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd",
@@ -186,18 +203,20 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
         rngs = [g for r in range(repeats) for g in worker_streams(seed + r, "worker", width)]
     else:
         rngs = [substream(seed + r, "optimizer") for r in range(repeats)]
+    noise = cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0
+    outer_noise = cfg.beta_inv_ex if algo == "sgd" else 0.0
+    batch, n_samples = epoch_size = objective.epoch_size(cfg.batch_size)
+    # heat draws its perturbation before the indices; a full batch draws none
+    index_only = algo != "heat" and not noise and not outer_noise and batch < n_samples
     plan = _Plan(
         cfg=cfg, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
-        grad=objective.minibatch_grad, every=1 if algo == "sgd" else cfg.L,
-        width=width, grads=max(width, 1),
-        alpha=0.0 if algo == "hj" else cfg.alpha,
-        noise=cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0,
-        outer_noise=cfg.beta_inv_ex if algo == "sgd" else 0.0,
+        grad=objective.minibatch_grad, draw=objective.minibatch_indices if index_only else None,
+        every=1 if algo == "sgd" else cfg.L, width=width, grads=max(width, 1),
+        alpha=0.0 if algo == "hj" else cfg.alpha, noise=noise, outer_noise=outer_noise,
         anneal=bool(cfg.anneal_factor and cfg.anneal_period),
     )
     state = OptimizerState(x=x, z=x.copy(), rows=np.empty((repeats * width, x.shape[1])), y_avg=x.copy(),
-                           rngs=rngs, control_energy=np.zeros(repeats),
-                           epoch_size=objective.epoch_size(cfg.batch_size), plan=plan)
+                           rngs=rngs, control_energy=np.zeros(repeats), epoch_size=epoch_size, plan=plan)
     _scope(state, cfg)
     _restart(state, plan)
     return state
@@ -226,8 +245,21 @@ def _per_row(a: Array, width: int) -> Array:
     return a if width == 1 else np.repeat(a, width, axis=0)
 
 
+def _grad(state: OptimizerState, p: _Plan, X: Array) -> Array:
+    """One stochastic gradient at each row of X.  Before ``state.draw_until``,
+    a plan with ``draw`` draws each stream's indices at the steps k that are
+    multiples of ``_INDEX_CHUNK``, for that many steps (fewer at the end) in
+    one call, and step k takes slice k % ``_INDEX_CHUNK`` of them."""
+    if p.draw is None or state.k >= state.draw_until:
+        return p.grad(X, state.rngs, p.cfg.batch_size)
+    j = state.k % _INDEX_CHUNK
+    if j == 0:
+        state.indices = p.draw(state.rngs, p.cfg.batch_size, min(_INDEX_CHUNK, state.draw_until - state.k))
+    return p.grad(X, state.rngs, p.cfg.batch_size, state.indices[:, j])
+
+
 def _sgd(state, p, last):
-    return p.grad(state.z, state.rngs, p.cfg.batch_size)
+    return _grad(state, p, state.z)
 
 
 def _coupled(state, p, last):
@@ -236,7 +268,7 @@ def _coupled(state, p, last):
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
     y = state.rows
-    y = y - s * (p.grad(y, state.rngs, p.cfg.batch_size) + (y - _per_row(state.z, p.width)) / gamma)
+    y = y - s * (_grad(state, p, y) + (y - _per_row(state.z, p.width)) / gamma)
     if p.noise:
         y = y + _normal(state.rngs, math.sqrt(s * p.noise), y.shape[1])
     state.rows = y
@@ -247,7 +279,7 @@ def _coupled(state, p, last):
 
 def _hj2(state, p, last):
     y = state.rows
-    g = p.grad(state.z - y, state.rngs, p.cfg.batch_size)
+    g = _grad(state, p, state.z - y)
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
     state.rows = (1.0 - s / gamma) * y + s * g
@@ -256,7 +288,7 @@ def _hj2(state, p, last):
 
 def _heat(state, p, last):
     eps = _normal(state.rngs, math.sqrt(state.gamma), state.z.shape[1])
-    state.rows = total = state.rows + p.grad(state.z + eps, state.rngs, p.cfg.batch_size)
+    state.rows = total = state.rows + _grad(state, p, state.z + eps)
     return total / p.every if last else None
 
 
@@ -364,29 +396,24 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
         x0 = objective.initial_point() if hasattr(objective, "initial_point") else np.ones(objective.dim)
     n_seeds = 1 if repeats is None else repeats
     state = init_state(objective, x0, cfg, seed, algo, n_seeds)
+    state.draw_until = n_outer_steps * cfg.L
     records = [RunRecord(algo=algo, seed=seed + r) for r in range(n_seeds)]
     live = list(range(n_seeds))
-
-    def log_row(r):
-        x = state.x[r]
-        loss = objective.value(x)
-        records[r].rows.append(dict(
-            k=state.k,
-            effective_epoch=_epochs(state),
-            loss=loss,
-            grad_norm=float(np.linalg.norm(objective.grad(x))),
-            gamma=gamma_schedule(max(state.k - 1, 0), cfg),
-            control_energy=float(state.control_energy[r]),
-        ))
-        return loss
 
     inner_steps = range(cfg.L)
     for outer in range(n_outer_steps):
         for _ in inner_steps:
             step(state)
         if (outer + 1) % record_every == 0 or outer == n_outer_steps - 1:
-            for r in list(live):
-                if not math.isfinite(log_row(r)):
+            X = state.x[live]
+            epoch, gamma = _epochs(state), gamma_schedule(max(state.k - 1, 0), cfg)
+            for r, loss, g in zip(list(live), objective.value_batch(X), objective.grad_batch(X)):
+                loss = float(loss)
+                records[r].rows.append(dict(
+                    k=state.k, effective_epoch=epoch, loss=loss, grad_norm=float(np.linalg.norm(g)),
+                    gamma=gamma, control_energy=float(state.control_energy[r]),
+                ))
+                if not math.isfinite(loss):
                     records[r].aborted = True
                     records[r].terminal_x = state.x[r].copy()
                     live.remove(r)

@@ -214,6 +214,56 @@ class TestStackedMinibatchGrad:
             assert g[r].tobytes() == q.minibatch_grad(x[r:r + 1].copy(), [np.random.default_rng(r)], 16)[0].tobytes()
 
 
+def _stream_state(rng):
+    """A generator's full state.  The buffered half ``uinteger`` is stale,
+    and not compared, while ``has_uint32`` is 0."""
+    s = rng.bit_generator.state
+    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+
+
+class TestChunkedIndexDraws:
+    """One ``integers(0, n, size=k*b)`` call draws the values of k calls of
+    size b and leaves the stream where they do, so minibatch indices can be
+    drawn k steps ahead when a stream draws nothing else in between.  At
+    n = 2^31 + 1 about half the 32-bit draws are rejected and redrawn."""
+
+    MLP = make_tiny_mlp(0, 8, 200)
+
+    @pytest.mark.parametrize("n, b", [(200, 32), (200, 31), (2**31 + 1, 8), (2**31 + 1, 7)])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), lead=st.integers(0, 1))
+    def test_one_call_is_k_calls(self, n, b, seed, k, lead):
+        chunked, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (chunked, stepped):    # an odd lead leaves a buffered half to start from
+            rng.integers(0, n, size=lead)
+        values = chunked.integers(0, n, size=k * b)
+        steps = [stepped.integers(0, n, size=b) for _ in range(k)]
+        assert values.tobytes() == np.concatenate(steps).tobytes()
+        assert _stream_state(chunked) == _stream_state(stepped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20), b=st.integers(1, 199), R=st.integers(1, 4))
+    def test_minibatch_indices_ahead(self, seed, k, b, R):
+        ahead = [np.random.default_rng([seed, r]) for r in range(R)]
+        stepped = [np.random.default_rng([seed, r]) for r in range(R)]
+        idx = self.MLP.minibatch_indices(ahead, b, k)
+        assert idx.shape == (R, k, b)
+        for j in range(k):
+            assert idx[:, j].tobytes() == self.MLP.minibatch_indices(stepped, b)[:, 0].tobytes()
+        assert [_stream_state(g) for g in ahead] == [_stream_state(g) for g in stepped]
+
+    def test_interleaved_normal_breaks_it(self):
+        # a noisy row draws a normal between its index draws: drawn ahead,
+        # its second step's indices would come from other bits
+        chunked, stepped = np.random.default_rng(5), np.random.default_rng(5)
+        values = chunked.integers(0, 200, size=2 * 32)
+        first = stepped.integers(0, 200, size=32)
+        stepped.normal(0.0, 1.0, 3)
+        second = stepped.integers(0, 200, size=32)
+        assert values[:32].tobytes() == first.tobytes()
+        assert values[32:].tobytes() != second.tobytes()
+
+
 class TestOneDefinition:
     """Each objective is defined once, on rows: a point's value and gradient
     are its row of the batch, bit for bit, and each row of a stacked

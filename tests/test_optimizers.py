@@ -9,6 +9,8 @@ from pdeopt import optimizers as opt
 from pdeopt.objectives import CustomObjective, Quadratic, get_entry, make_double_well, make_quadratic
 from pdeopt.rng import substream
 
+from test_objectives import _stream_state
+
 
 def zero_objective(dim=1):
     return CustomObjective(dim, None, lambda x: np.zeros(dim),
@@ -425,6 +427,53 @@ class TestRepeats:
         assert [r.aborted for r in batched] == [True, False, False]
         assert len(batched[0].rows) < 30 and not np.isfinite(batched[0].final_loss)
         self.assert_same_records(batched, singles, tmp_path)
+
+
+class TestIndicesDrawnAhead:
+    """Inside ``run``, rows that draw only minibatch indices draw them up to
+    128 steps ahead.  Across two chunk boundaries and a short last chunk,
+    the run records what a loop of direct steps (one draw per step) and
+    one-point ``value``/``grad`` logging records, bit for bit, and leaves
+    every stream in the same state."""
+
+    @pytest.mark.parametrize("L, n_outer", [(1, 2 * 128 + 37), (5, 59)])
+    @pytest.mark.parametrize("algo", ["sgd", "hj", "hj2", "elastic"])
+    def test_run_matches_step_loop(self, algo, L, n_outer, monkeypatch, tmp_path):
+        obj = get_entry("mlp_h8_n200").objective
+        cfg = opt.default_config(algo, batch_size=32, beta_inv_ex=0.0, n_workers=3, L=L)
+        seed, repeats, record_every = 4, 2, 10
+        made, real_init = [], opt.init_state
+
+        def init_state(*args):
+            made.append(real_init(*args))
+            return made[-1]
+
+        monkeypatch.setattr(opt, "init_state", init_state)
+        records = opt.run(algo, obj, cfg, seed, n_outer, record_every=record_every, repeats=repeats)
+        (ran,) = made
+        assert ran.plan.draw is not None and ran.indices.shape[1] == n_outer * L - 2 * 128
+
+        st = real_init(obj, obj.initial_point(), cfg, seed, algo, repeats)
+        looped = [opt.RunRecord(algo=algo, seed=seed + r) for r in range(repeats)]
+        for outer in range(n_outer):
+            for _ in range(L):
+                opt.step(st)
+            if (outer + 1) % record_every == 0 or outer == n_outer - 1:
+                for r, rec in enumerate(looped):
+                    x = st.x[r]
+                    rec.rows.append(dict(
+                        k=st.k, effective_epoch=st.grad_evals * 32 / 200, loss=obj.value(x),
+                        grad_norm=float(np.linalg.norm(obj.grad(x))),
+                        gamma=opt.gamma_schedule(max(st.k - 1, 0), cfg),
+                        control_energy=float(st.control_energy[r])))
+        assert st.indices is None
+        for r, (rec, ref) in enumerate(zip(records, looped)):
+            assert not rec.aborted and len(rec.rows) == n_outer // record_every + 1
+            rec.to_csv(tmp_path / "run.csv")
+            ref.to_csv(tmp_path / "loop.csv")
+            assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+            assert rec.terminal_x.tobytes() == st.x[r].tobytes()
+        assert [_stream_state(g) for g in ran.rngs] == [_stream_state(g) for g in st.rngs]
 
 
 class TestInnerContraction:
