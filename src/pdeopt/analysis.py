@@ -3,7 +3,8 @@
 Checks implemented here, each backed by an independent oracle:
 
 * the stationary measure of the inner (coupled) dynamics against its
-  Gaussian closed form on quadratics,
+  Gaussian closed form on quadratics, with error bars from independent
+  chains and the integrated autocorrelation time of one,
 * the two-timescale limit: the averaged inner iterate reproduces the
   gradient of the inf-convolution smoothed loss as the scale separation
   shrinks,
@@ -41,7 +42,9 @@ def integrated_autocorrelation_time(series: Array) -> float:
     """Integrated autocorrelation time with automatic windowing.
 
     Uses the smallest window M with M >= ACT_WINDOW_C * tau(M); returns 1.0
-    for uncorrelated or constant series.
+    for uncorrelated or constant series.  The autocorrelations of a demeaned
+    series sum to zero, so tau(n - 1) = 0 and the window rule holds by
+    M = n - 1: the estimate never exceeds max(1, (n - 1) / ACT_WINDOW_C).
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
@@ -55,10 +58,8 @@ def integrated_autocorrelation_time(series: Array) -> float:
     acf = np.fft.irfft(f * np.conj(f))[:n].real
     acf /= acf[0]
     taus = 2.0 * np.cumsum(acf) - 1.0
-    for m in range(1, n):
-        if m >= ACT_WINDOW_C * taus[m]:
-            return float(max(taus[m], 1.0))
-    return float(max(taus[-1], 1.0))
+    m = int(np.argmax(np.arange(n) >= ACT_WINDOW_C * taus))   # the first M that qualifies
+    return float(max(taus[m], 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +178,9 @@ class HomogenizationRow:
 
 @dataclass
 class HomogenizationTable:
-    probes: Array
     reference_grad: Array          # d/dx of the smoothed loss at the probes
     rows: list[HomogenizationRow]
-    drifts: Array                  # (n_eps, n_probes) seed-averaged drift estimates
     drift_samples: Array           # (n_eps, n_probes, n_seeds) raw drift estimates
-    ergodic: bool = True
 
     def is_monotone(self, n_stderr: float = 2.0) -> bool:
         """Deviation non-increasing as epsilon shrinks, up to noise."""
@@ -214,9 +212,7 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
     ref = np.array([prox_point(objective, np.array([p]), gamma).grad_u[0] for p in probes])
 
     rows: list[HomogenizationRow] = []
-    all_drifts = np.empty((len(epsilons), len(probes)))
     all_samples = np.empty((len(epsilons), len(probes), n_seeds))
-    ergodic = True
     for ei, eps in enumerate(epsilons):
         L = max(1, int(round(1.0 / eps)))
         cfg = OptimizerConfig(eta=0.1, eta_y=HOMOGENIZATION_ETA_Y, L=L, gamma0=gamma, gamma1=0.0,
@@ -227,18 +223,12 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
             # the seeds seed*1000 + s are the rows of one state
             state = init_state(objective, np.array([p]), cfg, seed=seed * 1000, algo="entropy_sgd",
                                repeats=n_seeds)
-            y_trace = np.empty(L)
-            for li in range(L):
-                y_trace[li] = state.rows[0, 0]
+            for _ in range(L):
                 step(state)
             drifts = (state.x[:, 0] - p) / cfg.eta
-            if ei == len(epsilons) - 1 and pi == 0 and beta_inv > 0:
-                if integrated_autocorrelation_time(y_trace) > L:
-                    ergodic = False
             devs[pi] = np.abs(drifts - (-ref[pi]))
             drift_mean[pi] = drifts.mean()
             all_samples[ei, pi] = drifts
-        all_drifts[ei] = drift_mean
         per_seed = devs.mean(axis=0)     # mean over probes, one value per seed
         denom = np.maximum(np.abs(ref), 1e-12)
         rel = np.abs(drift_mean + ref) / denom
@@ -250,10 +240,7 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
             mean_rel_deviation=float(rel.mean()),
             max_rel_deviation=float(rel.max()),
         ))
-    if not ergodic:
-        warnings.warn("inner dynamics may be non-ergodic: autocorrelation time exceeds the run length")
-    return HomogenizationTable(probes=probes, reference_grad=ref, rows=rows,
-                               drifts=all_drifts, drift_samples=all_samples, ergodic=ergodic)
+    return HomogenizationTable(reference_grad=ref, rows=rows, drift_samples=all_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,6 @@ class ControlComparison:
     terminal_plain_stderr: float
     control_energy: float
     control_energy_stderr: float
-    n_paths: int
     exit_fraction: float
     gap: float                 # E[V(plain)] - E[V(ctrl)], positive is better
     gap_stderr: float
@@ -346,7 +332,7 @@ def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
         terminal_ctrl=t_c, terminal_ctrl_stderr=se_c,
         terminal_plain=t_p, terminal_plain_stderr=se_p,
         control_energy=en, control_energy_stderr=se_en,
-        n_paths=n_paths, exit_fraction=exit_fraction,
+        exit_fraction=exit_fraction,
         gap=gap, gap_stderr=se_gap,
         bound_margin=margin, bound_margin_stderr=se_margin,
     )

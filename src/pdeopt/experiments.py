@@ -162,8 +162,6 @@ def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_solve_pde(cfg: ExperimentConfig) -> tuple[dict, dict]:
     objective = cfg.param("objective")
     entry = get_entry(objective)
-    if entry.objective.dim > 2:
-        raise ValueError("grid solves support 1D and 2D objectives only")
     grid = _grid_for(entry, cfg.param("grid_n"))
     pcfg = pde_lab.PdeSolveConfig(
         beta_inv=cfg.param("beta_inv"),

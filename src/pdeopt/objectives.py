@@ -123,6 +123,9 @@ class DoubleWell(Objective):
         return (4.0 * x * (x * x - self.a**2))[:, None]
 
 
+RUGGED_BOX = (-3.0, 3.0)   # the box Rugged1D's wells are laid out on
+
+
 class Rugged1D(Objective):
     """Coercive 1D landscape with many seeded local minima.
 
@@ -134,12 +137,12 @@ class Rugged1D(Objective):
 
     dim = 1
 
-    def __init__(self, seed: int, n_modes: int, box: tuple[float, float] = (-3.0, 3.0)):
+    def __init__(self, seed: int, n_modes: int):
         if n_modes < 2:
             raise ValueError("n_modes must be >= 2")
         self.seed = int(seed)
         self.n_modes = int(n_modes)
-        self.box = (float(box[0]), float(box[1]))
+        self.box = RUGGED_BOX
         rng = np.random.default_rng(np.random.SeedSequence([0x5EED, self.seed, self.n_modes]))
         width = self.box[1] - self.box[0]
         self.k_env = 1.0
@@ -210,7 +213,7 @@ class TinyMLP(Objective):
         return self._x0.copy()
 
     def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
-        return batch_size or self.batch_size or self.n_samples, self.n_samples
+        return self._batch(batch_size), self.n_samples
 
     def _unpack(self, x):
         """Layer weights of each row of x, shape (R, dim)."""

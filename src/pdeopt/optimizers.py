@@ -380,25 +380,22 @@ class RunRecord:
 
 
 def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
-        n_outer_steps: int, x0=None, record_every: int = 1,
-        repeats: int | None = None) -> RunRecord | list[RunRecord]:
+        n_outer_steps: int, x0=None, record_every: int = 1, repeats: int = 1) -> list[RunRecord]:
     """Execute ``n_outer_steps`` outer updates of the named optimizer.
 
-    With ``repeats`` given, the seeds ``seed .. seed + repeats - 1`` run as
-    rows of one batched state and a list of one record per seed is returned;
-    without it, one seed runs and its record is returned.  Either way a
-    seed's record is the same: identical (config, seed) produce identical
-    rows.  A non-finite loss aborts that seed: its record stops, flagged,
-    with the iterate of that moment, while the other seeds run on.
+    The seeds ``seed .. seed + repeats - 1`` run as rows of one batched state,
+    and one record per seed is returned.  A seed's record does not depend on
+    ``repeats``: identical (config, seed) produce identical rows.  A
+    non-finite loss aborts that seed: its record stops, flagged, with the
+    iterate of that moment, while the other seeds run on.
     """
     cfg = cfg if cfg is not None else default_config(algo)
     if x0 is None:
         x0 = objective.initial_point() if hasattr(objective, "initial_point") else np.ones(objective.dim)
-    n_seeds = 1 if repeats is None else repeats
-    state = init_state(objective, x0, cfg, seed, algo, n_seeds)
+    state = init_state(objective, x0, cfg, seed, algo, repeats)
     state.draw_until = n_outer_steps * cfg.L
-    records = [RunRecord(algo=algo, seed=seed + r) for r in range(n_seeds)]
-    live = list(range(n_seeds))
+    records = [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)]
+    live = list(range(repeats))
 
     inner_steps = range(cfg.L)
     for outer in range(n_outer_steps):
@@ -421,4 +418,4 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
                 break
     for r in live:
         records[r].terminal_x = state.x[r].copy()
-    return records if repeats is not None else records[0]
+    return records

@@ -5,12 +5,13 @@ Four routes to the smoothed loss u(x, t) of a 1D/2D objective f:
 * ``solve_viscous_hj_cole_hopf`` -- u = -(1/b) log(G_{t/b} * exp(-b f)),
   the log-transformed heat solution: per axis, exp once per sample of each
   line shifted by its maximum, heat's window sums, log once per centre; a
-  pass whose lines span 700 or more in the exponent, where a sum could
-  underflow, combines each window by log-sum-exp instead.  Solves
-  u_t = -|grad u|^2/2 + (1/(2b)) Lap u.
+  pass with a window centre 700 or more below its line's maximum in the
+  exponent, where that window's sum could underflow, combines each window
+  by log-sum-exp instead.  Solves u_t = -|grad u|^2/2 + (1/(2b)) Lap u.
 * ``solve_hj_hopf_lax`` -- the zero-viscosity limit: the inf-convolution
   u(x,t) = min_y { f(y) + |x-y|^2/(2t) }, the exact minimum over the grid
-  nodes within the reachability radius.
+  nodes within the reachability radius; extrapolating boundaries only, as
+  for the finite differences.
 * ``solve_hj_monotone_fd`` -- explicit upwind (Godunov) finite differences
   for the same equation, any viscosity including zero.
 * ``solve_heat`` -- plain Gaussian blurring v = G_{t/b} * f for contrast.
@@ -57,6 +58,8 @@ Array = np.ndarray
 
 SCHEMES = ("cole_hopf", "hopf_lax", "monotone_fd", "heat")
 BOUNDARIES = ("extrapolating", "periodic")
+PAD_SIGMAS = 8.0   # kernel standard deviations a quadrature window reaches: mass beyond is below ~1e-10
+CFL_SAFETY = 0.8   # an explicit step's share of its stability limit, unless dt is given
 
 
 @dataclass
@@ -66,8 +69,7 @@ class PdeSolveConfig:
     dt: float | None = None
     scheme: str = "cole_hopf"
     boundary: str = "extrapolating"
-    pad_sigmas: float = 8.0
-    cfl_safety: float = 0.8
+    cfl_safety: float = CFL_SAFETY
 
     def __post_init__(self):
         if self.beta_inv < 0:
@@ -78,8 +80,11 @@ class PdeSolveConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
-        if self.scheme == "monotone_fd" and self.boundary != "extrapolating":
+        if self.boundary == "periodic" and self.scheme == "monotone_fd":
             raise ValueError("the upwind scheme supports extrapolating boundaries only")
+        hopf_lax = self.scheme == "hopf_lax" or self.scheme == "cole_hopf" and self.beta_inv == 0
+        if self.boundary == "periodic" and hopf_lax:
+            raise ValueError("the Hopf-Lax inf-convolution (cole_hopf at beta_inv=0) supports extrapolating boundaries only")
 
 
 class CflError(ValueError):
@@ -195,15 +200,18 @@ def _as_sampled(block):
     return lambda lines: (lines, block, lambda out: out)
 
 
-def _log_window_sums(lines: Array, log_k: Array):
+def _log_window_sums(lines: Array, log_k: Array, centres: slice):
     """Cole-Hopf's axis pass, log sum_j exp(F[i + j] + log_k[j]) on lines F,
     in linear space: each line is shifted by its maximum and exponentiated
     once per sample, the windows are heat's dot against exp(log_k), and the
-    sums are logged and shifted back.  A window's centre term is at least
-    exp(-range(line)), so no sum underflows while every line's range is below
-    _EXP_RANGE; a pass with a wider line log-sum-exps each window instead."""
+    sums are logged and shifted back.  Every window holds its centre, the
+    samples ``lines[..., centres]``, with weight exp(log_k) = 1, so no sum
+    underflows while every centre is less than _EXP_RANGE below its line's
+    maximum.  A sample more than 745 below it flushes to zero and loses less
+    than e^-45 of its window's centre term.  A pass with a centre further
+    down log-sum-exps each window instead."""
     top = lines.max(axis=-1, keepdims=True)
-    if float((top - lines.min(axis=-1, keepdims=True)).max()) < _EXP_RANGE:
+    if float((top - lines[..., centres].min(axis=-1, keepdims=True)).max()) < _EXP_RANGE:
         samples = np.exp(lines - top)
         return samples, lambda win, w=np.exp(log_k): win @ w, lambda out: np.log(out) + top
     return lines, lambda win: logsumexp(win + log_k, axis=-1), lambda out: out
@@ -220,12 +228,13 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
 
     The quadrature nodes are the grid's, refined per axis until they are at
     most sigma/3 apart.  They extend the evaluation box far enough that the
-    Gaussian mass ignored outside it is below ~1e-10 (``cfg.pad_sigmas``
+    Gaussian mass ignored outside it is below ~1e-10 (``PAD_SIGMAS``
     standard deviations), plus the reach of a distant low value of f.  Each
     axis pass is linear (``_log_window_sums``): with every line shifted by
     its maximum, exp once per sample, heat's window sum, log once per centre.
-    A pass whose lines span 700 or more in the exponent log-sum-exps every
-    window instead, so beta * range(f) far beyond 700 stays safe.  The work
+    A pass with a window centre 700 or more below its line's maximum in the
+    exponent log-sum-exps every window instead, so beta * range(f) over the
+    box far beyond 700 stays safe.  The work
     is checked against the budget before f is evaluated at all, and again
     once f on the grid nodes sets the reach.
     """
@@ -236,13 +245,14 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
     periodic = cfg.boundary == "periodic"
     sigma = math.sqrt(cfg.beta_inv * t)
     r = _refinement(grid, sigma)
-    _windows(grid, r, cfg.pad_sigmas * sigma, periodic, cfg.beta_inv, t)
+    _windows(grid, r, PAD_SIGMAS * sigma, periodic, cfg.beta_inv, t)
     nodes = objective.value_batch(grid.points())
-    K = _windows(grid, r, cfg.pad_sigmas * sigma + _search_radius(nodes, t), periodic, cfg.beta_inv, t)
+    K = _windows(grid, r, PAD_SIGMAS * sigma + _search_radius(nodes, t), periodic, cfg.beta_inv, t)
     ops, log_norm = [], 0.0
-    for h, k in zip(grid.spacing / r, K):
+    for h, k, rd in zip(grid.spacing / r, K, r):
         offs = h * np.arange(-k, k + 1)
-        ops.append(lambda lines, log_k=-beta * offs**2 / (2.0 * t): _log_window_sums(lines, log_k))
+        ops.append(lambda lines, log_k=-beta * offs**2 / (2.0 * t), centres=slice(k, -k or None, rd):
+                   _log_window_sums(lines, log_k, centres))
         log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
     F = -beta * _sample_padded(objective, grid, K, r, periodic, nodes)
     return _on_grid(grid, -(_reduce_windows(F, K, r, ops) + log_norm) / beta, cfg.boundary)
@@ -477,7 +487,7 @@ def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) ->
     sigma = math.sqrt(sigma2)
     periodic = cfg.boundary == "periodic"
     r = _refinement(grid, sigma)
-    K = _windows(grid, r, cfg.pad_sigmas * sigma, periodic, cfg.beta_inv, cfg.t_final)
+    K = _windows(grid, r, PAD_SIGMAS * sigma, periodic, cfg.beta_inv, cfg.t_final)
     ops = []
     for h, k in zip(grid.spacing / r, K):
         w = np.exp(-((h * np.arange(-k, k + 1)) ** 2) / (2.0 * sigma2))
@@ -530,7 +540,7 @@ def fp_cfl_limit(drifts: list[Array], spacing: Array, beta_inv: float) -> float:
 
 
 def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: float,
-                         dt: float | None = None, cfl_safety: float = 0.8) -> GridFunction:
+                         dt: float | None = None, cfl_safety: float = CFL_SAFETY) -> GridFunction:
     """Conservative upwind evolution of
     rho_t = div(drift * rho) + (beta_inv/2) Lap rho on a closed box.
 
@@ -603,7 +613,8 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     path simulator.  Explicit steps under ``fp_cfl_limit`` keep phi inside
     [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
     underflows after the first exp, which needs beta * (max V - min V) <= 700
-    on the grid; beyond that, or for beta_inv <= 0, a ValueError is raised.
+    (``_EXP_RANGE``) on the grid; beyond that, or for beta_inv <= 0, a
+    ValueError is raised.
     Returns the gradient field grad u(x, s) ready for path simulation, on at
     most ``HJB_MAX_SLICES`` time slices.
     """
@@ -612,13 +623,13 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     pts = grid.points()
     V = np.asarray(terminal_fn(pts), dtype=float).reshape(grid.n_points)
     spread = float(V.max() - V.min()) / beta_inv
-    if spread > 700.0:
+    if spread > _EXP_RANGE:
         raise ValueError(f"exp(-(V - min V) / beta_inv) underflows: range(V) / beta_inv = {spread:.4g} "
-                         f"> 700 on the grid; raise beta_inv={beta_inv:g}")
+                         f"> {_EXP_RANGE:g} on the grid; raise beta_inv={beta_inv:g}")
     spacing = grid.spacing
     bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
     drifts = [bfield[..., axis] for axis in range(grid.dim)]
-    n_steps, step = _time_steps(T, None, 0.8, fp_cfl_limit(drifts, spacing, beta_inv))
+    n_steps, step = _time_steps(T, None, CFL_SAFETY, fp_cfl_limit(drifts, spacing, beta_inv))
     G = _generator(drifts, spacing, beta_inv)
     keep_every = max(1, int(math.ceil((n_steps + 1) / HJB_MAX_SLICES)))
     kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})
@@ -642,9 +653,13 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
 # Burgers characteristics
 
 
-def burgers_characteristic_check(objective: Objective, x: float, t: float,
-                                 damping: float = 0.5, max_iter: int = 1000,
-                                 tol: float = 1e-12) -> tuple[float, bool]:
+BURGERS_DAMPING = 0.5     # burgers_characteristic_check's damping of each iterate,
+BURGERS_MAX_ITER = 1000   # its iterations at most
+BURGERS_TOL = 1e-12       # and the step at which it has settled
+SHOCK_SCAN_POINTS = 4001  # points on which shock_time takes f''
+
+
+def burgers_characteristic_check(objective: Objective, x: float, t: float) -> tuple[float, bool]:
     """Solve the characteristic fixed point p = f'(x - t p) by damped iteration.
 
     Pre-shock the iteration contracts and p equals the spatial derivative of
@@ -658,12 +673,12 @@ def burgers_characteristic_check(objective: Objective, x: float, t: float,
     if t == 0:
         return p, True
     settled = False
-    for _ in range(max_iter):
+    for _ in range(BURGERS_MAX_ITER):
         target = float(objective.grad(np.array([x - t * p]))[0])
-        p_new = (1.0 - damping) * p + damping * target
+        p_new = (1.0 - BURGERS_DAMPING) * p + BURGERS_DAMPING * target
         if not np.isfinite(p_new) or abs(p_new) > 1e8:
             return p, False
-        if abs(p_new - p) < tol:
+        if abs(p_new - p) < BURGERS_TOL:
             p = p_new
             settled = True
             break
@@ -674,9 +689,9 @@ def burgers_characteristic_check(objective: Objective, x: float, t: float,
     return p, bool(1.0 + t * fpp > 0.0)
 
 
-def shock_time(objective: Objective, box: tuple[float, float], n: int = 4001) -> float:
+def shock_time(objective: Objective, box: tuple[float, float]) -> float:
     """First characteristic-crossing time 1 / max(0, -min f'') on the box."""
-    xs = np.linspace(box[0], box[1], n)
+    xs = np.linspace(box[0], box[1], SHOCK_SCAN_POINTS)
     g = objective.grad_batch(xs[:, None])[:, 0]
     fpp = np.gradient(g, xs)
     m = float(fpp.min())

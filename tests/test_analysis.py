@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdeopt import analysis
 from pdeopt.grid import GridFunction, interior_max_second_difference
@@ -127,6 +129,28 @@ class TestAutocorrelation:
         tau = analysis.integrated_autocorrelation_time(x)
         expected = (1 + phi) / (1 - phi)  # = 39
         assert tau == pytest.approx(expected, rel=0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["walk", "double_walk", "ar1", "constant"]), n=st.integers(1, 1000),
+           phi=st.floats(0.0, 0.999), seed=st.integers(0, 2**16))
+    def test_never_exceeds_the_window_bound(self, kind, n, phi, seed):
+        # a demeaned series' autocorrelations sum to zero, so tau(n - 1) = 0
+        # and the window rule M >= ACT_WINDOW_C * tau(M) holds by M = n - 1:
+        # tau <= max(1, (n - 1) / ACT_WINDOW_C), whatever the correlation
+        eps = np.random.default_rng(seed).standard_normal(n)
+        if kind == "walk":
+            x = np.cumsum(eps)
+        elif kind == "double_walk":
+            x = np.cumsum(np.cumsum(eps))
+        elif kind == "ar1":
+            x = eps.copy()
+            for i in range(1, n):
+                x[i] += phi * x[i - 1]
+        else:
+            x = np.full(n, 3.7)
+        tau = analysis.integrated_autocorrelation_time(x)
+        # the bound times ACT_WINDOW_C, the product the estimator compares
+        assert analysis.ACT_WINDOW_C * tau <= max(analysis.ACT_WINDOW_C, n - 1)
 
 
 class TestHomogenization:

@@ -513,7 +513,13 @@ class TestCliMain:
          "left the box"),
         (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--boundary", "periodic",
           "--grid-n", "65"], "extrapolating boundaries only"),
-    ], ids=["control_paths_exit", "fd_periodic"])
+        (["solve-pde", "--objective", "rugged_s3_m6", "--scheme", "hopf_lax", "--boundary", "periodic",
+          "--grid-n", "65"], "Hopf-Lax inf-convolution"),
+        (["solve-pde", "--objective", "rugged_s3_m6", "--scheme", "cole_hopf", "--beta-inv", "0",
+          "--boundary", "periodic", "--grid-n", "65"], "Hopf-Lax inf-convolution"),
+        (["solve-pde", "--objective", "mlp_h8_n200", "--grid-n", "65"], "dim 1 or 2 only"),
+    ], ids=["control_paths_exit", "fd_periodic", "hopf_lax_periodic", "cole_hopf_zero_viscosity_periodic",
+            "grid_above_2d"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err

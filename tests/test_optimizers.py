@@ -249,7 +249,7 @@ class TestConfigValidation:
     def test_long_annealing_underflows_instead_of_raising(self):
         obj = get_entry("mlp_h8_n200").objective
         cfg = opt.default_config("sgd", batch_size=32, anneal_factor=10.0, anneal_period=1.0)
-        rec = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=3000, record_every=500)
+        (rec,) = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=3000, record_every=500)
         assert not rec.aborted
         assert rec.rows[-1]["effective_epoch"] == 480.0
         # the step size is 0.0 once 10^-drops underflows: the iterate stops
@@ -274,7 +274,7 @@ class TestMomentum:
         def steps_to_converge(delta):
             cfg = opt.default_config("entropy_sgd", delta=delta, gamma0=1.0, gamma1=0.0,
                                      beta_inv_ex=0.0, eta=0.1)
-            rec = opt.run("entropy_sgd", q, cfg, seed=0, n_outer_steps=220, x0=np.array([1.0]))
+            (rec,) = opt.run("entropy_sgd", q, cfg, seed=0, n_outer_steps=220, x0=np.array([1.0]))
             for i, row in enumerate(rec.rows):
                 if row["loss"] <= 0.5e-6:  # |x| <= 1e-3
                     return i + 1
@@ -310,7 +310,7 @@ class TestGammaSchedule:
         # sgd never divides by gamma: its rows log the schedule, 0 once it underflows
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("sgd", gamma1=0.9)
-        rec = opt.run("sgd", q, cfg, seed=0, n_outer_steps=400, x0=np.ones(1))
+        (rec,) = opt.run("sgd", q, cfg, seed=0, n_outer_steps=400, x0=np.ones(1))
         assert rec.rows[-1]["gamma"] == 0.0
 
     def test_underflow_to_zero_fails_loudly(self):
@@ -324,15 +324,15 @@ class TestRun:
     def test_replay_identical(self):
         dw = make_double_well(1.0)
         cfg = opt.default_config("entropy_sgd", L=5)
-        r1 = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))
-        r2 = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))
+        (r1,) = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))
+        (r2,) = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))
         assert [r["loss"] for r in r1.rows] == [r["loss"] for r in r2.rows]
         np.testing.assert_array_equal(r1.terminal_x, r2.terminal_x)
 
     def test_sgd_converges_on_quadratic(self):
         q = make_quadratic(1.0, 0.0, 1)
         cfg = opt.default_config("sgd", eta=0.1)
-        rec = opt.run("sgd", q, cfg, seed=0, n_outer_steps=500, x0=np.array([1.0]))
+        (rec,) = opt.run("sgd", q, cfg, seed=0, n_outer_steps=500, x0=np.array([1.0]))
         assert rec.final_loss <= 1e-6
 
     @pytest.mark.parametrize("batch, epochs", [(8, 4.0), (32, 16.0), (200, 100.0)])
@@ -340,15 +340,15 @@ class TestRun:
         # epochs = gradient evaluations * batch / n_samples
         obj = get_entry("mlp_h8_n200").objective
         cfg = opt.default_config("sgd", batch_size=batch)
-        rec = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=100, record_every=100)
+        (rec,) = opt.run("sgd", obj, cfg, seed=0, n_outer_steps=100, record_every=100)
         assert rec.rows[-1]["effective_epoch"] == epochs
 
     def test_effective_epoch_accounting(self):
         q = make_quadratic(1.0, 0.0, 1)
         budget = 200
-        rec_sgd = opt.run("sgd", q, opt.default_config("sgd"), 0, budget, x0=np.ones(1))
+        (rec_sgd,) = opt.run("sgd", q, opt.default_config("sgd"), 0, budget, x0=np.ones(1))
         cfg_e = opt.default_config("entropy_sgd", L=20)
-        rec_ent = opt.run("entropy_sgd", q, cfg_e, 0, budget // 20, x0=np.ones(1))
+        (rec_ent,) = opt.run("entropy_sgd", q, cfg_e, 0, budget // 20, x0=np.ones(1))
         assert len(rec_sgd.rows) == 20 * len(rec_ent.rows)
         assert rec_sgd.rows[-1]["effective_epoch"] == rec_ent.rows[-1]["effective_epoch"]
 
@@ -360,7 +360,7 @@ class TestRun:
         bad = CustomObjective(1, None, lambda x: np.array([3e100 * x[0] ** 2]),
                               value_batch_fn=lambda X: 1e100 * X[:, 0] ** 3)
         cfg = opt.default_config("sgd", eta=1e200)
-        rec = opt.run("sgd", bad, cfg, seed=0, n_outer_steps=10, x0=np.array([1.0]))
+        (rec,) = opt.run("sgd", bad, cfg, seed=0, n_outer_steps=10, x0=np.array([1.0]))
         assert rec.aborted
 
     def test_unknown_algorithm(self):
@@ -370,7 +370,7 @@ class TestRun:
 
     def test_csv_roundtrip(self, tmp_path):
         q = make_quadratic(1.0, 0.0, 1)
-        rec = opt.run("sgd", q, opt.default_config("sgd"), 3, 25, x0=np.ones(1))
+        (rec,) = opt.run("sgd", q, opt.default_config("sgd"), 3, 25, x0=np.ones(1))
         path = tmp_path / "run.csv"
         rec.to_csv(path)
         back = opt.RunRecord.from_csv(path, algo="sgd", seed=3)
@@ -379,7 +379,7 @@ class TestRun:
 
     def test_rows_strictly_increasing_in_k(self):
         q = make_quadratic(1.0, 0.0, 1)
-        rec = opt.run("entropy_sgd", q, opt.default_config("entropy_sgd", L=3), 0, 15, x0=np.ones(1))
+        (rec,) = opt.run("entropy_sgd", q, opt.default_config("entropy_sgd", L=3), 0, 15, x0=np.ones(1))
         ks = [r["k"] for r in rec.rows]
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
@@ -413,6 +413,17 @@ class TestRepeats:
         with pytest.raises(ValueError, match="repeats"):
             opt.run("sgd", q, None, seed=0, n_outer_steps=3, repeats=0)
 
+    def test_one_seed_is_a_one_record_list(self):
+        q = make_quadratic(1.0, 0.0, 1)
+        records = opt.run("sgd", q, None, seed=5, n_outer_steps=3, x0=np.ones(1))
+        assert isinstance(records, list) and [r.seed for r in records] == [5]
+
+    def test_init_state_refuses_a_batch_above_the_dataset(self):
+        obj = get_entry("mlp_h8_n200").objective
+        cfg = opt.default_config("sgd", batch_size=201)
+        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
+            opt.init_state(obj, obj.initial_point(), cfg, seed=0, algo="sgd")
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_aborted_row_stops_alone(self, tmp_path):
@@ -423,7 +434,7 @@ class TestRepeats:
         cfg = opt.default_config("sgd", eta=0.1)
         x0 = np.array([2.2])
         batched = opt.run("sgd", quartic, cfg, seed=0, n_outer_steps=30, x0=x0, repeats=3)
-        singles = [opt.run("sgd", quartic, cfg, seed=s, n_outer_steps=30, x0=x0) for s in (0, 1, 2)]
+        singles = [opt.run("sgd", quartic, cfg, seed=s, n_outer_steps=30, x0=x0)[0] for s in (0, 1, 2)]
         assert [r.aborted for r in batched] == [True, False, False]
         assert len(batched[0].rows) < 30 and not np.isfinite(batched[0].final_loss)
         self.assert_same_records(batched, singles, tmp_path)
@@ -526,6 +537,6 @@ class TestGoldenReplay:
         obj = get_entry("mlp_h8_n200").objective
         extra = dict(delta=0.0, beta_inv_ex=1e-6) if algo == "sgd" else dict(delta=0.9)
         cfg = opt.default_config(algo, batch_size=32, **extra)
-        rec = opt.run(algo, obj, cfg, seed=3, n_outer_steps=12)
+        (rec,) = opt.run(algo, obj, cfg, seed=3, n_outer_steps=12)
         cols = np.array([rec.column(c) for c in ("k", "loss", "gamma", "control_energy")])
         assert (rec.final_loss, _digest(rec.terminal_x), _digest(cols)) == self.GOLDEN[algo]

@@ -413,14 +413,15 @@ class TestPeriodic:
         np.testing.assert_allclose(u.values, cos_cole_hopf(grid.axes()[0], beta_inv, t), atol=1e-10)
         assert u.values[-1] == u.values[0]
 
-    def test_cole_hopf_honours_pad_sigmas(self):
+    def test_cole_hopf_honours_pad_sigmas(self, monkeypatch):
         # on constant f the result is f - beta_inv log(kernel mass kept), so a
         # window of one standard deviation shows in the answer
         const = CustomObjective(1, None, lambda x: 0.0 * x,
                                 value_batch_fn=lambda X: np.ones(len(X)))
         grid = GridFunction.geometry([0.0], [2 * np.pi], [129])
         beta_inv, t = 0.1, 0.5
-        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t, boundary="periodic", pad_sigmas=1.0)
+        monkeypatch.setattr(pde_lab, "PAD_SIGMAS", 1.0)
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t, boundary="periodic")
         u = solve_viscous_hj_cole_hopf(const, cfg, grid)
         sigma = math.sqrt(beta_inv * t)  # >= 3h: nodes are the grid's
         h = grid.spacing[0]
@@ -463,7 +464,7 @@ def log_sum_exp_cole_hopf(objective, cfg, grid):
     sigma = math.sqrt(cfg.beta_inv * t)
     r = pde_lab._refinement(grid, sigma)
     spread = pde_lab._search_radius(objective.value_batch(grid.points()), t)
-    K = pde_lab._windows(grid, r, cfg.pad_sigmas * sigma + spread, False, cfg.beta_inv, t)
+    K = pde_lab._windows(grid, r, pde_lab.PAD_SIGMAS * sigma + spread, False, cfg.beta_inv, t)
     F = -beta * pde_lab._sample_padded(objective, grid, K, r, False)
     log_norm = 0.0
     for axis, (h, k, rd) in enumerate(zip(grid.spacing / r, K, r)):
@@ -504,7 +505,7 @@ class TestLinearColeHopf:
         np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
 
     def test_wide_lines_fall_back_to_log_sum_exp(self, monkeypatch):
-        # beta * range(f) along the padded line is far above 700
+        # beta * range(f) over the window centres is far above 700
         entry = get_entry("rugged_s7_m5")
         grid = GridFunction.geometry(*entry.domain_box, [2049])
         cfg = PdeSolveConfig(beta_inv=0.01, t_final=0.05)
@@ -520,6 +521,18 @@ class TestLinearColeHopf:
         spy_logsumexp(monkeypatch, allowed=False)
         u = solve_viscous_hj_cole_hopf(entry.objective, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
         assert np.isfinite(u.values).all()
+
+    @pytest.mark.parametrize("name,beta_inv", [("double_well_a1", 0.2), ("double_well_a1", 1.0),
+                                               ("double_well_a1.3", 0.2), ("double_well_a0.5", 0.2)])
+    def test_double_wells_stay_linear(self, name, beta_inv, monkeypatch):
+        # the padded lines reach |x| = 8, where beta (x^2 - a^2)^2 is in the
+        # thousands; only the window centres, the grid nodes, set the range
+        entry = get_entry(name)
+        grid = GridFunction.geometry(*entry.domain_box, [401])
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=0.5)
+        spy_logsumexp(monkeypatch, allowed=False)
+        u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
+        np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
 
 
 class TestWorkBudget:
