@@ -10,7 +10,7 @@ Checks implemented here, each backed by an independent oracle:
   shrinks,
 * the controlled-descent improvement inequality
   E[V(x_ctrl(T))] + (1/2) E int |alpha|^2 <= E[V(x_plain(T))]
-  with common random numbers,
+  with common random numbers, for the terminal cost V = f, the objective,
 * harmonic-mean spectral bounds HM(eigs) <= HM(diag) for SPD Hessians.
 """
 
@@ -274,22 +274,21 @@ CONTROL_DT = 1e-3       # path step of control_improvement_experiment
 CONTROL_BATCHES = 20    # batches its standard errors come from
 
 
-def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
-                                   beta_inv: float, n_paths: int, seed: int,
-                                   x0, grid: GridFunction) -> ControlComparison:
+def control_improvement_experiment(objective: Objective, T: float, beta_inv: float, n_paths: int,
+                                   seed: int, x0, grid: GridFunction) -> ControlComparison:
     """Paired simulation of plain vs drift-controlled noisy descent.
 
     The control alpha(x, s) is the gradient of the backward value function
-    for terminal cost V, solved on ``grid``; both dynamics consume identical
-    Brownian increments (common random numbers), so the comparison
-    E[V(ctrl)] + (1/2) E int |alpha|^2 <= E[V(plain)] is tested at small
-    variance.  Paths are reflected at the box walls; if more than 1% of paths
-    ever exit, the run is invalid and raises.
+    for the terminal cost V = f, the objective, solved on ``grid``; both
+    dynamics consume identical Brownian increments (common random numbers),
+    so the comparison E[V(ctrl)] + (1/2) E int |alpha|^2 <= E[V(plain)] is
+    tested at small variance.  Paths are reflected at the box walls; if more
+    than 1% of paths ever exit, the run is invalid and raises.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = objective.dim
     rng = substream(seed, "control-paths")
-    control = solve_hjb_backward(objective, terminal_fn, T, beta_inv, grid) if T > 0 else None
+    control = solve_hjb_backward(objective, T, beta_inv, grid) if T > 0 else None
     xc = np.tile(x0, (n_paths, 1))
     xp = xc.copy()
     energy = np.zeros(n_paths)
@@ -315,8 +314,8 @@ def control_improvement_experiment(objective: Objective, terminal_fn, T: float,
     exit_fraction = float(exited.mean())
     if exit_fraction > 0.01:
         raise RuntimeError(f"{exit_fraction:.1%} of paths left the box; enlarge the grid")
-    v_ctrl = np.asarray(terminal_fn(xc), dtype=float)
-    v_plain = np.asarray(terminal_fn(xp), dtype=float)
+    v_ctrl = objective.value_batch(xc)
+    v_plain = objective.value_batch(xp)
 
     def batch_stats(values):
         b = np.array_split(values, CONTROL_BATCHES)

@@ -16,9 +16,11 @@ it:
 names: ``scheme`` (``fd`` is short for ``monotone_fd``), ``boundary``,
 ``algo`` and ``algos``.
 
-Every kind reads ``objective``, ``seed``, ``out`` and ``threads``; only
-``optimize`` and ``compare`` read ``repeats``, and their optimizer keys
-default to ``per-algorithm``, resolved by ``optimizers.default_config``.
+Every kind reads ``objective``, ``out`` and ``threads``.  Every kind that
+draws random numbers reads ``seed``: all but ``solve_pde`` and ``figure1``,
+which are deterministic.  Only ``optimize`` and ``compare`` read
+``repeats``, and their optimizer keys default to ``per-algorithm``,
+resolved by ``optimizers.default_config``.
 ``threads`` has no effect: repeats run as rows of one batched optimizer
 state, not on threads.  It stays only because the benchmark's ops pass it.
 
@@ -146,8 +148,9 @@ class Kind(NamedTuple):
     defaults: dict        # every key the runner reads -> its default
 
 
-_COMMON = {"objective": "", "seed": 0, "out": None, "threads": 1}
-_OPTIMIZING = {**_COMMON, "repeats": 1, **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
+_COMMON = {"objective": "", "out": None, "threads": 1}
+_SEEDED = {**_COMMON, "seed": 0}           # the kinds that draw random numbers
+_OPTIMIZING = {**_SEEDED, "repeats": 1, **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
 
 KINDS: dict[str, Kind] = {
     "optimize": Kind("optimize", {**_OPTIMIZING, "algo": "sgd", "steps": 200, "record_every": 1}),
@@ -167,20 +170,20 @@ KINDS: dict[str, Kind] = {
         "rho0_sigma": None,                 # None: 0.3 of the box width
     }),
     "homogenization": Kind("verify-homogenization", {
-        **_COMMON, "objective": "double_well_a1", "gamma": 0.3, "beta_inv": 1e-8,
+        **_SEEDED, "objective": "double_well_a1", "gamma": 0.3, "beta_inv": 1e-8,
         "epsilons": (1e-1, 1e-2, 1e-3),
         "probes": (-1.6, -1.35, -0.75, -0.55, -0.35, 0.35, 0.55, 0.75, 1.35, 1.6),
         "tolerance": 0.05, "n_seeds": 32,
     }),
     "control": Kind("control-improvement", {
-        **_COMMON, "objective": "double_well_a1", "T": 2.0, "beta_inv": 0.2,
+        **_SEEDED, "objective": "double_well_a1", "T": 2.0, "beta_inv": 0.2,
         "n_paths": 10000, "grid_n": 1025, "x0": 0.0,
     }),
     "invariant_measure": Kind("invariant-measure", {
-        **_COMMON, "objective": "quadratic_c1_n1", "gamma": 1.0, "beta": 1.0, "x": 2.0,
+        **_SEEDED, "objective": "quadratic_c1_n1", "gamma": 1.0, "beta": 1.0, "x": 2.0,
         "n_steps": 1_000_000, "burn_in": 2000, "n_chains": 32,
     }),
-    "spectrum": Kind("spectrum", {**_COMMON, "n_random": 100}),
+    "spectrum": Kind("spectrum", {**_SEEDED, "n_random": 100}),
 }
 
 

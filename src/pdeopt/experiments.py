@@ -263,7 +263,7 @@ def _run_control(cfg: ExperimentConfig) -> tuple[dict, dict]:
     grid = _grid_for(entry, cfg.param("grid_n"))
     x0 = np.full(obj.dim, cfg.param("x0"))
     comparison = analysis.control_improvement_experiment(
-        obj, obj.value_batch, horizon, cfg.param("beta_inv"), cfg.param("n_paths"), cfg.param("seed"), x0, grid,
+        obj, horizon, cfg.param("beta_inv"), cfg.param("n_paths"), cfg.param("seed"), x0, grid,
     )
     checks = {
         "improvement_inequality": comparison.improvement_holds,

@@ -5,13 +5,15 @@ interface.  A subclass defines its loss and exact gradient once, on rows:
 ``value_batch`` and ``grad_batch`` take points of shape (R, dim), and one
 point is row 0 of a one-row batch, so ``value`` and ``grad`` equal the batch
 bit for bit.  The analytic objectives also have a dense Hessian,
-:class:`TinyMLP` has none.  Stochastic gradients add noise that is either
-synthetic (additive Gaussian, variance ``noise_scale`` per component) or real
-minibatch noise (:class:`TinyMLP`).
+:class:`TinyMLP` has none.  Each objective is built by calling its class
+(:func:`make_quadratic` builds c I).  Stochastic gradients add noise that is
+either synthetic (additive Gaussian, variance ``noise_scale`` per component)
+or real minibatch noise (:class:`TinyMLP`), on sample indices drawn by the
+caller: objectives compute, the optimizers draw.
 
-Objectives are pure and reentrant; stochastic gradients draw from a
-``numpy.random.Generator`` passed in by the caller, so concurrent callers own
-independent streams.
+Objectives are pure and reentrant; the additive noise draws from
+``numpy.random.Generator`` streams passed in by the caller, so concurrent
+callers own independent streams.
 """
 
 from __future__ import annotations
@@ -45,15 +47,18 @@ class Objective:
     def hessian(self, x: Array) -> Array:
         raise NotImplementedError(f"{type(self).__name__} has no dense Hessian")
 
+    def initial_point(self) -> Array:
+        return np.ones(self.dim)
+
     def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
         """(samples per stochastic gradient, samples per epoch): 1 epoch per gradient."""
         return 1, 1
 
-    def minibatch_grad(self, X: Array, rngs, batch_size: int | None = None) -> Array:
+    def minibatch_grad(self, X: Array, rngs, idx: Array | None = None) -> Array:
         """Stochastic gradient at each row of X, shape (R, dim), row r drawing
         from ``rngs[r]``: the exact gradient plus, when ``noise_scale > 0``,
         sqrt(noise_scale) times one ``standard_normal(dim)`` draw per row.
-        Without a dataset there is no batch: ``batch_size`` is ignored."""
+        Without a dataset there are no sample indices: ``idx`` is None."""
         g = self.grad_batch(X)
         if self.noise_scale > 0.0:
             g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rngs])
@@ -183,12 +188,14 @@ class TinyMLP(Objective):
     """Two-layer ReLU classifier on a synthetic 2D two-cluster dataset.
 
     Cross-entropy loss over ``n_samples`` points drawn from two Gaussian
-    blobs.  The minibatch gradient samples indices with replacement; a batch
-    equal to the dataset size uses every point once and therefore coincides
-    with the exact gradient.
+    blobs.  The minibatch gradient runs on the sample indices its caller
+    drew with :meth:`minibatch_indices`; without them it is the exact,
+    full-batch gradient.
     """
 
-    def __init__(self, seed: int, hidden: int, n_samples: int, batch_size: int | None = 32):
+    BATCH_SIZE = 32     # samples per minibatch when the optimizer config sets none
+
+    def __init__(self, seed: int, hidden: int, n_samples: int):
         if hidden < 2:
             raise ValueError("hidden must be >= 2")
         if n_samples < 20:
@@ -205,15 +212,15 @@ class TinyMLP(Objective):
         self._onehot = np.eye(2)[self.y]
         self.dim = hidden * 2 + hidden + 2 * hidden + 2
         self._x0 = 0.5 * rng.standard_normal(self.dim)
-        if batch_size is not None and batch_size > n_samples:
-            raise ValueError("batch_size cannot exceed n_samples")
-        self.batch_size = batch_size
 
     def initial_point(self) -> Array:
         return self._x0.copy()
 
     def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
-        return self._batch(batch_size), self.n_samples
+        b = self.BATCH_SIZE if batch_size is None else batch_size
+        if b > self.n_samples:
+            raise ValueError("batch_size cannot exceed n_samples")
+        return b, self.n_samples
 
     def _unpack(self, x):
         """Layer weights of each row of x, shape (R, dim)."""
@@ -268,31 +275,21 @@ class TinyMLP(Objective):
     def grad_batch(self, X):
         return self._grad(*self._full(X))
 
-    def _batch(self, batch_size: int | None) -> int:
-        b = batch_size if batch_size is not None else (self.batch_size or self.n_samples)
-        if b > self.n_samples:
-            raise ValueError("batch_size cannot exceed n_samples")
-        return b
-
-    def minibatch_indices(self, rngs, batch_size: int | None = None, steps: int = 1) -> Array:
+    def minibatch_indices(self, rngs, batch_size: int, steps: int = 1) -> Array:
         """Sample indices of the next ``steps`` minibatches of each stream,
         shape (R, steps, b), drawn with replacement by one ``integers`` call
         per stream.  One call of steps * b draws the same values as steps
         calls of b and leaves the stream in the same state: numpy's bounded
         draws keep the unused half of a 64-bit word in the bit generator,
         across calls as within one."""
-        b = self._batch(batch_size)
-        return np.array([r.integers(0, self.n_samples, size=steps * b) for r in rngs]).reshape(len(rngs), steps, b)
+        return np.array([r.integers(0, self.n_samples, size=steps * batch_size)
+                         for r in rngs]).reshape(len(rngs), steps, batch_size)
 
-    def minibatch_grad(self, X, rngs, batch_size: int | None = None, idx: Array | None = None) -> Array:
+    def minibatch_grad(self, X, rngs, idx: Array | None = None) -> Array:
         """Minibatch gradient at each row of X, shape (R, dim), on the sample
-        indices ``idx``, shape (R, b), or without them on one minibatch per
-        row drawn from ``rngs[r]`` by :meth:`minibatch_indices`.  The full
-        batch uses every point once and draws nothing."""
-        b = self._batch(batch_size)
-        if b == self.n_samples:
-            return self.grad_batch(X)
-        return self._grad(X, self.minibatch_indices(rngs, b)[:, 0] if idx is None else idx)
+        indices ``idx``, shape (R, b); without them, the full batch.  Nothing
+        is drawn here: the caller draws ``idx`` with :meth:`minibatch_indices`."""
+        return self.grad_batch(X) if idx is None else self._grad(X, idx)
 
 
 class CustomObjective(Objective):
@@ -336,18 +333,6 @@ def make_quadratic(c: float, p, n: int) -> Quadratic:
         raise ValueError("c must be positive")
     p = np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,)).copy()
     return Quadratic(c * np.eye(n), p)
-
-
-def make_double_well(a: float) -> DoubleWell:
-    return DoubleWell(a)
-
-
-def make_rugged_1d(seed: int, n_modes: int) -> Rugged1D:
-    return Rugged1D(seed, n_modes)
-
-
-def make_tiny_mlp(seed: int, hidden: int, n_samples: int, batch_size: int | None = 32) -> TinyMLP:
-    return TinyMLP(seed, hidden, n_samples, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +387,18 @@ def get_entry(name: str) -> TestCorpusEntry:
             return TestCorpusEntry(name, obj, box, [(np.zeros(n), 0.0)])
         if kind == "double_well":
             a = float(m["a"])
-            obj = make_double_well(a)
+            obj = DoubleWell(a)
             w = max(2.0, 2.0 * a)
             minima = [(np.array([-a]), 0.0), (np.array([a]), 0.0)]
             return TestCorpusEntry(name, obj, (np.array([-w]), np.array([w])), minima)
         if kind == "rugged":
-            obj = make_rugged_1d(int(m["s"]), int(m["m"]))
+            obj = Rugged1D(int(m["s"]), int(m["m"]))
             lo, hi = obj.box
             minima = [(x, obj.value(x)) for x in _scan_minima_1d(obj, lo, hi)]
             minima.sort(key=lambda t: t[1])
             return TestCorpusEntry(name, obj, (np.array([lo]), np.array([hi])), minima)
         if kind == "mlp":
-            obj = make_tiny_mlp(0, int(m["h"]), int(m["n"]))
+            obj = TinyMLP(0, int(m["h"]), int(m["n"]))
             box = (np.full(obj.dim, -3.0), np.full(obj.dim, 3.0))
             return TestCorpusEntry(name, obj, box)
     raise KeyError(f"unknown objective name: {name!r}")

@@ -43,11 +43,13 @@ seeds run beside it, bit for bit:
   ``worker_streams(seed + p, "worker", n_workers)[w]``; within a stream the
   draws of a step keep their order (minibatch indices, then noise; for heat
   the perturbation, then the indices), and a full batch draws no indices.
-  Inside :func:`run`, rows whose streams draw nothing but indices (hj, hj2,
-  and sgd, entropy_sgd and elastic without extrinsic noise, on a dataset
-  with b < n) draw them for up to 128 steps in one call per stream: the
-  same values, and the same stream state at the end, as one call per step.
-  A direct :func:`step` draws per step;
+  The minibatch indices are drawn in one place, :func:`_grad`, and handed
+  to the objective's ``minibatch_grad``, which draws none.  Inside
+  :func:`run`, rows whose streams draw nothing but indices (hj, hj2, and
+  sgd, entropy_sgd and elastic without extrinsic noise, on a dataset with
+  b < n) draw them for up to 128 steps in one call per stream: the same
+  values, and the same stream state at the end, as one call per step.
+  Other rows, and a direct :func:`step`, draw per step;
 * ``TinyMLP.minibatch_grad`` runs each row through the same BLAS call a
   single row makes (stacked matmul; einsum would differ in the last bits);
 * the analytic objectives' ``grad_batch`` rows do not depend on the rows
@@ -154,9 +156,12 @@ class _Plan:
     """An algorithm's constants, resolved once per run by :func:`init_state`."""
     cfg: OptimizerConfig
     inner: Callable              # the row update; returns d on the last inner step
-    grad: Callable               # (rows, rngs, batch_size[, idx]) -> one stochastic gradient per row
-    draw: Callable | None        # (rngs, batch_size, steps) -> (rows, steps, b) minibatch indices,
-                                 # when the rows' streams draw nothing else
+    grad: Callable               # (rows, rngs[, idx]) -> one stochastic gradient per row
+    draw: Callable | None        # (rngs, batch, steps) -> (rows, steps, batch) minibatch indices;
+                                 # None for a full batch or an objective without a dataset
+    ahead: bool                  # the rows' streams draw nothing but indices
+    batch: int                   # samples per stochastic gradient
+    epoch: int                   # samples per epoch
     every: int                   # inner steps per outer update
     width: int                   # inner rows per repeat (0 for sgd)
     grads: int                   # gradients per repeat and inner step
@@ -179,17 +184,17 @@ class OptimizerState:
     gamma: float = 0.0             # smoothing scale of the current outer step
     outer_steps: int = 0
     grad_evals: int = 0            # per repeat
-    epoch_size: tuple[int, int] = (1, 1)   # (samples per gradient, samples per epoch)
     plan: _Plan | None = None
-    draw_until: int = 0            # the step run stops at; before it, a plan.draw draws indices ahead
+    draw_until: int = 0            # the step run stops at; before it, a plan.ahead draws indices ahead
     indices: Array | None = None   # (rows, steps, b) indices drawn ahead, the chunk holding step k
 
 
-def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str = "entropy_sgd",
+def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: str,
                repeats: int = 1) -> OptimizerState:
     """State of ``repeats`` independent runs of ``algo`` on ``objective``
     from ``x0``, repeat r seeded ``seed + r``.  The state is bound to the
-    three: :func:`step` reads them from ``state.plan``."""
+    three: :func:`step` reads them from ``state.plan``, with the batch
+    resolved once by ``objective.epoch_size(cfg.batch_size)``."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     x0 = np.asarray(x0, dtype=float)
@@ -205,18 +210,18 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
         rngs = [substream(seed + r, "optimizer") for r in range(repeats)]
     noise = cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0
     outer_noise = cfg.beta_inv_ex if algo == "sgd" else 0.0
-    batch, n_samples = epoch_size = objective.epoch_size(cfg.batch_size)
-    # heat draws its perturbation before the indices; a full batch draws none
-    index_only = algo != "heat" and not noise and not outer_noise and batch < n_samples
+    batch, n_samples = objective.epoch_size(cfg.batch_size)
     plan = _Plan(
         cfg=cfg, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
-        grad=objective.minibatch_grad, draw=objective.minibatch_indices if index_only else None,
+        grad=objective.minibatch_grad, draw=objective.minibatch_indices if batch < n_samples else None,
+        # heat draws its perturbation before the indices
+        ahead=algo != "heat" and not noise and not outer_noise, batch=batch, epoch=n_samples,
         every=1 if algo == "sgd" else cfg.L, width=width, grads=max(width, 1),
         alpha=0.0 if algo == "hj" else cfg.alpha, noise=noise, outer_noise=outer_noise,
         anneal=bool(cfg.anneal_factor and cfg.anneal_period),
     )
     state = OptimizerState(x=x, z=x.copy(), rows=np.empty((repeats * width, x.shape[1])), y_avg=x.copy(),
-                           rngs=rngs, control_energy=np.zeros(repeats), epoch_size=epoch_size, plan=plan)
+                           rngs=rngs, control_energy=np.zeros(repeats), plan=plan)
     _scope(state, cfg)
     _restart(state, plan)
     return state
@@ -246,16 +251,20 @@ def _per_row(a: Array, width: int) -> Array:
 
 
 def _grad(state: OptimizerState, p: _Plan, X: Array) -> Array:
-    """One stochastic gradient at each row of X.  Before ``state.draw_until``,
-    a plan with ``draw`` draws each stream's indices at the steps k that are
-    multiples of ``_INDEX_CHUNK``, for that many steps (fewer at the end) in
-    one call, and step k takes slice k % ``_INDEX_CHUNK`` of them."""
-    if p.draw is None or state.k >= state.draw_until:
-        return p.grad(X, state.rngs, p.cfg.batch_size)
+    """One stochastic gradient at each row of X, on minibatch indices drawn
+    here, the one place they are drawn.  Before ``state.draw_until``, a plan
+    ``ahead`` draws each stream's indices at the steps k that are multiples
+    of ``_INDEX_CHUNK``, for that many steps (fewer at the end) in one call,
+    and step k takes slice k % ``_INDEX_CHUNK`` of them; otherwise each step
+    draws its own here, after heat's perturbation and before a row's noise."""
+    if p.draw is None:
+        return p.grad(X, state.rngs)
+    if not p.ahead or state.k >= state.draw_until:
+        return p.grad(X, state.rngs, p.draw(state.rngs, p.batch, 1)[:, 0])
     j = state.k % _INDEX_CHUNK
     if j == 0:
-        state.indices = p.draw(state.rngs, p.cfg.batch_size, min(_INDEX_CHUNK, state.draw_until - state.k))
-    return p.grad(X, state.rngs, p.cfg.batch_size, state.indices[:, j])
+        state.indices = p.draw(state.rngs, p.batch, min(_INDEX_CHUNK, state.draw_until - state.k))
+    return p.grad(X, state.rngs, state.indices[:, j])
 
 
 def _sgd(state, p, last):
@@ -299,8 +308,7 @@ def _restart(state: OptimizerState, p: _Plan) -> None:
 
 
 def _epochs(state: OptimizerState) -> float:
-    batch, n_samples = state.epoch_size
-    return state.grad_evals * batch / n_samples
+    return state.grad_evals * state.plan.batch / state.plan.epoch
 
 
 def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
@@ -390,9 +398,7 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     iterate of that moment, while the other seeds run on.
     """
     cfg = cfg if cfg is not None else default_config(algo)
-    if x0 is None:
-        x0 = objective.initial_point() if hasattr(objective, "initial_point") else np.ones(objective.dim)
-    state = init_state(objective, x0, cfg, seed, algo, repeats)
+    state = init_state(objective, objective.initial_point() if x0 is None else x0, cfg, seed, algo, repeats)
     state.draw_until = n_outer_steps * cfg.L
     records = [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)]
     live = list(range(repeats))

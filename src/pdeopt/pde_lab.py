@@ -600,13 +600,12 @@ class ControlField:
 HJB_MAX_SLICES = 1024   # time slices of grad u kept by solve_hjb_backward, at most
 
 
-def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: float,
-                       grid: GridFunction) -> ControlField:
+def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: GridFunction) -> ControlField:
     """Backward value function for drift-controlled descent.
 
     In reversed time tau = T - s the value function solves
         w_tau + grad f . grad w + |grad w|^2 / 2 = (beta_inv/2) Lap w
-    from w(., 0) = terminal values.  The Cole-Hopf transform
+    from w(., 0) = V, the objective itself.  The Cole-Hopf transform
     w = -beta_inv log phi makes it the linear backward Kolmogorov equation
     phi_tau = G phi, with G the reflecting generator of dX = -grad f dt +
     sqrt(beta_inv) dW (``_generator``), whose walls match the reflecting
@@ -621,7 +620,7 @@ def solve_hjb_backward(objective: Objective, terminal_fn, T: float, beta_inv: fl
     if beta_inv <= 0:
         raise ValueError(f"the log transform needs beta_inv > 0, got beta_inv={beta_inv:g}")
     pts = grid.points()
-    V = np.asarray(terminal_fn(pts), dtype=float).reshape(grid.n_points)
+    V = objective.value_batch(pts).reshape(grid.n_points)
     spread = float(V.max() - V.min()) / beta_inv
     if spread > _EXP_RANGE:
         raise ValueError(f"exp(-(V - min V) / beta_inv) underflows: range(V) / beta_inv = {spread:.4g} "

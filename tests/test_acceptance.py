@@ -21,7 +21,7 @@ from pdeopt import analysis, optimizers, pde_lab
 from pdeopt.config import parse_config
 from pdeopt.experiments import run_experiment
 from pdeopt.grid import GridFunction, interior_max_second_difference
-from pdeopt.objectives import make_double_well, make_quadratic, make_rugged_1d
+from pdeopt.objectives import DoubleWell, Rugged1D, make_quadratic
 
 
 def report(idx: int, ok: bool, detail: str) -> None:
@@ -58,7 +58,7 @@ def test_01_quadratic_closed_form():
 def test_02_solver_cross_validation():
     """Monotone FD converges to the quadrature solution at order >= 0.9."""
     t0 = time.perf_counter()
-    obj = make_rugged_1d(7, 5)
+    obj = Rugged1D(7, 5)
     lo, hi = -3.0, 3.0
     errs, hs = [], []
     for n in (257, 513, 1025):
@@ -118,10 +118,10 @@ def test_04_invariant_measure_closed_form(tmp_path):
 def test_05_control_improvement():
     """Drift-controlled descent beats plain descent by at least the control cost."""
     t0 = time.perf_counter()
-    dw = make_double_well(1.0)
+    dw = DoubleWell(1.0)
     grid = GridFunction.geometry([-2.5], [2.5], [1025])
     comp = analysis.control_improvement_experiment(
-        dw, dw.value_batch, T=2.0, beta_inv=0.2, n_paths=10_000, seed=11,
+        dw, T=2.0, beta_inv=0.2, n_paths=10_000, seed=11,
         x0=np.array([0.0]), grid=grid)
     elapsed = time.perf_counter() - t0
     ok = comp.improvement_holds and comp.strict_gap and elapsed < 300.0
@@ -136,7 +136,7 @@ def test_05_control_improvement():
 
 def test_06_semiconcavity_bounds():
     """Smoothed rugged loss obeys the 1/t curvature bound at three times."""
-    obj = make_rugged_1d(7, 5)
+    obj = Rugged1D(7, 5)
     grid = GridFunction.geometry([-3.0], [3.0], [1025])
     h = grid.spacing[0]
     violations = 0

@@ -11,8 +11,8 @@ from pdeopt import analysis
 from pdeopt.grid import GridFunction, interior_max_second_difference
 from pdeopt.objectives import (
     CustomObjective,
+    DoubleWell,
     Quadratic,
-    make_double_well,
     make_quadratic,
 )
 from pdeopt.optimizers import OptimizerConfig, init_state, step
@@ -74,7 +74,7 @@ class TestSampleInvariantMeasure:
         assert est.mean[0] == pytest.approx(0.5, abs=4 * est.mean_stderr[0])
 
     def test_low_temperature_concentrates_at_prox(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         x, gamma = np.array([1.2]), 0.2
         est = analysis.sample_invariant_measure(dw, x, gamma, 1e-3,
                                                 n_steps=100_000, burn_in=5000, seed=3,
@@ -155,7 +155,7 @@ class TestAutocorrelation:
 
 class TestHomogenization:
     def test_double_well_drift_matches_smoothed_gradient(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         probes = [-1.6, -0.75, 0.55, 1.35]
         table = analysis.verify_homogenization(dw, probes, gamma=0.3, beta_inv=1e-8,
                                                epsilons=[1e-1, 1e-2], n_seeds=8, seed=0)
@@ -171,7 +171,7 @@ class TestHomogenization:
         assert table.rows[-1].max_rel_deviation <= 0.02
 
     def test_seed_rows_match_one_state_per_seed(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         probes, eps, gamma, beta_inv = [0.55, 1.35], [0.2, 0.05], 0.3, 0.05
         table = analysis.verify_homogenization(dw, probes, gamma=gamma, beta_inv=beta_inv,
                                                epsilons=eps, n_seeds=3, seed=2)
@@ -202,10 +202,10 @@ class TestHomogenization:
 
 class TestControlImprovement:
     def test_zero_horizon_trivial(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.5], [2.5], [257])
         comp = analysis.control_improvement_experiment(
-            dw, dw.value_batch, T=0.0, beta_inv=0.2, n_paths=500, seed=0,
+            dw, T=0.0, beta_inv=0.2, n_paths=500, seed=0,
             x0=np.array([0.4]), grid=grid)
         assert comp.terminal_ctrl == comp.terminal_plain == pytest.approx(dw.value(np.array([0.4])))
         assert comp.control_energy == 0.0
@@ -214,17 +214,17 @@ class TestControlImprovement:
         q = make_quadratic(1.0, 0.0, 1)
         grid = GridFunction.geometry([-3.0], [3.0], [513])
         comp = analysis.control_improvement_experiment(
-            q, q.value_batch, T=1.0, beta_inv=0.3, n_paths=4000, seed=1,
+            q, T=1.0, beta_inv=0.3, n_paths=4000, seed=1,
             x0=np.array([1.0]), grid=grid)
         assert comp.improvement_holds
         assert comp.strict_gap
         assert comp.gap > 0
 
     def test_double_well_improvement(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.5], [2.5], [513])
         comp = analysis.control_improvement_experiment(
-            dw, dw.value_batch, T=1.0, beta_inv=0.2, n_paths=3000, seed=2,
+            dw, T=1.0, beta_inv=0.2, n_paths=3000, seed=2,
             x0=np.array([0.0]), grid=grid)
         assert comp.improvement_holds
         assert comp.gap > 0
@@ -232,10 +232,10 @@ class TestControlImprovement:
 
     @staticmethod
     def _run_in_box(half_width):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-half_width], [half_width], [257])
         return analysis.control_improvement_experiment(
-            dw, dw.value_batch, T=1.0, beta_inv=0.2, n_paths=400, seed=0,
+            dw, T=1.0, beta_inv=0.2, n_paths=400, seed=0,
             x0=np.array([0.0]), grid=grid)
 
     def test_paths_reflect_at_the_walls(self):

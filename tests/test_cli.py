@@ -279,7 +279,7 @@ class TestRunExperiment:
         monkeypatch.setattr(ExperimentConfig, "param", spy)
         yield
         for kind, keys in read.items():
-            assert set(KINDS[kind].defaults) - keys <= {"seed", "out", "threads"}, kind
+            assert set(KINDS[kind].defaults) - keys <= {"out", "threads"}, kind
 
     def test_optimize_artifacts(self, tmp_path):
         cfg = parse_config(overrides={
@@ -378,8 +378,7 @@ class TestRunExperiment:
 
     def test_figure1_experiment(self, tmp_path):
         cfg = parse_config(overrides={
-            "kind": "figure1", "objective": "rugged_s3_m6", "seed": 0,
-            "out": str(tmp_path / "fig1"),
+            "kind": "figure1", "objective": "rugged_s3_m6", "out": str(tmp_path / "fig1"),
         })
         result = run_experiment(cfg)
         assert result.passed
@@ -487,6 +486,19 @@ class TestCliMain:
         assert code == 0
         assert target.exists()
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, kind", [("solve-pde", "solve_pde"), ("reproduce-figure1", "figure1")])
+    def test_seed_refused_where_nothing_is_drawn(self, tmp_path, capsys, command, kind):
+        # neither kind draws a random number: a seed would be a no-op
+        p = tmp_path / "seeded.cfg"
+        p.write_text("[experiment]\nseed = 3\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: experiment kind {kind!r} reads no key 'seed'\n"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
 
     def test_solve_pde_fd_alias(self, tmp_path, capsys):
         for scheme in ("fd", "monotone_fd"):

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdeopt import optimizers as opt
 from pdeopt.objectives import (
     CustomObjective,
+    DoubleWell,
     Quadratic,
+    Rugged1D,
+    TinyMLP,
     get_entry,
     global_minimum,
-    make_double_well,
     make_quadratic,
-    make_rugged_1d,
-    make_tiny_mlp,
 )
 
 
@@ -58,14 +59,14 @@ class TestQuadratic:
 
 class TestDoubleWell:
     def test_known_values(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         assert dw.value(np.array([1.0])) == 0.0
         assert dw.value(np.array([0.0])) == 1.0
         assert dw.grad(np.array([0.5]))[0] == pytest.approx(-1.5)
 
     def test_minima_and_saddle(self):
         a = 1.3
-        dw = make_double_well(a)
+        dw = DoubleWell(a)
         for s in (-1, 1):
             assert dw.value(np.array([s * a])) == pytest.approx(0.0, abs=1e-14)
             assert abs(dw.grad(np.array([s * a]))[0]) < 1e-12
@@ -73,28 +74,28 @@ class TestDoubleWell:
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            make_double_well(-0.5)
+            DoubleWell(-0.5)
 
 
 class TestRugged:
     def test_deterministic_from_seed(self):
         xs = np.linspace(-3, 3, 100)[:, None]
-        a = make_rugged_1d(7, 5).value_batch(xs)
-        b = make_rugged_1d(7, 5).value_batch(xs)
+        a = Rugged1D(7, 5).value_batch(xs)
+        b = Rugged1D(7, 5).value_batch(xs)
         np.testing.assert_array_equal(a, b)
-        c = make_rugged_1d(8, 5).value_batch(xs)
+        c = Rugged1D(8, 5).value_batch(xs)
         assert not np.allclose(a, c)
 
     def test_mode_count(self):
         # n_modes=5 needs at least 9 sign changes of the gradient
-        obj = make_rugged_1d(7, 5)
+        obj = Rugged1D(7, 5)
         xs = np.linspace(-3, 3, 4001)
         g = obj.grad_batch(xs[:, None])[:, 0]
         sign_changes = int((np.diff(np.sign(g)) != 0).sum())
         assert sign_changes >= 9
 
     def test_gradient_matches_finite_differences(self):
-        obj = make_rugged_1d(3, 6)
+        obj = Rugged1D(3, 6)
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.uniform(-3, 3, size=1)
@@ -104,55 +105,79 @@ class TestRugged:
 
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
-            make_rugged_1d(0, 1)
+            Rugged1D(0, 1)
 
 
 class TestTinyMLP:
     def test_full_batch_equals_exact(self):
-        mlp = make_tiny_mlp(0, 8, 200)
+        # without indices, and on every sample once, the minibatch is the full batch
+        mlp = TinyMLP(0, 8, 200)
         x = mlp.initial_point()
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng], 200)[0], mlp.grad(x))
+        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng])[0], mlp.grad(x))
+        every = np.arange(mlp.n_samples)[None]
+        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng], every)[0], mlp.grad(x))
 
     def test_loss_finite_positive(self):
-        mlp = make_tiny_mlp(1, 8, 100)
+        mlp = TinyMLP(1, 8, 100)
         loss = mlp.value(mlp.initial_point())
         assert np.isfinite(loss) and loss > 0
 
     def test_minibatch_mean_converges(self):
-        mlp = make_tiny_mlp(0, 8, 200)
+        mlp = TinyMLP(0, 8, 200)
         x = mlp.initial_point()
         rng = np.random.default_rng(2)
-        mean = np.mean([mlp.minibatch_grad(x[None], [rng], 32)[0] for _ in range(10_000)], axis=0)
+        mean = np.mean([mlp.minibatch_grad(x[None], [rng], mlp.minibatch_indices([rng], 32)[:, 0])[0]
+                        for _ in range(10_000)], axis=0)
         full = mlp.grad(x)
         assert np.linalg.norm(mean - full) <= 0.03 * np.linalg.norm(full)
 
     def test_covariance_trace_decreases_with_batch(self):
-        mlp = make_tiny_mlp(0, 8, 200)
+        mlp = TinyMLP(0, 8, 200)
         x = mlp.initial_point()
         traces = []
         for b in (10, 25, 50, 100, 200):
             rng = np.random.default_rng(11)
-            draws = np.stack([mlp.minibatch_grad(x[None], [rng], b)[0] for _ in range(400)])
+            draws = np.stack([mlp.minibatch_grad(x[None], [rng], mlp.minibatch_indices([rng], b)[:, 0])[0]
+                              for _ in range(400)])
             traces.append(draws.var(axis=0).sum())
         assert all(a >= b - 1e-12 for a, b in zip(traces, traces[1:]))
 
     def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            make_tiny_mlp(0, 8, 50, batch_size=64)
-        mlp = make_tiny_mlp(0, 8, 50, batch_size=16)
-        with pytest.raises(ValueError):
-            mlp.minibatch_grad(mlp.initial_point()[None], [np.random.default_rng(0)], 51)
+        mlp = TinyMLP(0, 8, 50)
+        assert mlp.epoch_size() == (TinyMLP.BATCH_SIZE, 50)
+        assert mlp.epoch_size(50) == (50, 50)
+        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
+            mlp.epoch_size(51)
+        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
+            opt.init_state(mlp, mlp.initial_point(), opt.default_config("sgd", batch_size=64), seed=0, algo="sgd")
+        # the default batch of 32 is refused on a smaller dataset
+        small = TinyMLP(0, 8, 20)
+        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
+            opt.init_state(small, small.initial_point(), opt.default_config("sgd"), seed=0, algo="sgd")
+
+    @settings(max_examples=40, deadline=None)
+    @given(R=st.integers(1, 6), b=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           full=st.booleans())
+    def test_minibatch_grad_draws_nothing(self, R, b, seed, full):
+        # the optimizer draws the indices: the objective leaves every stream as it was
+        mlp = TinyMLP(0, 8, 200)
+        x = np.random.default_rng(seed).standard_normal((R, mlp.dim))
+        idx = None if full else np.random.default_rng([seed, R]).integers(0, mlp.n_samples, (R, b))
+        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
+        before = [_stream_state(g) for g in rngs]
+        mlp.minibatch_grad(x, rngs, idx)
+        assert [_stream_state(g) for g in rngs] == before
 
     def test_gradient_matches_finite_differences(self):
-        mlp = make_tiny_mlp(0, 4, 40)
+        mlp = TinyMLP(0, 4, 40)
         x = mlp.initial_point()
         fd = central_diff_grad(mlp, x)
         g = mlp.grad(x)
         np.testing.assert_allclose(fd, g, rtol=1e-4, atol=1e-7)
 
     def test_parameter_count(self):
-        mlp = make_tiny_mlp(0, 8, 200)
+        mlp = TinyMLP(0, 8, 200)
         assert mlp.dim == 8 * 2 + 8 + 2 * 8 + 2
 
 
@@ -160,7 +185,7 @@ class TestStackedMinibatchGrad:
     """Rows of x, shape (R, dim), each with its own generator, get the
     gradients their own one-row batches would, bit for bit."""
 
-    MLP = make_tiny_mlp(0, 8, 200)
+    MLP = TinyMLP(0, 8, 200)
 
     @settings(max_examples=80, deadline=None)
     @given(R=st.integers(1, 8), batch=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
@@ -170,10 +195,11 @@ class TestStackedMinibatchGrad:
         x = scale * np.random.default_rng(seed).standard_normal((R, mlp.dim))
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
         twins = [np.random.default_rng([seed, r]) for r in range(R)]
-        g = mlp.minibatch_grad(x, rngs, batch)
+        g = mlp.minibatch_grad(x, rngs, mlp.minibatch_indices(rngs, batch)[:, 0])
         assert g.shape == (R, mlp.dim)
         for r in range(R):
-            assert g[r].tobytes() == mlp.minibatch_grad(x[r:r + 1].copy(), [twins[r]], batch)[0].tobytes()
+            idx = mlp.minibatch_indices([twins[r]], batch)[:, 0]
+            assert g[r].tobytes() == mlp.minibatch_grad(x[r:r + 1].copy(), [twins[r]], idx)[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
     def test_full_batch_draws_nothing(self):
@@ -181,10 +207,17 @@ class TestStackedMinibatchGrad:
         x = np.tile(mlp.initial_point(), (3, 1))
         rngs = [np.random.default_rng(r) for r in range(3)]
         before = [r.bit_generator.state for r in rngs]
-        g = mlp.minibatch_grad(x, rngs, mlp.n_samples)
+        g = mlp.minibatch_grad(x, rngs)
         assert [r.bit_generator.state for r in rngs] == before
         for row in g:
             np.testing.assert_array_equal(row, mlp.grad(mlp.initial_point()))
+        # a batch of the whole dataset plans no draw, and hj's rows draw nothing else
+        cfg = opt.default_config("hj", batch_size=mlp.n_samples)
+        state = opt.init_state(mlp, mlp.initial_point(), cfg, seed=0, algo="hj", repeats=3)
+        before = [r.bit_generator.state for r in state.rngs]
+        for _ in range(7):
+            opt.step(state)
+        assert state.plan.draw is None and [r.bit_generator.state for r in state.rngs] == before
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "double_well", "rugged"]), param=st.integers(0, 40),
@@ -192,8 +225,8 @@ class TestStackedMinibatchGrad:
            noise=st.sampled_from([0.0, 0.3]))
     def test_stacked_grad_matches_row_loop(self, kind, param, R, seed, scale, noise):
         obj = {"quadratic": lambda: make_quadratic(0.5 + param / 10, param / 20 - 1, 1),
-               "double_well": lambda: make_double_well(0.5 + param / 40),
-               "rugged": lambda: make_rugged_1d(param, 2 + param % 7)}[kind]()
+               "double_well": lambda: DoubleWell(0.5 + param / 40),
+               "rugged": lambda: Rugged1D(param, 2 + param % 7)}[kind]()
         obj.noise_scale = noise
         x = scale * np.random.default_rng(seed).standard_normal((R, 1))
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
@@ -209,9 +242,9 @@ class TestStackedMinibatchGrad:
         q = make_quadratic(2.0, 0.5, 3)
         q.noise_scale = 0.1
         x = np.random.default_rng(0).standard_normal((4, 3))
-        g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)], 16)
+        g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)])
         for r in range(4):
-            assert g[r].tobytes() == q.minibatch_grad(x[r:r + 1].copy(), [np.random.default_rng(r)], 16)[0].tobytes()
+            assert g[r].tobytes() == q.minibatch_grad(x[r:r + 1].copy(), [np.random.default_rng(r)])[0].tobytes()
 
 
 def _stream_state(rng):
@@ -227,7 +260,7 @@ class TestChunkedIndexDraws:
     drawn k steps ahead when a stream draws nothing else in between.  At
     n = 2^31 + 1 about half the 32-bit draws are rejected and redrawn."""
 
-    MLP = make_tiny_mlp(0, 8, 200)
+    MLP = TinyMLP(0, 8, 200)
 
     @pytest.mark.parametrize("n, b", [(200, 32), (200, 31), (2**31 + 1, 8), (2**31 + 1, 7)])
     @settings(max_examples=40, deadline=None)
@@ -270,7 +303,7 @@ class TestOneDefinition:
     minibatch gradient is its own one-row call."""
 
     KINDS = ["quadratic", "spd3", "double_well", "rugged", "mlp", "custom"]
-    MLP = make_tiny_mlp(0, 8, 200)
+    MLP = TinyMLP(0, 8, 200)
 
     @classmethod
     def build(cls, kind, param):
@@ -282,7 +315,7 @@ class TestOneDefinition:
         if kind == "double_well":
             return get_entry(f"double_well_a{0.5 + param / 40:g}").objective
         if kind == "rugged":
-            return make_rugged_1d(param, 2 + param % 7)
+            return Rugged1D(param, 2 + param % 7)
         if kind == "mlp":
             return cls.MLP
         return CustomObjective(2, lambda x: float(np.sin(x[0]) * x[1] + 0.1 * x[1] ** 3),
@@ -302,10 +335,14 @@ class TestOneDefinition:
             obj.noise_scale = noise
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
         twins = [np.random.default_rng([seed, r]) for r in range(R)]
-        g = obj.minibatch_grad(x, rngs)
+
+        def draw(streams):      # the mlp's minibatch, drawn as the optimizer draws it
+            return obj.minibatch_indices(streams, TinyMLP.BATCH_SIZE)[:, 0] if kind == "mlp" else None
+
+        g = obj.minibatch_grad(x, rngs, draw(rngs))
         assert g.shape == (R, obj.dim)
         for r in range(R):
-            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]])[0].tobytes()
+            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]], draw([twins[r]]))[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
-from pdeopt.objectives import CustomObjective, Quadratic, get_entry, make_double_well, make_quadratic
+from pdeopt.objectives import CustomObjective, DoubleWell, Quadratic, get_entry, make_quadratic
 from pdeopt.rng import substream
 
 from test_objectives import _stream_state
@@ -44,7 +44,7 @@ class TestSgdStep:
         assert st.x[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_extrinsic_noise_variance(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         cfg = opt.default_config("sgd", eta=0.1, beta_inv_ex=0.01)
         xs = np.empty(10_000)
         for s in range(len(xs)):
@@ -190,7 +190,7 @@ class TestElasticStep:
             assert w[0] == pytest.approx(0.7, abs=1e-14)
 
     def test_identical_workers_reduce_to_entropy_sgd(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         kw = dict(L=4, gamma0=0.7, gamma1=0.0, delta=0.0, beta_inv_ex=0.01,
                   eta=0.1, eta_y=0.1, alpha=0.75)
         cfg_el = opt.default_config("elastic", n_workers=3, **kw)
@@ -259,7 +259,7 @@ class TestConfigValidation:
 class TestMomentum:
     def test_delta_zero_identity(self):
         # without lookahead the anchor z is the outer iterate itself
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         for algo in opt.ALGORITHMS:
             cfg = opt.default_config(algo, delta=0.0, gamma0=0.5, beta_inv_ex=0.01, n_workers=2)
             st = opt.init_state(dw, np.array([0.3]), cfg, seed=0, algo=algo)
@@ -322,7 +322,7 @@ class TestGammaSchedule:
 
 class TestRun:
     def test_replay_identical(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         cfg = opt.default_config("entropy_sgd", L=5)
         (r1,) = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))
         (r2,) = opt.run("entropy_sgd", dw, cfg, seed=7, n_outer_steps=20, x0=np.array([0.3]))

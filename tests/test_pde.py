@@ -14,10 +14,10 @@ from pdeopt import pde_lab
 from pdeopt.grid import GridFunction, gaussian_density, interior_max_second_difference
 from pdeopt.objectives import (
     CustomObjective,
+    DoubleWell,
+    Rugged1D,
     get_entry,
-    make_double_well,
     make_quadratic,
-    make_rugged_1d,
 )
 from pdeopt.pde_lab import (
     CflError,
@@ -91,7 +91,7 @@ class TestColeHopf:
         np.testing.assert_allclose(u.values, q.value_batch(grid.points()), atol=1e-4)
 
     def test_rugged_semiconcave(self):
-        obj = make_rugged_1d(7, 5)
+        obj = Rugged1D(7, 5)
         grid = GridFunction.geometry([-3.0], [3.0], [513])
         t = 0.2
         cfg = PdeSolveConfig(beta_inv=0.1, t_final=t)
@@ -123,7 +123,7 @@ class TestColeHopf:
         assert np.abs(u.values - exact)[inner].max() <= 1e-10
 
     def test_samples_each_node_once(self):
-        obj = make_rugged_1d(7, 5)
+        obj = Rugged1D(7, 5)
         seen = []
 
         def value_batch(X):
@@ -160,7 +160,7 @@ class TestHopfLax:
         assert xs[np.argmin(u.values)] == pytest.approx(-0.5, abs=grid.spacing[0])
 
     def test_double_well_minima_preserved_small_t(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.0], [2.0], [401])
         u = solve_hj_hopf_lax(dw, 0.05, grid)
         assert abs(u.interp([1.0])) < 1e-12
@@ -169,7 +169,7 @@ class TestHopfLax:
     def test_matches_brute_force(self):
         # the envelope algorithm must agree exactly with direct O(N^2)
         # minimization over the identical search nodes
-        obj = make_rugged_1d(3, 6)
+        obj = Rugged1D(3, 6)
         grid = GridFunction.geometry([-3.0], [3.0], [201])
         t = 0.3
         u = solve_hj_hopf_lax(obj, t, grid)
@@ -189,7 +189,7 @@ class TestHopfLax:
         np.testing.assert_allclose(u.values, fine, atol=bias)
 
     def test_never_above_initial(self):
-        obj = make_rugged_1d(5, 5)
+        obj = Rugged1D(5, 5)
         grid = GridFunction.geometry([-3.0], [3.0], [301])
         u = solve_hj_hopf_lax(obj, 0.4, grid)
         f = obj.value_batch(grid.points())
@@ -223,20 +223,20 @@ class TestProx:
         assert not res.non_unique
 
     def test_gradient_consistency_double_well(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         for x in (0.6, 1.4, -0.8):
             res = prox_point(dw, np.array([x]), 0.1)
             assert res.consistency_gap <= 1e-6
 
     def test_symmetric_nonuniqueness(self):
         # at the barrier top, beyond the crossing time the minimizers split
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         res = prox_point(dw, np.array([0.0]), 0.5)
         assert res.non_unique
         assert abs(res.y[0]) == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
     def test_unique_before_crossing_time(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         res = prox_point(dw, np.array([0.0]), 0.2)
         assert not res.non_unique
         assert res.y[0] == pytest.approx(0.0, abs=1e-8)
@@ -270,7 +270,7 @@ class TestMonotoneFd:
         assert err < 5.0 * grid.spacing[0]  # first-order accurate
 
     def test_first_order_convergence_to_cole_hopf(self):
-        obj = make_rugged_1d(7, 5)
+        obj = Rugged1D(7, 5)
         errs = []
         for n in (129, 257, 513):
             lo, hi = -3.0, 3.0
@@ -627,7 +627,7 @@ class TestMaximumPrinciple:
 
     @staticmethod
     def _pair():
-        f1 = make_rugged_1d(4, 5)
+        f1 = Rugged1D(4, 5)
         f2 = CustomObjective(
             1, None,
             lambda x: f1.grad(x) + 0.6 * np.cos(3 * x),
@@ -664,7 +664,7 @@ class TestFokkerPlanck:
         assert growth == pytest.approx(beta_inv * t, rel=0.02)
 
     def test_mass_conserved_and_nonnegative(self):
-        obj = make_double_well(1.0)
+        obj = DoubleWell(1.0)
         grid = GridFunction.geometry([-3.0], [3.0], [301])
         rho0 = gaussian_density(grid, [0.3], 0.15)
         drift = grid.with_values(obj.grad_batch(grid.points())[:, 0])
@@ -780,11 +780,10 @@ class TestHjbBackward:
     @pytest.mark.parametrize("dim,n", [(1, 129), (1, 257), (2, 65)])
     def test_ou_riccati_closed_form(self, dim, n):
         # f = c|x|^2/2 and V = q|x|^2/2 give grad u(x, s) = a(T - s) x; the
-        # scheme is first order in h
-        c, q, T = 1.0, 1.0, 1.0
+        # terminal cost is f, so q = c; the scheme is first order in h
+        c = q = T = 1.0
         grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [n] * dim)
-        field = pde_lab.solve_hjb_backward(make_quadratic(c, 0.0, dim),
-                                           lambda X: 0.5 * q * (X**2).sum(axis=1), T, 0.3, grid)
+        field = pde_lab.solve_hjb_backward(make_quadratic(c, 0.0, dim), T, 0.3, grid)
         pts = grid.points()
         inner = pts[(np.abs(pts) <= 1.0).all(axis=1)]
         for s in (0.0, T / 2):
@@ -793,17 +792,17 @@ class TestHjbBackward:
 
     @pytest.mark.parametrize("beta_inv", [0.0, -0.1])
     def test_rejects_nonpositive_beta_inv(self, beta_inv):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.5], [2.5], [65])
         with pytest.raises(ValueError, match="beta_inv"):
-            pde_lab.solve_hjb_backward(dw, dw.value_batch, 1.0, beta_inv, grid)
+            pde_lab.solve_hjb_backward(dw, 1.0, beta_inv, grid)
 
     def test_rejects_underflowing_log_transform(self):
         # range(V) = 27.56 on the grid over [-2.5, 2.5]: beta * range = 919 > 700
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.5], [2.5], [65])
         with pytest.raises(ValueError, match="beta_inv"):
-            pde_lab.solve_hjb_backward(dw, dw.value_batch, 1.0, 0.03, grid)
+            pde_lab.solve_hjb_backward(dw, 1.0, 0.03, grid)
 
 
 class TestBurgers:
@@ -813,16 +812,16 @@ class TestBurgers:
         assert ok and p == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_time(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         p, ok = burgers_characteristic_check(dw, 0.7, 0.0)
         assert ok and p == dw.grad(np.array([0.7]))[0]
 
     def test_shock_time_double_well(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         assert shock_time(dw, (-2.0, 2.0)) == pytest.approx(0.25, rel=1e-3)
 
     def test_flag_false_past_shock(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         t_star = shock_time(dw, (-2.0, 2.0))
         _, ok = burgers_characteristic_check(dw, 0.0, t_star * 1.2)
         assert not ok
@@ -830,7 +829,7 @@ class TestBurgers:
         assert ok_pre
 
     def test_matches_hopf_lax_derivative(self):
-        dw = make_double_well(1.0)
+        dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.0], [2.0], [801])
         t = 0.1
         u = solve_hj_hopf_lax(dw, t, grid)
