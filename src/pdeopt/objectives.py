@@ -1,4 +1,4 @@
-"""Test objectives with exact derivatives and controllable gradient noise.
+"""Test objectives with exact derivatives.
 
 All optimizers and PDE solvers in this package consume the :class:`Objective`
 interface.  A subclass defines its loss and exact gradient once, on rows:
@@ -6,14 +6,12 @@ interface.  A subclass defines its loss and exact gradient once, on rows:
 point is row 0 of a one-row batch, so ``value`` and ``grad`` equal the batch
 bit for bit.  The analytic objectives also have a dense Hessian,
 :class:`TinyMLP` has none.  Each objective is built by calling its class
-(:func:`make_quadratic` builds c I).  Stochastic gradients add noise that is
-either synthetic (additive Gaussian, variance ``noise_scale`` per component)
-or real minibatch noise (:class:`TinyMLP`), on sample indices drawn by the
-caller: objectives compute, the optimizers draw.
+(:func:`make_quadratic` builds c I).
 
-Objectives are pure and reentrant; the additive noise draws from
-``numpy.random.Generator`` streams passed in by the caller, so concurrent
-callers own independent streams.
+Objectives are pure functions of points and, for :class:`TinyMLP`, of sample
+indices: they take no random streams.  A dataset's size is ``n_samples``
+(None for the analytic objectives, which have none), and the optimizers draw
+its minibatches and hand the indices to ``TinyMLP.minibatch_grad``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ class Objective:
     shape (N, dim) by ``value_batch`` and ``grad_batch``."""
 
     dim: int
-    noise_scale: float = 0.0
+    n_samples: int | None = None     # samples in the dataset; None: no dataset
 
     def value_batch(self, X: Array) -> Array:
         raise NotImplementedError
@@ -49,20 +47,6 @@ class Objective:
 
     def initial_point(self) -> Array:
         return np.ones(self.dim)
-
-    def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
-        """(samples per stochastic gradient, samples per epoch): 1 epoch per gradient."""
-        return 1, 1
-
-    def minibatch_grad(self, X: Array, rngs, idx: Array | None = None) -> Array:
-        """Stochastic gradient at each row of X, shape (R, dim), row r drawing
-        from ``rngs[r]``: the exact gradient plus, when ``noise_scale > 0``,
-        sqrt(noise_scale) times one ``standard_normal(dim)`` draw per row.
-        Without a dataset there are no sample indices: ``idx`` is None."""
-        g = self.grad_batch(X)
-        if self.noise_scale > 0.0:
-            g = g + np.sqrt(self.noise_scale) * np.array([r.standard_normal(self.dim) for r in rngs])
-        return g
 
 
 def _as_vec(x, dim: int) -> Array:
@@ -189,11 +173,8 @@ class TinyMLP(Objective):
 
     Cross-entropy loss over ``n_samples`` points drawn from two Gaussian
     blobs.  The minibatch gradient runs on the sample indices its caller
-    drew with :meth:`minibatch_indices`; without them it is the exact,
-    full-batch gradient.
+    drew; ``grad_batch`` is the exact, full-batch gradient.
     """
-
-    BATCH_SIZE = 32     # samples per minibatch when the optimizer config sets none
 
     def __init__(self, seed: int, hidden: int, n_samples: int):
         if hidden < 2:
@@ -215,12 +196,6 @@ class TinyMLP(Objective):
 
     def initial_point(self) -> Array:
         return self._x0.copy()
-
-    def epoch_size(self, batch_size: int | None = None) -> tuple[int, int]:
-        b = self.BATCH_SIZE if batch_size is None else batch_size
-        if b > self.n_samples:
-            raise ValueError("batch_size cannot exceed n_samples")
-        return b, self.n_samples
 
     def _unpack(self, x):
         """Layer weights of each row of x, shape (R, dim)."""
@@ -275,52 +250,10 @@ class TinyMLP(Objective):
     def grad_batch(self, X):
         return self._grad(*self._full(X))
 
-    def minibatch_indices(self, rngs, batch_size: int, steps: int = 1) -> Array:
-        """Sample indices of the next ``steps`` minibatches of each stream,
-        shape (R, steps, b), drawn with replacement by one ``integers`` call
-        per stream.  One call of steps * b draws the same values as steps
-        calls of b and leaves the stream in the same state: numpy's bounded
-        draws keep the unused half of a 64-bit word in the bit generator,
-        across calls as within one."""
-        return np.array([r.integers(0, self.n_samples, size=steps * batch_size)
-                         for r in rngs]).reshape(len(rngs), steps, batch_size)
-
-    def minibatch_grad(self, X, rngs, idx: Array | None = None) -> Array:
+    def minibatch_grad(self, X, idx: Array) -> Array:
         """Minibatch gradient at each row of X, shape (R, dim), on the sample
-        indices ``idx``, shape (R, b); without them, the full batch.  Nothing
-        is drawn here: the caller draws ``idx`` with :meth:`minibatch_indices`."""
-        return self.grad_batch(X) if idx is None else self._grad(X, idx)
-
-
-class CustomObjective(Objective):
-    """Wrap plain callables as an objective (used for ad-hoc test functions).
-
-    The value comes from exactly one of ``value_fn`` (one point) and
-    ``value_batch_fn`` (rows of points); pass None for the other."""
-
-    def __init__(self, dim, value_fn, grad_fn, hessian_fn=None, value_batch_fn=None, noise_scale=0.0):
-        if (value_fn is None) == (value_batch_fn is None):
-            raise ValueError("CustomObjective takes exactly one of value_fn and value_batch_fn")
-        self.dim = dim
-        self._value = value_fn
-        self._grad = grad_fn
-        self._hessian = hessian_fn
-        self._value_batch = value_batch_fn
-        self.noise_scale = noise_scale
-
-    def hessian(self, x):
-        if self._hessian is None:
-            raise NotImplementedError("no Hessian supplied")
-        return np.atleast_2d(np.asarray(self._hessian(_as_vec(x, self.dim)), dtype=float))
-
-    def value_batch(self, X):
-        X = np.atleast_2d(X)
-        if self._value_batch is not None:
-            return np.asarray(self._value_batch(X), dtype=float)
-        return np.array([float(self._value(row)) for row in X])
-
-    def grad_batch(self, X):
-        return np.array([np.atleast_1d(np.asarray(self._grad(row), dtype=float)) for row in np.atleast_2d(X)])
+        indices ``idx``, shape (R, b), that the optimizer drew for it."""
+        return self._grad(X, idx)
 
 
 # ---------------------------------------------------------------------------

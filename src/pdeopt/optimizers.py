@@ -43,8 +43,10 @@ seeds run beside it, bit for bit:
   ``worker_streams(seed + p, "worker", n_workers)[w]``; within a stream the
   draws of a step keep their order (minibatch indices, then noise; for heat
   the perturbation, then the indices), and a full batch draws no indices.
-  The minibatch indices are drawn in one place, :func:`_grad`, and handed
-  to the objective's ``minibatch_grad``, which draws none.  Inside
+  Objectives take no streams: the minibatch policy (the default
+  ``BATCH_SIZE``, the refusals, the draw) is this module's, resolved by
+  :func:`init_state`, and the indices are drawn in one place,
+  :func:`_grad`, and handed to ``TinyMLP.minibatch_grad``.  Inside
   :func:`run`, rows whose streams draw nothing but indices (hj, hj2, and
   sgd, entropy_sgd and elastic without extrinsic noise, on a dataset with
   b < n) draw them for up to 128 steps in one call per stream: the same
@@ -143,6 +145,8 @@ def gamma_schedule(k: int, cfg: OptimizerConfig) -> float:
     return cfg.gamma0 * (1.0 - cfg.gamma1) ** (k // cfg.L)
 
 
+BATCH_SIZE = 32     # samples per minibatch when the config sets none (or n, if fewer)
+
 # Rows whose streams draw nothing but minibatch indices draw them inside
 # :func:`run` for up to this many steps in one call per stream.  Longer
 # chunks save no more time and cost memory: on a compare of mlp_h8_n200
@@ -156,9 +160,9 @@ class _Plan:
     """An algorithm's constants, resolved once per run by :func:`init_state`."""
     cfg: OptimizerConfig
     inner: Callable              # the row update; returns d on the last inner step
-    grad: Callable               # (rows, rngs[, idx]) -> one stochastic gradient per row
-    draw: Callable | None        # (rngs, batch, steps) -> (rows, steps, batch) minibatch indices;
-                                 # None for a full batch or an objective without a dataset
+    grad: Callable               # (rows[, idx]) -> one gradient per row: the objective's
+                                 # minibatch_grad when the plan draws, else its grad_batch
+    draw: bool                   # a minibatch smaller than the dataset: :func:`_grad` draws its indices
     ahead: bool                  # the rows' streams draw nothing but indices
     batch: int                   # samples per stochastic gradient
     epoch: int                   # samples per epoch
@@ -194,7 +198,7 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
     """State of ``repeats`` independent runs of ``algo`` on ``objective``
     from ``x0``, repeat r seeded ``seed + r``.  The state is bound to the
     three: :func:`step` reads them from ``state.plan``, with the batch
-    resolved once by ``objective.epoch_size(cfg.batch_size)``."""
+    resolved once by :func:`_batch`."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     x0 = np.asarray(x0, dtype=float)
@@ -210,10 +214,11 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
         rngs = [substream(seed + r, "optimizer") for r in range(repeats)]
     noise = cfg.beta_inv_ex if algo in ("entropy_sgd", "elastic") else 0.0
     outer_noise = cfg.beta_inv_ex if algo == "sgd" else 0.0
-    batch, n_samples = objective.epoch_size(cfg.batch_size)
+    batch, n_samples = _batch(objective, cfg.batch_size)
+    draw = batch < n_samples
     plan = _Plan(
         cfg=cfg, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
-        grad=objective.minibatch_grad, draw=objective.minibatch_indices if batch < n_samples else None,
+        grad=objective.minibatch_grad if draw else objective.grad_batch, draw=draw,
         # heat draws its perturbation before the indices
         ahead=algo != "heat" and not noise and not outer_noise, batch=batch, epoch=n_samples,
         every=1 if algo == "sgd" else cfg.L, width=width, grads=max(width, 1),
@@ -225,6 +230,21 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
     _scope(state, cfg)
     _restart(state, plan)
     return state
+
+
+def _batch(objective: Objective, batch_size: int | None) -> tuple[int, int]:
+    """(samples per stochastic gradient, samples per epoch).  Without a
+    dataset a gradient is one epoch, and a batch size is refused; on a
+    dataset of n samples the default batch is min(``BATCH_SIZE``, n)."""
+    n = objective.n_samples
+    if n is None:
+        if batch_size is not None:
+            raise ValueError(f"batch_size={batch_size}: {type(objective).__name__} has no dataset")
+        return 1, 1
+    b = min(BATCH_SIZE, n) if batch_size is None else batch_size
+    if b > n:
+        raise ValueError("batch_size cannot exceed n_samples")
+    return b, n
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,16 @@ def _per_row(a: Array, width: int) -> Array:
     return a if width == 1 else np.repeat(a, width, axis=0)
 
 
+def _indices(rngs, n: int, b: int, steps: int) -> Array:
+    """Sample indices of the next ``steps`` minibatches of b out of n for
+    each stream, shape (R, steps, b), drawn with replacement by one
+    ``integers`` call per stream.  One call of steps * b draws the same
+    values as steps calls of b and leaves the stream in the same state:
+    numpy's bounded draws keep the unused half of a 64-bit word in the bit
+    generator, across calls as within one."""
+    return np.array([r.integers(0, n, size=steps * b) for r in rngs]).reshape(len(rngs), steps, b)
+
+
 def _grad(state: OptimizerState, p: _Plan, X: Array) -> Array:
     """One stochastic gradient at each row of X, on minibatch indices drawn
     here, the one place they are drawn.  Before ``state.draw_until``, a plan
@@ -257,14 +287,14 @@ def _grad(state: OptimizerState, p: _Plan, X: Array) -> Array:
     of ``_INDEX_CHUNK``, for that many steps (fewer at the end) in one call,
     and step k takes slice k % ``_INDEX_CHUNK`` of them; otherwise each step
     draws its own here, after heat's perturbation and before a row's noise."""
-    if p.draw is None:
-        return p.grad(X, state.rngs)
+    if not p.draw:
+        return p.grad(X)
     if not p.ahead or state.k >= state.draw_until:
-        return p.grad(X, state.rngs, p.draw(state.rngs, p.batch, 1)[:, 0])
+        return p.grad(X, _indices(state.rngs, p.epoch, p.batch, 1)[:, 0])
     j = state.k % _INDEX_CHUNK
     if j == 0:
-        state.indices = p.draw(state.rngs, p.batch, min(_INDEX_CHUNK, state.draw_until - state.k))
-    return p.grad(X, state.rngs, state.indices[:, j])
+        state.indices = _indices(state.rngs, p.epoch, p.batch, min(_INDEX_CHUNK, state.draw_until - state.k))
+    return p.grad(X, state.indices[:, j])
 
 
 def _sgd(state, p, last):

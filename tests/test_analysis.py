@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from pdeopt import analysis
 from pdeopt.grid import GridFunction, interior_max_second_difference
 from pdeopt.objectives import (
-    CustomObjective,
     DoubleWell,
     Quadratic,
     make_quadratic,
 )
 from pdeopt.optimizers import OptimizerConfig, init_state, step
 from pdeopt.pde_lab import PdeSolveConfig, prox_point, solve_heat, solve_viscous_hj_cole_hopf
+
+from custom_objective import CustomObjective
 
 
 def gauss_quadrature_moments(Q, p, x, gamma, beta):

@@ -487,6 +487,24 @@ class TestCliMain:
         assert target.exists()
         assert (tmp_path / "manifest.json").exists()
 
+    def test_default_batch_on_a_small_dataset_is_all_of_it(self, tmp_path, capsys):
+        # 20 samples, fewer than the default 32: each gradient is one epoch
+        out = tmp_path / "small"
+        assert main(["optimize", "--objective", "mlp_h4_n20", "--steps", "3", "--out", str(out)]) == 0
+        rec = optimizers.RunRecord.from_csv(out / "run_0.csv")
+        assert list(rec.column("effective_epoch")) == list(rec.column("k")) == [1, 2, 3]
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    def test_batch_size_refused_without_a_dataset(self, tmp_path, capsys, command):
+        # the double well has no samples to batch: the key would be a no-op
+        p = tmp_path / "batched.cfg"
+        p.write_text("[optimizer]\nbatch_size = 8\n")
+        out = tmp_path / "r"
+        for route in (["--batch-size", "8"], ["--config", str(p)]):
+            assert main([command, "--objective", "double_well_a1", *route, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: batch_size=8: DoubleWell has no dataset\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, kind", [("solve-pde", "solve_pde"), ("reproduce-figure1", "figure1")])
     def test_seed_refused_where_nothing_is_drawn(self, tmp_path, capsys, command, kind):
         # neither kind draws a random number: a seed would be a no-op

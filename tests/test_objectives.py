@@ -1,14 +1,17 @@
-"""Objective corpus: exact derivatives, noise models, determinism."""
+"""Objective corpus: exact derivatives, minibatch gradients, determinism."""
+
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdeopt import objectives
 from pdeopt import optimizers as opt
 from pdeopt.objectives import (
-    CustomObjective,
     DoubleWell,
+    Objective,
     Quadratic,
     Rugged1D,
     TinyMLP,
@@ -16,6 +19,8 @@ from pdeopt.objectives import (
     global_minimum,
     make_quadratic,
 )
+
+from custom_objective import CustomObjective
 
 
 def central_diff_grad(obj, x, h=1e-5):
@@ -110,13 +115,12 @@ class TestRugged:
 
 class TestTinyMLP:
     def test_full_batch_equals_exact(self):
-        # without indices, and on every sample once, the minibatch is the full batch
+        # on every sample once, the minibatch is the full batch
         mlp = TinyMLP(0, 8, 200)
         x = mlp.initial_point()
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng])[0], mlp.grad(x))
         every = np.arange(mlp.n_samples)[None]
-        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], [rng], every)[0], mlp.grad(x))
+        np.testing.assert_array_equal(mlp.minibatch_grad(x[None], every)[0], mlp.grad(x))
+        np.testing.assert_array_equal(mlp.grad_batch(x[None])[0], mlp.grad(x))
 
     def test_loss_finite_positive(self):
         mlp = TinyMLP(1, 8, 100)
@@ -127,7 +131,7 @@ class TestTinyMLP:
         mlp = TinyMLP(0, 8, 200)
         x = mlp.initial_point()
         rng = np.random.default_rng(2)
-        mean = np.mean([mlp.minibatch_grad(x[None], [rng], mlp.minibatch_indices([rng], 32)[:, 0])[0]
+        mean = np.mean([mlp.minibatch_grad(x[None], opt._indices([rng], mlp.n_samples, 32, 1)[:, 0])[0]
                         for _ in range(10_000)], axis=0)
         full = mlp.grad(x)
         assert np.linalg.norm(mean - full) <= 0.03 * np.linalg.norm(full)
@@ -138,36 +142,39 @@ class TestTinyMLP:
         traces = []
         for b in (10, 25, 50, 100, 200):
             rng = np.random.default_rng(11)
-            draws = np.stack([mlp.minibatch_grad(x[None], [rng], mlp.minibatch_indices([rng], b)[:, 0])[0]
+            draws = np.stack([mlp.minibatch_grad(x[None], opt._indices([rng], mlp.n_samples, b, 1)[:, 0])[0]
                               for _ in range(400)])
             traces.append(draws.var(axis=0).sum())
         assert all(a >= b - 1e-12 for a, b in zip(traces, traces[1:]))
 
     def test_batch_size_validation(self):
-        mlp = TinyMLP(0, 8, 50)
-        assert mlp.epoch_size() == (TinyMLP.BATCH_SIZE, 50)
-        assert mlp.epoch_size(50) == (50, 50)
-        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
-            mlp.epoch_size(51)
-        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
-            opt.init_state(mlp, mlp.initial_point(), opt.default_config("sgd", batch_size=64), seed=0, algo="sgd")
-        # the default batch of 32 is refused on a smaller dataset
-        small = TinyMLP(0, 8, 20)
-        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
-            opt.init_state(small, small.initial_point(), opt.default_config("sgd"), seed=0, algo="sgd")
+        def plan(obj, **keys):
+            cfg = opt.default_config("sgd", **keys)
+            return opt.init_state(obj, obj.initial_point(), cfg, seed=0, algo="sgd").plan
 
-    @settings(max_examples=40, deadline=None)
-    @given(R=st.integers(1, 6), b=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
-           full=st.booleans())
-    def test_minibatch_grad_draws_nothing(self, R, b, seed, full):
-        # the optimizer draws the indices: the objective leaves every stream as it was
-        mlp = TinyMLP(0, 8, 200)
-        x = np.random.default_rng(seed).standard_normal((R, mlp.dim))
-        idx = None if full else np.random.default_rng([seed, R]).integers(0, mlp.n_samples, (R, b))
-        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
-        before = [_stream_state(g) for g in rngs]
-        mlp.minibatch_grad(x, rngs, idx)
-        assert [_stream_state(g) for g in rngs] == before
+        def resolved(p):
+            return p.batch, p.epoch, p.draw
+
+        mlp = TinyMLP(0, 8, 50)
+        assert resolved(plan(mlp)) == (opt.BATCH_SIZE, 50, True)
+        assert resolved(plan(mlp, batch_size=50)) == (50, 50, False)
+        with pytest.raises(ValueError, match="batch_size cannot exceed n_samples"):
+            plan(mlp, batch_size=51)
+        # the default batch on a dataset smaller than 32 is the whole dataset
+        assert resolved(plan(TinyMLP(0, 8, 20))) == (20, 20, False)
+
+    def test_objectives_take_no_streams(self):
+        # objectives are pure: no public method of any objective takes a generator
+        classes = [c for c in vars(objectives).values()
+                   if inspect.isclass(c) and issubclass(c, Objective) and c.__module__ == objectives.__name__]
+        assert Objective in classes and TinyMLP in classes
+        for cls in classes:
+            for name, fn in inspect.getmembers(cls, inspect.isfunction):
+                if name.startswith("_"):
+                    continue
+                for param in list(inspect.signature(fn).parameters)[1:]:
+                    assert "rng" not in param and "stream" not in param and "generator" not in param, \
+                        f"{cls.__name__}.{name} takes {param!r}"
 
     def test_gradient_matches_finite_differences(self):
         mlp = TinyMLP(0, 4, 40)
@@ -195,21 +202,17 @@ class TestStackedMinibatchGrad:
         x = scale * np.random.default_rng(seed).standard_normal((R, mlp.dim))
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
         twins = [np.random.default_rng([seed, r]) for r in range(R)]
-        g = mlp.minibatch_grad(x, rngs, mlp.minibatch_indices(rngs, batch)[:, 0])
+        g = mlp.minibatch_grad(x, opt._indices(rngs, mlp.n_samples, batch, 1)[:, 0])
         assert g.shape == (R, mlp.dim)
         for r in range(R):
-            idx = mlp.minibatch_indices([twins[r]], batch)[:, 0]
-            assert g[r].tobytes() == mlp.minibatch_grad(x[r:r + 1].copy(), [twins[r]], idx)[0].tobytes()
+            idx = opt._indices([twins[r]], mlp.n_samples, batch, 1)[:, 0]
+            assert g[r].tobytes() == mlp.minibatch_grad(x[r:r + 1].copy(), idx)[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
 
     def test_full_batch_draws_nothing(self):
         mlp = self.MLP
         x = np.tile(mlp.initial_point(), (3, 1))
-        rngs = [np.random.default_rng(r) for r in range(3)]
-        before = [r.bit_generator.state for r in rngs]
-        g = mlp.minibatch_grad(x, rngs)
-        assert [r.bit_generator.state for r in rngs] == before
-        for row in g:
+        for row in mlp.grad_batch(x):
             np.testing.assert_array_equal(row, mlp.grad(mlp.initial_point()))
         # a batch of the whole dataset plans no draw, and hj's rows draw nothing else
         cfg = opt.default_config("hj", batch_size=mlp.n_samples)
@@ -217,34 +220,21 @@ class TestStackedMinibatchGrad:
         before = [r.bit_generator.state for r in state.rngs]
         for _ in range(7):
             opt.step(state)
-        assert state.plan.draw is None and [r.bit_generator.state for r in state.rngs] == before
+        assert not state.plan.draw and state.plan.grad == mlp.grad_batch
+        assert [r.bit_generator.state for r in state.rngs] == before
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "double_well", "rugged"]), param=st.integers(0, 40),
-           R=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0),
-           noise=st.sampled_from([0.0, 0.3]))
-    def test_stacked_grad_matches_row_loop(self, kind, param, R, seed, scale, noise):
+           R=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0))
+    def test_stacked_grad_matches_row_loop(self, kind, param, R, seed, scale):
         obj = {"quadratic": lambda: make_quadratic(0.5 + param / 10, param / 20 - 1, 1),
                "double_well": lambda: DoubleWell(0.5 + param / 40),
                "rugged": lambda: Rugged1D(param, 2 + param % 7)}[kind]()
-        obj.noise_scale = noise
         x = scale * np.random.default_rng(seed).standard_normal((R, 1))
-        rngs = [np.random.default_rng([seed, r]) for r in range(R)]
-        twins = [np.random.default_rng([seed, r]) for r in range(R)]
-        g = obj.minibatch_grad(x, rngs)
+        g = obj.grad_batch(x)
         assert g.shape == (R, 1)
         for r in range(R):
-            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]])[0].tobytes()
-            assert rngs[r].bit_generator.state == twins[r].bit_generator.state
-
-    def test_base_objective_loops_rows(self):
-        # a 3D quadratic: grad_batch's matmul gives each row what grad gives it
-        q = make_quadratic(2.0, 0.5, 3)
-        q.noise_scale = 0.1
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        g = q.minibatch_grad(x, [np.random.default_rng(r) for r in range(4)])
-        for r in range(4):
-            assert g[r].tobytes() == q.minibatch_grad(x[r:r + 1].copy(), [np.random.default_rng(r)])[0].tobytes()
+            assert g[r].tobytes() == obj.grad_batch(x[r:r + 1].copy())[0].tobytes()
 
 
 def _stream_state(rng):
@@ -277,12 +267,13 @@ class TestChunkedIndexDraws:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20), b=st.integers(1, 199), R=st.integers(1, 4))
     def test_minibatch_indices_ahead(self, seed, k, b, R):
+        n = self.MLP.n_samples
         ahead = [np.random.default_rng([seed, r]) for r in range(R)]
         stepped = [np.random.default_rng([seed, r]) for r in range(R)]
-        idx = self.MLP.minibatch_indices(ahead, b, k)
+        idx = opt._indices(ahead, n, b, k)
         assert idx.shape == (R, k, b)
         for j in range(k):
-            assert idx[:, j].tobytes() == self.MLP.minibatch_indices(stepped, b)[:, 0].tobytes()
+            assert idx[:, j].tobytes() == opt._indices(stepped, n, b, 1)[:, 0].tobytes()
         assert [_stream_state(g) for g in ahead] == [_stream_state(g) for g in stepped]
 
     def test_interleaved_normal_breaks_it(self):
@@ -323,43 +314,27 @@ class TestOneDefinition:
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(KINDS), param=st.integers(0, 40), R=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0), noise=st.sampled_from([0.0, 0.3]))
-    def test_point_is_its_row(self, kind, param, R, seed, scale, noise):
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0))
+    def test_point_is_its_row(self, kind, param, R, seed, scale):
         obj = self.build(kind, param)
         x = scale * np.random.default_rng(seed).standard_normal((R, obj.dim))
         values, grads = obj.value_batch(x), obj.grad_batch(x)
         for r in range(R):
             assert np.float64(obj.value(x[r].copy())).tobytes() == values[r].tobytes()
             assert obj.grad(x[r].copy()).tobytes() == grads[r].tobytes()
-        if kind != "mlp":      # minibatch noise, not additive
-            obj.noise_scale = noise
+        if obj.n_samples is None:      # no dataset: the optimizers take grad_batch
+            return
         rngs = [np.random.default_rng([seed, r]) for r in range(R)]
         twins = [np.random.default_rng([seed, r]) for r in range(R)]
 
         def draw(streams):      # the mlp's minibatch, drawn as the optimizer draws it
-            return obj.minibatch_indices(streams, TinyMLP.BATCH_SIZE)[:, 0] if kind == "mlp" else None
+            return opt._indices(streams, obj.n_samples, opt.BATCH_SIZE, 1)[:, 0]
 
-        g = obj.minibatch_grad(x, rngs, draw(rngs))
+        g = obj.minibatch_grad(x, draw(rngs))
         assert g.shape == (R, obj.dim)
         for r in range(R):
-            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), [twins[r]], draw([twins[r]]))[0].tobytes()
+            assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), draw([twins[r]]))[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
-
-
-class TestNoiseModel:
-    def test_additive_noise_unbiased(self):
-        q = make_quadratic(1.0, 0.0, 2)
-        q.noise_scale = 0.05
-        x = np.array([0.7, -0.2])
-        rng = np.random.default_rng(9)
-        draws = np.stack([q.minibatch_grad(x[None], [rng])[0] for _ in range(20_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), q.grad(x), atol=0.01)
-        np.testing.assert_allclose(draws.var(axis=0), 0.05, rtol=0.1)
-
-    def test_zero_noise_is_exact(self):
-        q = make_quadratic(1.0, 0.0, 2)
-        x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(q.minibatch_grad(x[None], [np.random.default_rng(0)])[0], q.grad(x))
 
 
 class TestCorpus:

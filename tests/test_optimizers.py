@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
-from pdeopt.objectives import CustomObjective, DoubleWell, Quadratic, get_entry, make_quadratic
+from pdeopt.objectives import DoubleWell, Quadratic, get_entry, make_quadratic
 from pdeopt.rng import substream
 
+from custom_objective import CustomObjective
 from test_objectives import _stream_state
 
 
@@ -427,16 +428,15 @@ class TestRepeats:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_aborted_row_stops_alone(self, tmp_path):
-        # started near the edge of stability, seed 0 is kicked past it and
-        # diverges while seeds 1 and 2 settle
-        quartic = CustomObjective(1, lambda x: x[0] ** 4, lambda x: np.array([4 * x[0] ** 3]),
-                                  noise_scale=4.0)
-        cfg = opt.default_config("sgd", eta=0.1)
+        # started near the edge of stability, seed 1 is kicked past it by
+        # sgd's extrinsic noise and diverges while seeds 0 and 2 settle
+        quartic = CustomObjective(1, lambda x: x[0] ** 4, lambda x: np.array([4 * x[0] ** 3]))
+        cfg = opt.default_config("sgd", eta=0.1, beta_inv_ex=0.4)
         x0 = np.array([2.2])
         batched = opt.run("sgd", quartic, cfg, seed=0, n_outer_steps=30, x0=x0, repeats=3)
         singles = [opt.run("sgd", quartic, cfg, seed=s, n_outer_steps=30, x0=x0)[0] for s in (0, 1, 2)]
-        assert [r.aborted for r in batched] == [True, False, False]
-        assert len(batched[0].rows) < 30 and not np.isfinite(batched[0].final_loss)
+        assert [r.aborted for r in batched] == [False, True, False]
+        assert [len(r.rows) for r in batched] == [30, 9, 30] and not np.isfinite(batched[1].final_loss)
         self.assert_same_records(batched, singles, tmp_path)
 
 
@@ -462,7 +462,7 @@ class TestIndicesDrawnAhead:
         monkeypatch.setattr(opt, "init_state", init_state)
         records = opt.run(algo, obj, cfg, seed, n_outer, record_every=record_every, repeats=repeats)
         (ran,) = made
-        assert ran.plan.draw is not None and ran.indices.shape[1] == n_outer * L - 2 * 128
+        assert ran.plan.draw and ran.indices.shape[1] == n_outer * L - 2 * 128
 
         st = real_init(obj, obj.initial_point(), cfg, seed, algo, repeats)
         looped = [opt.RunRecord(algo=algo, seed=seed + r) for r in range(repeats)]

@@ -13,7 +13,6 @@ from scipy.special import iv, logsumexp
 from pdeopt import pde_lab
 from pdeopt.grid import GridFunction, gaussian_density, interior_max_second_difference
 from pdeopt.objectives import (
-    CustomObjective,
     DoubleWell,
     Rugged1D,
     get_entry,
@@ -32,6 +31,8 @@ from pdeopt.pde_lab import (
     solve_pde,
     solve_viscous_hj_cole_hopf,
 )
+
+from custom_objective import CustomObjective
 
 
 def brute_force_infconv(objective, xs, t, search_lo, search_hi, n_search):
