@@ -1,5 +1,6 @@
 """PDE lab solvers against closed forms and brute-force oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -443,6 +444,62 @@ class TestPeriodic:
                                                         boundary="periodic"), grid)
         np.testing.assert_allclose(v.values, math.exp(-beta_inv * t / 2) * (np.cos(x) + np.cos(y)),
                                    atol=1e-12)
+
+
+def _box(lo, hi, n, dim=1):
+    return GridFunction.geometry([lo] * dim, [hi] * dim, [n] * dim)
+
+
+def wavy_objective():
+    return CustomObjective(2, None, None, value_batch_fn=wavy)
+
+
+class TestLabGoldenReplay:
+    """Small solves replay bit for bit: a digest of each solution's bytes, as
+    recorded when the padded sample reused f's values on the grid nodes.
+    Spacings of 1/32 and 1/16 put padded samples on the nodes exactly;
+    0.02 and 0.015 do not."""
+
+    RUGGED = Rugged1D(7, 5)
+    CASES = {
+        "cole_hopf_1d_dyadic": (DoubleWell(1.0), _box(-2.0, 2.0, 129), dict(beta_inv=0.1, t_final=0.5)),
+        "cole_hopf_1d": (RUGGED, _box(-3.0, 3.0, 301), dict(beta_inv=0.1, t_final=0.5)),
+        "cole_hopf_periodic": (cos_objective(1), _box(0.0, 2 * np.pi, 129),
+                               dict(beta_inv=0.5, t_final=0.5, boundary="periodic")),
+        # refined and through the log-sum-exp fallback
+        "cole_hopf_refined": (RUGGED, _box(-3.0, 3.0, 401), dict(beta_inv=0.01, t_final=0.05)),
+        "cole_hopf_2d": (wavy_objective(), _box(-2.0, 2.0, 65, 2), dict(beta_inv=0.1, t_final=0.5)),
+        "hopf_lax_1d": (RUGGED, _box(-3.0, 3.0, 301), dict(beta_inv=0.0, t_final=0.3, scheme="hopf_lax")),
+        "hopf_lax_2d": (wavy_objective(), _box(-2.0, 2.0, 65, 2),
+                        dict(beta_inv=0.0, t_final=0.2, scheme="hopf_lax")),
+        "heat_periodic_1d": (sin_objective(), _box(0.0, 2 * np.pi, 129),
+                             dict(beta_inv=0.1, t_final=1.0, scheme="heat", boundary="periodic")),
+        "heat_periodic_2d": (cos_objective(2), _box(0.0, 2 * np.pi, 65, 2),
+                             dict(beta_inv=0.5, t_final=0.5, scheme="heat", boundary="periodic")),
+        "fd_1d_inviscid": (RUGGED, _box(-3.0, 3.0, 201), dict(beta_inv=0.0, t_final=0.1, scheme="monotone_fd")),
+        "fd_1d": (RUGGED, _box(-3.0, 3.0, 201), dict(beta_inv=0.1, t_final=0.1, scheme="monotone_fd")),
+        "fd_2d": (wavy_objective(), _box(-2.0, 2.0, 33, 2), dict(beta_inv=0.1, t_final=0.1, scheme="monotone_fd")),
+    }
+    GOLDEN = {
+        "cole_hopf_1d_dyadic": "858df8af8dfa912a",
+        "cole_hopf_1d": "1045681b070d3b2f",
+        "cole_hopf_periodic": "d74e94147efc8c10",
+        "cole_hopf_refined": "adebc71917d8b78d",
+        "cole_hopf_2d": "48a8995220a68049",
+        "hopf_lax_1d": "61d251510793e201",
+        "hopf_lax_2d": "16650e406c11743a",
+        "heat_periodic_1d": "03870c15bece390b",
+        "heat_periodic_2d": "f1edd80f565c8279",
+        "fd_1d_inviscid": "978c3e81fca794c0",
+        "fd_1d": "6693c9704f4c06b3",
+        "fd_2d": "131738471f889c9c",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_replays_recorded_solve(self, case):
+        objective, grid, cfg = self.CASES[case]
+        u = solve_pde(objective, PdeSolveConfig(**cfg), grid)
+        assert hashlib.sha256(u.values.tobytes()).hexdigest()[:16] == self.GOLDEN[case]
 
 
 # seeded landscapes for the property tests: rugged_s<seed>_m<modes> on
