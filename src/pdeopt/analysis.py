@@ -96,6 +96,8 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
     """
     if burn_in >= n_steps:
         raise ValueError("burn_in must be smaller than n_steps")
+    if n_chains < 2:
+        raise ValueError(f"n_chains={n_chains}: the error bars are a spread over chains, so at least 2")
     if gamma <= 0 or beta_inv < 0:
         raise ValueError("gamma must be positive and beta_inv >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))

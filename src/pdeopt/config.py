@@ -14,9 +14,11 @@ it:
 
 :data:`KEY_SPECS` holds one converter per key.  The converters also check
 names: ``scheme`` (``fd`` is short for ``monotone_fd``), ``boundary``,
-``algo`` and ``algos``.
+``algo`` and ``algos`` (no name twice).
 
-Every kind reads ``objective``, ``out`` and ``threads``.  Every kind that
+Every kind reads ``objective``, ``out`` and ``threads``.  ``optimize``,
+``compare`` and ``solve_pde`` require ``objective`` (its default is
+:data:`REQUIRED`); ``spectrum`` runs without one.  Every kind that
 draws random numbers reads ``seed``: all but ``solve_pde`` and ``figure1``,
 which are deterministic.  Only ``optimize`` and ``compare`` read
 ``repeats``, and their optimizer keys default to ``per-algorithm``,
@@ -95,7 +97,10 @@ _algo = _choice(*ALGORITHMS)
 
 
 def _algos(v) -> list[str]:
-    return [_algo(a) for a in _str_list(v)]
+    algos = [_algo(a) for a in _str_list(v)]
+    if len(set(algos)) < len(algos):
+        raise ValueError("an algorithm is named twice")
+    return algos
 
 
 # key -> type converter
@@ -148,9 +153,11 @@ class Kind(NamedTuple):
     defaults: dict        # every key the runner reads -> its default
 
 
+REQUIRED = "required"   # the default of a key that parse_config refuses to leave unset
 _COMMON = {"objective": "", "out": None, "threads": 1}
 _SEEDED = {**_COMMON, "seed": 0}           # the kinds that draw random numbers
-_OPTIMIZING = {**_SEEDED, "repeats": 1, **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
+_OPTIMIZING = {**_SEEDED, "objective": REQUIRED, "repeats": 1,
+               **dict.fromkeys(OPTIMIZER_KEYS, PER_ALGORITHM)}
 
 KINDS: dict[str, Kind] = {
     "optimize": Kind("optimize", {**_OPTIMIZING, "algo": "sgd", "steps": 200, "record_every": 1}),
@@ -160,7 +167,7 @@ KINDS: dict[str, Kind] = {
         "assert_vs_sgd": True,
     }),
     "solve_pde": Kind("solve-pde", {
-        **_COMMON, "scheme": "cole_hopf", "beta_inv": 0.1, "t": 0.5, "grid_n": 513,
+        **_COMMON, "objective": REQUIRED, "scheme": "cole_hopf", "beta_inv": 0.1, "t": 0.5, "grid_n": 513,
         "dt": None,                         # None: the scheme's stability limit
         "boundary": "extrapolating",
     }),
@@ -221,7 +228,8 @@ def parse_config(path=None, overrides: dict | None = None, kind: str | None = No
     """Build a strict, typed configuration.
 
     Precedence: ``kind`` > flag overrides > file values.  A key the kind does
-    not read, or a mistyped value, raises ``ConfigError`` naming the key.
+    not read, a mistyped value, or a ``REQUIRED`` key left unset raises
+    ``ConfigError`` naming the key.
     Defaults stay out: they resolve when the runner reads the key.
     """
     raw: dict = {}
@@ -243,6 +251,9 @@ def parse_config(path=None, overrides: dict | None = None, kind: str | None = No
         if key not in KINDS[kind].defaults:
             raise ConfigError(f"experiment kind {kind!r} reads no key {key!r}")
         cfg.params[key] = _convert(key, value)
+    for key, default in KINDS[kind].defaults.items():
+        if default is REQUIRED and key not in cfg.params:
+            raise ConfigError(f"missing required key {key!r}")
     return cfg
 
 

@@ -384,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = cfg.param("out")
     out = Path(out) if out else None
     if out is not None:
-        if out.suffix == ".csv":    # `--out foo.csv` names optimize's run file
+        if cfg.kind == "optimize" and out.suffix == ".csv":   # `--out foo.csv` names the run file
             out = out.parent
         out.mkdir(parents=True, exist_ok=True)
         for name, write in files.items():

@@ -427,6 +427,10 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     non-finite loss aborts that seed: its record stops, flagged, with the
     iterate of that moment, while the other seeds run on.
     """
+    if n_outer_steps < 1:
+        raise ValueError(f"steps={n_outer_steps}: a run takes at least one outer step")
+    if record_every < 1:
+        raise ValueError(f"record_every={record_every}: must be at least 1")
     cfg = cfg if cfg is not None else default_config(algo)
     state = init_state(objective, objective.initial_point() if x0 is None else x0, cfg, seed, algo, repeats)
     state.draw_until = n_outer_steps * cfg.L

@@ -17,12 +17,11 @@ Four routes to the smoothed loss u(x, t) of a 1D/2D objective f:
 * ``solve_heat`` -- plain Gaussian blurring v = G_{t/b} * f for contrast.
 
 The three quadrature routes are one computation.  ``_sample_padded`` samples
-f once on the grid, refined ``ceil(3h/sigma)``-fold per axis so the kernel is
-resolved (not for Hopf-Lax), and padded by K nodes per side: extended past
-the box, or wrapped around the n-1 unique nodes when the boundary is
-periodic, in 1D and 2D alike; f on the grid nodes, which sets the reach of
-Cole-Hopf and Hopf-Lax, is evaluated once and reused by every sample that
-falls on a node.
+f in one call on the grid, refined ``ceil(3h/sigma)``-fold per axis so the
+kernel is resolved (not for Hopf-Lax), and padded by K nodes per side:
+extended past the box, or wrapped around the n-1 unique nodes when the
+boundary is periodic, in 1D and 2D alike.  Cole-Hopf and Hopf-Lax first
+evaluate f on the grid nodes, whose range sets their reach.
 ``_windows`` sizes the windows and refuses, before f is sampled, work
 beyond a fixed budget of samples and window terms.  ``_reduce_windows`` then
 reduces every (2K+1)-sample window along each axis in turn: a dot product
@@ -95,10 +94,6 @@ class NanAbort(RuntimeError):
     """A solver produced NaN values."""
 
 
-def _pad_points(h: float, radius: float) -> int:
-    return int(math.ceil(max(radius, 0.0) / h))
-
-
 # ---------------------------------------------------------------------------
 # separable quadrature: one padded sample, one window reduction per axis
 
@@ -118,12 +113,11 @@ def _refinement(grid: GridFunction, sigma: float) -> list[int]:
     return [max(1, math.ceil(3.0 * h / sigma)) for h in grid.spacing]
 
 
-def _windows(grid: GridFunction, r, radius: float, periodic: bool, beta_inv: float, t: float,
-             least: int = 2) -> list[int]:
-    """Half-widths K[d] >= least of the windows reaching ``radius`` on each
-    axis refined r[d]-fold, checked against the work budget before f is
-    sampled: a ValueError names the inputs that set the work."""
-    K = [max(least, _pad_points(h / rd, radius)) for h, rd in zip(grid.spacing, r)]
+def _windows(grid: GridFunction, r, radius: float, periodic: bool, beta_inv: float, t: float) -> list[int]:
+    """Half-widths K[d] of the windows reaching ``radius`` on each axis
+    refined r[d]-fold, checked against the work budget before f is sampled:
+    a ValueError names the inputs that set the work."""
+    K = [int(math.ceil(radius / (h / rd))) for h, rd in zip(grid.spacing, r)]
     sizes = [(n - 1) * rd + (not periodic) + 2 * k for n, k, rd in zip(grid.n_points, K, r)]
     centres = [n - periodic for n in grid.n_points]
     samples = math.prod(sizes)
@@ -146,35 +140,20 @@ def _search_radius(nodes: Array, t: float) -> float:
     return math.sqrt(max(2.0 * t * float(nodes.max() - nodes.min()), 0.0))
 
 
-def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: bool,
-                   nodes: Array | None = None) -> Array:
-    """f once on the grid refined r[d]-fold and padded by K[d] nodes per side
-    of each axis d: extended past the box, or wrapped around the n - 1 unique
-    nodes when the boundary is periodic (the last node repeats the first).
-
-    ``nodes``, f on ``grid.points()``, supplies the samples that fall on a
-    grid node to the last bit (all of them when the spacing is dyadic), so f
-    is evaluated once per unique point; every other sample is evaluated at
-    the same coordinates as without it."""
-    axes, on_node, node_index = [], [], []
-    for lo, h, n, k, rd, xs in zip(grid.lower, grid.spacing, grid.n_points, K, r, grid.axes()):
+def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: bool) -> Array:
+    """f on the grid refined r[d]-fold and padded by K[d] nodes per side of
+    each axis d, in one ``value_batch`` call: extended past the box, or
+    wrapped around the n - 1 unique nodes when the boundary is periodic (the
+    last node repeats the first)."""
+    axes = []
+    for lo, h, n, k, rd in zip(grid.lower, grid.spacing, grid.n_points, K, r):
         hq = h / rd
         if periodic:
-            n -= 1
-            axis, first = lo + hq * np.arange(n * rd), 0
+            axes.append(lo + hq * np.arange((n - 1) * rd))
         else:
-            axis, first = lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k), k
-        same = np.flatnonzero(axis[first : first + n * rd : rd] == xs[:n])
-        axes.append(axis)
-        on_node.append(first + rd * same)
-        node_index.append(same)
+            axes.append(lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k))
     mesh = np.meshgrid(*axes, indexing="ij")
-    F = np.empty(mesh[0].shape)
-    todo = np.ones(F.shape, dtype=bool)
-    if nodes is not None:
-        F[np.ix_(*on_node)] = nodes.reshape(grid.n_points)[np.ix_(*node_index)]
-        todo[np.ix_(*on_node)] = False
-    F[todo] = objective.value_batch(np.column_stack([m[todo] for m in mesh]))
+    F = objective.value_batch(np.column_stack([m.ravel() for m in mesh])).reshape(mesh[0].shape)
     return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
 
 
@@ -254,7 +233,7 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
         ops.append(lambda lines, log_k=-beta * offs**2 / (2.0 * t), centres=slice(k, -k or None, rd):
                    _log_window_sums(lines, log_k, centres))
         log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    F = -beta * _sample_padded(objective, grid, K, r, periodic, nodes)
+    F = -beta * _sample_padded(objective, grid, K, r, periodic)
     return _on_grid(grid, -(_reduce_windows(F, K, r, ops) + log_norm) / beta, cfg.boundary)
 
 
@@ -273,13 +252,13 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
         raise ValueError("t must be positive")
     nodes = objective.value_batch(grid.points())
     r = [1] * grid.dim
-    K = _windows(grid, r, _search_radius(nodes, t), False, 0.0, t, least=0)
+    K = _windows(grid, r, _search_radius(nodes, t), False, 0.0, t)
     inv2t = 1.0 / (2.0 * t)
     ops = []
     for h, k in zip(grid.spacing, K):
         offs = h * np.arange(-k, k + 1)
         ops.append(_as_sampled(lambda w, q=offs * offs * inv2t: (w + q).min(axis=-1)))
-    F = _sample_padded(objective, grid, K, r, False, nodes)
+    F = _sample_padded(objective, grid, K, r, False)
     return grid.with_values(_reduce_windows(F, K, r, ops))
 
 

@@ -33,12 +33,12 @@ class TestParseConfig:
         assert resolved == {"sgd": 0.0, "entropy_sgd": 0.9, "hj": 0.0}
         tuned = {a: _optimizer_config(cfg, a, tuned=True).delta for a in ("sgd", "entropy_sgd", "hj")}
         assert tuned == resolved
-        cfg = parse_config(overrides={"kind": "optimize", "delta": 0.5})
+        cfg = parse_config(overrides={"kind": "optimize", "objective": "double_well_a1", "delta": 0.5})
         assert _optimizer_config(cfg, "sgd").delta == 0.5
 
     def test_fd_alias_in_config_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
-        p.write_text("[experiment]\nkind = solve_pde\n[pde]\nscheme = fd\n")
+        p.write_text("[experiment]\nkind = solve_pde\nobjective = double_well_a1\n[pde]\nscheme = fd\n")
         assert parse_config(p).params["scheme"] == "monotone_fd"
 
     def test_removed_keys_rejected(self):
@@ -201,7 +201,7 @@ class TestKeyTable:
         assert read == set(KEY_SPECS)
 
     def test_key_outside_the_table_raises_in_the_runner(self):
-        cfg = parse_config(overrides={"kind": "solve_pde"})
+        cfg = parse_config(overrides={"kind": "solve_pde", "objective": "double_well_a1"})
         assert cfg.param("grid_n") == 513
         with pytest.raises(LookupError, match="steps"):
             cfg.param("steps")
@@ -548,8 +548,12 @@ class TestCliMain:
         (["solve-pde", "--objective", "rugged_s3_m6", "--scheme", "cole_hopf", "--beta-inv", "0",
           "--boundary", "periodic", "--grid-n", "65"], "Hopf-Lax inf-convolution"),
         (["solve-pde", "--objective", "mlp_h8_n200", "--grid-n", "65"], "dim 1 or 2 only"),
+        (["optimize", "--objective", "double_well_a1", "--record-every", "0"], "record_every=0"),
+        (["optimize", "--objective", "double_well_a1", "--steps", "0"], "steps=0"),
+        (["optimize", "--objective", "double_well_a1", "--steps", "-3"], "steps=-3"),
+        (["invariant-measure", "--n-chains", "1"], "n_chains=1"),
     ], ids=["control_paths_exit", "fd_periodic", "hopf_lax_periodic", "cole_hopf_zero_viscosity_periodic",
-            "grid_above_2d"])
+            "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
@@ -591,3 +595,28 @@ class TestCliMain:
         code = main(["spectrum", "--n-random", "10", "--seed", "1",
                      "--out", str(tmp_path / "s")])
         assert code == 0
+
+    def test_out_csv_is_a_directory_beyond_optimize(self, tmp_path, capsys):
+        # only optimize reads `--out NAME.csv` as its run file
+        out = tmp_path / "lab.csv"
+        assert main(["solve-pde", "--objective", "double_well_a1", "--grid-n", "65", "--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["lab.csv"]
+        assert (out / "solution.csv").exists() and (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [["optimize"], ["compare", "--budget", "10"], ["solve-pde"]],
+                             ids=["optimize", "compare", "solve_pde"])
+    def test_missing_objective_named(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nthreads = 1\n")   # a config file that leaves the objective unset
+        out = tmp_path / "r"
+        for route in ([], ["--config", str(cfg)]):
+            assert main(argv + route + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == "config error: missing required key 'objective'\n"
+            assert not out.exists()
+
+    def test_algorithm_named_twice_refused(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--objective", "double_well_a1", "--algos", "sgd,sgd", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: bad value for 'algos': 'sgd,sgd' "
+                                           "(an algorithm is named twice)\n")
+        assert not out.exists()

@@ -124,7 +124,7 @@ class TestColeHopf:
         exact = r2 / (2 * 1.05) + 0.01 * math.log(1.05)
         assert np.abs(u.values - exact)[inner].max() <= 1e-10
 
-    def test_samples_each_node_once(self):
+    def test_evaluates_nodes_then_padded_sample(self):
         obj = Rugged1D(7, 5)
         seen = []
 
@@ -135,9 +135,12 @@ class TestColeHopf:
         counted = CustomObjective(1, None, obj.grad, value_batch_fn=value_batch)
         grid = GridFunction.geometry([-3.0], [3.0], [513])
         solve_viscous_hj_cole_hopf(counted, PdeSolveConfig(beta_inv=0.1, t_final=0.5), grid)
-        pts = np.concatenate(seen)
-        # the radius probe reads the grid nodes and the padded sample reuses them
-        assert len(pts) == len(np.unique(pts))
+        # the grid nodes, whose range sets the reach, then the padded sample,
+        # which evaluates each of its points once, the nodes among them
+        nodes, padded = seen
+        assert nodes.tobytes() == grid.points()[:, 0].tobytes()
+        assert len(padded) == len(np.unique(padded))
+        assert np.isin(nodes, padded).all()
 
 
 class TestHopfLax:
