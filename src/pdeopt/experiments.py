@@ -121,19 +121,22 @@ def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
     budget = cfg.param("budget")
     record_every_base = cfg.param("record_every")
     seed, repeats = cfg.param("seed"), cfg.param("repeats")
-    rows, curves, timings, files = [], {}, {}, {}
+    specs, grads = [], 0
     for algo in sorted(algos):
         ocfg = _optimizer_config(cfg, algo, tuned=True)
         # an outer step costs L gradients per repeat (per worker for elastic)
         grads_per_outer = ocfg.L * (ocfg.n_workers if algo == "elastic" else 1)
-        n_outer = max(1, budget // grads_per_outer)
-        record_every = record_every_base or max(1, n_outer // 400)
-        t0 = time.perf_counter()
-        records = optimizers.run(algo, entry.objective, ocfg, seed, n_outer,
-                                 record_every=record_every, repeats=repeats)
-        seconds = time.perf_counter() - t0
-        timings[algo] = {"run_s": seconds,
-                         "us_per_grad_eval": 1e6 * seconds / (repeats * n_outer * grads_per_outer)}
+        if budget < grads_per_outer:
+            raise ValueError(f"budget={budget} is below {algo}'s gradients per outer step ({grads_per_outer})")
+        n_outer = budget // grads_per_outer
+        specs.append(optimizers.RunSpec(algo, ocfg, n_outer, record_every_base or max(1, n_outer // 400)))
+        grads += repeats * n_outer * grads_per_outer
+    t0 = time.perf_counter()
+    runs = optimizers.run_lockstep(entry.objective, specs, seed, repeats=repeats)
+    seconds = time.perf_counter() - t0
+    timings = {"run_s": seconds, "us_per_grad_eval": 1e6 * seconds / grads}
+    rows, curves, files = [], {}, {}
+    for algo, records in zip(sorted(algos), runs):
         files.update((f"run_{algo}_{rec.seed}.csv", rec.to_csv) for rec in records)
         curves[algo] = records[-1]
         finals = np.array([rec.final_loss for rec in records])

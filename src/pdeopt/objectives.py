@@ -4,7 +4,8 @@ All optimizers and PDE solvers in this package consume the :class:`Objective`
 interface.  A subclass defines its loss and exact gradient once, on rows:
 ``value_batch`` and ``grad_batch`` take points of shape (R, dim), and one
 point is row 0 of a one-row batch, so ``value`` and ``grad`` equal the batch
-bit for bit.  The analytic objectives also have a dense Hessian,
+bit for bit.  ``value_and_grad_batch`` returns both, from one forward pass
+for :class:`TinyMLP`.  The analytic objectives also have a dense Hessian,
 :class:`TinyMLP` has none.  Each objective is built by calling its class
 (:func:`make_quadratic` builds c I).
 
@@ -35,6 +36,11 @@ class Objective:
 
     def grad_batch(self, X: Array) -> Array:
         raise NotImplementedError
+
+    def value_and_grad_batch(self, X: Array) -> tuple[Array, Array]:
+        """``value_batch(X)`` and ``grad_batch(X)``, bit for bit; an
+        objective whose two share work may compute them together."""
+        return self.value_batch(X), self.grad_batch(X)
 
     def value(self, x: Array) -> float:
         return float(self.value_batch(_as_vec(x, self.dim)[None])[0])
@@ -223,13 +229,12 @@ class TinyMLP(Objective):
         ez = np.exp(logits)
         return X, z1, a1, W2, ez / (ez[..., :1] + ez[..., 1:])
 
-    def _loss(self, x, idx):
-        probs = self._forward(x, idx)[-1]
+    def _loss(self, idx, probs):
         picked = np.take_along_axis(probs, self.y[idx][..., None], axis=2)[..., 0]
         return -np.log(picked + 1e-300).mean(axis=1)
 
-    def _grad(self, x, idx):
-        X, z1, a1, W2, probs = self._forward(x, idx)
+    def _grad(self, idx, X, z1, a1, W2, probs):
+        """Gradient of each row from its forward pass on the samples idx."""
         R, n = idx.shape
         dlogits = (probs - self._onehot[idx]) / n
         dW2 = dlogits.transpose(0, 2, 1) @ a1
@@ -245,15 +250,23 @@ class TinyMLP(Objective):
         return X, np.arange(self.n_samples)[None].repeat(len(X), axis=0)
 
     def value_batch(self, X):
-        return self._loss(*self._full(X))
+        X, idx = self._full(X)
+        return self._loss(idx, self._forward(X, idx)[-1])
 
     def grad_batch(self, X):
-        return self._grad(*self._full(X))
+        X, idx = self._full(X)
+        return self._grad(idx, *self._forward(X, idx))
+
+    def value_and_grad_batch(self, X):
+        """Loss and full-data gradient of each row from one forward pass."""
+        X, idx = self._full(X)
+        forward = self._forward(X, idx)
+        return self._loss(idx, forward[-1]), self._grad(idx, *forward)
 
     def minibatch_grad(self, X, idx: Array) -> Array:
         """Minibatch gradient at each row of X, shape (R, dim), on the sample
         indices ``idx``, shape (R, b), that the optimizer drew for it."""
-        return self._grad(X, idx)
+        return self._grad(idx, *self._forward(X, idx))
 
 
 # ---------------------------------------------------------------------------

@@ -26,34 +26,45 @@ After an outer update the rows restart at z (entropy_sgd, hj, elastic) or at
 zero (hj2, heat).  Noise is drawn as rng.normal(0, a): bit-equal to
 a * standard_normal, one array operation cheaper.
 
+Each inner step has two phases.  The points phase returns the rows'
+gradient points, drawing any perturbation first: z for sgd, y for the coupled
+rows (entropy_sgd, hj, elastic), z - y for hj2, z + sqrt(gamma) N for heat;
+then the minibatch indices are drawn for them.  The apply phase takes one
+gradient per row, updates the rows and, on the last inner step, makes the
+outer update.  ``step(state)`` is the two phases around one gradient call.
+
 :func:`init_state` binds a state to its objective, config and algorithm
 once; ``step(state)`` takes nothing else, so a state cannot be stepped as
 another run than the one it was made for.
 
 The state is batched.  ``x``, ``z`` and ``<y>`` are (repeats, dim) arrays, one
-row per seed of a :func:`run`, and the inner rows are one (repeats * workers,
-dim) array, repeat-major, with one worker per repeat except for ``elastic``
-(``n_workers``; ``sgd`` has none).  A step updates every row with one array
-operation and one stacked minibatch gradient, so the per-call cost of Python
-and numpy is paid once for all rows.  A seed's record does not depend on the
-seeds run beside it, bit for bit:
+row per seed of a run, and the inner rows are one (repeats * workers, dim)
+array, repeat-major, with one worker per repeat except for ``elastic``
+(``n_workers``; ``sgd`` has none).  :func:`run_lockstep` steps several runs
+on one objective in lockstep: each inner step runs every state's points
+phase, one gradient call on the stacked rows and indices, and every state's
+apply phase on its own slice of the result, so the per-call cost of Python
+and numpy is paid once for all rows of all runs; :func:`run` is its one-run
+call.  A seed's record does not depend on the seeds or runs stepped beside
+it, bit for bit:
 
 * each row draws from its own stream: the row of repeat p (seed + p) from
   ``substream(seed + p, "optimizer")``, elastic worker w of repeat p from
   ``worker_streams(seed + p, "worker", n_workers)[w]``; within a stream the
   draws of a step keep their order (minibatch indices, then noise; for heat
   the perturbation, then the indices), and a full batch draws no indices.
-  Objectives take no streams: the minibatch policy (the default
-  ``BATCH_SIZE``, the refusals, the draw) is this module's, resolved by
-  :func:`init_state`, and the indices are drawn in one place,
-  :func:`_grad`, and handed to ``TinyMLP.minibatch_grad``.  Inside
-  :func:`run`, rows whose streams draw nothing but indices (hj, hj2, and
-  sgd, entropy_sgd and elastic without extrinsic noise, on a dataset with
-  b < n) draw them for up to 128 steps in one call per stream: the same
-  values, and the same stream state at the end, as one call per step.
-  Other rows, and a direct :func:`step`, draw per step;
+  Stacking runs moves no draw from one stream to another.  Objectives take
+  no streams: the minibatch policy (the default ``BATCH_SIZE``, the
+  refusals, the draw) is this module's, resolved by :func:`init_state`, and
+  the indices are drawn in one place, :func:`_draw`, and handed to
+  ``TinyMLP.minibatch_grad``.  Inside a run, rows whose streams draw nothing
+  but indices (hj, hj2, and sgd, entropy_sgd and elastic without extrinsic
+  noise, on a dataset with b < n) draw them for up to 128 steps in one call
+  per stream: the same values, and the same stream state at the end, as one
+  call per step.  Other rows, and a direct :func:`step`, draw per step;
 * ``TinyMLP.minibatch_grad`` runs each row through the same BLAS call a
-  single row makes (stacked matmul; einsum would differ in the last bits);
+  single row makes (stacked matmul; einsum would differ in the last bits),
+  so a row's gradient is the same in a stack of one run's rows or of many;
 * the analytic objectives' ``grad_batch`` rows do not depend on the rows
   beside them (``Quadratic`` forms Qx by einsum: matmul runs one row
   through another kernel than many);
@@ -61,15 +72,16 @@ seeds run beside it, bit for bit:
   workers, the order a mean over a list of workers takes;
 * the control energy adds ``float(d[p] @ d[p])`` per repeat; a batched
   einsum of the same products is not bit-equal;
-* a repeat whose loss turns non-finite stops recording (see :func:`run`)
-  while its rows keep being stepped with the others, which they do not touch.
+* a repeat whose loss turns non-finite stops recording while its rows keep
+  being stepped with the others, which they do not touch; a run leaves the
+  stack when all its repeats have stopped, or its outer steps are done.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,7 +171,8 @@ _INDEX_CHUNK = 128
 class _Plan:
     """An algorithm's constants, resolved once per run by :func:`init_state`."""
     cfg: OptimizerConfig
-    inner: Callable              # the row update; returns d on the last inner step
+    points: Callable             # (state, plan) -> the rows' gradient points, any perturbation drawn first
+    apply: Callable              # (state, plan, g, last) -> the row update; returns d on the last inner step
     grad: Callable               # (rows[, idx]) -> one gradient per row: the objective's
                                  # minibatch_grad when the plan draws, else its grad_batch
     draw: bool                   # a minibatch smaller than the dataset: :func:`_grad` draws its indices
@@ -189,7 +202,7 @@ class OptimizerState:
     outer_steps: int = 0
     grad_evals: int = 0            # per repeat
     plan: _Plan | None = None
-    draw_until: int = 0            # the step run stops at; before it, a plan.ahead draws indices ahead
+    draw_until: int = 0            # the step its run stops at; before it, a plan.ahead draws indices ahead
     indices: Array | None = None   # (rows, steps, b) indices drawn ahead, the chunk holding step k
 
 
@@ -216,8 +229,9 @@ def init_state(objective: Objective, x0, cfg: OptimizerConfig, seed: int, algo: 
     outer_noise = cfg.beta_inv_ex if algo == "sgd" else 0.0
     batch, n_samples = _batch(objective, cfg.batch_size)
     draw = batch < n_samples
+    points, apply = _PHASES.get(algo, _COUPLED_PHASES)
     plan = _Plan(
-        cfg=cfg, inner={"sgd": _sgd, "hj2": _hj2, "heat": _heat}.get(algo, _coupled),
+        cfg=cfg, points=points, apply=apply,
         grad=objective.minibatch_grad if draw else objective.grad_batch, draw=draw,
         # heat draws its perturbation before the indices
         ahead=algo != "heat" and not noise and not outer_noise, batch=batch, epoch=n_samples,
@@ -280,34 +294,31 @@ def _indices(rngs, n: int, b: int, steps: int) -> Array:
     return np.array([r.integers(0, n, size=steps * b) for r in rngs]).reshape(len(rngs), steps, b)
 
 
-def _grad(state: OptimizerState, p: _Plan, X: Array) -> Array:
-    """One stochastic gradient at each row of X, on minibatch indices drawn
-    here, the one place they are drawn.  Before ``state.draw_until``, a plan
-    ``ahead`` draws each stream's indices at the steps k that are multiples
-    of ``_INDEX_CHUNK``, for that many steps (fewer at the end) in one call,
-    and step k takes slice k % ``_INDEX_CHUNK`` of them; otherwise each step
-    draws its own here, after heat's perturbation and before a row's noise."""
+def _draw(state: OptimizerState, p: _Plan) -> Array | None:
+    """Minibatch indices of the step's gradients, one (b,) row per stream,
+    drawn here, the one place they are drawn; None for a full batch.  Before
+    ``state.draw_until``, a plan ``ahead`` draws each stream's indices at the
+    steps k that are multiples of ``_INDEX_CHUNK``, for that many steps
+    (fewer at the end) in one call, and step k takes slice k %
+    ``_INDEX_CHUNK`` of them; otherwise each step draws its own here, after
+    heat's perturbation and before a row's noise."""
     if not p.draw:
-        return p.grad(X)
+        return None
     if not p.ahead or state.k >= state.draw_until:
-        return p.grad(X, _indices(state.rngs, p.epoch, p.batch, 1)[:, 0])
+        return _indices(state.rngs, p.epoch, p.batch, 1)[:, 0]
     j = state.k % _INDEX_CHUNK
     if j == 0:
         state.indices = _indices(state.rngs, p.epoch, p.batch, min(_INDEX_CHUNK, state.draw_until - state.k))
-    return p.grad(X, state.indices[:, j])
+    return state.indices[:, j]
 
 
-def _sgd(state, p, last):
-    return _grad(state, p, state.z)
-
-
-def _coupled(state, p, last):
+def _coupled(state, p, g, last):
     """Each row takes a noisy descent step on f(y) + |y - z|^2 / (2 gamma),
     its step clamped to gamma so the coupling stays stable as gamma shrinks."""
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
     y = state.rows
-    y = y - s * (_grad(state, p, y) + (y - _per_row(state.z, p.width)) / gamma)
+    y = y - s * (g + (y - _per_row(state.z, p.width)) / gamma)
     if p.noise:
         y = y + _normal(state.rngs, math.sqrt(s * p.noise), y.shape[1])
     state.rows = y
@@ -316,24 +327,31 @@ def _coupled(state, p, last):
     return (state.z - state.y_avg) / gamma if last else None
 
 
-def _hj2(state, p, last):
-    y = state.rows
-    g = _grad(state, p, state.z - y)
+def _hj2(state, p, g, last):
     gamma = state.gamma
     s = min(p.cfg.eta_y, gamma)
-    state.rows = (1.0 - s / gamma) * y + s * g
+    state.rows = (1.0 - s / gamma) * state.rows + s * g
     return g
 
 
-def _heat(state, p, last):
-    eps = _normal(state.rngs, math.sqrt(state.gamma), state.z.shape[1])
-    state.rows = total = state.rows + _grad(state, p, state.z + eps)
+def _heat(state, p, g, last):
+    state.rows = total = state.rows + g
     return total / p.every if last else None
+
+
+# Each algorithm's two phases: its gradient points, any perturbation drawn
+# first, then its row update, which returns d on the last inner step.
+_PHASES = {
+    "sgd": (lambda state, p: state.z, lambda state, p, g, last: g),
+    "hj2": (lambda state, p: state.z - state.rows, _hj2),
+    "heat": (lambda state, p: state.z + _normal(state.rngs, math.sqrt(state.gamma), state.z.shape[1]), _heat),
+}
+_COUPLED_PHASES = (lambda state, p: state.rows, _coupled)
 
 
 def _restart(state: OptimizerState, p: _Plan) -> None:
     """Start the rows of an outer step at z (coupled rows) or at zero."""
-    state.rows = _per_row(state.z, p.width).copy() if p.inner is _coupled else np.zeros_like(state.rows)
+    state.rows = _per_row(state.z, p.width).copy() if p.apply is _coupled else np.zeros_like(state.rows)
     state.y_avg = state.z.copy()
 
 
@@ -349,17 +367,25 @@ def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
         return math.inf
 
 
-def step(state: OptimizerState) -> OptimizerState:
-    """One inner step of the state's algorithm for every repeat: one minibatch
-    gradient per row, and the outer update when it completes an outer step."""
+def _points(state: OptimizerState) -> tuple[Array, Array | None]:
+    """The points phase of an inner step: the rows' gradient points, with any
+    perturbation drawn first, and the minibatch indices drawn for them."""
+    p = state.plan
+    X = p.points(state, p)
+    return X, _draw(state, p)
+
+
+def _apply(state: OptimizerState, g: Array) -> None:
+    """The apply phase: update the rows by their gradients g, then make the
+    outer update when the step completes an outer step."""
     p = state.plan
     cfg = p.cfg
     last = (state.k + 1) % p.every == 0
-    d = p.inner(state, p, last)
+    d = p.apply(state, p, g, last)
     state.k += 1
     state.grad_evals += p.grads
     if not last:
-        return state
+        return
     # outer update along -d with Nesterov lookahead, then restart the rows
     eta = _annealed_eta(state, cfg) if p.anneal else cfg.eta
     x_old = state.x
@@ -375,6 +401,14 @@ def step(state: OptimizerState) -> OptimizerState:
     if p.width:
         _restart(state, p)
         _scope(state, cfg)
+
+
+def step(state: OptimizerState) -> OptimizerState:
+    """One inner step of the state's algorithm for every repeat: one minibatch
+    gradient per row, and the outer update when it completes an outer step."""
+    X, idx = _points(state)
+    p = state.plan
+    _apply(state, p.grad(X) if idx is None else p.grad(X, idx))
     return state
 
 
@@ -417,9 +451,29 @@ class RunRecord:
         return rec
 
 
+class RunSpec(NamedTuple):
+    """One run of :func:`run_lockstep`: the algorithm, its config (None: the
+    algorithm's defaults), its outer steps and its logging period."""
+    algo: str
+    cfg: OptimizerConfig | None
+    n_outer_steps: int
+    record_every: int = 1
+
+
+@dataclass
+class _Lane:
+    """A run inside :func:`run_lockstep`: its bound state and its records."""
+    state: OptimizerState
+    records: list[RunRecord]
+    live: list[int]                # the repeats still recording
+    steps: int                     # inner steps of the run
+    log_every: int                 # inner steps between its records: L * record_every
+
+
 def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
         n_outer_steps: int, x0=None, record_every: int = 1, repeats: int = 1) -> list[RunRecord]:
-    """Execute ``n_outer_steps`` outer updates of the named optimizer.
+    """Execute ``n_outer_steps`` outer updates of the named optimizer: the
+    one-run call of :func:`run_lockstep`.
 
     The seeds ``seed .. seed + repeats - 1`` run as rows of one batched state,
     and one record per seed is returned.  A seed's record does not depend on
@@ -427,35 +481,68 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     non-finite loss aborts that seed: its record stops, flagged, with the
     iterate of that moment, while the other seeds run on.
     """
-    if n_outer_steps < 1:
-        raise ValueError(f"steps={n_outer_steps}: a run takes at least one outer step")
-    if record_every < 1:
-        raise ValueError(f"record_every={record_every}: must be at least 1")
-    cfg = cfg if cfg is not None else default_config(algo)
-    state = init_state(objective, objective.initial_point() if x0 is None else x0, cfg, seed, algo, repeats)
-    state.draw_until = n_outer_steps * cfg.L
-    records = [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)]
-    live = list(range(repeats))
+    return run_lockstep(objective, [RunSpec(algo, cfg, n_outer_steps, record_every)], seed, x0, repeats)[0]
 
-    inner_steps = range(cfg.L)
-    for outer in range(n_outer_steps):
-        for _ in inner_steps:
-            step(state)
-        if (outer + 1) % record_every == 0 or outer == n_outer_steps - 1:
-            X = state.x[live]
-            epoch, gamma = _epochs(state), gamma_schedule(max(state.k - 1, 0), cfg)
-            for r, loss, g in zip(list(live), objective.value_batch(X), objective.grad_batch(X)):
-                loss = float(loss)
-                records[r].rows.append(dict(
-                    k=state.k, effective_epoch=epoch, loss=loss, grad_norm=float(np.linalg.norm(g)),
-                    gamma=gamma, control_energy=float(state.control_energy[r]),
-                ))
-                if not math.isfinite(loss):
-                    records[r].aborted = True
-                    records[r].terminal_x = state.x[r].copy()
-                    live.remove(r)
-            if not live:
-                break
-    for r in live:
-        records[r].terminal_x = state.x[r].copy()
-    return records
+
+def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int = 1) -> list[list[RunRecord]]:
+    """Execute several runs (:class:`RunSpec`) on one objective in lockstep,
+    each from ``x0`` with the seeds ``seed .. seed + repeats - 1``, and return
+    each run's records as :func:`run` would.
+
+    Each inner step makes one gradient call over the stacked rows and indices
+    of the runs still stepping: the points phase of every run, one
+    ``plan.grad``, then the apply phase of every run.  A run leaves the stack
+    when its outer steps are done, or when all its seeds have aborted.  An
+    outer step of a run is ``cfg.L`` inner steps (for sgd, L updates), and a
+    run logs every ``record_every`` of them and after its last.  A run's
+    records do not depend on the runs stepped beside it, bit for bit (see the
+    module docstring).
+    """
+    x0 = objective.initial_point() if x0 is None else x0
+    lanes = []
+    for algo, cfg, n_outer, record_every in specs:
+        if n_outer < 1:
+            raise ValueError(f"steps={n_outer}: a run takes at least one outer step")
+        if record_every < 1:
+            raise ValueError(f"record_every={record_every}: must be at least 1")
+        cfg = cfg if cfg is not None else default_config(algo)
+        state = init_state(objective, x0, cfg, seed, algo, repeats)
+        state.draw_until = n_outer * cfg.L
+        lanes.append(_Lane(state, [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)],
+                           list(range(repeats)), state.draw_until, cfg.L * record_every))
+    if len({(lane.state.plan.grad, lane.state.plan.batch) for lane in lanes}) > 1:
+        raise ValueError("runs in lockstep must share one gradient: the same objective and batch size")
+    grad = lanes[0].state.plan.grad
+    stepping = lanes
+    while stepping:
+        points = [_points(lane.state) for lane in stepping]
+        X = np.concatenate([x for x, _ in points])
+        g = grad(X) if points[0][1] is None else grad(X, np.concatenate([idx for _, idx in points]))
+        start = 0
+        for lane, (x, _) in zip(stepping, points):
+            _apply(lane.state, g[start:start + len(x)])
+            start += len(x)
+            if lane.state.k % lane.log_every == 0 or lane.state.k == lane.steps:
+                _record(lane, objective)
+        stepping = [lane for lane in stepping if lane.live and lane.state.k < lane.steps]
+    for lane in lanes:
+        for r in lane.live:
+            lane.records[r].terminal_x = lane.state.x[r].copy()
+    return [lane.records for lane in lanes]
+
+
+def _record(lane: _Lane, objective: Objective) -> None:
+    """Log a row for each live repeat; a non-finite loss aborts its repeat."""
+    state = lane.state
+    epoch, gamma = _epochs(state), gamma_schedule(max(state.k - 1, 0), state.plan.cfg)
+    losses, grads = objective.value_and_grad_batch(state.x[lane.live])
+    for r, loss, g in zip(list(lane.live), losses, grads):
+        loss = float(loss)
+        lane.records[r].rows.append(dict(
+            k=state.k, effective_epoch=epoch, loss=loss, grad_norm=float(np.linalg.norm(g)),
+            gamma=gamma, control_energy=float(state.control_energy[r]),
+        ))
+        if not math.isfinite(loss):
+            lane.records[r].aborted = True
+            lane.records[r].terminal_x = state.x[r].copy()
+            lane.live.remove(r)

@@ -1,6 +1,7 @@
 """Config parsing, experiment artifacts, plotting, CLI dispatch."""
 
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -408,11 +409,11 @@ class TestRunExperiment:
         first = (tmp_path / "a" / "comparison.csv").read_bytes()
         assert first == (tmp_path / "b" / "comparison.csv").read_bytes()
         assert first.splitlines()[0] == b"algorithm,final_loss_mean,final_loss_std,effective_epochs"
-        # the measured times go to summary.json only
+        # the measured times go to summary.json only: one block, as the
+        # algorithms run in lockstep
         timings = json.loads((tmp_path / "a" / "summary.json").read_text())["timings"]
-        assert sorted(timings) == ["hj", "sgd"]
-        for t in timings.values():
-            assert t["run_s"] > 0 and t["us_per_grad_eval"] > 0
+        assert sorted(timings) == ["run_s", "us_per_grad_eval"]
+        assert timings["run_s"] > 0 and timings["us_per_grad_eval"] > 0
 
     # one small run of every kind, and the run CSVs it writes
     CSV_RUNS = {
@@ -458,6 +459,58 @@ class TestRunExperiment:
                 for column, cell in zip(header, row):
                     if column not in self.LABEL_COLUMNS:
                         float(cell)     # an int or a float; raises on anything else
+
+
+class TestCompareGolden:
+    """A six-algorithm ``compare`` replays bit for bit: the sha256 of every
+    CSV it writes, recorded when each algorithm ran through its own
+    ``optimizers.run``.  ``mlp_h8_n200`` takes the minibatch path, where
+    elastic spends its budget in a quarter of the inner steps of the others;
+    the double well takes the analytic ``grad_batch`` path, and its tuned
+    entropy_sgd step diverges to NaN."""
+
+    ALGOS = "sgd,entropy_sgd,hj,hj2,heat,elastic"
+    RUNS = {
+        "mlp_h8_n200": (dict(budget=400, batch_size=32, seed=5), {
+            "comparison.csv": "feea229b2cf1751811276aab5a668a0056c5b4d036b087177b9fb8d7230ec2f2",
+            "run_elastic_5.csv": "2bc7c6722b01c0a93295d3090967db5d7c6b5012dcaae0bf16d5ab3225cfc615",
+            "run_elastic_6.csv": "e83ab9d687d305b8b0c01a2e018d0912d4fe7160a23560a0787ebb31d717e9b7",
+            "run_entropy_sgd_5.csv": "5b474d95ccb0aa680936d4612d070dac4948b2e66c96654c217e0d060c2d6be1",
+            "run_entropy_sgd_6.csv": "3f63cf9fb3a16644ef46edb70e581dd12e495273599586ea4b36b51d29d3ef9e",
+            "run_heat_5.csv": "c98ed82902a6fcba5a3ed33d12cc2a183cabc4d871d965d34e3a261be7d417b0",
+            "run_heat_6.csv": "17b578c5b4b72d9ed493548fefb5c9f2b005eb5afc0af665361a5524f4c56bd5",
+            "run_hj2_5.csv": "9141b5c86727d16b0b3e5bbf9b51b4f0130f7e53d9e86db24b8b38dc58e722f0",
+            "run_hj2_6.csv": "af20c58fa48221c28bc16e2e2b0e56a57326a104cfad9be8a4a35170de6f521b",
+            "run_hj_5.csv": "24b2c4d9cddcbd108109179ca81ee7ccb43af74d52cb2e2d316f22dbd2662151",
+            "run_hj_6.csv": "c80e223f21e981a406c39d669109a694ff483f61c1d5b0b673f6b70018d433bb",
+            "run_sgd_5.csv": "dcdb80d8b3865c2ae2acf8b4256125f801ccb133589ce1e12ebc5548c0479fd2",
+            "run_sgd_6.csv": "1bc6f4786ab62a7ef891c6c39c8be4e02dc8c79c8d2135f72d95271c56c1752e",
+        }),
+        "double_well_a0.8": (dict(budget=300, seed=2), {
+            "comparison.csv": "884916482964af7b794c7ad5a2d2a9a226caf37c91e81e263583ecaf5e81c82f",
+            "run_elastic_2.csv": "5485d5bfd766e9bc92d5f6ff927d812be75c71bf2468945e453128d725e659e1",
+            "run_elastic_3.csv": "5f6ff058b2e2e009de2177a5c0be77980d3cfeb92afdf2068709a473b344417b",
+            "run_entropy_sgd_2.csv": "70e73e2046f85b40280fcb9f5d9cfdf4ea15c84e216336199c67196611d7da92",
+            "run_entropy_sgd_3.csv": "794ecca2d1af23cffb0a4409f2ca887953ff6661f074057341fd63e6b03a7a04",
+            "run_heat_2.csv": "5f79aa6afb0f92656d77196e1d05b7f733c14e36deaac0a09dfc505d887b357f",
+            "run_heat_3.csv": "844e20396a0408b1d0383a5c4b8ac1a3f1a6ae89c39bf8807eb33187d39e98f9",
+            "run_hj2_2.csv": "e6d11da563165bfd7e9823af3473919421dd03f658379adb30db47dd89ed945c",
+            "run_hj2_3.csv": "e6d11da563165bfd7e9823af3473919421dd03f658379adb30db47dd89ed945c",
+            "run_hj_2.csv": "5419d54e4c5f2cb484badb2b3e5114bd9d0ccc567074f93ccd67023fa20ae736",
+            "run_hj_3.csv": "5419d54e4c5f2cb484badb2b3e5114bd9d0ccc567074f93ccd67023fa20ae736",
+            "run_sgd_2.csv": "4bb11a000fcd72d4e991dc695eea80b78b41140202df54d2e23faa3b47e27844",
+            "run_sgd_3.csv": "4bb11a000fcd72d4e991dc695eea80b78b41140202df54d2e23faa3b47e27844",
+        }),
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("objective", sorted(RUNS))
+    def test_replays_recorded_csvs(self, tmp_path, objective):
+        keys, digests = self.RUNS[objective]
+        run_experiment(parse_config(overrides={"kind": "compare", "objective": objective, "algos": self.ALGOS,
+                                               "repeats": 2, **keys, "out": str(tmp_path)}))
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+        assert written == digests
 
 
 class TestCliMain:
@@ -613,6 +666,16 @@ class TestCliMain:
             assert main(argv + route + ["--out", str(out)]) == 2
             assert capsys.readouterr().err == "config error: missing required key 'objective'\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["3", "0", "-5"])
+    def test_budget_below_an_outer_step_refused(self, tmp_path, capsys, budget):
+        # one outer step of hj costs L = 5 gradients: a smaller budget would
+        # give hj more gradients than sgd
+        out = tmp_path / "cmp"
+        assert main(["compare", "--objective", "double_well_a1", "--budget", budget, "--algos", "sgd,hj",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: budget={budget} is below hj's gradients per outer step (5)\n"
+        assert not out.exists()
 
     def test_algorithm_named_twice_refused(self, tmp_path, capsys):
         out = tmp_path / "cmp"

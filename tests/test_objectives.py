@@ -223,6 +223,14 @@ class TestStackedMinibatchGrad:
         assert not state.plan.draw and state.plan.grad == mlp.grad_batch
         assert [r.bit_generator.state for r in state.rngs] == before
 
+    def test_value_and_grad_batch_is_both_bit_for_bit(self):
+        # TinyMLP's takes both from one forward pass, the base class calls the two
+        for obj in (self.MLP, DoubleWell(0.8)):
+            X = np.random.default_rng(3).standard_normal((4, obj.dim))
+            values, grads = obj.value_and_grad_batch(X)
+            assert values.tobytes() == obj.value_batch(X).tobytes()
+            assert grads.tobytes() == obj.grad_batch(X).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "double_well", "rugged"]), param=st.integers(0, 40),
            R=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0))

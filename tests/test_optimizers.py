@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
-from pdeopt.objectives import DoubleWell, Quadratic, get_entry, make_quadratic
+from pdeopt.objectives import DoubleWell, Quadratic, TinyMLP, get_entry, make_quadratic
 from pdeopt.rng import substream
 
 from custom_objective import CustomObjective
@@ -438,6 +438,74 @@ class TestRepeats:
         assert [r.aborted for r in batched] == [False, True, False]
         assert [len(r.rows) for r in batched] == [30, 9, 30] and not np.isfinite(batched[1].final_loss)
         self.assert_same_records(batched, singles, tmp_path)
+
+
+class TestLockstep:
+    """Runs stepped in lockstep, one stacked gradient call per inner step,
+    record what each records in its own one-run ``run``, bit for bit."""
+
+    def spy_rows(self, obj, name):
+        """Count the rows of each call of the objective's ``name`` method."""
+        self.rows, real = [], getattr(obj, name)
+
+        def spy(X, *idx):
+            self.rows.append(len(X))
+            return real(X, *idx)
+
+        setattr(obj, name, spy)
+
+    def assert_each_as_alone(self, obj, specs, x0, tmp_path):
+        together = opt.run_lockstep(obj, specs, seed=11, x0=x0, repeats=2)
+        self.calls = list(self.rows)
+        for spec, records in zip(specs, together):
+            alone = opt.run(spec.algo, obj, spec.cfg, 11, spec.n_outer_steps, x0=x0,
+                            record_every=spec.record_every, repeats=2)
+            TestRepeats.assert_same_records(records, alone, tmp_path)
+        return together
+
+    def test_minibatch_runs_match_their_own_runs(self, tmp_path):
+        # entropy_sgd's extrinsic noise makes it draw per step; elastic, with
+        # 3 workers per repeat, spends its 3 outer steps in 60 of the 200
+        # inner steps and leaves the stack
+        obj = TinyMLP(0, 8, 200)
+        specs = [
+            opt.RunSpec("sgd", opt.default_config("sgd", batch_size=32), 200, 7),
+            opt.RunSpec("entropy_sgd", opt.default_config("entropy_sgd", batch_size=32, beta_inv_ex=1e-4), 10, 3),
+            opt.RunSpec("elastic", opt.default_config("elastic", batch_size=32, n_workers=3), 3, 1),
+            opt.RunSpec("hj2", opt.default_config("hj2", batch_size=32), 40, 6),
+            opt.RunSpec("heat", opt.default_config("heat", batch_size=32), 10, 4),
+        ]
+        self.spy_rows(obj, "minibatch_grad")
+        together = self.assert_each_as_alone(obj, specs, None, tmp_path)
+        assert self.calls == [2 + 2 + 6 + 2 + 2] * 60 + [2 + 2 + 2 + 2] * 140
+        assert [recs[0].rows[-1]["k"] for recs in together] == [200, 200, 60, 200, 200]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_diverged_run_leaves_while_the_others_run_on(self, tmp_path):
+        # from x = 1, sgd's step of 1 on x^4 overshoots to -3, then 105, and
+        # both its seeds abort when x^4 overflows, at their sixth update; hj
+        # and the noisy entropy_sgd step on without it
+        quartic = CustomObjective(1, lambda x: x[0] ** 4, lambda x: np.array([4 * x[0] ** 3]))
+        specs = [
+            opt.RunSpec("sgd", opt.default_config("sgd", eta=1.0), 50, 1),
+            opt.RunSpec("hj", opt.default_config("hj", eta_y=0.01), 8, 1),
+            opt.RunSpec("entropy_sgd", opt.default_config("entropy_sgd", eta=0.1, eta_y=0.01,
+                                                          beta_inv_ex=1e-3), 2, 1),
+        ]
+        self.spy_rows(quartic, "grad_batch")
+        sgd, hj, ent = self.assert_each_as_alone(quartic, specs, np.ones(1), tmp_path)
+        assert all(r.aborted for r in sgd) and not any(r.aborted for r in hj + ent)
+        assert [len(r.rows) for r in sgd] == [6, 6]
+        # hj and entropy_sgd both take 40 inner steps; the logging calls take
+        # one run's two rows, the stepping calls more
+        assert [n for n in self.calls if n > 2] == [6] * 6 + [4] * 34
+
+    def test_runs_of_two_batch_sizes_refused(self):
+        obj = TinyMLP(0, 8, 200)
+        specs = [opt.RunSpec(algo, opt.default_config(algo, batch_size=b), 2) for algo, b in (("sgd", 32), ("hj", 16))]
+        with pytest.raises(ValueError, match="same objective and batch size"):
+            opt.run_lockstep(obj, specs, seed=0)
 
 
 class TestIndicesDrawnAhead:
