@@ -513,6 +513,36 @@ class TestCompareGolden:
         assert written == digests
 
 
+class TestGeneratorRunGolden:
+    """Runs through the reflected generator replay bit for bit: the sha256 of
+    every CSV of two ``control`` runs (the backward HJB, then the path
+    simulator) and of ``figure1`` (Fokker-Planck densities), recorded when
+    the generator was a scipy CSR matrix."""
+
+    RUNS = {
+        "control_257": ({"kind": "control", "objective": "double_well_a1", "seed": 3, "T": 0.5,
+                         "beta_inv": 0.2, "n_paths": 600, "grid_n": 257, "x0": 0.0}, {
+            "control.csv": "46f5368f157f64bb44cc5b104b3db8a4a7414dbbb21c01d000bb9ead5880cace",
+        }),
+        "control_513": ({"kind": "control", "objective": "double_well_a1", "seed": 8, "T": 1.0,
+                         "beta_inv": 0.2, "n_paths": 400, "grid_n": 513, "x0": 0.0}, {
+            "control.csv": "e2754fbf0c8febe96a3909e98010d938f6ea65d62e115c7f879e6a01e5968619",
+        }),
+        "figure1": ({"kind": "figure1", "objective": "rugged_s3_m6"}, {
+            "density_nonviscous.csv": "6412a7610446d311da3515d1f622d53701a5ce74d21e6817faee86d334de069c",
+            "density_sgd.csv": "067e7bdd83e2fef44fc07e2c506ea22d1414f8dae5ae870a1306dbe38ffb6dbd",
+            "density_viscous.csv": "4af7b62a09b3f832f216dccc4d86be2054720e3ba88bacbf643e8bca92672e14",
+        }),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_replays_recorded_csvs(self, tmp_path, run):
+        overrides, digests = self.RUNS[run]
+        run_experiment(parse_config(overrides={**overrides, "out": str(tmp_path)}))
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+        assert written == digests
+
+
 class TestCliMain:
     def test_optimize_exit_zero(self, tmp_path, capsys):
         code = main(["optimize", "--objective", "quadratic_c1_n1", "--algo", "sgd",

@@ -831,6 +831,47 @@ class TestGenerator:
         assert np.all(nxt >= phi.min() - tol) and np.all(nxt <= phi.max() + tol)
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestGeneratorGolden:
+    """Solves through the reflected generator replay bit for bit: sha256 of
+    the backward HJB's gradient slices and of Fokker-Planck densities,
+    recorded when the generator was a scipy CSR matrix."""
+
+    HJB = {  # (upper corner, nodes per axis, tilt, T) of OU quadratics on [-upper, upper]
+        "1d_129": (([2.0], [129], 0.0, 1.0), "8104dd9e2124044a0d1cdddb76fd3c2d3ee1fa2a02db32fd046e3c763b86dc75"),
+        "1d_257": (([2.0], [257], 0.0, 1.0), "b09e568acc7e256cab607ba65cfd353ec2d2acf7cc2ac2a5e72eabd8d384f323"),
+        "2d_65": (([2.0, 2.0], [65, 65], 0.0, 1.0),
+                  "90331de8fae133c1d695887e80095b730c582f3a30b9e8b040e77265552234aa"),
+        "2d_tilted": (([2.0, 1.5], [33, 17], [0.4, -0.7], 0.5),
+                      "0e5f7eafa9bb33b2a934d3eba4f8e3e59ad9d980f0e8220628b428ab5baee0c3"),
+    }
+
+    @pytest.mark.parametrize("case", HJB)
+    def test_hjb_gradients(self, case):
+        (upper, n, tilt, T), digest = self.HJB[case]
+        grid = GridFunction.geometry([-u for u in upper], upper, n)
+        field = pde_lab.solve_hjb_backward(make_quadratic(1.0, tilt, len(n)), T, 0.3, grid)
+        assert _sha256(field.gradients) == digest
+
+    def test_fokker_planck_1d(self):
+        grid = GridFunction.geometry([-3.0], [3.0], [301])
+        rho0 = gaussian_density(grid, [0.3], 0.15)
+        drift = grid.with_values(DoubleWell(1.0).grad_batch(grid.points())[:, 0])
+        rho = evolve_fokker_planck(drift, rho0, 0.1, 3.0)
+        assert _sha256(rho.values) == "6f7165ef70a6911ac2650f1b0e80b549c0f08656cc10db7b0dd638a0dec1fbe1"
+
+    def test_fokker_planck_2d(self):
+        grid = GridFunction.geometry([-2.0, -1.5], [2.0, 1.5], [33, 17])
+        P = grid.points()
+        b = 2.1 * np.cos(2.1 * P) + 0.6 * P + np.array([0.4, -0.7])
+        rho0 = gaussian_density(grid, [0.2, -0.1], 0.3)
+        rho = evolve_fokker_planck([grid.with_values(b[:, 0]), grid.with_values(b[:, 1])], rho0, 0.2, 0.5)
+        assert _sha256(rho.values) == "ca4049648e47b3db570f2166adb421dadff2f686e297ddaf90c2044ecefc46df"
+
+
 class TestHjbBackward:
     @staticmethod
     def riccati(c, q, tau):
