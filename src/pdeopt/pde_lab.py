@@ -28,17 +28,20 @@ reduces every (2K+1)-sample window along each axis in turn: a dot product
 with the Gaussian for Cole-Hopf (in linear space) and heat (normalized), the
 minimum (lower envelope) for Hopf-Lax.
 
-Plus one reflected-diffusion generator ``_generator``: the sparse rate
-matrix G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes, upwinded per
-face, with reflecting walls like the path simulator's.  Its transpose steps
-densities forward (``evolve_fokker_planck``); G itself steps the Cole-Hopf
-transform phi = exp(-beta (w - min w)) of the backward HJB value function
-backward (``solve_hjb_backward``, used by the control experiments), so the
-control solve is linear.  Also the 1D proximal map ``prox_point``, and the
-characteristic fixed point and shock time of Burgers' equation, the
-independent oracle for the derivative of the Hopf-Lax solution.
+Plus one reflected-diffusion generator ``_Generator``: the rate matrix G of
+dX = -b dt + sqrt(beta_inv) dW on the grid nodes, upwinded per face, with
+reflecting walls like the path simulator's, held as its 2 dim + 1 diagonals
+in numpy.  Its transpose steps densities forward (``evolve_fokker_planck``);
+G itself steps the Cole-Hopf transform phi = exp(-beta (w - min w)) of the
+backward HJB value function backward (``solve_hjb_backward``, used by the
+control experiments), so the control solve is linear.  Also the 1D proximal
+map ``prox_point``, and the characteristic fixed point and shock time of
+Burgers' equation, the independent oracle for the derivative of the Hopf-Lax
+solution.
 
 All solvers are pure functions of their inputs and run single-threaded.
+scipy is imported only where it is used: by the log-sum-exp fallback and by
+``prox_point``'s polishing.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .grid import GridFunction, multilinear
 from .objectives import Objective
@@ -177,6 +179,14 @@ def _reduce_windows(F: Array, K, r, ops) -> Array:
 def _as_sampled(block):
     """An axis pass that windows the samples as they are."""
     return lambda lines: (lines, block, lambda out: out)
+
+
+def logsumexp(a: Array, axis: int) -> Array:
+    """scipy's log-sum-exp, imported on the first call: only the wide-line
+    fallback of ``_log_window_sums`` needs it."""
+    from scipy.special import logsumexp
+
+    return logsumexp(a, axis=axis)
 
 
 def _log_window_sums(lines: Array, log_k: Array, centres: slice):
@@ -479,9 +489,9 @@ def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) ->
 # one reflected-diffusion generator: Fokker-Planck (G^T), backward HJB (G)
 
 
-def _generator(drifts: list[Array], spacing: Array, beta_inv: float):
-    """Sparse generator G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes,
-    any dimension, reflected at the walls (no rate leaves the box).
+class _Generator:
+    """Generator G of dX = -b dt + sqrt(beta_inv) dW on the grid nodes, any
+    dimension, reflected at the walls (no rate leaves the box).
 
     ``drifts`` holds b's component along each axis on the grid.  Across each
     face, with the face drift b_f the mean of its two nodes and
@@ -490,25 +500,68 @@ def _generator(drifts: list[Array], spacing: Array, beta_inv: float):
     row's sum.  G^T rho is the zero-flux upwind finite-volume divergence, and
     an explicit step no longer than ``fp_cfl_limit`` is a convex combination
     in either direction.
-    """
-    from scipy import sparse
 
-    shape = drifts[0].shape
-    size = math.prod(shape)
-    idx = np.arange(size).reshape(shape)
-    D = 0.5 * beta_inv
-    rows, cols, rates = [], [], []
-    for axis, (b, h) in enumerate(zip(drifts, spacing)):
-        ia = np.moveaxis(idx, axis, 0)
-        ba = np.moveaxis(b, axis, 0)
-        bf = (0.5 * (ba[:-1] + ba[1:])).ravel()
-        left, right = ia[:-1].ravel(), ia[1:].ravel()
-        rows += [left, right]
-        cols += [right, left]
-        rates += [(D / h - np.minimum(bf, 0.0)) / h, (D / h + np.maximum(bf, 0.0)) / h]
-    jumps = sparse.csr_matrix((np.concatenate(rates), (np.concatenate(rows), np.concatenate(cols))),
-                              shape=(size, size))
-    return (jumps - sparse.diags(np.asarray(jumps.sum(axis=1)).ravel())).tocsr()
+    G is held as its 2 dim + 1 diagonals on the flattened nodes: for each
+    offset k in ascending order, the coefficients of v[i + k], zero where
+    that neighbour lies across a wall.  ``matvec`` (G v) and ``rmatvec``
+    (G^T v) sum each node's products from zero in ascending column order
+    (``np.add.reduce`` over the offsets from an initial 0.0), and the
+    diagonal adds each row's rates in ascending column order by
+    ``np.add.reduceat``: the arithmetic, and so the bytes, of a scipy CSR
+    matrix built from the same rates.  The products share scratch buffers,
+    so one instance serves one solve at a time.
+    """
+
+    def __init__(self, drifts: list[Array], spacing: Array, beta_inv: float):
+        shape = drifts[0].shape
+        size = math.prod(shape)
+        D = 0.5 * beta_inv
+        neighbours = {}   # offset k: (rates from i to i + k, whether i + k is a neighbour)
+        for axis, (b, h) in enumerate(zip(drifts, spacing)):
+            ba = np.moveaxis(b, axis, 0)
+            bf = 0.5 * (ba[:-1] + ba[1:])
+            stride = math.prod(shape[axis + 1 :])
+            for offset, faces, rate in ((-stride, slice(1, None), (D / h + np.maximum(bf, 0.0)) / h),
+                                        (stride, slice(None, -1), (D / h - np.minimum(bf, 0.0)) / h)):
+                rates, present = np.zeros(shape), np.zeros(shape, dtype=bool)
+                np.moveaxis(rates, axis, 0)[faces] = rate
+                np.moveaxis(present, axis, 0)[faces] = True
+                neighbours[offset] = rates.ravel(), present.ravel()
+        columns = sorted(neighbours)    # a CSR row's order
+        rates = np.column_stack([neighbours[k][0] for k in columns])
+        present = np.column_stack([neighbours[k][1] for k in columns])
+        starts = np.concatenate(([0], np.cumsum(present.sum(axis=1))[:-1]))
+        self.diagonal = -np.add.reduceat(rates[present], starts)
+
+        by_offset = {0: self.diagonal, **{k: r for k, (r, _) in neighbours.items()}}
+        offsets = sorted(by_offset)
+        self._rows = np.stack([by_offset[k] for k in offsets])   # G[i, i + k]
+        self._cols = np.zeros_like(self._rows)                    # G[i + k, i]
+        for j, k in enumerate(offsets):
+            self._cols[j, max(0, -k) : size - max(0, k)] = by_offset[-k][max(0, k) : size + min(0, k)]
+        pad = offsets[-1]
+        self._padded = np.zeros(size + 2 * pad)    # v, then zeros beyond either end
+        self._v = self._padded[pad : pad + size]
+        shifted = sliding_window_view(self._padded, size)   # shifted[pad + k][i] is v[i + k]
+        # one multiply per run of consecutive offsets (all three in 1D), then one sum
+        breaks = [j for j in range(1, len(offsets)) if offsets[j] > offsets[j - 1] + 1]
+        self._runs = [(slice(a, b), shifted[pad + offsets[a] : pad + offsets[b - 1] + 1])
+                      for a, b in zip([0, *breaks], [*breaks, len(offsets)])]
+        self._products = np.empty_like(self._rows)
+
+    def _product(self, coefs: Array, v: Array) -> Array:
+        self._v[...] = v
+        for run, shifted in self._runs:
+            np.multiply(coefs[run], shifted, out=self._products[run])
+        return np.add.reduce(self._products, axis=0, initial=0.0)
+
+    def matvec(self, v: Array) -> Array:
+        """G v."""
+        return self._product(self._rows, v)
+
+    def rmatvec(self, v: Array) -> Array:
+        """G^T v."""
+        return self._product(self._cols, v)
 
 
 def fp_cfl_limit(drifts: list[Array], spacing: Array, beta_inv: float) -> float:
@@ -525,8 +578,8 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
 
     ``drift`` is a GridFunction on the same geometry as ``rho0`` (a sequence
     of two for 2D).  Each step is rho += dt * G^T rho with the reflecting
-    generator of ``_generator``: the walls carry zero flux, so the plain sum
-    of rho is conserved up to roundoff, and the scheme is
+    generator ``_Generator`` (its ``rmatvec``): the walls carry zero flux, so
+    the plain sum of rho is conserved up to roundoff, and the scheme is
     positivity-preserving under ``fp_cfl_limit``; it aborts if the density
     dips below -1e-12 or turns NaN.
     """
@@ -542,10 +595,10 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
             raise ValueError("drift and density must share the grid")
     b = [d.array for d in drifts]
     n_steps, step = _time_steps(t_final, dt, cfl_safety, fp_cfl_limit(b, rho0.spacing, beta_inv))
-    Gt = _generator(b, rho0.spacing, beta_inv).T
+    G = _Generator(b, rho0.spacing, beta_inv)
     rho = rho0.values.copy()
     for it in range(n_steps):
-        rho += step * (Gt @ rho)
+        rho += step * G.rmatvec(rho)
         if it % 32 == 0:
             m = float(rho.min())
             if m < -1e-12:
@@ -569,7 +622,7 @@ class ControlField:
         """Vectorized evaluation at path points x (N, dim) and one time s."""
         x = np.atleast_2d(x)
         ts = self.times
-        j = int(np.clip(np.searchsorted(ts, s) - 1, 0, len(ts) - 2))
+        j = min(max(int(np.searchsorted(ts, s)) - 1, 0), len(ts) - 2)
         th = (s - ts[j]) / (ts[j + 1] - ts[j])
         th = min(max(th, 0.0), 1.0)
         G = (1.0 - th) * self.gradients[j] + th * self.gradients[j + 1]
@@ -587,7 +640,7 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     from w(., 0) = V, the objective itself.  The Cole-Hopf transform
     w = -beta_inv log phi makes it the linear backward Kolmogorov equation
     phi_tau = G phi, with G the reflecting generator of dX = -grad f dt +
-    sqrt(beta_inv) dW (``_generator``), whose walls match the reflecting
+    sqrt(beta_inv) dW (``_Generator``), whose walls match the reflecting
     path simulator.  Explicit steps under ``fp_cfl_limit`` keep phi inside
     [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
     underflows after the first exp, which needs beta * (max V - min V) <= 700
@@ -608,7 +661,7 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
     drifts = [bfield[..., axis] for axis in range(grid.dim)]
     n_steps, step = _time_steps(T, None, CFL_SAFETY, fp_cfl_limit(drifts, spacing, beta_inv))
-    G = _generator(drifts, spacing, beta_inv)
+    G = _Generator(drifts, spacing, beta_inv)
     keep_every = max(1, int(math.ceil((n_steps + 1) / HJB_MAX_SLICES)))
     kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})
     # slices ascend in forward time s = T - tau: tau = 0 fills the last one
@@ -617,7 +670,7 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     done = 0
     for slot, it in enumerate(kept, start=1):
         for _ in range(it - done):
-            phi += step * (G @ phi)
+            phi += step * G.matvec(phi)
         done = it
         if not np.isfinite(phi).all():
             raise NanAbort(f"NaN in value function at reversed step {it}")

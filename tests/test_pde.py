@@ -797,17 +797,49 @@ def diffusions(draw):
     return drifts, spacing, draw(st.floats(0.01, 1.0))
 
 
+def sparse_generator(drifts, spacing, beta_inv):
+    """Reference: the generator as a scipy CSR matrix, rates listed face by
+    face and each diagonal entry minus its row's sum."""
+    from scipy import sparse
+
+    shape = drifts[0].shape
+    size = math.prod(shape)
+    idx = np.arange(size).reshape(shape)
+    D = 0.5 * beta_inv
+    rows, cols, rates = [], [], []
+    for axis, (b, h) in enumerate(zip(drifts, spacing)):
+        ia = np.moveaxis(idx, axis, 0)
+        ba = np.moveaxis(b, axis, 0)
+        bf = (0.5 * (ba[:-1] + ba[1:])).ravel()
+        left, right = ia[:-1].ravel(), ia[1:].ravel()
+        rows += [left, right]
+        cols += [right, left]
+        rates += [(D / h - np.minimum(bf, 0.0)) / h, (D / h + np.maximum(bf, 0.0)) / h]
+    jumps = sparse.csr_matrix((np.concatenate(rates), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(size, size))
+    return (jumps - sparse.diags(np.asarray(jumps.sum(axis=1)).ravel())).tocsr()
+
+
 class TestGenerator:
     """The reflecting generator shared by Fokker-Planck and the backward HJB."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=diffusions(), seed=st.integers(0, 2**16))
+    def test_matches_the_sparse_reference_byte_for_byte(self, case, seed):
+        G = pde_lab._Generator(*case)
+        ref = sparse_generator(*case)
+        v = np.random.default_rng(seed).standard_normal(ref.shape[0])
+        assert G.diagonal.tobytes() == ref.diagonal().tobytes()
+        assert G.matvec(v).tobytes() == (ref @ v).tobytes()
+        assert G.rmatvec(v).tobytes() == (ref.T @ v).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(case=diffusions())
     def test_rows_sum_to_zero_and_rates_are_nonnegative(self, case):
-        G = pde_lab._generator(*case).tocoo()
-        off = G.row != G.col
-        assert np.all(G.data[off] >= 0.0)
-        rows = np.bincount(G.row, weights=G.data, minlength=G.shape[0])
-        assert np.all(np.abs(rows) <= 1e-12 * np.abs(G.diagonal()).max())
+        G = pde_lab._Generator(*case)
+        dense = np.column_stack([G.matvec(e) for e in np.eye(G.diagonal.size)])
+        assert np.all(dense[~np.eye(len(dense), dtype=bool)] >= 0.0)
+        assert np.all(np.abs(dense.sum(axis=1)) <= 1e-12 * np.abs(G.diagonal).max())
 
     @settings(max_examples=30, deadline=None)
     @given(case=diffusions(), t=st.floats(0.0, 0.2), seed=st.integers(0, 2**16))
@@ -826,7 +858,7 @@ class TestGenerator:
         drifts, spacing, beta_inv = case
         phi = np.random.default_rng(seed).random(drifts[0].size)
         step = pde_lab.fp_cfl_limit(drifts, spacing, beta_inv)
-        nxt = phi + step * (pde_lab._generator(drifts, spacing, beta_inv) @ phi)
+        nxt = phi + step * pde_lab._Generator(drifts, spacing, beta_inv).matvec(phi)
         tol = 1e-12 * phi.max()
         assert np.all(nxt >= phi.min() - tol) and np.all(nxt <= phi.max() + tol)
 
