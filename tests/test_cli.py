@@ -548,6 +548,42 @@ class TestGeneratorRunGolden:
         assert written == digests
 
 
+class TestSummaryGolden:
+    """Every kind's ``summary.json`` replays bit for bit at small inputs:
+    its sha256, with compare's measured ``timings`` block taken out."""
+
+    RUNS = {
+        "optimize": ({"objective": "mlp_h4_n20", "steps": 20},
+                     "5d9f89b9ae08abcfbfbaca25f820d80554bf555b3482cc0f430a5db3619181e8"),
+        "compare": ({"objective": "mlp_h4_n20", "budget": 2000},
+                    "68f09a1ff65157cfbc0025cd6354b6637e31e4b49694f1790356cf36462618b5"),
+        "solve_pde": ({"objective": "rugged_s7_m5", "scheme": "heat", "grid_n": 257},
+                      "986109e6706ea5cdb30abd608f27751c3340abc9c92a9f86c705542e2a5d00b3"),
+        "figure1": ({}, "b6ad426cda3ac79fe4579f4a5ce57c4a269fcd2680fe98c46f670673690b8022"),
+        "homogenization": ({"probes": [-0.75, 0.55], "n_seeds": 4},
+                           "dbadd28ada59823f951058fdf6ac33229c49f481b9ae3ad3e527d779d0b82730"),
+        "control": ({"T": 0.5, "n_paths": 400, "grid_n": 129},
+                    "6dc4ff88a1ac154802f1e1302b716463ac9efd5707d61e3cb5953da67a580a3c"),
+        "invariant_measure": ({"n_steps": 20000},
+                              "735c655db25be2153691272f288d539f8e87ad3b6102f66496aba046a2757cc6"),
+        "spectrum": ({}, "ba3c83add6500dceea1405d9fe236f56c32364b450c7062db620c38cb7eeff16"),
+        "spectrum/quadratic_c1_n2": ({"objective": "quadratic_c1_n2"},
+                                     "b7e1e6ca082e044f2fa0e837feacf770d1c9f8c2fee92cc097d40d8895ba5636"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_replays_recorded_summary(self, tmp_path, run):
+        keys, digest = self.RUNS[run]
+        kind = run.partition("/")[0]
+        run_experiment(parse_config(overrides={"kind": kind, **keys, "out": str(tmp_path)}))
+        text = (tmp_path / "summary.json").read_text()
+        if kind == "compare":
+            summary = json.loads(text)
+            del summary["timings"]
+            text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestNoScipy:
     """A fresh interpreter imports the CLI and runs a small ``optimize``,
     ``compare`` and ``control-improvement`` without loading any scipy module;
