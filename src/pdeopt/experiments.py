@@ -1,12 +1,14 @@
 """Experiment drivers: dispatch configs, write artifacts, check assertions.
 
-Each kind's runner returns ``(summary, files)``: the summary with its
-per-check booleans, and a map from file name to a writer of that path (run
-CSVs, tables, grids, ``plot.svg``).  ``run_experiment`` alone sets
-``passed``, then creates the run directory and writes the files,
-``manifest.json`` and ``summary.json``, so a run a solver refuses leaves no
-directory.  All randomness flows from the single config seed through named
-sub-streams.
+``run_experiment`` resolves the objective once (``get_entry`` refuses an
+empty or unknown name; only ``spectrum`` runs without one, on None) and calls
+the kind's runner on the config and that corpus entry.  The runner returns
+``(summary, files)``: the summary with its per-check booleans, and a map from
+file name to a writer of that path (run CSVs, tables, grids, ``plot.svg``).
+``run_experiment`` alone sets ``kind`` and ``passed``, then creates the run
+directory and writes the files, ``manifest.json`` and ``summary.json``, so a
+run a solver refuses leaves no directory.  All randomness flows from the
+single config seed through named sub-streams.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, optimizers, pde_lab
-from .config import OPTIMIZER_KEYS, PER_ALGORITHM, ExperimentConfig, write_manifest
+from .config import KINDS, OPTIMIZER_KEYS, PER_ALGORITHM, ExperimentConfig, write_manifest
 from .grid import GridFunction, gaussian_density, gradient
-from .objectives import Quadratic, get_entry, global_minimum
+from .objectives import Quadratic, TestCorpusEntry, get_entry, global_minimum
 from .plotting import emit_plot
 from .rng import substream
 
@@ -86,9 +88,7 @@ def _table(header, rows):
 # kinds
 
 
-def _run_optimize(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    objective = cfg.param("objective")
-    entry = get_entry(objective)
+def _run_optimize(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     algo = cfg.param("algo")
     ocfg = _optimizer_config(cfg, algo)
     repeats = cfg.param("repeats")
@@ -103,20 +103,18 @@ def _run_optimize(cfg: ExperimentConfig) -> tuple[dict, dict]:
         name = f"run_{rec.seed}" if stem is None else stem if repeats == 1 else f"{stem}_{rec.seed}"
         files[f"{name}.csv"] = rec.to_csv
     series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
-    files["plot.svg"] = partial(emit_plot, series, title=f"{algo} on {objective}",
+    files["plot.svg"] = partial(emit_plot, series, title=f"{algo} on {entry.name}",
                                 xlabel="effective epochs", ylabel="loss")
     finals = np.array([r.final_loss for r in records])
     aborted = any(r.aborted for r in records)
     return {
-        "kind": "optimize", "algo": algo, "objective": objective,
+        "algo": algo, "objective": entry.name,
         "final_loss_mean": float(finals.mean()), "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
         "checks": {"no_abort": not aborted},
     }, files
 
 
-def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    objective = cfg.param("objective")
-    entry = get_entry(objective)
+def _run_compare(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     algos = cfg.param("algos")
     budget = cfg.param("budget")
     record_every_base = cfg.param("record_every")
@@ -149,7 +147,7 @@ def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
     header = ("algorithm", "final_loss_mean", "final_loss_std", "effective_epochs")
     files["comparison.csv"] = _table(header, [[row[h] for h in header] for row in rows])
     series = [(a, curves[a].column("effective_epoch"), curves[a].column("loss")) for a in sorted(curves)]
-    files["plot.svg"] = partial(emit_plot, series, title=f"equal-budget comparison on {objective}",
+    files["plot.svg"] = partial(emit_plot, series, title=f"equal-budget comparison on {entry.name}",
                                 xlabel="effective epochs", ylabel="loss")
     checks = {}
     if cfg.param("assert_vs_sgd") and "sgd" in algos and len(algos) > 1:
@@ -158,13 +156,10 @@ def _run_compare(cfg: ExperimentConfig) -> tuple[dict, dict]:
         for a in algos:
             if a != "sgd":
                 checks[f"{a}_not_worse_than_sgd"] = bool(by[a]["final_loss_mean"] <= bar)
-    return {"kind": "compare", "objective": objective, "rows": rows, "timings": timings,
-            "checks": checks}, files
+    return {"objective": entry.name, "rows": rows, "timings": timings, "checks": checks}, files
 
 
-def _run_solve_pde(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    objective = cfg.param("objective")
-    entry = get_entry(objective)
+def _run_solve_pde(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     grid = _grid_for(entry, cfg.param("grid_n"))
     pcfg = pde_lab.PdeSolveConfig(
         beta_inv=cfg.param("beta_inv"),
@@ -179,15 +174,14 @@ def _run_solve_pde(cfg: ExperimentConfig) -> tuple[dict, dict]:
         xs = grid.axes()[0]
         f = entry.objective.value_batch(grid.points())
         files["plot.svg"] = partial(emit_plot, [("initial", xs, f), (pcfg.scheme, xs, u.values)],
-                                    title=f"{pcfg.scheme} smoothing of {objective}",
+                                    title=f"{pcfg.scheme} smoothing of {entry.name}",
                                     xlabel="x", ylabel="value")
-    return {"kind": "solve_pde", "objective": objective, "scheme": pcfg.scheme,
+    return {"objective": entry.name, "scheme": pcfg.scheme,
             "min_value": float(u.values.min()), "max_value": float(u.values.max()),
             "checks": {}}, files
 
 
-def _run_figure1(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    entry = get_entry(cfg.param("objective"))
+def _run_figure1(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     obj = entry.objective
     grid = _grid_for(entry, cfg.param("grid_n"))
     t_smooth = cfg.param("t_smooth")
@@ -232,15 +226,14 @@ def _run_figure1(cfg: ExperimentConfig) -> tuple[dict, dict]:
              "plot.svg": partial(emit_plot, series, title="terminal densities near the global minimum",
                                  xlabel="x", ylabel="density")}
     return {
-        "kind": "figure1", "objective": entry.name, "x_star": float(x_star),
+        "objective": entry.name, "x_star": float(x_star),
         "mass_viscous": m_visc, "mass_nonviscous": m_hl, "mass_sgd": m_f,
         "window_halfwidth": window_frac * width,
         "checks": checks,
     }, files
 
 
-def _run_homogenization(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    entry = get_entry(cfg.param("objective"))
+def _run_homogenization(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     gamma = cfg.param("gamma")
     table = analysis.verify_homogenization(
         entry.objective, cfg.param("probes"), gamma, cfg.param("beta_inv"), cfg.param("epsilons"),
@@ -253,14 +246,13 @@ def _run_homogenization(cfg: ExperimentConfig) -> tuple[dict, dict]:
     }
     header = [f.name for f in fields(analysis.HomogenizationRow)]
     return {
-        "kind": "homogenization", "objective": entry.name, "gamma": gamma,
+        "objective": entry.name, "gamma": gamma,
         "rows": [r.__dict__ for r in table.rows],
         "checks": checks,
     }, {"homogenization.csv": _table(header, [astuple(r) for r in table.rows])}
 
 
-def _run_control(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    entry = get_entry(cfg.param("objective"))
+def _run_control(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     obj = entry.objective
     horizon = cfg.param("T")
     grid = _grid_for(entry, cfg.param("grid_n"))
@@ -282,7 +274,7 @@ def _run_control(cfg: ExperimentConfig) -> tuple[dict, dict]:
         ("bound_margin", c.bound_margin, c.bound_margin_stderr),
     ])
     return {
-        "kind": "control", "objective": entry.name, "T": horizon,
+        "objective": entry.name, "T": horizon,
         "terminal_controlled": comparison.terminal_ctrl, "terminal_plain": comparison.terminal_plain,
         "control_energy": comparison.control_energy, "gap": comparison.gap,
         "gap_stderr": comparison.gap_stderr, "bound_margin": comparison.bound_margin,
@@ -290,8 +282,7 @@ def _run_control(cfg: ExperimentConfig) -> tuple[dict, dict]:
     }, {"control.csv": table}
 
 
-def _run_invariant_measure(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    entry = get_entry(cfg.param("objective"))
+def _run_invariant_measure(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     obj = entry.objective
     gamma = cfg.param("gamma")
     beta = cfg.param("beta")
@@ -312,7 +303,7 @@ def _run_invariant_measure(cfg: ExperimentConfig) -> tuple[dict, dict]:
                    [(i, est.mean[i], est.mean_stderr[i], est.covariance[i, i], est.variance_stderr[i])
                     for i in range(obj.dim)])
     return {
-        "kind": "invariant_measure", "objective": entry.name,
+        "objective": entry.name,
         "mean": est.mean.tolist(), "variance": np.diag(est.covariance).tolist(),
         "closed_form_mean": closed.mean.tolist() if closed else None,
         "closed_form_variance": np.diag(closed.covariance).tolist() if closed else None,
@@ -321,7 +312,7 @@ def _run_invariant_measure(cfg: ExperimentConfig) -> tuple[dict, dict]:
     }, {"invariant_measure.csv": table}
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _run_spectrum(cfg: ExperimentConfig, entry: TestCorpusEntry | None) -> tuple[dict, dict]:
     # the stream acceptance criterion 7 has always drawn from (at seed 123)
     rng = substream(cfg.param("seed"), "acceptance-spectrum")
     n_random = cfg.param("n_random")
@@ -339,11 +330,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
         hm = analysis.harmonic_mean(v)
         if not (v.min() - 1e-12 <= hm <= len(v) * v.min() + 1e-12):
             sandwich_violations += 1
-    summary_obj = None
-    if cfg.param("objective"):
-        entry = get_entry(cfg.param("objective"))
-        x_star = global_minimum(entry)
-        summary_obj = analysis.spectrum_summary(entry.objective, x_star)
+    summary_obj = None if entry is None else analysis.spectrum_summary(entry.objective, global_minimum(entry))
     checks = {
         "hm_eig_le_hm_diag": hm_violations == 0,
         "hm_sandwich": sandwich_violations == 0,
@@ -354,7 +341,6 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
         files["spectrum.csv"] = _table(("eigenvalue", "diagonal"),
                                        list(zip(summary_obj.eigenvalues, summary_obj.diagonal)))
     return {
-        "kind": "spectrum",
         "n_random": n_random,
         "hm_violations": hm_violations,
         "sandwich_violations": sandwich_violations,
@@ -381,7 +367,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     runner = _RUNNERS.get(cfg.kind)
     if runner is None:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
-    summary, files = runner(cfg)
+    objective = cfg.param("objective")   # empty: refused, unless the kind's default is empty too
+    entry = get_entry(objective) if objective or KINDS[cfg.kind].defaults["objective"] else None
+    summary, files = runner(cfg, entry)
+    summary["kind"] = cfg.kind
     summary["passed"] = all(summary["checks"].values())
     # the directory is made only now, so a run its solver refused leaves none
     out = cfg.param("out")

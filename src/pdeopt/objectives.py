@@ -18,7 +18,9 @@ its minibatches and hand the indices to ``TinyMLP.minibatch_grad``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -287,10 +289,16 @@ def make_quadratic(c: float, p, n: int) -> Quadratic:
 
 @dataclass
 class TestCorpusEntry:
+    """A named objective and its box.  ``known_minima``, (location, value)
+    pairs, is found by ``find_minima`` the first time it is read."""
     name: str
     objective: Objective
     domain_box: tuple[Array, Array]
-    known_minima: list[tuple[Array, float]] = field(default_factory=list)
+    find_minima: Callable[[], list[tuple[Array, float]]] = list
+
+    @cached_property
+    def known_minima(self) -> list[tuple[Array, float]]:
+        return self.find_minima()
 
 
 def _polish_minimum(obj: Objective, x0: Array) -> Array:
@@ -301,11 +309,14 @@ def _polish_minimum(obj: Objective, x0: Array) -> Array:
     return np.atleast_1d(res.x)
 
 
-def _scan_minima_1d(obj: Objective, lo: float, hi: float, n: int = 4001) -> list[Array]:
+def _scan_minima_1d(obj: Objective, lo: float, hi: float, n: int = 4001) -> list[tuple[Array, float]]:
+    """The local minima of a 1D objective on n points of [lo, hi], each
+    polished, lowest value first."""
     xs = np.linspace(lo, hi, n)
     fv = obj.value_batch(xs[:, None])
     idx = np.where((fv[1:-1] < fv[:-2]) & (fv[1:-1] <= fv[2:]))[0] + 1
-    return [_polish_minimum(obj, np.array([xs[i]])) for i in idx]
+    minima = [(x, obj.value(x)) for x in (_polish_minimum(obj, np.array([xs[i]])) for i in idx)]
+    return sorted(minima, key=lambda t: t[1])
 
 
 _NAME_PATTERNS = [
@@ -317,7 +328,8 @@ _NAME_PATTERNS = [
 
 
 def get_entry(name: str) -> TestCorpusEntry:
-    """Resolve a corpus entry from its CLI name, e.g. ``double_well_a1``.
+    """Resolve a corpus entry from its CLI name, e.g. ``double_well_a1``:
+    the objective and its box; its minima are found when first read.
 
     Recognized families: ``quadratic_c<c>_n<n>``, ``double_well_a<a>``,
     ``rugged_s<seed>_m<modes>``, ``mlp_h<hidden>_n<samples>``.
@@ -328,25 +340,20 @@ def get_entry(name: str) -> TestCorpusEntry:
             continue
         if kind == "quadratic":
             c, n = float(m["c"]), int(m["n"])
-            obj = make_quadratic(c, np.zeros(n), n)
             box = (np.full(n, -2.0), np.full(n, 2.0))
-            return TestCorpusEntry(name, obj, box, [(np.zeros(n), 0.0)])
+            return TestCorpusEntry(name, make_quadratic(c, np.zeros(n), n), box, lambda: [(np.zeros(n), 0.0)])
         if kind == "double_well":
             a = float(m["a"])
-            obj = DoubleWell(a)
             w = max(2.0, 2.0 * a)
-            minima = [(np.array([-a]), 0.0), (np.array([a]), 0.0)]
-            return TestCorpusEntry(name, obj, (np.array([-w]), np.array([w])), minima)
+            return TestCorpusEntry(name, DoubleWell(a), (np.array([-w]), np.array([w])),
+                                   lambda: [(np.array([-a]), 0.0), (np.array([a]), 0.0)])
         if kind == "rugged":
             obj = Rugged1D(int(m["s"]), int(m["m"]))
             lo, hi = obj.box
-            minima = [(x, obj.value(x)) for x in _scan_minima_1d(obj, lo, hi)]
-            minima.sort(key=lambda t: t[1])
-            return TestCorpusEntry(name, obj, (np.array([lo]), np.array([hi])), minima)
+            return TestCorpusEntry(name, obj, (np.array([lo]), np.array([hi])), partial(_scan_minima_1d, obj, lo, hi))
         if kind == "mlp":
             obj = TinyMLP(0, int(m["h"]), int(m["n"]))
-            box = (np.full(obj.dim, -3.0), np.full(obj.dim, 3.0))
-            return TestCorpusEntry(name, obj, box)
+            return TestCorpusEntry(name, obj, (np.full(obj.dim, -3.0), np.full(obj.dim, 3.0)))
     raise KeyError(f"unknown objective name: {name!r}")
 
 

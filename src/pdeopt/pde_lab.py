@@ -256,13 +256,15 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
 
     Each axis takes the lower envelope of the parabolas centred on the search
     nodes within the reachability radius, which also pads the box, so
-    minimizers slightly outside it are not missed.
+    minimizers slightly outside it are not missed.  The work is checked
+    against the budget before f is evaluated, and again once f on the grid
+    nodes sets the reach.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    nodes = objective.value_batch(grid.points())
     r = [1] * grid.dim
-    K = _windows(grid, r, _search_radius(nodes, t), False, 0.0, t)
+    _windows(grid, r, 0.0, False, 0.0, t)
+    K = _windows(grid, r, _search_radius(objective.value_batch(grid.points()), t), False, 0.0, t)
     inv2t = 1.0 / (2.0 * t)
     ops = []
     for h, k in zip(grid.spacing, K):

@@ -586,13 +586,17 @@ class TestSummaryGolden:
 
 class TestNoScipy:
     """A fresh interpreter imports the CLI and runs a small ``optimize``,
-    ``compare`` and ``control-improvement`` without loading any scipy module;
-    the log-sum-exp fallback tests show the lazy import still runs."""
+    ``compare``, ``control-improvement`` and ``solve-pde``, on MLP,
+    double-well and rugged objectives, without loading any scipy module; the
+    log-sum-exp fallback tests show the lazy import still runs."""
 
     RUNS = [
         ["optimize", "--objective", "mlp_h4_n20", "--steps", "20"],
         ["compare", "--objective", "mlp_h4_n20", "--budget", "2000"],
         ["control-improvement", "--T", "0.5", "--n-paths", "400", "--grid-n", "129"],
+        # rugged objectives: their minima are polished only when read
+        ["solve-pde", "--objective", "rugged_s7_m5", "--scheme", "heat", "--grid-n", "257"],
+        ["optimize", "--objective", "rugged_s3_m6", "--steps", "20"],
     ]
 
     SCRIPT = """
@@ -767,6 +771,18 @@ class TestCliMain:
             assert main(argv + route + ["--out", str(out)]) == 2
             assert capsys.readouterr().err == "config error: missing required key 'objective'\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_empty_objective_name_refused(self, tmp_path, capsys, kind):
+        out = tmp_path / "r"
+        code = main([KINDS[kind].command, "--objective", ""] + (["--n-random", "5"] if kind == "spectrum" else [])
+                    + ["--out", str(out)])
+        if kind == "spectrum":   # the one kind that runs without an objective
+            assert code == 0 and (out / "summary.json").exists()
+            return
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown objective name: ''\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("budget", ["3", "0", "-5"])
     def test_budget_below_an_outer_step_refused(self, tmp_path, capsys, budget):

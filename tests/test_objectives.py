@@ -394,6 +394,17 @@ class TestCorpus:
                 col = (obj.grad(x + e) - obj.grad(x - e)) / (2 * h)
                 np.testing.assert_allclose(H[:, i], col, rtol=1e-4, atol=1e-6)
 
+    def test_rugged_minima_found_on_first_read(self, monkeypatch):
+        polished = []
+        polish = objectives._polish_minimum
+        monkeypatch.setattr(objectives, "_polish_minimum", lambda obj, x0: polished.append(x0) or polish(obj, x0))
+        entry = get_entry("rugged_s3_m6")
+        assert polished == []
+        minima = entry.known_minima
+        assert len(polished) == len(minima) >= 6
+        assert entry.known_minima is minima and len(polished) == len(minima)   # found once
+        assert [v for _, v in minima] == sorted(v for _, v in minima)
+
     def test_global_minimum_helper(self):
         entry = get_entry("rugged_s3_m6")
         x_star = global_minimum(entry)

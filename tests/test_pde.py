@@ -623,6 +623,15 @@ class TestWorkBudget:
             solve_hj_hopf_lax(self.counted(q, calls), 1000.0, grid)
         assert calls == [129 * 129]  # the grid nodes that set the reach, no more
 
+    def test_hopf_lax_grid_over_budget_refused_before_f(self, monkeypatch):
+        # the 129^2 grid nodes alone are over a budget of 1,000 samples
+        monkeypatch.setattr(pde_lab, "_MAX_SAMPLES", 1000)
+        q, grid, _, _ = quadratic_129(0.1, 0.5)
+        calls = []
+        with pytest.raises(ValueError, match=r"t=0\.5, grid_n=129 needs 16,641 samples"):
+            solve_hj_hopf_lax(self.counted(q, calls), 0.5, grid)
+        assert calls == []
+
     def test_2d_grid_above_257_within_budget(self):
         # refused by a fixed 257-points-per-axis limit before the budget
         q = get_entry("quadratic_c1_n2").objective
