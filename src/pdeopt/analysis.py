@@ -291,8 +291,10 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     dim = objective.dim
     rng = substream(seed, "control-paths")
     control = solve_hjb_backward(objective, T, beta_inv, grid) if T > 0 else None
-    xc = np.tile(x0, (n_paths, 1))
-    xp = xc.copy()
+    # paths[0] controlled, paths[1] plain: one array, one grad_batch call a step
+    paths = np.tile(x0, (2, n_paths, 1))
+    rows = paths.reshape(2 * n_paths, dim)
+    xc = paths[0]
     energy = np.zeros(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
     lo, hi = grid.lower, grid.upper
@@ -304,20 +306,21 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
         a = control.alpha(xc, s)
         xi = rng.standard_normal((n_paths, dim))
         energy += 0.5 * (a * a).sum(axis=1) * dt
-        xc = xc + dt * (-objective.grad_batch(xc) - a) + amp * xi
-        xp = xp + dt * (-objective.grad_batch(xp)) + amp * xi
-        for arr in (xc, xp):
-            over = arr > hi
-            under = arr < lo
-            if over.any() or under.any():
-                exited |= over.any(axis=1) | under.any(axis=1)
-                np.copyto(arr, np.where(over, 2 * hi - arr, arr))
-                np.copyto(arr, np.where(under, 2 * lo - arr, arr))
+        drift = -objective.grad_batch(rows).reshape(paths.shape)
+        drift[0] -= a
+        drift *= dt
+        paths += drift
+        paths += amp * xi
+        over = paths > hi
+        under = paths < lo
+        if over.any() or under.any():
+            exited |= (over | under).any(axis=(0, 2))
+            np.copyto(paths, 2 * hi - paths, where=over)
+            np.copyto(paths, 2 * lo - paths, where=under)
     exit_fraction = float(exited.mean())
     if exit_fraction > 0.01:
         raise RuntimeError(f"{exit_fraction:.1%} of paths left the box; enlarge the grid")
-    v_ctrl = objective.value_batch(xc)
-    v_plain = objective.value_batch(xp)
+    v_ctrl, v_plain = objective.value_batch(rows).reshape(2, n_paths)
 
     def batch_stats(values):
         b = np.array_split(values, CONTROL_BATCHES)

@@ -9,6 +9,15 @@ for :class:`TinyMLP`.  The analytic objectives also have a dense Hessian,
 :class:`TinyMLP` has none.  Each objective is built by calling its class
 (:func:`make_quadratic` builds c I).
 
+A batch runs in blocks of rows, so its memory grows with the rows and not
+with the objective's width: each objective names ``_row_width``, the floats
+per row of its widest temporary (3 for :class:`Rugged1D`, dim for
+:class:`Quadratic`, 1 for :class:`DoubleWell`, n_samples * hidden for
+:class:`TinyMLP`), a block holds max(1, _BLOCK_BYTES // (8 * _row_width))
+rows, and the blocks fill one preallocated output.  Rows are computed on
+their own, so the blocks keep the bytes of one call, and a batch of at most
+one block is that call.
+
 Objectives are pure functions of points and, for :class:`TinyMLP`, of sample
 indices: they take no random streams.  A dataset's size is ``n_samples``
 (None for the analytic objectives, which have none), and the optimizers draw
@@ -19,12 +28,36 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
+_BLOCK_BYTES = 1 << 22     # 4 MiB: the widest temporary of one block of rows
+
+
+def _row_blocks(formula):
+    """The batch method that runs ``formula(self, X)`` on blocks of rows of X
+    and writes each block into one preallocated output per returned array."""
+    @wraps(formula)
+    def batch(self, X):
+        X = np.atleast_2d(X)
+        rows = max(1, _BLOCK_BYTES // (8 * self._row_width))
+        if len(X) <= rows:
+            return formula(self, X)
+        outs = None
+        for s in range(0, len(X), rows):
+            parts = formula(self, X[s : s + rows])
+            single = not isinstance(parts, tuple)
+            parts = (parts,) if single else parts
+            outs = outs or tuple(np.empty((len(X),) + p.shape[1:], p.dtype) for p in parts)
+            for out, part in zip(outs, parts):
+                out[s : s + rows] = part
+            del parts, part     # free this block before the next is computed
+        return outs[0] if single else outs
+    return batch
+
 
 class Objective:
     """Scalar loss f: R^n -> R with exact gradient, defined on rows X of
@@ -79,6 +112,7 @@ class Quadratic(Objective):
         self.Q = Q
         self.p = p
         self.dim = p.shape[0]
+        self._row_width = self.dim      # the (N, dim) einsum terms
 
     def hessian(self, x):
         return self.Q.copy()
@@ -86,12 +120,13 @@ class Quadratic(Objective):
     # Qx by einsum and f = x.(Qx/2 + p) by a row sum, not matmul: matmul runs
     # one row through another BLAS kernel than many, which may sum in another
     # order
+    @_row_blocks
     def value_batch(self, X):
-        X = np.atleast_2d(X)
         return (X * (0.5 * np.einsum("ij,nj->ni", self.Q, X) + self.p)).sum(axis=1)
 
+    @_row_blocks
     def grad_batch(self, X):
-        return np.einsum("ij,nj->ni", self.Q, np.atleast_2d(X)) + self.p
+        return np.einsum("ij,nj->ni", self.Q, X) + self.p
 
     def minimizer(self) -> Array:
         return np.linalg.solve(self.Q, -self.p)
@@ -101,6 +136,7 @@ class DoubleWell(Objective):
     """f(x) = (x^2 - a^2)^2 in 1D: minima at +-a, barrier a^4 at the origin."""
 
     dim = 1
+    _row_width = 1
 
     def __init__(self, a: float):
         if a <= 0:
@@ -111,12 +147,14 @@ class DoubleWell(Objective):
         x = _as_vec(x, 1)[0]
         return np.array([[12.0 * x * x - 4.0 * self.a**2]])
 
+    @_row_blocks
     def value_batch(self, X):
-        x = np.atleast_2d(X)[:, 0]
+        x = X[:, 0]
         return (x * x - self.a**2) ** 2
 
+    @_row_blocks
     def grad_batch(self, X):
-        x = np.atleast_2d(X)[:, 0]
+        x = X[:, 0]
         return (4.0 * x * (x * x - self.a**2))[:, None]
 
 
@@ -133,6 +171,7 @@ class Rugged1D(Objective):
     """
 
     dim = 1
+    _row_width = 3      # the (N, 3) waves
 
     def __init__(self, seed: int, n_modes: int):
         if n_modes < 2:
@@ -161,13 +200,15 @@ class Rugged1D(Objective):
         d2 = -(self._amps * self._omegas**2 * np.sin(x * self._omegas + self._phases)).sum()
         return np.array([[self.k_env + d2]])
 
+    @_row_blocks
     def value_batch(self, X):
-        x = np.atleast_2d(X)[:, 0]
+        x = X[:, 0]
         waves = self._amps * np.sin(x[:, None] * self._omegas + self._phases)
         return 0.5 * self.k_env * (x - self.center) ** 2 + waves.sum(axis=1)
 
+    @_row_blocks
     def grad_batch(self, X):
-        x = np.atleast_2d(X)[:, 0]
+        x = X[:, 0]
         dw = (self._amps * self._omegas * np.cos(x[:, None] * self._omegas + self._phases)).sum(axis=1)
         return (self.k_env * (x - self.center) + dw)[:, None]
 
@@ -192,6 +233,7 @@ class TinyMLP(Objective):
         self.seed = int(seed)
         self.hidden = int(hidden)
         self.n_samples = int(n_samples)
+        self._row_width = self.n_samples * self.hidden     # the (R, n, hidden) activations
         rng = np.random.default_rng(np.random.SeedSequence([0x11A9, self.seed, hidden, n_samples]))
         half = n_samples // 2
         c0 = rng.normal(loc=(-1.0, -1.0), scale=0.75, size=(half, 2))
@@ -246,22 +288,24 @@ class TinyMLP(Objective):
         db1 = dz1.sum(axis=1)
         return np.concatenate([dW1.reshape(R, -1), db1, dW2.reshape(R, -1), db2], axis=1)
 
-    def _full(self, X):
-        """X as rows, shape (R, dim), and every sample index for each row, (R, n)."""
-        X = np.atleast_2d(X)
-        return X, np.arange(self.n_samples)[None].repeat(len(X), axis=0)
+    def _every(self, R):
+        """Every sample index for each of R rows, shape (R, n)."""
+        return np.arange(self.n_samples)[None].repeat(R, axis=0)
 
+    @_row_blocks
     def value_batch(self, X):
-        X, idx = self._full(X)
+        idx = self._every(len(X))
         return self._loss(idx, self._forward(X, idx)[-1])
 
+    @_row_blocks
     def grad_batch(self, X):
-        X, idx = self._full(X)
+        idx = self._every(len(X))
         return self._grad(idx, *self._forward(X, idx))
 
+    @_row_blocks
     def value_and_grad_batch(self, X):
         """Loss and full-data gradient of each row from one forward pass."""
-        X, idx = self._full(X)
+        idx = self._every(len(X))
         forward = self._forward(X, idx)
         return self._loss(idx, forward[-1]), self._grad(idx, *forward)
 

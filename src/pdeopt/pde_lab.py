@@ -146,7 +146,7 @@ def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: boo
     """f on the grid refined r[d]-fold and padded by K[d] nodes per side of
     each axis d, in one ``value_batch`` call: extended past the box, or
     wrapped around the n - 1 unique nodes when the boundary is periodic (the
-    last node repeats the first)."""
+    last node repeats the first).  The mesh is dropped before f is evaluated."""
     axes = []
     for lo, h, n, k, rd in zip(grid.lower, grid.spacing, grid.n_points, K, r):
         hq = h / rd
@@ -154,8 +154,8 @@ def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: boo
             axes.append(lo + hq * np.arange((n - 1) * rd))
         else:
             axes.append(lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    F = objective.value_batch(np.column_stack([m.ravel() for m in mesh])).reshape(mesh[0].shape)
+    points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    F = objective.value_batch(points).reshape([len(a) for a in axes])
     return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
 
 

@@ -1,6 +1,8 @@
 """Objective corpus: exact derivatives, minibatch gradients, determinism."""
 
 import inspect
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -343,6 +345,89 @@ class TestOneDefinition:
         for r in range(R):
             assert g[r].tobytes() == obj.minibatch_grad(x[r:r + 1].copy(), draw([twins[r]]))[0].tobytes()
             assert rngs[r].bit_generator.state == twins[r].bit_generator.state
+
+
+class TestRowBlocks:
+    """A large batch runs in blocks of rows that keep the bytes of one call
+    and bound the memory by a few blocks, whatever the objective's width."""
+
+    OBJECTIVES = {
+        "quadratic": lambda: Quadratic(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]]),
+                                       np.array([0.1, -0.4, 0.7])),
+        "double_well": lambda: DoubleWell(1.3),
+        "rugged": lambda: Rugged1D(7, 5),
+        "mlp": lambda: TinyMLP(0, 4, 40),
+    }
+    BLOCK = 5
+
+    @staticmethod
+    def whole(obj, method):
+        """The method's formula, called once on every row."""
+        if method == "value_and_grad_batch" and method not in vars(type(obj)):
+            value, grad = (getattr(type(obj), m).__wrapped__ for m in ("value_batch", "grad_batch"))
+            return lambda X: (value(obj, X), grad(obj, X))
+        return partial(getattr(type(obj), method).__wrapped__, obj)
+
+    @pytest.mark.parametrize("method", ["value_batch", "grad_batch", "value_and_grad_batch"])
+    @pytest.mark.parametrize("kind", OBJECTIVES)
+    def test_blocks_keep_the_bytes(self, kind, method, monkeypatch):
+        obj = self.OBJECTIVES[kind]()
+        monkeypatch.setattr(objectives, "_BLOCK_BYTES", 8 * obj._row_width * self.BLOCK)
+        whole = self.whole(obj, method)
+        b = self.BLOCK
+        for rows in (b - 1, b, b + 1, 2 * b + 1):
+            X = np.random.default_rng(rows).standard_normal((rows, obj.dim))
+            got, ref = getattr(obj, method)(X), whole(X.copy())
+            if method != "value_and_grad_batch":
+                got, ref = (got,), (ref,)
+            for g, r in zip(got, ref, strict=True):
+                assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("kind", OBJECTIVES)
+    def test_blocks_call_the_formula(self, kind, monkeypatch):
+        # a tracer wraps the public method: a blocked call is still one call of it
+        obj = self.OBJECTIVES[kind]()
+        monkeypatch.setattr(objectives, "_BLOCK_BYTES", 8 * obj._row_width * self.BLOCK)
+        calls = []
+
+        def traced(method):
+            public = getattr(type(obj), method)
+
+            def wrapper(self_, X):
+                calls.append(method)
+                return public(self_, X)
+            return wrapper
+
+        for method in ("value_batch", "grad_batch"):
+            monkeypatch.setattr(type(obj), method, traced(method))
+        obj.value_batch(np.ones((3 * self.BLOCK, obj.dim)))
+        obj.grad_batch(np.ones((3 * self.BLOCK, obj.dim)))
+        assert calls == ["value_batch", "grad_batch"]
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_blocks_bound_the_memory(self):
+        # unblocked, 1M rugged rows peak at 45.8 MiB and 2,000 mlp_h8_n200
+        # rows at 79 MiB; blocked, a call holds its output and the few
+        # temporaries of one block: two (rows, 3) waves for Rugged1D (sin's
+        # argument and result), and for TinyMLP z1 and a1 plus the narrower
+        # inputs, logits and probabilities
+        block = objectives._BLOCK_BYTES
+        rugged = Rugged1D(7, 5)
+        X = np.linspace(-3.0, 3.0, 1_000_000)[:, None]
+        out, peak = self.peak_bytes(rugged.value_batch, X)
+        assert peak < out.nbytes + 2 * block + (1 << 20)     # 1 MiB: numpy's iteration buffers
+        mlp = get_entry("mlp_h8_n200").objective
+        X = np.random.default_rng(0).standard_normal((2_000, mlp.dim))
+        out, peak = self.peak_bytes(mlp.value_batch, X)
+        assert peak < out.nbytes + 4 * block
 
 
 class TestCorpus:
