@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .objectives import Objective
-from .optimizers import OptimizerConfig, init_state, step
+from .optimizers import OptimizerConfig, run
 from .pde_lab import prox_point, solve_hjb_backward
 from .rng import substream
 
@@ -204,13 +204,28 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
 
     Each epsilon maps to L = round(1/epsilon) inner steps.  The drift is
     measured from one outer update of the entropy optimizer started at each
-    probe, averaged over seeds; the reference is (x - prox(x)) / gamma, the
-    exact gradient of the inf-convolution at scale gamma.
+    probe (``optimizers.run``, the seeds as its repeats), averaged over
+    seeds; the reference is (x - prox(x)) / gamma, the exact gradient of the
+    inf-convolution at scale gamma.  Empty ``epsilons`` or ``probes``, an
+    epsilon or ``gamma`` <= 0, ``n_seeds`` < 1 and ``beta_inv`` < 0 are
+    refused by name before any work.
     """
     if objective.dim != 1:
         raise ValueError("homogenization verification is one-dimensional")
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
     epsilons = sorted(float(e) for e in np.atleast_1d(epsilons))[::-1]  # large -> small
+    if not epsilons:
+        raise ValueError("epsilons is empty: give at least one time-scale separation")
+    if epsilons[-1] <= 0:
+        raise ValueError(f"epsilons holds {epsilons[-1]:g}: each epsilon must be positive")
+    if not len(probes):
+        raise ValueError("probes is empty: give at least one point")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds={n_seeds}: must be at least 1")
+    if gamma <= 0:
+        raise ValueError(f"gamma={gamma:g}: must be positive")
+    if beta_inv < 0:
+        raise ValueError(f"beta_inv={beta_inv:g}: must be >= 0")
     ref = np.array([prox_point(objective, np.array([p]), gamma).grad_u[0] for p in probes])
 
     rows: list[HomogenizationRow] = []
@@ -222,12 +237,9 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
         devs = np.empty((len(probes), n_seeds))
         drift_mean = np.empty(len(probes))
         for pi, p in enumerate(probes):
-            # the seeds seed*1000 + s are the rows of one state
-            state = init_state(objective, np.array([p]), cfg, seed=seed * 1000, algo="entropy_sgd",
-                               repeats=n_seeds)
-            for _ in range(L):
-                step(state)
-            drifts = (state.x[:, 0] - p) / cfg.eta
+            # one outer step; the seeds seed*1000 + s are the repeats of one run
+            records = run("entropy_sgd", objective, cfg, seed * 1000, 1, x0=[p], repeats=n_seeds)
+            drifts = (np.array([rec.terminal_x[0] for rec in records]) - p) / cfg.eta
             devs[pi] = np.abs(drifts - (-ref[pi]))
             drift_mean[pi] = drifts.mean()
             all_samples[ei, pi] = drifts
@@ -287,6 +299,10 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     tested at small variance.  Paths are reflected at the box walls; if more
     than 1% of paths ever exit, the run is invalid and raises.
     """
+    if T < 0:
+        raise ValueError(f"T={T:g}: the horizon must be >= 0")
+    if n_paths < CONTROL_BATCHES:
+        raise ValueError(f"n_paths={n_paths}: at least {CONTROL_BATCHES}, one per batch of the standard errors")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = objective.dim
     rng = substream(seed, "control-paths")

@@ -183,6 +183,8 @@ def _run_solve_pde(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict,
 
 def _run_figure1(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
     obj = entry.objective
+    if obj.dim != 1:
+        raise ValueError(f"objective={entry.name}: figure1 needs a 1D objective, not dim={obj.dim}")
     grid = _grid_for(entry, cfg.param("grid_n"))
     t_smooth = cfg.param("t_smooth")
     beta_inv_smooth = cfg.param("beta_inv")

@@ -466,7 +466,6 @@ class _Lane:
     state: OptimizerState
     records: list[RunRecord]
     live: list[int]                # the repeats still recording
-    steps: int                     # inner steps of the run
     log_every: int                 # inner steps between its records: L * record_every
 
 
@@ -509,7 +508,7 @@ def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int =
         state = init_state(objective, x0, cfg, seed, algo, repeats)
         state.draw_until = n_outer * cfg.L
         lanes.append(_Lane(state, [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)],
-                           list(range(repeats)), state.draw_until, cfg.L * record_every))
+                           list(range(repeats)), cfg.L * record_every))
     if len({(lane.state.plan.grad, lane.state.plan.batch) for lane in lanes}) > 1:
         raise ValueError("runs in lockstep must share one gradient: the same objective and batch size")
     grad = lanes[0].state.plan.grad
@@ -522,9 +521,9 @@ def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int =
         for lane, (x, _) in zip(stepping, points):
             _apply(lane.state, g[start:start + len(x)])
             start += len(x)
-            if lane.state.k % lane.log_every == 0 or lane.state.k == lane.steps:
+            if lane.state.k % lane.log_every == 0 or lane.state.k == lane.state.draw_until:
                 _record(lane, objective)
-        stepping = [lane for lane in stepping if lane.live and lane.state.k < lane.steps]
+        stepping = [lane for lane in stepping if lane.live and lane.state.k < lane.state.draw_until]
     for lane in lanes:
         for r in lane.live:
             lane.records[r].terminal_x = lane.state.x[r].copy()

@@ -35,13 +35,14 @@ in numpy.  Its transpose steps densities forward (``evolve_fokker_planck``);
 G itself steps the Cole-Hopf transform phi = exp(-beta (w - min w)) of the
 backward HJB value function backward (``solve_hjb_backward``, used by the
 control experiments), so the control solve is linear.  Also the 1D proximal
-map ``prox_point``, and the characteristic fixed point and shock time of
-Burgers' equation, the independent oracle for the derivative of the Hopf-Lax
-solution.
+map ``prox_point``, which minimizes f(y) + |x-y|^2/(2t) with the corpus
+scanner of ``objectives`` (``_scan_minima_1d`` and ``_polish_minimum``), and
+the characteristic fixed point and shock time of Burgers' equation, the
+independent oracle for the derivative of the Hopf-Lax solution.
 
 All solvers are pure functions of their inputs and run single-threaded.
-scipy is imported only where it is used: by the log-sum-exp fallback and by
-``prox_point``'s polishing.
+scipy is imported only where it is used: by the log-sum-exp fallback here,
+and by the minima polish in ``objectives``, which ``prox_point`` calls.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridFunction, multilinear
-from .objectives import Objective
+from .objectives import Objective, _polish_minimum, _scan_minima_1d
 
 Array = np.ndarray
 
@@ -291,61 +292,45 @@ class ProxResult:
         return float(np.linalg.norm(self.grad_u - self.grad_f_at_y))
 
 
-PROX_SCAN_POINTS = 801  # points in prox_point's scan
-PROX_STARTS = 4         # and the best distinct starts it polishes
+class _ProxObjective(Objective):
+    """h(y) = f(y) + |y - x|^2 / (2t), the objective ``prox_point`` minimizes."""
+
+    dim = 1
+
+    def __init__(self, f: Objective, x: Array, t: float):
+        self.f, self.x, self.t = f, x, t
+
+    def value_batch(self, Y):
+        return self.f.value_batch(Y) + ((Y - self.x) ** 2).sum(axis=1) / (2.0 * self.t)
+
+    def grad_batch(self, Y):
+        return self.f.grad_batch(Y) + (Y - self.x) / self.t
 
 
 def prox_point(objective: Objective, x, t: float) -> ProxResult:
-    """argmin_y { f(y) + |x-y|^2/(2t) } of a 1D objective by multi-start descent.
-
-    The starts come from a scan of the objective on ``PROX_SCAN_POINTS``
-    points, so distant competing minimizers are found.  The result is
-    flagged non-unique when two polished minimizers farther apart than 1e-4
-    have objective values within 1e-10 of each other.
+    """argmin_y { f(y) + |x-y|^2/(2t) } of a 1D objective: the lowest of the
+    polished local minima of h(y) = f(y) + |x-y|^2/(2t) on a scan of the box
+    widened to hold x (x +- R without a box), and of h polished from x, which
+    reaches a minimizer beyond the scan.  The result is flagged non-unique
+    when two of these minimizers farther apart than 1e-4 have values within
+    1e-10 of each other.
     """
-    from scipy.optimize import minimize
-
     if t <= 0:
         raise ValueError("t must be positive")
     if objective.dim != 1:
         raise ValueError(f"prox_point supports 1D objectives only, got dim={objective.dim}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def h_val(y):
-        return objective.value(y) + float(((x - y) ** 2).sum()) / (2.0 * t)
-
-    def h_grad(y):
-        return objective.grad(y) + (y - x) / t
-
+    h = _ProxObjective(objective, x, t)
     if hasattr(objective, "box"):
         lo = min(objective.box[0], x[0] - 0.5)
         hi = max(objective.box[1], x[0] + 0.5)
     else:
         R = math.sqrt(2.0 * t * max(1.0, abs(objective.value(x)) + 1.0)) + 1.0
         lo, hi = x[0] - R, x[0] + R
-    ys = np.linspace(lo, hi, PROX_SCAN_POINTS)[:, None]
-    hv = objective.value_batch(ys) + ((x - ys) ** 2).sum(axis=1) / (2.0 * t)
-    # keep starts that are mutually distant so symmetric minimizers survive
-    starts: list[Array] = []
-    min_sep = 0.05 * (hi - lo)
-    for i in np.argsort(hv)[: 3 * PROX_STARTS]:
-        if all(np.linalg.norm(ys[i] - kk) > min_sep for kk in starts):
-            starts.append(ys[i])
-        if len(starts) == PROX_STARTS:
-            break
-    starts.append(x)
-
-    polished = []
-    for s in starts:
-        res = minimize(h_val, s, jac=h_grad, method="L-BFGS-B",
-                       options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 500})
-        polished.append((np.atleast_1d(res.x), float(res.fun)))
-    polished.sort(key=lambda p: p[1])
-    best_y, best_v = polished[0]
-    non_unique = any(
-        np.linalg.norm(y - best_y) > 1e-4 and abs(v - best_v) < 1e-10
-        for y, v in polished[1:]
-    )
+    y0 = _polish_minimum(h, x)
+    minima = sorted(_scan_minima_1d(h, lo, hi) + [(y0, h.value(y0))], key=lambda m: m[1])
+    best_y, best_v = minima[0]
+    non_unique = any(np.linalg.norm(y - best_y) > 1e-4 and abs(v - best_v) < 1e-10 for y, v in minima[1:])
     return ProxResult(
         y=best_y,
         value=best_v,

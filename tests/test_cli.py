@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pdeopt
-from pdeopt import optimizers
+from pdeopt import analysis, optimizers, pde_lab
 from pdeopt.cli import build_parser, main
 from pdeopt.config import (
     KEY_SPECS,
@@ -561,7 +561,7 @@ class TestSummaryGolden:
                       "986109e6706ea5cdb30abd608f27751c3340abc9c92a9f86c705542e2a5d00b3"),
         "figure1": ({}, "b6ad426cda3ac79fe4579f4a5ce57c4a269fcd2680fe98c46f670673690b8022"),
         "homogenization": ({"probes": [-0.75, 0.55], "n_seeds": 4},
-                           "dbadd28ada59823f951058fdf6ac33229c49f481b9ae3ad3e527d779d0b82730"),
+                           "b3f35606a71ed8230963cb1f7ffb757dfa9f0e795b041edacf87f163e015f78b"),
         "control": ({"T": 0.5, "n_paths": 400, "grid_n": 129},
                     "6dc4ff88a1ac154802f1e1302b716463ac9efd5707d61e3cb5953da67a580a3c"),
         "invariant_measure": ({"n_steps": 20000},
@@ -713,6 +713,33 @@ class TestCliMain:
     ], ids=["control_paths_exit", "fd_periodic", "hopf_lax_periodic", "cole_hopf_zero_viscosity_periodic",
             "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-homogenization", "--epsilons", ""], "epsilons is empty"),
+        (["verify-homogenization", "--epsilons", "0.1,0"], "epsilons holds 0:"),
+        (["verify-homogenization", "--epsilons=-0.1"], "epsilons holds -0.1:"),
+        (["verify-homogenization", "--probes", ""], "probes is empty"),
+        (["verify-homogenization", "--n-seeds", "0"], "n_seeds=0:"),
+        (["verify-homogenization", "--gamma", "0"], "gamma=0:"),
+        (["verify-homogenization", "--beta-inv=-0.1"], "beta_inv=-0.1:"),
+        (["reproduce-figure1", "--objective", "quadratic_c1_n2", "--grid-n", "33"],
+         "objective=quadratic_c1_n2: figure1 needs a 1D objective"),
+        (["reproduce-figure1", "--objective", "mlp_h4_n20"], "objective=mlp_h4_n20: figure1 needs a 1D objective"),
+        (["control-improvement", "--T=-1"], "T=-1:"),
+        (["control-improvement", "--n-paths", "5"], "n_paths=5: at least 20"),
+    ], ids=["no_epsilons", "zero_epsilon", "negative_epsilon", "no_probes", "no_seeds", "zero_gamma",
+            "negative_beta_inv", "figure1_2d", "figure1_mlp", "control_negative_T", "control_few_paths"])
+    def test_bad_input_refused_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the input was checked")
+        for module, name in ((analysis, "prox_point"), (analysis, "run"), (analysis, "solve_hjb_backward"),
+                             (pde_lab, "solve_viscous_hj_cole_hopf"), (pde_lab, "solve_hj_hopf_lax")):
+            monkeypatch.setattr(module, name, work)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -250,6 +250,32 @@ class TestProx:
         with pytest.raises(ValueError, match="1D"):
             prox_point(make_quadratic(1.0, 0.0, 2), np.zeros(2), 1.0)
 
+    def test_quadratic_closed_form_beyond_the_scan(self):
+        # h(y) = y^2/2 + 100 y + y^2/2 is least at y* = -50, far outside the
+        # scan of x +- R: only the polish started at x reaches it
+        res = prox_point(make_quadratic(1.0, 100.0, 1), np.array([0.0]), 1.0)
+        assert res.y[0] == pytest.approx(-50.0, abs=1e-9)
+        assert res.grad_u[0] == pytest.approx(50.0, abs=1e-9)
+        assert not res.non_unique
+
+    @settings(max_examples=180, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["rugged_s7_m5", "rugged_s3_m6", "double_well_a1"]), u=st.floats(0.0, 1.0),
+           t=st.floats(0.01, 2.0))
+    def test_value_is_the_global_minimum(self, name, u, t):
+        # brute-force oracle: the least h(y) = f(y) + |x-y|^2/(2t) on a dense
+        # grid bounds min h from above, and the prox value is h at its y, so
+        # it bounds min h from below; a merely local minimizer exceeds the
+        # grid's least value
+        entry = get_entry(name)
+        lo, hi = entry.domain_box
+        x = lo + u * (hi - lo)
+        f = entry.objective
+        res = prox_point(f, x, t)
+        assert res.value == pytest.approx(f.value(res.y) + float((res.y[0] - x[0]) ** 2) / (2 * t), abs=1e-12)
+        ys = np.linspace(lo[0] - 2.0, hi[0] + 2.0, 200_001)[:, None]
+        brute = float((f.value_batch(ys) + (ys[:, 0] - x[0]) ** 2 / (2 * t)).min())
+        assert res.value <= brute + 1e-9
+
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["rugged_s7_m5", "double_well_a1"]), u=st.floats(0.0, 1.0),
            t=st.floats(0.01, 2.0))
