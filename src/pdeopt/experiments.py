@@ -193,9 +193,23 @@ def _run_figure1(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
     window_frac = cfg.param("window_frac")
     min_gap = cfg.param("min_gap")
     rho0_sigma = cfg.param("rho0_sigma")
+    for key, value, ok, rule in (
+            ("t_smooth", t_smooth, t_smooth > 0, "must be positive"),
+            ("T", horizon, horizon >= 0, "the horizon must be >= 0"),
+            ("beta_inv_fp", beta_inv_fp, beta_inv_fp >= 0, "must be >= 0"),
+            ("window_frac", window_frac, window_frac > 0, "must be positive"),
+            ("min_gap", min_gap, min_gap >= 0, "must be >= 0"),
+            ("rho0_sigma", rho0_sigma, rho0_sigma is None or rho0_sigma > 0, "must be positive")):
+        if not ok:
+            raise ValueError(f"{key}={value:g}: {rule}")
 
     x_star = global_minimum(entry)[0]
     width = float(grid.upper[0] - grid.lower[0])
+    xs = grid.axes()[0]
+    mask = np.abs(xs - x_star) <= window_frac * width
+    if not mask.any():
+        raise ValueError(f"window_frac={window_frac:g}: the window around x_star={x_star:g} "
+                         f"holds no node of the grid (spacing {grid.spacing[0]:g})")
     pcfg = pde_lab.PdeSolveConfig(beta_inv=beta_inv_smooth, t_final=t_smooth)
     u_visc = pde_lab.solve_viscous_hj_cole_hopf(obj, pcfg, grid)
     u_hl = pde_lab.solve_hj_hopf_lax(obj, t_smooth, grid)
@@ -207,8 +221,6 @@ def _run_figure1(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
 
     def terminal_mass(drift):
         rho = pde_lab.evolve_fokker_planck(drift, rho0, beta_inv_fp, horizon)
-        xs = grid.axes()[0]
-        mask = np.abs(xs - x_star) <= window_frac * width
         w = np.full(len(xs), grid.spacing[0])
         w[0] = w[-1] = 0.5 * grid.spacing[0]
         return rho, float((rho.values * w * mask).sum())
@@ -220,7 +232,6 @@ def _run_figure1(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
         "viscous_beats_nonviscous": bool(m_visc >= m_hl + min_gap),
         "nonviscous_beats_sgd": bool(m_hl >= m_f + min_gap),
     }
-    xs = grid.axes()[0]
     series = [("viscous drift", xs, rho_visc.values), ("non-viscous drift", xs, rho_hl.values),
               ("plain gradient drift", xs, rho_f.values)]
     files = {"density_viscous.csv": rho_visc.to_csv, "density_nonviscous.csv": rho_hl.to_csv,
@@ -315,9 +326,11 @@ def _run_invariant_measure(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tup
 
 
 def _run_spectrum(cfg: ExperimentConfig, entry: TestCorpusEntry | None) -> tuple[dict, dict]:
+    n_random = cfg.param("n_random")
+    if n_random < 1:
+        raise ValueError(f"n_random={n_random}: the checks need at least 1 random draw")
     # the stream acceptance criterion 7 has always drawn from (at seed 123)
     rng = substream(cfg.param("seed"), "acceptance-spectrum")
-    n_random = cfg.param("n_random")
     dim = 8
     hm_violations = 0
     for _ in range(n_random):

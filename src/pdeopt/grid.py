@@ -83,12 +83,6 @@ class GridFunction:
     def geometry(cls, lower, upper, n_points) -> "GridFunction":
         return cls(lower, upper, n_points)
 
-    @classmethod
-    def from_callable(cls, fn, lower, upper, n_points) -> "GridFunction":
-        g = cls.geometry(lower, upper, n_points)
-        g.values = np.asarray(fn(g.points()), dtype=float).ravel()
-        return g
-
     # -- calculus -----------------------------------------------------------
 
     def integral(self) -> float:

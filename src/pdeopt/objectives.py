@@ -128,9 +128,6 @@ class Quadratic(Objective):
     def grad_batch(self, X):
         return np.einsum("ij,nj->ni", self.Q, X) + self.p
 
-    def minimizer(self) -> Array:
-        return np.linalg.solve(self.Q, -self.p)
-
 
 class DoubleWell(Objective):
     """f(x) = (x^2 - a^2)^2 in 1D: minima at +-a, barrier a^4 at the origin."""

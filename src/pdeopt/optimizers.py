@@ -199,8 +199,6 @@ class OptimizerState:
     control_energy: Array          # (repeats,)
     k: int = 0                     # inner-step counter, shared by the repeats
     gamma: float = 0.0             # smoothing scale of the current outer step
-    outer_steps: int = 0
-    grad_evals: int = 0            # per repeat
     plan: _Plan | None = None
     draw_until: int = 0            # the step its run stops at; before it, a plan.ahead draws indices ahead
     indices: Array | None = None   # (rows, steps, b) indices drawn ahead, the chunk holding step k
@@ -356,7 +354,10 @@ def _restart(state: OptimizerState, p: _Plan) -> None:
 
 
 def _epochs(state: OptimizerState) -> float:
-    return state.grad_evals * state.plan.batch / state.plan.epoch
+    """Samples drawn per repeat over the epoch size: k steps of ``grads``
+    gradients of ``batch`` samples each."""
+    p = state.plan
+    return state.k * p.grads * p.batch / p.epoch
 
 
 def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
@@ -383,7 +384,6 @@ def _apply(state: OptimizerState, g: Array) -> None:
     last = (state.k + 1) % p.every == 0
     d = p.apply(state, p, g, last)
     state.k += 1
-    state.grad_evals += p.grads
     if not last:
         return
     # outer update along -d with Nesterov lookahead, then restart the rows
@@ -397,7 +397,6 @@ def _apply(state: OptimizerState, g: Array) -> None:
     energy = state.control_energy
     for r in range(len(d)):
         energy[r] += 0.5 * float(d[r] @ d[r]) * eta
-    state.outer_steps += 1
     if p.width:
         _restart(state, p)
         _scope(state, cfg)

@@ -36,9 +36,10 @@ G itself steps the Cole-Hopf transform phi = exp(-beta (w - min w)) of the
 backward HJB value function backward (``solve_hjb_backward``, used by the
 control experiments), so the control solve is linear.  Also the 1D proximal
 map ``prox_point``, which minimizes f(y) + |x-y|^2/(2t) with the corpus
-scanner of ``objectives`` (``_scan_minima_1d`` and ``_polish_minimum``), and
-the characteristic fixed point and shock time of Burgers' equation, the
-independent oracle for the derivative of the Hopf-Lax solution.
+scanner of ``objectives`` (``_scan_minima_1d`` and ``_polish_minimum``).
+The independent oracle for the derivative of the Hopf-Lax solution, the
+characteristic fixed point of Burgers' equation, lives with the tests
+(``tests/oracles.py``).
 
 All solvers are pure functions of their inputs and run single-threaded.
 scipy is imported only where it is used: by the log-sum-exp fallback here,
@@ -82,11 +83,21 @@ class PdeSolveConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
+        if self.dt is not None:
+            _check_dt(self.dt)
+            if self.scheme != "monotone_fd":
+                raise ValueError(f"dt={self.dt:g}: the quadrature scheme {self.scheme!r} takes no time steps; "
+                                 "dt applies to monotone_fd only")
         if self.boundary == "periodic" and self.scheme == "monotone_fd":
             raise ValueError("the upwind scheme supports extrapolating boundaries only")
         hopf_lax = self.scheme == "hopf_lax" or self.scheme == "cole_hopf" and self.beta_inv == 0
         if self.boundary == "periodic" and hopf_lax:
             raise ValueError("the Hopf-Lax inf-convolution (cole_hopf at beta_inv=0) supports extrapolating boundaries only")
+
+
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt={dt:g}: an explicit time step must be positive and finite")
 
 
 class CflError(ValueError):
@@ -284,12 +295,7 @@ class ProxResult:
     y: Array
     value: float
     grad_u: Array          # (x - y*) / t
-    grad_f_at_y: Array
     non_unique: bool
-
-    @property
-    def consistency_gap(self) -> float:
-        return float(np.linalg.norm(self.grad_u - self.grad_f_at_y))
 
 
 class _ProxObjective(Objective):
@@ -331,13 +337,7 @@ def prox_point(objective: Objective, x, t: float) -> ProxResult:
     minima = sorted(_scan_minima_1d(h, lo, hi) + [(y0, h.value(y0))], key=lambda m: m[1])
     best_y, best_v = minima[0]
     non_unique = any(np.linalg.norm(y - best_y) > 1e-4 and abs(v - best_v) < 1e-10 for y, v in minima[1:])
-    return ProxResult(
-        y=best_y,
-        value=best_v,
-        grad_u=(x - best_y) / t,
-        grad_f_at_y=objective.grad(best_y),
-        non_unique=non_unique,
-    )
+    return ProxResult(y=best_y, value=best_v, grad_u=(x - best_y) / t, non_unique=non_unique)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,10 @@ def cfl_limit(u0: Array, spacing: Array, beta_inv: float) -> float:
 def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tuple[int, float]:
     """(n, t / n): the fewest equal explicit steps no longer than dt, or than
     safety * limit when dt is None.  A limit that is not finite and positive,
-    or an explicit dt above it, raises CflError."""
+    or an explicit dt above it, raises CflError; a dt that is not positive and
+    finite, a ValueError."""
+    if dt is not None:
+        _check_dt(dt)
     if not (math.isfinite(limit) and limit > 0.0):
         raise CflError(f"the stability limit {limit:g} is not finite and positive: "
                        "the input values or drifts are not finite")
@@ -368,7 +371,7 @@ def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tupl
     return n, t / n
 
 
-def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
+def solve_hj_monotone_fd(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
     """Explicit upwind scheme for u_t = -|grad u|^2/2 + (beta_inv/2) Lap u.
 
     The gradient term uses the Godunov flux (one-sided differences picked by
@@ -383,10 +386,7 @@ def solve_hj_monotone_fd(objective_or_u0, cfg: PdeSolveConfig, grid: GridFunctio
     backward and forward differences as two slices, the second difference is
     (u_{i+1} - 2 u_i) + u_{i-1}, and ham and lap are summed from zero.
     """
-    if isinstance(objective_or_u0, GridFunction):
-        u0 = objective_or_u0.array
-    else:
-        u0 = objective_or_u0.value_batch(grid.points()).reshape(grid.n_points)
+    u0 = objective.value_batch(grid.points()).reshape(grid.n_points)
     h = grid.spacing
     n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u0, h, cfg.beta_inv))
 
@@ -665,55 +665,6 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
         for axis in range(grid.dim):
             gradients[-slot, ..., axis] = np.gradient(w, spacing[axis], axis=axis, edge_order=2)
     return ControlField(grid=grid, times=T - step * np.array(kept[::-1]), gradients=gradients)
-
-
-# ---------------------------------------------------------------------------
-# Burgers characteristics
-
-
-BURGERS_DAMPING = 0.5     # burgers_characteristic_check's damping of each iterate,
-BURGERS_MAX_ITER = 1000   # its iterations at most
-BURGERS_TOL = 1e-12       # and the step at which it has settled
-SHOCK_SCAN_POINTS = 4001  # points on which shock_time takes f''
-
-
-def burgers_characteristic_check(objective: Objective, x: float, t: float) -> tuple[float, bool]:
-    """Solve the characteristic fixed point p = f'(x - t p) by damped iteration.
-
-    Pre-shock the iteration contracts and p equals the spatial derivative of
-    the inf-convolution.  The flag is False when the iteration fails to
-    settle or the settled root violates the crossing criterion
-    1 + t f''(x - t p) > 0, i.e. characteristics have already intersected.
-    """
-    if objective.dim != 1:
-        raise ValueError("characteristic check is one-dimensional")
-    p = float(objective.grad(np.array([x]))[0])
-    if t == 0:
-        return p, True
-    settled = False
-    for _ in range(BURGERS_MAX_ITER):
-        target = float(objective.grad(np.array([x - t * p]))[0])
-        p_new = (1.0 - BURGERS_DAMPING) * p + BURGERS_DAMPING * target
-        if not np.isfinite(p_new) or abs(p_new) > 1e8:
-            return p, False
-        if abs(p_new - p) < BURGERS_TOL:
-            p = p_new
-            settled = True
-            break
-        p = p_new
-    if not settled:
-        return p, False
-    fpp = float(objective.hessian(np.array([x - t * p]))[0, 0])
-    return p, bool(1.0 + t * fpp > 0.0)
-
-
-def shock_time(objective: Objective, box: tuple[float, float]) -> float:
-    """First characteristic-crossing time 1 / max(0, -min f'') on the box."""
-    xs = np.linspace(box[0], box[1], SHOCK_SCAN_POINTS)
-    g = objective.grad_batch(xs[:, None])[:, 0]
-    fpp = np.gradient(g, xs)
-    m = float(fpp.min())
-    return math.inf if m >= 0 else 1.0 / (-m)
 
 
 def solve_pde(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:

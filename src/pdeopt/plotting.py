@@ -10,11 +10,12 @@ _PALETTE = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d68910", "#16a085", "#
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 34, 48
+_FLAT_ULPS = 16   # a span this many ulps wide or less is drawn as flat
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks over [lo, hi], a span from :func:`_span`: wide enough
+    that each tick step moves the running value."""
     raw = (hi - lo) / n
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
@@ -28,10 +29,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _span(v: np.ndarray) -> tuple[float, float]:
+    """The axis range of the values, and (0, 1) when there are none.  Flat
+    values, at most ``_FLAT_ULPS`` ulps apart, span (lo, lo + 1), or
+    ``_FLAT_ULPS`` ulps above lo where 1 is less."""
     if v.size == 0:
         return 0.0, 1.0
     lo, hi = float(v.min()), float(v.max())
-    return lo, hi if hi > lo else lo + 1.0
+    flat = _FLAT_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    return lo, lo + max(1.0, flat) if hi - lo <= flat else hi
 
 
 def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:

@@ -25,7 +25,7 @@ from pdeopt.config import (
     write_manifest,
 )
 from pdeopt.experiments import _optimizer_config, run_experiment
-from pdeopt.plotting import emit_plot
+from pdeopt.plotting import _span, _ticks, emit_plot
 from pdeopt.rng import substream
 
 
@@ -170,6 +170,16 @@ class TestEmitPlot:
         assert "nan" not in svg and "inf" not in svg
         # the y axis spans the finite values 1..2 only
         assert ">1</text>" in svg and ">2</text>" in svg and ">3</text>" not in svg
+
+    def test_span_of_a_few_ulps_is_flat(self, tmp_path):
+        # two losses 2 ulps apart: a tick step below half an ulp would never
+        # move the running tick, and the tick list would grow without end
+        losses = np.array([1.0994727795006063, 1.0994727795006065])
+        lo, hi = _span(losses)
+        assert (lo, hi) == (losses[0], losses[0] + 1.0)
+        assert len(_ticks(lo, hi)) <= 6
+        emit_plot([("a", [0.0, 1.0], losses)], tmp_path / "p.svg")
+        assert (tmp_path / "p.svg").read_text().count("<polyline") == 1
 
 
 class TestKeyTable:
@@ -732,13 +742,32 @@ class TestCliMain:
         (["reproduce-figure1", "--objective", "mlp_h4_n20"], "objective=mlp_h4_n20: figure1 needs a 1D objective"),
         (["control-improvement", "--T=-1"], "T=-1:"),
         (["control-improvement", "--n-paths", "5"], "n_paths=5: at least 20"),
+        (["reproduce-figure1", "--T=-1"], "T=-1:"),
+        (["reproduce-figure1", "--t-smooth", "0"], "t_smooth=0:"),
+        (["reproduce-figure1", "--window-frac", "0"], "window_frac=0:"),
+        (["reproduce-figure1", "--window-frac", "1e-6"], "window_frac=1e-06: the window around x_star"),
+        (["reproduce-figure1", "--rho0-sigma=-0.5"], "rho0_sigma=-0.5:"),
+        (["reproduce-figure1", "--min-gap=-1"], "min_gap=-1:"),
+        (["reproduce-figure1", "--beta-inv-fp=-0.01"], "beta_inv_fp=-0.01:"),
+        (["spectrum", "--n-random", "0"], "n_random=0:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt=-5"], "dt=-5:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "0"], "dt=0:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "nan"], "dt=nan:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "heat", "--dt=-5"], "dt=-5:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "cole_hopf", "--dt", "5"],
+         "dt=5: the quadrature scheme 'cole_hopf'"),
     ], ids=["no_epsilons", "zero_epsilon", "negative_epsilon", "no_probes", "no_seeds", "zero_gamma",
-            "negative_beta_inv", "figure1_2d", "figure1_mlp", "control_negative_T", "control_few_paths"])
+            "negative_beta_inv", "figure1_2d", "figure1_mlp", "control_negative_T", "control_few_paths",
+            "figure1_negative_T", "figure1_zero_t_smooth", "figure1_zero_window", "figure1_window_between_nodes",
+            "figure1_negative_rho0_sigma", "figure1_negative_min_gap", "figure1_negative_beta_inv_fp",
+            "spectrum_no_draws", "fd_negative_dt", "fd_zero_dt", "fd_nan_dt", "heat_dt", "cole_hopf_dt"])
     def test_bad_input_refused_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def work(*args, **kwargs):
             raise AssertionError("work started before the input was checked")
         for module, name in ((analysis, "prox_point"), (analysis, "run"), (analysis, "solve_hjb_backward"),
-                             (pde_lab, "solve_viscous_hj_cole_hopf"), (pde_lab, "solve_hj_hopf_lax")):
+                             (pde_lab, "solve_viscous_hj_cole_hopf"), (pde_lab, "solve_hj_hopf_lax"),
+                             (pde_lab, "solve_hj_monotone_fd"), (pde_lab, "solve_heat"),
+                             (pde_lab, "evolve_fokker_planck")):
             monkeypatch.setattr(module, name, work)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err

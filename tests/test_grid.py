@@ -12,6 +12,8 @@ from pdeopt.grid import (
     second_difference,
 )
 
+from oracles import grid_of
+
 
 class TestGeometry:
     def test_spacing_and_axes(self):
@@ -38,10 +40,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             GridFunction.geometry([0.0] * 3, [1.0] * 3, [4] * 3)  # 3D unsupported
 
-    def test_from_callable(self):
-        g = GridFunction.from_callable(lambda P: P[:, 0] ** 2, [-2.0], [2.0], [9])
-        np.testing.assert_allclose(g.values, g.axes()[0] ** 2)
-
 
 class TestDensity:
     def test_gaussian_density_normalized(self):
@@ -63,11 +61,11 @@ class TestDensity:
 
 class TestInterp:
     def test_1d_linear(self):
-        g = GridFunction.from_callable(lambda P: 3.0 * P[:, 0] + 1.0, [0.0], [1.0], [11])
+        g = grid_of(lambda P: 3.0 * P[:, 0] + 1.0, [0.0], [1.0], [11])
         assert g.interp([0.37]) == pytest.approx(3 * 0.37 + 1, abs=1e-12)
 
     def test_2d_bilinear(self):
-        g = GridFunction.from_callable(lambda P: 2 * P[:, 0] - P[:, 1], [0.0, 0.0], [1.0, 1.0], [6, 6])
+        g = grid_of(lambda P: 2 * P[:, 0] - P[:, 1], [0.0, 0.0], [1.0, 1.0], [6, 6])
         assert g.interp([0.3, 0.7]) == pytest.approx(2 * 0.3 - 0.7, abs=1e-12)
 
 
@@ -110,12 +108,12 @@ class TestMultilinear:
 
 class TestCalculus:
     def test_gradient_of_quadratic(self):
-        g = GridFunction.from_callable(lambda P: P[:, 0] ** 2 / 2, [-1.0], [1.0], [101])
+        g = grid_of(lambda P: P[:, 0] ** 2 / 2, [-1.0], [1.0], [101])
         dg = gradient(g)
         np.testing.assert_allclose(dg.values, g.axes()[0], atol=1e-10)
 
     def test_second_difference_constant_curvature(self):
-        g = GridFunction.from_callable(lambda P: 3.0 * P[:, 0] ** 2, [-1.0], [1.0], [41])
+        g = grid_of(lambda P: 3.0 * P[:, 0] ** 2, [-1.0], [1.0], [41])
         d2 = second_difference(g)
         np.testing.assert_allclose(d2.array[1:-1], 6.0, atol=1e-8)
         assert interior_max_second_difference(g) == pytest.approx(6.0)
@@ -123,7 +121,7 @@ class TestCalculus:
 
 class TestSerialization:
     def test_csv_roundtrip_1d(self, tmp_path):
-        g = GridFunction.from_callable(lambda P: np.sin(P[:, 0]), [-2.0], [2.0], [33])
+        g = grid_of(lambda P: np.sin(P[:, 0]), [-2.0], [2.0], [33])
         path = tmp_path / "g.csv"
         g.to_csv(path)
         back = GridFunction.from_csv(path)
@@ -133,7 +131,7 @@ class TestSerialization:
         assert path.read_text().splitlines()[0] == "x,value"
 
     def test_csv_roundtrip_2d(self, tmp_path):
-        g = GridFunction.from_callable(lambda P: P[:, 0] * P[:, 1], [0.0, -1.0], [1.0, 1.0], [5, 7])
+        g = grid_of(lambda P: P[:, 0] * P[:, 1], [0.0, -1.0], [1.0, 1.0], [5, 7])
         path = tmp_path / "g2.csv"
         g.to_csv(path)
         back = GridFunction.from_csv(path)
@@ -147,7 +145,7 @@ class TestSerialization:
     ])
     def test_csv_bytes_are_repr_per_row(self, tmp_path, lower, upper, n_points):
         # the per-row formula: every coordinate and value of a row through repr
-        g = GridFunction.from_callable(lambda P: np.exp(P.sum(axis=1)) / 3.0, lower, upper, n_points)
+        g = grid_of(lambda P: np.exp(P.sum(axis=1)) / 3.0, lower, upper, n_points)
         g.values[:5] = [-0.0, 1e-7, 1e17, np.nan, np.inf]
         path = tmp_path / "g.csv"
         g.to_csv(path)
@@ -156,7 +154,7 @@ class TestSerialization:
         assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
 
     def test_binary_roundtrip(self, tmp_path):
-        g = GridFunction.from_callable(lambda P: np.cos(P[:, 0]) + P[:, 1], [0.0, 0.0], [3.0, 2.0], [9, 5])
+        g = grid_of(lambda P: np.cos(P[:, 0]) + P[:, 1], [0.0, 0.0], [3.0, 2.0], [9, 5])
         path = tmp_path / "g.bin"
         g.to_binary(path)
         back = GridFunction.from_binary(path)

@@ -22,10 +22,8 @@ from pdeopt.objectives import (
 from pdeopt.pde_lab import (
     CflError,
     PdeSolveConfig,
-    burgers_characteristic_check,
     evolve_fokker_planck,
     prox_point,
-    shock_time,
     solve_heat,
     solve_hj_hopf_lax,
     solve_hj_monotone_fd,
@@ -34,6 +32,7 @@ from pdeopt.pde_lab import (
 )
 
 from custom_objective import CustomObjective
+from oracles import burgers_characteristic_check, shock_time
 
 
 def brute_force_infconv(objective, xs, t, search_lo, search_hi, n_search):
@@ -231,7 +230,7 @@ class TestProx:
         dw = DoubleWell(1.0)
         for x in (0.6, 1.4, -0.8):
             res = prox_point(dw, np.array([x]), 0.1)
-            assert res.consistency_gap <= 1e-6
+            assert np.linalg.norm(res.grad_u - dw.grad(res.y)) <= 1e-6
 
     def test_symmetric_nonuniqueness(self):
         # at the barrier top, beyond the crossing time the minimizers split
@@ -286,7 +285,7 @@ class TestProx:
         lo, hi = entry.domain_box
         res = prox_point(entry.objective, lo + u * (hi - lo), t)
         if not res.non_unique:
-            assert res.consistency_gap <= 1e-6
+            assert np.linalg.norm(res.grad_u - entry.objective.grad(res.y)) <= 1e-6
 
 
 class TestMonotoneFd:
@@ -336,9 +335,10 @@ class TestMonotoneFd:
         grid = GridFunction.geometry([-1.0], [1.0], [33])
         u0 = np.zeros(33)
         u0[5] = bad
+        f = CustomObjective(1, None, lambda x: np.zeros(1), value_batch_fn=lambda X: u0)
         cfg = PdeSolveConfig(beta_inv=0.1, t_final=0.1, scheme="monotone_fd")
         with pytest.raises(CflError, match="stability limit .* not finite and positive"):
-            solve_hj_monotone_fd(grid.with_values(u0), cfg, grid)
+            solve_hj_monotone_fd(f, cfg, grid)
 
     def test_2d_quadratic(self):
         q = make_quadratic(1.0, 0.0, 2)
@@ -387,11 +387,12 @@ class TestUpwindStencil:
             u = u + dt * (-ham + 0.5 * 0.2 * lap)
             if n in (20, 130):
                 cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
-                u0 = grid.with_values(wavy(grid.points()))
-                got = solve_hj_monotone_fd(u0, cfg, grid)
+                u0 = wavy(grid.points())
+                f = CustomObjective(dim, None, lambda x: np.zeros(dim), value_batch_fn=lambda X: u0)
+                got = solve_hj_monotone_fd(f, cfg, grid)
                 assert got.values.tobytes() == u.ravel().tobytes(), n
-                # the solver steps its own buffers, never the caller's values
-                assert u0.values.tobytes() == wavy(grid.points()).tobytes()
+                # the solver steps its own buffers, never the values f returned
+                assert u0.tobytes() == wavy(grid.points()).tobytes()
 
 
 class TestHeat:
@@ -797,6 +798,14 @@ class TestFokkerPlanck:
         drift = grid.with_values(np.zeros(101))
         with pytest.raises(CflError):
             evolve_fokker_planck(drift, rho0, 1.0, 0.1, dt=0.5)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_dt_not_positive_and_finite_refused(self, dt):
+        grid = GridFunction.geometry([-1.0], [1.0], [101])
+        rho0 = gaussian_density(grid, [0.0], 0.05)
+        drift = grid.with_values(np.zeros(101))
+        with pytest.raises(ValueError, match=f"dt={dt:g}: an explicit time step must be positive"):
+            evolve_fokker_planck(drift, rho0, 1.0, 0.1, dt=dt)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_drift_named(self, bad):
