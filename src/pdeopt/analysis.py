@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .objectives import Objective
-from .optimizers import OptimizerConfig, run
+from .optimizers import default_config, run
 from .pde_lab import prox_point, solve_hjb_backward
 from .rng import substream
 
@@ -96,6 +96,8 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
     """
     if burn_in >= n_steps:
         raise ValueError("burn_in must be smaller than n_steps")
+    if burn_in < 0:
+        raise ValueError(f"burn_in={burn_in}: must be >= 0, or the first samples are never written")
     if n_chains < 2:
         raise ValueError(f"n_chains={n_chains}: the error bars are a spread over chains, so at least 2")
     if gamma <= 0 or beta_inv < 0:
@@ -193,10 +195,6 @@ class HomogenizationTable:
         return True
 
 
-HOMOGENIZATION_ETA_Y = 0.1     # inner step of verify_homogenization's entropy optimizer
-HOMOGENIZATION_ALPHA = 0.75    # and its averaging weight
-
-
 def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: float,
                           epsilons, n_seeds: int = 32, seed: int = 0) -> HomogenizationTable:
     """Compare the averaged-inner-iterate drift against the smoothed-loss
@@ -206,9 +204,10 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
     measured from one outer update of the entropy optimizer started at each
     probe (``optimizers.run``, the seeds as its repeats), averaged over
     seeds; the reference is (x - prox(x)) / gamma, the exact gradient of the
-    inf-convolution at scale gamma.  Empty ``epsilons`` or ``probes``, an
-    epsilon or ``gamma`` <= 0, ``n_seeds`` < 1 and ``beta_inv`` < 0 are
-    refused by name before any work.
+    inf-convolution at scale gamma.  Empty ``epsilons`` or ``probes`` and an
+    epsilon that is not positive are refused by name before any work;
+    ``prox_point`` and the optimizer refuse ``gamma``, ``beta_inv`` and
+    ``n_seeds``.
     """
     if objective.dim != 1:
         raise ValueError("homogenization verification is one-dimensional")
@@ -216,24 +215,18 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
     epsilons = sorted(float(e) for e in np.atleast_1d(epsilons))[::-1]  # large -> small
     if not epsilons:
         raise ValueError("epsilons is empty: give at least one time-scale separation")
-    if epsilons[-1] <= 0:
-        raise ValueError(f"epsilons holds {epsilons[-1]:g}: each epsilon must be positive")
+    bad = [e for e in epsilons if not e > 0]    # sorted() does not order a NaN
+    if bad:
+        raise ValueError(f"epsilons holds {bad[0]:g}: each epsilon must be positive")
     if not len(probes):
         raise ValueError("probes is empty: give at least one point")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds={n_seeds}: must be at least 1")
-    if gamma <= 0:
-        raise ValueError(f"gamma={gamma:g}: must be positive")
-    if beta_inv < 0:
-        raise ValueError(f"beta_inv={beta_inv:g}: must be >= 0")
     ref = np.array([prox_point(objective, np.array([p]), gamma).grad_u[0] for p in probes])
 
     rows: list[HomogenizationRow] = []
     all_samples = np.empty((len(epsilons), len(probes), n_seeds))
     for ei, eps in enumerate(epsilons):
         L = max(1, int(round(1.0 / eps)))
-        cfg = OptimizerConfig(eta=0.1, eta_y=HOMOGENIZATION_ETA_Y, L=L, gamma0=gamma, gamma1=0.0,
-                              beta_inv_ex=beta_inv, alpha=HOMOGENIZATION_ALPHA, delta=0.0)
+        cfg = default_config("entropy_sgd", L=L, gamma0=gamma, gamma1=0.0, beta_inv_ex=beta_inv, delta=0.0)
         devs = np.empty((len(probes), n_seeds))
         drift_mean = np.empty(len(probes))
         for pi, p in enumerate(probes):
@@ -299,7 +292,7 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     tested at small variance.  Paths are reflected at the box walls; if more
     than 1% of paths ever exit, the run is invalid and raises.
     """
-    if T < 0:
+    if not T >= 0:      # a NaN horizon too
         raise ValueError(f"T={T:g}: the horizon must be >= 0")
     if n_paths < CONTROL_BATCHES:
         raise ValueError(f"n_paths={n_paths}: at least {CONTROL_BATCHES}, one per batch of the standard errors")

@@ -12,9 +12,13 @@ it:
   returns the value set or the kind's default and raises for a key outside
   the kind's table.
 
-:data:`KEY_SPECS` holds one converter per key.  The converters also check
-names: ``scheme`` (``fd`` is short for ``monotone_fd``), ``boundary``,
-``algo`` and ``algos`` (no name twice).
+:data:`KEY_SPECS` holds one converter per key, the one place a value's
+range is checked: a real number must be finite and within its key's bound
+(a positive ``gamma``, a ``grid_n`` of at least 3, ...), so a flag and a
+file are refused alike, before the objective is resolved.  The converters
+also check names: ``scheme`` (``fd`` is short for ``monotone_fd``),
+``boundary``, ``algo`` and ``algos`` (no name twice).  Checks that need the
+objective, the grid or a second key stay with the code that has them.
 
 Every kind reads ``objective``, ``out`` and ``threads``.  ``optimize``,
 ``compare`` and ``solve_pde`` require ``objective`` (its default is
@@ -28,10 +32,10 @@ state, not on threads.  It stays only because the benchmark's ops pass it.
 
 Accepted config formats: an INI-style text file with ``key = value``
 sections, or the JSON equivalent (one object per section).  Sections are
-labels: the loader flattens them.  Flags override file values.  A config is
-its kind and exactly the keys the user set, ``out`` included; every run
-directory gets a ``manifest.json`` of the two, and
-``parse_manifest(emit_manifest(cfg)) == cfg``.
+labels: the loader flattens them.  Keys keep their case (``T`` is not
+``t``).  Flags override file values.  A config is its kind and exactly the
+keys the user set, ``out`` included; every run directory gets a
+``manifest.json`` of the two, and ``parse_manifest(emit_manifest(cfg)) == cfg``.
 """
 
 from __future__ import annotations
@@ -61,10 +65,29 @@ def _bool(v) -> bool:
     raise ConfigError(f"expected a boolean, got {v!r}")
 
 
+def _number(cast=float, low=None, strict=False):
+    """A converter to ``cast`` that refuses NaN, inf and a value below ``low``
+    (or at it, if ``strict``)."""
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    rule = ("a finite number" if cast is float else "an integer") + bound
+
+    def convert(v):
+        x = cast(v)
+        if not (abs(x) < float("inf") and (low is None or (x > low if strict else x >= low))):
+            raise ValueError(f"must be {rule}")
+        return x
+    return convert
+
+
+_finite = _number()
+_positive = _number(low=0, strict=True)
+_nonneg = _number(low=0)
+_count = _number(int, low=1)
+
+
 def _float_list(v) -> list[float]:
-    if isinstance(v, (list, tuple)):
-        return [float(x) for x in v]
-    return [float(x) for x in str(v).split(",") if x.strip()]
+    items = v if isinstance(v, (list, tuple)) else [x for x in str(v).split(",") if x.strip()]
+    return [_finite(x) for x in items]
 
 
 def _str_list(v) -> list[str]:
@@ -103,24 +126,24 @@ def _algos(v) -> list[str]:
     return algos
 
 
-# key -> type converter
+# key -> converter: its type, and its range where one is fixed
 KEY_SPECS: dict[str, object] = {
     "objective": str, "seed": int, "out": str, "repeats": int, "threads": int,
     # optimizer
-    "algo": _algo, "algos": _algos, "eta": float, "eta_y": float, "L": int,
-    "gamma0": float, "gamma1": float, "beta_inv_ex": float, "alpha": float,
-    "delta": float, "n_workers": int, "batch_size": _opt_int, "steps": int,
-    "budget": int, "record_every": int, "anneal_factor": float,
-    "anneal_period": float, "assert_vs_sgd": _bool,
+    "algo": _algo, "algos": _algos, "eta": _finite, "eta_y": _finite, "L": int,
+    "gamma0": _finite, "gamma1": _finite, "beta_inv_ex": _finite, "alpha": _finite,
+    "delta": _finite, "n_workers": int, "batch_size": _opt_int, "steps": int,
+    "budget": int, "record_every": int, "anneal_factor": _finite,
+    "anneal_period": _finite, "assert_vs_sgd": _bool,
     # pde
-    "scheme": _scheme, "beta_inv": float, "t": float, "grid_n": int, "dt": float,
-    "boundary": _choice(*BOUNDARIES),
+    "scheme": _scheme, "beta_inv": _nonneg, "t": _positive, "grid_n": _number(int, low=3),
+    "dt": _finite, "boundary": _choice(*BOUNDARIES),
     # analysis
-    "gamma": float, "beta": float, "x": float, "x0": float,
-    "epsilons": _float_list, "probes": _float_list, "n_seeds": int,
-    "n_paths": int, "n_steps": int, "burn_in": int, "n_chains": int, "T": float,
-    "t_smooth": float, "beta_inv_fp": float, "window_frac": float,
-    "min_gap": float, "n_random": int, "tolerance": float, "rho0_sigma": float,
+    "gamma": _positive, "beta": _positive, "x": _finite, "x0": _finite,
+    "epsilons": _float_list, "probes": _float_list, "n_seeds": _count,
+    "n_paths": int, "n_steps": int, "burn_in": int, "n_chains": int, "T": _nonneg,
+    "t_smooth": _positive, "beta_inv_fp": _nonneg, "window_frac": _positive,
+    "min_gap": _nonneg, "n_random": _count, "tolerance": _finite, "rho0_sigma": _positive,
 }
 
 
@@ -217,6 +240,7 @@ def load_config_file(path) -> dict:
                 flat[k] = v
     else:
         cp = configparser.ConfigParser()
+        cp.optionxform = str            # keep case: `T` and `L` are keys, `t` is another
         cp.read_string(text)
         for section in cp.sections():
             for k, v in cp.items(section):

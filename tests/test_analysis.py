@@ -112,6 +112,13 @@ class TestSampleInvariantMeasure:
             analysis.sample_invariant_measure(q, np.array([0.0]), 1.0, 1.0,
                                               n_steps=100, burn_in=100, seed=0)
 
+    def test_negative_burn_in_refused_by_name(self):
+        # a negative burn-in would leave rows of the sample array unwritten
+        q = make_quadratic(1.0, 0.0, 1)
+        with pytest.raises(ValueError, match="burn_in=-100"):
+            analysis.sample_invariant_measure(q, np.array([0.0]), 1.0, 1.0,
+                                              n_steps=3200, burn_in=-100, seed=0)
+
 
 class TestAutocorrelation:
     def test_iid_series_time_is_one(self):
@@ -200,8 +207,21 @@ class TestHomogenization:
             se = samples.std(ddof=1) / np.sqrt(n_seeds)
             assert abs(samples.mean()) <= max(3 * se, 1e-9)
 
+    def test_nan_epsilon_refused(self):
+        # sorted() does not order a NaN, so every epsilon is checked
+        dw = DoubleWell(1.0)
+        for eps in ([0.1, np.nan], [np.nan, 0.1]):
+            with pytest.raises(ValueError, match="epsilons holds nan"):
+                analysis.verify_homogenization(dw, [0.55], gamma=0.3, beta_inv=1e-8, epsilons=eps)
+
 
 class TestControlImprovement:
+    def test_nan_horizon_refused(self):
+        grid = GridFunction.geometry([-2.5], [2.5], [257])
+        with pytest.raises(ValueError, match="T=nan"):
+            analysis.control_improvement_experiment(DoubleWell(1.0), T=float("nan"), beta_inv=0.2,
+                                                    n_paths=500, seed=0, x0=np.array([0.0]), grid=grid)
+
     def test_zero_horizon_trivial(self):
         dw = DoubleWell(1.0)
         grid = GridFunction.geometry([-2.5], [2.5], [257])

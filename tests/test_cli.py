@@ -259,6 +259,26 @@ class TestKeyTable:
         assert from_file == from_flag
         assert "bad value for 'eta'" in from_flag
 
+    def test_every_key_refuses_nan_and_inf_from_flag_and_file(self, tmp_path, capsys, monkeypatch):
+        # every key but the two strings converts to a number, a name or a
+        # boolean, and refuses a non-finite value before the objective is resolved
+        def resolve(name):
+            raise AssertionError(f"objective {name!r} resolved before the values were checked")
+        monkeypatch.setattr("pdeopt.experiments.get_entry", resolve)
+        out = tmp_path / "r"
+        for key in (k for k, spec in KEY_SPECS.items() if spec is not str):
+            command = next(kind.command for kind in KINDS.values() if key in kind.defaults)
+            for value in ("nan", "inf", "-inf"):
+                path = tmp_path / "cfg.ini"
+                path.write_text(f"[run]\n{key} = {value}\n")
+                errs = []
+                for argv in ([f"--{key.replace('_', '-')}={value}"], ["--config", str(path)]):
+                    assert main([command, *argv, "--out", str(out)]) == 2, (key, value)
+                    errs.append(capsys.readouterr().err)
+                assert errs[0] == errs[1], (key, value)
+                assert errs[0].startswith(f"config error: bad value for '{key}'") and errs[0].count("\n") == 1
+                assert not out.exists()
+
     def test_names_checked_by_the_converters(self):
         for key, value in (("scheme", "upwind"), ("boundary", "wrap")):
             with pytest.raises(ConfigError, match=f"bad value for '{key}'.*{value}"):
@@ -729,38 +749,53 @@ class TestCliMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    # ``message`` starts the one stderr line: ``config error: bad value for
+    # '<key>'`` where the key's converter refuses it, ``error: ...`` where a
+    # check that needs the objective, the grid or a second key does
     @pytest.mark.parametrize("argv, message", [
-        (["verify-homogenization", "--epsilons", ""], "epsilons is empty"),
-        (["verify-homogenization", "--epsilons", "0.1,0"], "epsilons holds 0:"),
-        (["verify-homogenization", "--epsilons=-0.1"], "epsilons holds -0.1:"),
-        (["verify-homogenization", "--probes", ""], "probes is empty"),
-        (["verify-homogenization", "--n-seeds", "0"], "n_seeds=0:"),
-        (["verify-homogenization", "--gamma", "0"], "gamma=0:"),
-        (["verify-homogenization", "--beta-inv=-0.1"], "beta_inv=-0.1:"),
+        (["verify-homogenization", "--epsilons", ""], "error: epsilons is empty"),
+        (["verify-homogenization", "--epsilons", "0.1,0"], "error: epsilons holds 0:"),
+        (["verify-homogenization", "--epsilons=-0.1"], "error: epsilons holds -0.1:"),
+        (["verify-homogenization", "--probes", ""], "error: probes is empty"),
+        (["verify-homogenization", "--n-seeds", "0"], "config error: bad value for 'n_seeds'"),
+        (["verify-homogenization", "--gamma", "0"], "config error: bad value for 'gamma'"),
+        (["verify-homogenization", "--beta-inv=-0.1"], "config error: bad value for 'beta_inv'"),
         (["reproduce-figure1", "--objective", "quadratic_c1_n2", "--grid-n", "33"],
-         "objective=quadratic_c1_n2: figure1 needs a 1D objective"),
-        (["reproduce-figure1", "--objective", "mlp_h4_n20"], "objective=mlp_h4_n20: figure1 needs a 1D objective"),
-        (["control-improvement", "--T=-1"], "T=-1:"),
-        (["control-improvement", "--n-paths", "5"], "n_paths=5: at least 20"),
-        (["reproduce-figure1", "--T=-1"], "T=-1:"),
-        (["reproduce-figure1", "--t-smooth", "0"], "t_smooth=0:"),
-        (["reproduce-figure1", "--window-frac", "0"], "window_frac=0:"),
-        (["reproduce-figure1", "--window-frac", "1e-6"], "window_frac=1e-06: the window around x_star"),
-        (["reproduce-figure1", "--rho0-sigma=-0.5"], "rho0_sigma=-0.5:"),
-        (["reproduce-figure1", "--min-gap=-1"], "min_gap=-1:"),
-        (["reproduce-figure1", "--beta-inv-fp=-0.01"], "beta_inv_fp=-0.01:"),
-        (["spectrum", "--n-random", "0"], "n_random=0:"),
-        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt=-5"], "dt=-5:"),
-        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "0"], "dt=0:"),
-        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "nan"], "dt=nan:"),
-        (["solve-pde", "--objective", "double_well_a1", "--scheme", "heat", "--dt=-5"], "dt=-5:"),
+         "error: objective=quadratic_c1_n2: figure1 needs a 1D objective"),
+        (["reproduce-figure1", "--objective", "mlp_h4_n20"],
+         "error: objective=mlp_h4_n20: figure1 needs a 1D objective"),
+        (["control-improvement", "--T=-1"], "config error: bad value for 'T'"),
+        (["control-improvement", "--n-paths", "5"], "error: n_paths=5: at least 20"),
+        (["reproduce-figure1", "--T=-1"], "config error: bad value for 'T'"),
+        (["reproduce-figure1", "--t-smooth", "0"], "config error: bad value for 't_smooth'"),
+        (["reproduce-figure1", "--window-frac", "0"], "config error: bad value for 'window_frac'"),
+        (["reproduce-figure1", "--window-frac", "1e-6"], "error: window_frac=1e-06: the window around x_star"),
+        (["reproduce-figure1", "--rho0-sigma=-0.5"], "config error: bad value for 'rho0_sigma'"),
+        (["reproduce-figure1", "--min-gap=-1"], "config error: bad value for 'min_gap'"),
+        (["reproduce-figure1", "--beta-inv-fp=-0.01"], "config error: bad value for 'beta_inv_fp'"),
+        (["spectrum", "--n-random", "0"], "config error: bad value for 'n_random'"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt=-5"], "error: dt=-5:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "0"], "error: dt=0:"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "fd", "--dt", "nan"],
+         "config error: bad value for 'dt'"),
+        (["solve-pde", "--objective", "double_well_a1", "--scheme", "heat", "--dt=-5"], "error: dt=-5:"),
         (["solve-pde", "--objective", "double_well_a1", "--scheme", "cole_hopf", "--dt", "5"],
-         "dt=5: the quadrature scheme 'cole_hopf'"),
+         "error: dt=5: the quadrature scheme 'cole_hopf'"),
+        (["control-improvement", "--T", "nan"], "config error: bad value for 'T'"),
+        (["invariant-measure", "--beta", "0"], "config error: bad value for 'beta'"),
+        (["invariant-measure", "--burn-in=-100", "--n-steps", "3200"], "error: burn_in=-100:"),
+        (["solve-pde", "--objective", "double_well_a1", "--beta-inv", "inf"],
+         "config error: bad value for 'beta_inv'"),
+        (["solve-pde", "--objective", "double_well_a1", "--t", "nan"], "config error: bad value for 't'"),
+        (["solve-pde", "--objective", "double_well_a1", "--t", "0"], "config error: bad value for 't'"),
+        (["solve-pde", "--objective", "double_well_a1", "--grid-n", "2"], "config error: bad value for 'grid_n'"),
     ], ids=["no_epsilons", "zero_epsilon", "negative_epsilon", "no_probes", "no_seeds", "zero_gamma",
             "negative_beta_inv", "figure1_2d", "figure1_mlp", "control_negative_T", "control_few_paths",
             "figure1_negative_T", "figure1_zero_t_smooth", "figure1_zero_window", "figure1_window_between_nodes",
             "figure1_negative_rho0_sigma", "figure1_negative_min_gap", "figure1_negative_beta_inv_fp",
-            "spectrum_no_draws", "fd_negative_dt", "fd_zero_dt", "fd_nan_dt", "heat_dt", "cole_hopf_dt"])
+            "spectrum_no_draws", "fd_negative_dt", "fd_zero_dt", "fd_nan_dt", "heat_dt", "cole_hopf_dt",
+            "control_nan_T", "invariant_zero_beta", "invariant_negative_burn_in", "pde_inf_beta_inv",
+            "pde_nan_t", "pde_zero_t", "pde_two_points"])
     def test_bad_input_refused_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def work(*args, **kwargs):
             raise AssertionError("work started before the input was checked")
@@ -771,7 +806,7 @@ class TestCliMain:
             monkeypatch.setattr(module, name, work)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(message)
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
