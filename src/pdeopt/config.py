@@ -14,8 +14,11 @@ it:
 
 :data:`KEY_SPECS` holds one converter per key, the one place a value's
 range is checked: a real number must be finite and within its key's bound
-(a positive ``gamma``, a ``grid_n`` of at least 3, ...), so a flag and a
-file are refused alike, before the objective is resolved.  The converters
+(a positive ``gamma``, a ``grid_n`` of at least 3, ...), an integer key
+takes an integer (a JSON ``64.0`` too, but a fraction is refused, not
+truncated), and no number key takes a boolean, so a flag and a file are
+refused alike, with one ``config error:`` line, before the objective is
+resolved.  The converters
 also check names: ``scheme`` (``fd`` is short for ``monotone_fd``),
 ``boundary``, ``algo`` and ``algos`` (no name twice).  Checks that need the
 objective, the grid or a second key stay with the code that has them.
@@ -65,24 +68,41 @@ def _bool(v) -> bool:
     raise ConfigError(f"expected a boolean, got {v!r}")
 
 
-def _number(cast=float, low=None, strict=False):
-    """A converter to ``cast`` that refuses NaN, inf and a value below ``low``
-    (or at it, if ``strict``)."""
+def _parse(v, integer: bool):
+    """v as a finite float, or as an int if ``integer``; None for a bool, text
+    that does not parse, NaN, inf, or a fraction where an integer is due."""
+    if isinstance(v, bool):
+        return None
+    try:
+        x = int(v) if integer and not isinstance(v, float) else float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not abs(x) < float("inf"):
+        return None
+    if integer and isinstance(x, float):
+        return int(x) if x.is_integer() else None
+    return x
+
+
+def _number(integer=False, low=None, strict=False):
+    """A converter to float, or to int if ``integer``, that refuses what
+    ``_parse`` refuses and a value below ``low`` (or at it, if ``strict``)."""
     bound = "" if low is None else f" {'>' if strict else '>='} {low}"
-    rule = ("a finite number" if cast is float else "an integer") + bound
+    rule = ("an integer" if integer else "a finite number") + bound
 
     def convert(v):
-        x = cast(v)
-        if not (abs(x) < float("inf") and (low is None or (x > low if strict else x >= low))):
+        x = _parse(v, integer)
+        if x is None or low is not None and not (x > low if strict else x >= low):
             raise ValueError(f"must be {rule}")
         return x
     return convert
 
 
+_integer = _number(integer=True)
 _finite = _number()
 _positive = _number(low=0, strict=True)
 _nonneg = _number(low=0)
-_count = _number(int, low=1)
+_count = _number(integer=True, low=1)
 
 
 def _float_list(v) -> list[float]:
@@ -99,7 +119,7 @@ def _str_list(v) -> list[str]:
 def _opt_int(v):
     if v is None or str(v).strip().lower() in ("none", ""):
         return None
-    return int(v)
+    return _integer(v)
 
 
 def _choice(*names):
@@ -128,20 +148,20 @@ def _algos(v) -> list[str]:
 
 # key -> converter: its type, and its range where one is fixed
 KEY_SPECS: dict[str, object] = {
-    "objective": str, "seed": int, "out": str, "repeats": int, "threads": int,
+    "objective": str, "seed": _integer, "out": str, "repeats": _integer, "threads": _integer,
     # optimizer
-    "algo": _algo, "algos": _algos, "eta": _finite, "eta_y": _finite, "L": int,
+    "algo": _algo, "algos": _algos, "eta": _finite, "eta_y": _finite, "L": _integer,
     "gamma0": _finite, "gamma1": _finite, "beta_inv_ex": _finite, "alpha": _finite,
-    "delta": _finite, "n_workers": int, "batch_size": _opt_int, "steps": int,
-    "budget": int, "record_every": int, "anneal_factor": _finite,
+    "delta": _finite, "n_workers": _integer, "batch_size": _opt_int, "steps": _integer,
+    "budget": _integer, "record_every": _integer, "anneal_factor": _finite,
     "anneal_period": _finite, "assert_vs_sgd": _bool,
     # pde
-    "scheme": _scheme, "beta_inv": _nonneg, "t": _positive, "grid_n": _number(int, low=3),
+    "scheme": _scheme, "beta_inv": _nonneg, "t": _positive, "grid_n": _number(integer=True, low=3),
     "dt": _finite, "boundary": _choice(*BOUNDARIES),
     # analysis
     "gamma": _positive, "beta": _positive, "x": _finite, "x0": _finite,
     "epsilons": _float_list, "probes": _float_list, "n_seeds": _count,
-    "n_paths": int, "n_steps": int, "burn_in": int, "n_chains": int, "T": _nonneg,
+    "n_paths": _integer, "n_steps": _integer, "burn_in": _integer, "n_chains": _integer, "T": _nonneg,
     "t_smooth": _positive, "beta_inv_fp": _nonneg, "window_frac": _positive,
     "min_gap": _nonneg, "n_random": _count, "tolerance": _finite, "rho0_sigma": _positive,
 }
@@ -221,7 +241,9 @@ def _convert(key: str, value):
     try:
         return KEY_SPECS[key](value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+        # a value as typed: the JSON 64.9 and the flag text '64.9' read alike
+        text = value if isinstance(value, str) else json.dumps(value, default=str)
+        raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from None
 
 
 def load_config_file(path) -> dict:

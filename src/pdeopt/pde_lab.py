@@ -13,7 +13,9 @@ Four routes to the smoothed loss u(x, t) of a 1D/2D objective f:
   nodes within the reachability radius; extrapolating boundaries only, as
   for the finite differences.
 * ``solve_hj_monotone_fd`` -- explicit upwind (Godunov) finite differences
-  for the same equation, any viscosity including zero.
+  for the same equation, any viscosity including zero, stepped on the face
+  differences u_{i+1} - u_i of each axis; the two end faces copy their
+  neighbours, the linear extrapolation of u past the box.
 * ``solve_heat`` -- plain Gaussian blurring v = G_{t/b} * f for contrast.
 
 The three quadrature routes are one computation.  ``_sample_padded`` samples
@@ -41,6 +43,10 @@ The independent oracle for the derivative of the Hopf-Lax solution, the
 characteristic fixed point of Burgers' equation, lives with the tests
 (``tests/oracles.py``).
 
+The three explicit solvers (upwind, Fokker-Planck, backward HJB) share one
+step count, ``_time_steps``, which refuses, before any step, a solve of
+more than 2^30 node-steps (steps times grid nodes).
+
 All solvers are pure functions of their inputs and run single-threaded.
 scipy is imported only where it is used: by the log-sum-exp fallback here,
 and by the minima polish in ``objectives``, which ``prox_point`` calls.
@@ -63,6 +69,7 @@ SCHEMES = ("cole_hopf", "hopf_lax", "monotone_fd", "heat")
 BOUNDARIES = ("extrapolating", "periodic")
 PAD_SIGMAS = 8.0   # kernel standard deviations a quadrature window reaches: mass beyond is below ~1e-10
 CFL_SAFETY = 0.8   # an explicit step's share of its stability limit, unless dt is given
+_MAX_NODE_STEPS = 1 << 30   # steps x grid nodes of one explicit solve (upwind, Fokker-Planck, backward HJB)
 
 
 @dataclass
@@ -353,11 +360,13 @@ def cfl_limit(u0: Array, spacing: Array, beta_inv: float) -> float:
     return h * h / (d * (beta_inv + h * G) + 1e-300)
 
 
-def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tuple[int, float]:
+def _time_steps(t: float, dt: float | None, safety: float, limit: float, shape: tuple[int, ...],
+                beta_inv: float) -> tuple[int, float]:
     """(n, t / n): the fewest equal explicit steps no longer than dt, or than
     safety * limit when dt is None.  A limit that is not finite and positive,
     or an explicit dt above it, raises CflError; a dt that is not positive and
-    finite, a ValueError."""
+    finite, or n steps of a grid of ``shape`` over the node-step budget, a
+    ValueError."""
     if dt is not None:
         _check_dt(dt)
     if not (math.isfinite(limit) and limit > 0.0):
@@ -368,81 +377,70 @@ def _time_steps(t: float, dt: float | None, safety: float, limit: float) -> tupl
     elif dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds the stability limit {limit:g}")
     n = max(1, int(math.ceil(t / dt)))
+    nodes = math.prod(shape)
+    if n * nodes > _MAX_NODE_STEPS:
+        raise ValueError(
+            f"explicit stepping at beta_inv={beta_inv:g}, t={t:g}, grid_n={max(shape)} needs {n:,} steps of "
+            f"{nodes:,} nodes, {n * nodes:.3g} node-steps, over the budget of {_MAX_NODE_STEPS:.3g}; "
+            "lower grid_n or t")
     return n, t / n
 
 
 def solve_hj_monotone_fd(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
     """Explicit upwind scheme for u_t = -|grad u|^2/2 + (beta_inv/2) Lap u.
 
-    The gradient term uses the Godunov flux (one-sided differences picked by
-    sign), the Laplacian a centered stencil, and the boundary linear
-    extrapolation ghost cells.  Zero viscosity is allowed.  The time step is
-    validated against the monotone restriction before stepping and NaNs abort
-    with a diagnostic.
-
-    u lives in a padded array with one ghost cell per side (no stencil reads
-    the corners), and each step writes into views and buffers made once per
-    solve.  Per axis, D = (u_{i+1} - u_i)/h over the padded axis holds the
-    backward and forward differences as two slices, the second difference is
-    (u_{i+1} - 2 u_i) + u_{i-1}, and ham and lap are summed from zero.
+    Each step works on the face differences D_{i+1/2} = u_{i+1} - u_i of
+    every axis, held in an (n+1)-face buffer: the gradient term is the
+    Godunov flux max(D_{i-1/2}, 0)^2 + min(D_{i+1/2}, 0)^2, the Laplacian
+    D_{i+1/2} - D_{i-1/2}, each scaled by one constant per axis
+    (-dt/(2h^2) and beta_inv dt/(2h^2)), and u takes one update, the sum of
+    every axis's terms.  The two end faces copy their neighbours, which is
+    linear extrapolation: a ghost value 2 u_0 - u_1 would give u_0 - (2 u_0 -
+    u_1) = u_1 - u_0.  Zero viscosity is allowed.  The time step is
+    validated against the monotone restriction, and the step count against
+    the node-step budget, before stepping; NaNs abort with a diagnostic.
+    The values f returns are copied, never stepped.
     """
-    u0 = objective.value_batch(grid.points()).reshape(grid.n_points)
+    u = np.array(objective.value_batch(grid.points()), dtype=float).reshape(grid.n_points)
     h = grid.spacing
-    n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u0, h, cfg.beta_inv))
+    n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u, h, cfg.beta_inv),
+                              u.shape, cfg.beta_inv)
 
-    dim, inner = u0.ndim, slice(1, -1)
-    padded = np.zeros(tuple(n + 2 for n in u0.shape))
-    u = padded[(inner,) * dim]
-    u[...] = u0
-    ham, lap, work, term = (np.empty_like(u) for _ in range(4))
+    change, pos, neg = (np.empty_like(u) for _ in range(3))
     axes = []   # per axis: the views each step reads and writes, made once
-    for axis in range(dim):
-        def at(i, axis=axis, rest=inner):
-            return tuple(i if d == axis else rest for d in range(dim))
+    for axis, n in enumerate(u.shape):
+        def at(i, axis=axis):
+            return (slice(None),) * axis + (i,)
 
-        def slab(i):   # one layer across the axis, a view in 1D too
-            return padded[at(slice(i, (i + 1) or None))]
-
-        diff = np.empty(tuple(n + (d == axis) for d, n in enumerate(u.shape)))
-        axes.append((slab(0), slab(1), slab(2),       # low ghost, u_0, u_1
-                     slab(-1), slab(-2), slab(-3),    # high ghost, u_n, u_{n-1}
-                     padded[at(slice(1, None))], padded[at(slice(None, -1))], diff,
-                     diff[at(slice(None, -1), rest=slice(None))], diff[at(slice(1, None), rest=slice(None))],
-                     padded[at(slice(None, -2))], padded[at(slice(2, None))], h[axis], h[axis] ** 2))
-    half_viscosity = 0.5 * cfg.beta_inv
+        faces = np.empty(u.shape[:axis] + (n + 1,) + u.shape[axis + 1:])
+        scale = 0.5 * dt / h[axis] ** 2
+        axes.append((u[at(slice(1, None))], u[at(slice(None, -1))], faces[at(slice(1, -1))],
+                     faces[at(slice(None, None, n))], faces[at(slice(1, n, n - 2))],  # faces 0, n and 1, n-1
+                     faces[at(slice(None, -1))], faces[at(slice(1, None))], -scale, cfg.beta_inv * scale))
 
     for step in range(n_steps):
-        ham.fill(0.0)   # summed from zero: 0.0 + -0.0 is +0.0, and that sign can reach u
-        lap.fill(0.0)
-        for (lo, first, second, hi, last, penult, ahead, behind, diff, dminus, dplus,
-             um, up, hx, h2) in axes:
-            np.multiply(first, 2.0, out=lo)
-            np.subtract(lo, second, out=lo)
-            np.multiply(last, 2.0, out=hi)
-            np.subtract(hi, penult, out=hi)
-            np.subtract(ahead, behind, out=diff)
-            np.divide(diff, hx, out=diff)
-            np.maximum(dminus, 0.0, out=work)
-            np.square(work, out=work)
-            np.minimum(dplus, 0.0, out=term)
-            np.square(term, out=term)
-            np.add(work, term, out=work)
-            np.multiply(work, 0.5, out=work)
-            ham += work
-            np.multiply(u, 2.0, out=work)
-            np.subtract(up, work, out=work)
-            np.add(work, um, out=work)
-            np.divide(work, h2, out=work)
-            lap += work
-        np.multiply(lap, half_viscosity, out=lap)   # u += dt * (-ham + (beta_inv/2) lap)
-        np.subtract(lap, ham, out=lap)
-        np.multiply(lap, dt, out=lap)
-        u += lap
+        for axis, (ahead, behind, inner, ends, beside, below, above, c_ham, c_lap) in enumerate(axes):
+            np.subtract(ahead, behind, out=inner)
+            np.copyto(ends, beside)
+            np.maximum(below, 0.0, out=pos)
+            np.square(pos, out=pos)
+            np.minimum(above, 0.0, out=neg)
+            np.square(neg, out=neg)
+            np.add(pos, neg, out=pos)
+            np.multiply(pos, c_ham, out=pos)
+            np.subtract(above, below, out=neg)
+            np.multiply(neg, c_lap, out=neg)
+            if axis:
+                change += pos
+                change += neg
+            else:
+                np.add(pos, neg, out=change)
+        u += change
         if step % 64 == 0 and not np.isfinite(u).all():
             raise NanAbort(f"NaN at step {step} (t={step * dt:g})")
     if not np.isfinite(u).all():
         raise NanAbort("NaN in final solution")
-    return grid.with_values(u.copy())
+    return grid.with_values(u)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +579,8 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
         if d.n_points != rho0.n_points:
             raise ValueError("drift and density must share the grid")
     b = [d.array for d in drifts]
-    n_steps, step = _time_steps(t_final, dt, cfl_safety, fp_cfl_limit(b, rho0.spacing, beta_inv))
+    n_steps, step = _time_steps(t_final, dt, cfl_safety, fp_cfl_limit(b, rho0.spacing, beta_inv),
+                                 rho0.n_points, beta_inv)
     G = _Generator(b, rho0.spacing, beta_inv)
     rho = rho0.values.copy()
     for it in range(n_steps):
@@ -647,7 +646,8 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     spacing = grid.spacing
     bfield = objective.grad_batch(pts).reshape(*grid.n_points, grid.dim)
     drifts = [bfield[..., axis] for axis in range(grid.dim)]
-    n_steps, step = _time_steps(T, None, CFL_SAFETY, fp_cfl_limit(drifts, spacing, beta_inv))
+    n_steps, step = _time_steps(T, None, CFL_SAFETY, fp_cfl_limit(drifts, spacing, beta_inv),
+                                grid.n_points, beta_inv)
     G = _Generator(drifts, spacing, beta_inv)
     keep_every = max(1, int(math.ceil((n_steps + 1) / HJB_MAX_SLICES)))
     kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})

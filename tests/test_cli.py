@@ -279,6 +279,40 @@ class TestKeyTable:
                 assert errs[0].startswith(f"config error: bad value for '{key}'") and errs[0].count("\n") == 1
                 assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("grid_n", 64.9), ("grid_n", True), ("beta_inv", True)])
+    def test_fraction_and_bool_refused_alike_from_json_and_flag(self, tmp_path, capsys, monkeypatch, key, value):
+        # int() would truncate a JSON 64.9 to 64, and float() read true as 1.0
+        def resolve(name):
+            raise AssertionError(f"objective {name!r} resolved before the values were checked")
+        monkeypatch.setattr("pdeopt.experiments.get_entry", resolve)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pde": {key: value}}))
+        out = tmp_path / "r"
+        errs = []
+        for argv in (["--config", str(path)], [f"--{key.replace('_', '-')}", json.dumps(value)]):
+            assert main(["solve-pde", "--objective", "double_well_a1", *argv, "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"config error: bad value for '{key}': '{json.dumps(value)}' (must be ")
+        assert not out.exists()
+
+    def test_every_integer_key_refuses_a_fraction_and_a_bool(self):
+        def takes_integers(spec):
+            try:
+                return spec is not str and type(spec(7)) is int
+            except ValueError:
+                return False
+        integer_keys = [k for k, spec in KEY_SPECS.items() if takes_integers(spec)]
+        assert {"grid_n", "seed", "steps", "batch_size", "n_seeds", "budget"} <= set(integer_keys)
+        for key in integer_keys:
+            assert KEY_SPECS[key](64.0) == 64 and isinstance(KEY_SPECS[key](64.0), int)
+            for bad in (64.9, "64.9", True, False):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    KEY_SPECS[key](bad)
+        for key in ("eta", "beta_inv", "t", "T", "gamma"):
+            with pytest.raises(ValueError, match="must be a finite number"):
+                KEY_SPECS[key](True)
+
     def test_names_checked_by_the_converters(self):
         for key, value in (("scheme", "upwind"), ("boundary", "wrap")):
             with pytest.raises(ConfigError, match=f"bad value for '{key}'.*{value}"):
@@ -740,8 +774,11 @@ class TestCliMain:
         (["optimize", "--objective", "double_well_a1", "--steps", "0"], "steps=0"),
         (["optimize", "--objective", "double_well_a1", "--steps", "-3"], "steps=-3"),
         (["invariant-measure", "--n-chains", "1"], "n_chains=1"),
+        # 2.1e10 node-steps, minutes of upwind stepping
+        (["solve-pde", "--scheme", "fd", "--objective", "rugged_s3_m6", "--grid-n", "8193", "--t", "10"],
+         "error: explicit stepping at beta_inv=0.1, t=10, grid_n=8193 needs 2,505,104 steps of 8,193 nodes"),
     ], ids=["control_paths_exit", "fd_periodic", "hopf_lax_periodic", "cole_hopf_zero_viscosity_periodic",
-            "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain"])
+            "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain", "fd_node_steps"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err

@@ -350,14 +350,50 @@ class TestMonotoneFd:
         interior = (np.abs(pts) < 1.0).all(axis=1)
         assert np.abs(u.values - exact)[interior].max() < 10 * grid.spacing[0]
 
+    def test_node_step_budget_refused_before_stepping(self):
+        # 2,505,104 steps of 8193 nodes: 2.1e10 node-steps, minutes of stepping
+        objective, grid = corpus_grid("rugged_s3_m6", 8193)
+        cfg = PdeSolveConfig(beta_inv=0.1, t_final=10.0, scheme="monotone_fd")
+        refused_by_step_budget(lambda: solve_pde(objective, cfg, grid), 10.0, 8193, 0.1)
+
 
 def wavy(P):
     """A smooth non-polynomial field, so that reordered arithmetic shows."""
     return (np.sin(2.1 * P) + 0.3 * P**2).sum(axis=1)
 
 
+def refused_by_step_budget(solve, t, grid_n, beta_inv):
+    """Run ``solve``, which must be refused by the node-step budget of the
+    explicit solvers, raised by the step count before any step is taken."""
+    with pytest.raises(ValueError, match="node-steps, over the budget") as exc:
+        solve()
+    assert exc.traceback[-1].name == "_time_steps"
+    assert f"beta_inv={beta_inv:g}, t={t:g}, grid_n={grid_n} " in str(exc.value)
+
+
 class TestUpwindStencil:
-    """The monotone scheme against a reference loop of its update, bit for bit."""
+    """The monotone scheme against a reference loop of its update, bit for bit,
+    and against the ghost-cell form of the same scheme within rounding."""
+
+    BETA_INV, DT = 0.2, 2.0**-8
+    # ids by dimension; h is not a power of 2, and the end faces of the last
+    # two are views strided by n - 2 = 1 and by unequal n per axis
+    SHAPES = {"1": (31,), "2": (31, 31), "1_3_nodes": (3,), "2_33x17": (33, 17)}
+
+    @classmethod
+    def _face_step(cls, u, h):
+        # faces from np.diff, the end faces copied from their neighbours, the
+        # Godunov and Laplacian terms scaled per axis and summed, one update
+        change = 0.0
+        for axis in range(u.ndim):
+            d = np.diff(u, axis=axis)
+            D = np.concatenate([np.take(d, [0], axis=axis), d, np.take(d, [-1], axis=axis)], axis=axis)
+            below, above = np.delete(D, -1, axis=axis), np.delete(D, 0, axis=axis)
+            scale = 0.5 * cls.DT / h[axis] ** 2
+            ham = (np.maximum(below, 0.0) ** 2 + np.minimum(above, 0.0) ** 2) * -scale
+            lap = (above - below) * (cls.BETA_INV * scale)
+            change = ham + lap if axis == 0 else change + ham + lap
+        return u + change
 
     @staticmethod
     def _sides(u, axis):
@@ -370,29 +406,34 @@ class TestUpwindStencil:
         shift = lambda k: np.roll(u, k, axis=axis)[(slice(1, -1),) * u.ndim]
         return shift(1), inner, shift(-1)
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_monotone_fd_matches_reference(self, dim):
-        grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [31] * dim)  # h not a power of 2
-        dt = 2.0**-8
-        u = wavy(grid.points()).reshape(grid.n_points)
+    @classmethod
+    def _ghost_step(cls, u, h):
+        ham, lap = np.zeros_like(u), np.zeros_like(u)
+        for axis in range(u.ndim):
+            um, uc, up = cls._sides(u, axis)
+            dm, dp = (uc - um) / h[axis], (up - uc) / h[axis]
+            ham += 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
+            lap += (up - 2.0 * uc + um) / h[axis] ** 2
+        return u + cls.DT * (-ham + 0.5 * cls.BETA_INV * lap)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_monotone_fd_matches_reference(self, shape):
+        grid = GridFunction.geometry([-2.0] * len(shape), [2.0] * len(shape), shape)
+        u = ghost = wavy(grid.points()).reshape(grid.n_points)
         h = grid.spacing
         # 130 steps pass the solver's every-64-steps NaN check twice after step 0
         for n in range(1, 131):
-            ham, lap = np.zeros_like(u), np.zeros_like(u)
-            for axis in range(dim):
-                um, uc, up = self._sides(u, axis)
-                dm, dp = (uc - um) / h[axis], (up - uc) / h[axis]
-                ham += 0.5 * (np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2)
-                lap += (up - 2.0 * uc + um) / h[axis] ** 2
-            u = u + dt * (-ham + 0.5 * 0.2 * lap)
+            u, ghost = self._face_step(u, h), self._ghost_step(ghost, h)
             if n in (20, 130):
-                cfg = PdeSolveConfig(beta_inv=0.2, t_final=n * dt, dt=dt, scheme="monotone_fd")
+                cfg = PdeSolveConfig(beta_inv=self.BETA_INV, t_final=n * self.DT, dt=self.DT, scheme="monotone_fd")
                 u0 = wavy(grid.points())
-                f = CustomObjective(dim, None, lambda x: np.zeros(dim), value_batch_fn=lambda X: u0)
+                f = CustomObjective(len(shape), None, lambda x: np.zeros(len(shape)), value_batch_fn=lambda X: u0)
                 got = solve_hj_monotone_fd(f, cfg, grid)
                 assert got.values.tobytes() == u.ravel().tobytes(), n
                 # the solver steps its own buffers, never the values f returned
                 assert u0.tobytes() == wavy(grid.points()).tobytes()
+                # the ghost-cell form differs by rounding only
+                assert np.abs(u - ghost).max() <= 4e-15, n
 
 
 class TestHeat:
@@ -520,9 +561,9 @@ class TestLabGoldenReplay:
         "hopf_lax_2d": "16650e406c11743a",
         "heat_periodic_1d": "03870c15bece390b",
         "heat_periodic_2d": "f1edd80f565c8279",
-        "fd_1d_inviscid": "978c3e81fca794c0",
-        "fd_1d": "6693c9704f4c06b3",
-        "fd_2d": "131738471f889c9c",
+        "fd_1d_inviscid": "90908bda8c36845d",
+        "fd_1d": "68ba51eff0c6cc20",
+        "fd_2d": "1e15629280b034dd",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -816,6 +857,14 @@ class TestFokkerPlanck:
         with pytest.raises(CflError, match="stability limit .* drifts are not finite"):
             evolve_fokker_planck(grid.with_values(b), rho0, 0.1, 0.1)
 
+    def test_node_step_budget_refused_before_stepping(self, monkeypatch):
+        # 32,768,000 steps of 0.8 h^2 = 3e-6 up to t = 100 on 4097 nodes: 1.3e11 node-steps
+        monkeypatch.setattr(pde_lab, "_Generator", None)
+        grid = GridFunction.geometry([-4.0], [4.0], [4097])
+        rho0 = gaussian_density(grid, [0.0], 0.5)
+        drift = grid.with_values(np.zeros(4097))
+        refused_by_step_budget(lambda: evolve_fokker_planck(drift, rho0, 1.0, 100.0), 100.0, 4097, 1.0)
+
     def test_2d_mass_and_diffusion(self):
         grid = GridFunction.geometry([-5.0, -5.0], [5.0, 5.0], [101, 101])
         rho0 = gaussian_density(grid, [0.0, 0.0], 0.2)
@@ -974,6 +1023,14 @@ class TestHjbBackward:
         grid = GridFunction.geometry([-2.5], [2.5], [65])
         with pytest.raises(ValueError, match="beta_inv"):
             pde_lab.solve_hjb_backward(dw, 1.0, beta_inv, grid)
+
+    def test_node_step_budget_refused_before_stepping(self, monkeypatch):
+        # at T = 2 this solve takes 48,128 steps of 1025 nodes (4.9e7
+        # node-steps); at T = 100, 2,406,400 steps (2.5e9)
+        monkeypatch.setattr(pde_lab, "_Generator", None)
+        grid = GridFunction.geometry([-2.0], [2.0], [1025])
+        refused_by_step_budget(lambda: pde_lab.solve_hjb_backward(DoubleWell(1.0), 100.0, 0.2, grid),
+                               100.0, 1025, 0.2)
 
     def test_rejects_underflowing_log_transform(self):
         # range(V) = 27.56 on the grid over [-2.5, 2.5]: beta * range = 919 > 700
