@@ -2,15 +2,18 @@
 
 Checks implemented here, each backed by an independent oracle:
 
-* the stationary measure of the inner (coupled) dynamics against its
+* the stationary measure of entropy_sgd's own inner rows against its
   Gaussian closed form on quadratics, with error bars from independent
-  chains and the integrated autocorrelation time of one,
+  chains and the integrated autocorrelation time of one; the rows run at
+  the noise :func:`gibbs_beta_inv_ex` maps the lab's temperature to,
 * the two-timescale limit: the averaged inner iterate reproduces the
   gradient of the inf-convolution smoothed loss as the scale separation
   shrinks,
 * the controlled-descent improvement inequality
   E[V(x_ctrl(T))] + (1/2) E int |alpha|^2 <= E[V(x_plain(T))]
   with common random numbers, for the terminal cost V = f, the objective,
+  checked for the optimal HJB control alpha = grad w, not for the control
+  an optimizer applies,
 * harmonic-mean spectral bounds HM(eigs) <= HM(diag) for SPD Hessians.
 """
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .objectives import Objective
-from .optimizers import default_config, run
+from .optimizers import default_config, init_state, run, step
 from .pde_lab import prox_point, solve_hjb_backward
 from .rng import substream
 
@@ -83,19 +86,38 @@ class InvariantMeasureEstimate:
             raise ValueError("covariance must be positive semidefinite")
 
 
+def gibbs_beta_inv_ex(beta_inv: float) -> float:
+    """The optimizers' extrinsic noise ``beta_inv_ex`` whose inner rows sample
+    the lab's Gibbs measure exp(-H / beta_inv): 2 * beta_inv.
+
+    A coupled row steps y <- y - s grad H(y) + sqrt(s beta_inv_ex) N, the
+    Euler step of dY = -grad H dt + sqrt(beta_inv_ex) dW.  Its generator is
+    (beta_inv_ex / 2) Lap - grad H . grad, and the density exp(-2 H /
+    beta_inv_ex) solves the stationary Fokker-Planck equation
+    div(grad H rho + (beta_inv_ex / 2) grad rho) = 0.  That density is
+    exp(-H / beta_inv) exactly when beta_inv_ex = 2 beta_inv.
+    """
+    return 2.0 * beta_inv
+
+
 def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: float,
                              n_steps: int, burn_in: int, seed: int,
                              n_chains: int = 32, step_size: float = 5e-3) -> InvariantMeasureEstimate:
-    """Long-run overdamped Langevin sampling of the coupled Gibbs measure
-    rho(y) ~ exp(-beta [f(y) + |y - x|^2 / (2 gamma)]) at fixed x.
+    """Sample the coupled Gibbs measure
+    rho(y) ~ exp(-beta [f(y) + |y - x|^2 / (2 gamma)]) at fixed x with
+    entropy_sgd's own inner rows (``optimizers.step``).
 
-    ``n_steps`` counts total post-burn-in samples across ``n_chains``
-    independent chains; error bars come from the spread of per-chain
-    statistics.  Divergence (|y| > 1e6) aborts, signalling that gamma is too
-    large for the local convexity of f.
+    Chain r is the row of repeat r, seeded ``seed + r``, started at x and run
+    at the noise ``gibbs_beta_inv_ex(beta_inv)`` with the inner step
+    min(``step_size``, gamma); L is past the last step, so the anchor stays
+    at x.  On a dataset every gradient takes the full batch, so the measure
+    is that of f.  ``n_steps`` counts total post-burn-in samples across
+    ``n_chains`` chains; error bars come from the spread of per-chain
+    statistics.  Divergence (a row with |y| > 1e6, or not finite) aborts,
+    signalling that gamma is too large for the local convexity of f.
     """
-    if burn_in >= n_steps:
-        raise ValueError("burn_in must be smaller than n_steps")
+    if n_steps < 1:
+        raise ValueError(f"n_steps={n_steps}: must be >= 1, the samples kept over all chains")
     if burn_in < 0:
         raise ValueError(f"burn_in={burn_in}: must be >= 0, or the first samples are never written")
     if n_chains < 2:
@@ -104,21 +126,18 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
         raise ValueError("gamma must be positive and beta_inv >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = objective.dim
-    rng = substream(seed, "invariant-measure")
     kept_per_chain = max(2, int(math.ceil(n_steps / n_chains)))
-    y = np.tile(x, (n_chains, 1)) + 0.01 * rng.standard_normal((n_chains, dim))
-    noise_amp = math.sqrt(2.0 * step_size * beta_inv)
+    cfg = default_config("entropy_sgd", L=burn_in + kept_per_chain + 1, eta_y=step_size, gamma0=gamma,
+                         gamma1=0.0, beta_inv_ex=gibbs_beta_inv_ex(beta_inv), delta=0.0,
+                         batch_size=objective.n_samples)
+    state = init_state(objective, x, cfg, seed, "entropy_sgd", repeats=n_chains)
     samples = np.empty((kept_per_chain, n_chains, dim))
-    total = burn_in + kept_per_chain
-    for it in range(total):
-        drift = objective.grad_batch(y) + (y - x) / gamma
-        y = y - step_size * drift
-        if beta_inv > 0:
-            y = y + noise_amp * rng.standard_normal((n_chains, dim))
-        if it % 256 == 0 and float(np.abs(y).max()) > 1e6:
+    for it in range(burn_in + kept_per_chain):
+        step(state)
+        if it % 256 == 0 and not float(np.abs(state.rows).max()) <= 1e6:
             raise RuntimeError("inner dynamics diverged: gamma too large for the local convexity")
         if it >= burn_in:
-            samples[it - burn_in] = y
+            samples[it - burn_in] = state.rows
     flat = samples.reshape(-1, dim)
     mean = flat.mean(axis=0)
     cov = np.cov(flat.T) if dim > 1 else np.array([[flat.var(ddof=1)]])
@@ -289,8 +308,11 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     for the terminal cost V = f, the objective, solved on ``grid``; both
     dynamics consume identical Brownian increments (common random numbers),
     so the comparison E[V(ctrl)] + (1/2) E int |alpha|^2 <= E[V(plain)] is
-    tested at small variance.  Paths are reflected at the box walls; if more
-    than 1% of paths ever exit, the run is invalid and raises.
+    tested at small variance.  The inequality is checked for this optimal
+    HJB control grad w only: no optimizer applies it, and the control an
+    entropy-SGD outer step applies is not checked.  Paths are reflected at
+    the box walls; if more than 1% of paths ever exit, the run is invalid
+    and raises.
     """
     if not T >= 0:      # a NaN horizon too
         raise ValueError(f"T={T:g}: the horizon must be >= 0")

@@ -107,10 +107,12 @@ class TestSampleInvariantMeasure:
                                               n_steps=200_000, burn_in=100, seed=0)
 
     def test_burn_in_validation(self):
+        # a burn-in of n_steps or more is fine: n_steps counts samples over all
+        # chains, the burn-in steps per chain; no sample at all cannot run
         q = make_quadratic(1.0, 0.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_steps=0"):
             analysis.sample_invariant_measure(q, np.array([0.0]), 1.0, 1.0,
-                                              n_steps=100, burn_in=100, seed=0)
+                                              n_steps=0, burn_in=100, seed=0)
 
     def test_negative_burn_in_refused_by_name(self):
         # a negative burn-in would leave rows of the sample array unwritten

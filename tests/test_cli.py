@@ -446,6 +446,18 @@ class TestRunExperiment:
         assert result.passed
         assert result.summary["closed_form_mean"] == [1.0]
 
+    def test_invariant_measure_wrong_temperature_mapping_fails(self, tmp_path, monkeypatch):
+        # beta_inv_ex = 1/beta makes the rows sample exp(-2 beta H), half the
+        # closed-form variance; acceptance 4's inputs at a fifth of its samples
+        monkeypatch.setattr(analysis, "gibbs_beta_inv_ex", lambda beta_inv: beta_inv)
+        cfg = parse_config(overrides={
+            "kind": "invariant_measure", "seed": 42, "n_steps": 200_000, "out": str(tmp_path / "inv"),
+        })
+        result = run_experiment(cfg)
+        assert result.summary["checks"] == {"mean_within_3_stderr": True, "variance_within_3_stderr": False}
+        row = np.genfromtxt(tmp_path / "inv" / "invariant_measure.csv", delimiter=",", names=True)
+        assert (row["variance"] - 0.5) / row["variance_stderr"] <= -10.0
+
     def test_figure1_experiment(self, tmp_path):
         cfg = parse_config(overrides={
             "kind": "figure1", "objective": "rugged_s3_m6", "out": str(tmp_path / "fig1"),
@@ -629,7 +641,7 @@ class TestSummaryGolden:
         "control": ({"T": 0.5, "n_paths": 400, "grid_n": 129},
                     "6dc4ff88a1ac154802f1e1302b716463ac9efd5707d61e3cb5953da67a580a3c"),
         "invariant_measure": ({"n_steps": 20000},
-                              "735c655db25be2153691272f288d539f8e87ad3b6102f66496aba046a2757cc6"),
+                              "aaecff22cf914de55256f10daf2b1dae0b54d0c93ade3bd3e8b6dfb99acd187b"),
         "spectrum": ({}, "ba3c83add6500dceea1405d9fe236f56c32364b450c7062db620c38cb7eeff16"),
         "spectrum/quadratic_c1_n2": ({"objective": "quadratic_c1_n2"},
                                      "b7e1e6ca082e044f2fa0e837feacf770d1c9f8c2fee92cc097d40d8895ba5636"),
@@ -821,6 +833,7 @@ class TestCliMain:
         (["control-improvement", "--T", "nan"], "config error: bad value for 'T'"),
         (["invariant-measure", "--beta", "0"], "config error: bad value for 'beta'"),
         (["invariant-measure", "--burn-in=-100", "--n-steps", "3200"], "error: burn_in=-100:"),
+        (["invariant-measure", "--n-steps", "0"], "error: n_steps=0:"),
         (["solve-pde", "--objective", "double_well_a1", "--beta-inv", "inf"],
          "config error: bad value for 'beta_inv'"),
         (["solve-pde", "--objective", "double_well_a1", "--t", "nan"], "config error: bad value for 't'"),
@@ -831,12 +844,13 @@ class TestCliMain:
             "figure1_negative_T", "figure1_zero_t_smooth", "figure1_zero_window", "figure1_window_between_nodes",
             "figure1_negative_rho0_sigma", "figure1_negative_min_gap", "figure1_negative_beta_inv_fp",
             "spectrum_no_draws", "fd_negative_dt", "fd_zero_dt", "fd_nan_dt", "heat_dt", "cole_hopf_dt",
-            "control_nan_T", "invariant_zero_beta", "invariant_negative_burn_in", "pde_inf_beta_inv",
-            "pde_nan_t", "pde_zero_t", "pde_two_points"])
+            "control_nan_T", "invariant_zero_beta", "invariant_negative_burn_in", "invariant_no_samples",
+            "pde_inf_beta_inv", "pde_nan_t", "pde_zero_t", "pde_two_points"])
     def test_bad_input_refused_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def work(*args, **kwargs):
             raise AssertionError("work started before the input was checked")
-        for module, name in ((analysis, "prox_point"), (analysis, "run"), (analysis, "solve_hjb_backward"),
+        for module, name in ((analysis, "prox_point"), (analysis, "run"), (analysis, "init_state"),
+                             (analysis, "solve_hjb_backward"),
                              (pde_lab, "solve_viscous_hj_cole_hopf"), (pde_lab, "solve_hj_hopf_lax"),
                              (pde_lab, "solve_hj_monotone_fd"), (pde_lab, "solve_heat"),
                              (pde_lab, "evolve_fokker_planck")):

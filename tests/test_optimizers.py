@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pdeopt import optimizers as opt
+from pdeopt.grid import GridFunction, gradient
 from pdeopt.objectives import DoubleWell, Quadratic, TinyMLP, get_entry, make_quadratic
+from pdeopt.pde_lab import PdeSolveConfig, solve_heat
 from pdeopt.rng import substream
 
 from custom_objective import CustomObjective
@@ -177,6 +179,21 @@ class TestHeatStep:
         assert opt._epochs(st) == 1 and st.x[0, 0] == 1.0
         heat_outer_step(st, cfg, cfg.L - 1)
         assert opt._epochs(st) == 7 and st.x[0, 0] != 1.0
+
+    def test_drift_is_the_heat_solution_gradient(self):
+        # heat's outer direction averages f' at z + sqrt(gamma) N: the gradient
+        # of G_gamma * f, the lab's heat solution at beta_inv * t = gamma, and
+        # not f' itself on the nonconvex double well
+        entry = get_entry("double_well_a1")
+        cfg = opt.default_config("heat", L=20, gamma0=0.1, gamma1=0.0, eta=0.1)
+        grid = GridFunction.geometry(*entry.domain_box, 2049)
+        smoothed = gradient(solve_heat(entry.objective, PdeSolveConfig(beta_inv=1.0, t_final=cfg.gamma0), grid))
+        for p in (-1.35, -0.75, -0.35, 0.35, 0.75, 1.35):
+            records = opt.run("heat", entry.objective, cfg, 0, 1, x0=[p], repeats=256)
+            drift = (p - np.array([rec.terminal_x[0] for rec in records])) / cfg.eta
+            se = drift.std(ddof=1) / np.sqrt(len(drift))
+            assert abs(drift.mean() - smoothed.interp(p)) <= 3.0 * se
+            assert abs(drift.mean() - entry.objective.grad([p])[0]) >= 10.0 * se
 
 
 class TestElasticStep:
