@@ -113,8 +113,9 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
     at x.  On a dataset every gradient takes the full batch, so the measure
     is that of f.  ``n_steps`` counts total post-burn-in samples across
     ``n_chains`` chains; error bars come from the spread of per-chain
-    statistics.  Divergence (a row with |y| > 1e6, or not finite) aborts,
-    signalling that gamma is too large for the local convexity of f.
+    statistics.  Divergence aborts, signalling that gamma is too large for
+    the local convexity of f: a row with |y| > 1e6, or not finite, at every
+    256th step, or among the kept samples once the chains have run.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps={n_steps}: must be >= 1, the samples kept over all chains")
@@ -132,12 +133,15 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
                          batch_size=objective.n_samples)
     state = init_state(objective, x, cfg, seed, "entropy_sgd", repeats=n_chains)
     samples = np.empty((kept_per_chain, n_chains, dim))
+    diverged = "inner dynamics diverged: gamma too large for the local convexity"
     for it in range(burn_in + kept_per_chain):
         step(state)
         if it % 256 == 0 and not float(np.abs(state.rows).max()) <= 1e6:
-            raise RuntimeError("inner dynamics diverged: gamma too large for the local convexity")
+            raise RuntimeError(diverged)
         if it >= burn_in:
             samples[it - burn_in] = state.rows
+    if not float(np.abs(samples).max()) <= 1e6:   # diverged between the checks above
+        raise RuntimeError(diverged)
     flat = samples.reshape(-1, dim)
     mean = flat.mean(axis=0)
     cov = np.cov(flat.T) if dim > 1 else np.array([[flat.var(ddof=1)]])

@@ -25,10 +25,12 @@ extended past the box, or wrapped around the n-1 unique nodes when the
 boundary is periodic, in 1D and 2D alike.  Cole-Hopf and Hopf-Lax first
 evaluate f on the grid nodes, whose range sets their reach.
 ``_windows`` sizes the windows and refuses, before f is sampled, work
-beyond a fixed budget of samples and window terms.  ``_reduce_windows`` then
-reduces every (2K+1)-sample window along each axis in turn: a dot product
-with the Gaussian for Cole-Hopf (in linear space) and heat (normalized), the
-minimum (lower envelope) for Hopf-Lax.
+beyond a fixed budget of samples and window terms.  Each solver then loops
+over its axes and hands ``_reduce_axis`` one plain block op per pass, which
+reduces every (2K+1)-sample window along that axis: the minimum (lower
+envelope) for Hopf-Lax, the dot with the normalized Gaussian for heat, and
+for Cole-Hopf the dot with the unnormalized Gaussian on its own shifted
+exponentials (or a log-sum-exp per window).
 
 Plus one reflected-diffusion generator ``_Generator``: the rate matrix G of
 dX = -b dt + sqrt(beta_inv) dW on the grid nodes, upwinded per face, with
@@ -178,51 +180,24 @@ def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: boo
     return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
 
 
-def _reduce_windows(F: Array, K, r, ops) -> Array:
-    """Along each axis d in turn, reduce every window of 2K[d]+1 samples whose
-    centres are r[d] apart.  ops[d] maps the lines along the axis, shape
-    (..., samples), to (samples to window, block op mapping (..., 2K+1) to
-    (...), map of the reduced lines); the block op runs on blocks of at most
-    _CHUNK samples, which bounds the temporaries."""
-    for axis, (k, rd, op) in enumerate(zip(K, r, ops)):
-        samples, block, finish = op(np.moveaxis(F, axis, -1))
-        win = sliding_window_view(samples, 2 * k + 1, axis=-1)[..., ::rd, :]
-        out = np.empty(win.shape[:-1])
-        c = max(1, _CHUNK // win[..., 0, :].size)
-        for s in range(0, out.shape[-1], c):
-            out[..., s : s + c] = block(win[..., s : s + c, :])
-        F = np.moveaxis(finish(out), -1, axis)
-    return F
-
-
-def _as_sampled(block):
-    """An axis pass that windows the samples as they are."""
-    return lambda lines: (lines, block, lambda out: out)
+def _reduce_axis(F: Array, axis: int, k: int, rd: int, block) -> Array:
+    """Reduce every window of 2k+1 samples along ``axis`` whose centres are
+    rd apart by ``block``, which maps windows (..., 2k+1) to (...); it runs
+    on blocks of at most _CHUNK samples, which bounds the temporaries."""
+    win = sliding_window_view(np.moveaxis(F, axis, -1), 2 * k + 1, axis=-1)[..., ::rd, :]
+    out = np.empty(win.shape[:-1])
+    c = max(1, _CHUNK // win[..., 0, :].size)
+    for s in range(0, out.shape[-1], c):
+        out[..., s : s + c] = block(win[..., s : s + c, :])
+    return np.moveaxis(out, -1, axis)
 
 
 def logsumexp(a: Array, axis: int) -> Array:
     """scipy's log-sum-exp, imported on the first call: only the wide-line
-    fallback of ``_log_window_sums`` needs it."""
+    fallback of ``solve_viscous_hj_cole_hopf`` needs it."""
     from scipy.special import logsumexp
 
     return logsumexp(a, axis=axis)
-
-
-def _log_window_sums(lines: Array, log_k: Array, centres: slice):
-    """Cole-Hopf's axis pass, log sum_j exp(F[i + j] + log_k[j]) on lines F,
-    in linear space: each line is shifted by its maximum and exponentiated
-    once per sample, the windows are heat's dot against exp(log_k), and the
-    sums are logged and shifted back.  Every window holds its centre, the
-    samples ``lines[..., centres]``, with weight exp(log_k) = 1, so no sum
-    underflows while every centre is less than _EXP_RANGE below its line's
-    maximum.  A sample more than 745 below it flushes to zero and loses less
-    than e^-45 of its window's centre term.  A pass with a centre further
-    down log-sum-exps each window instead."""
-    top = lines.max(axis=-1, keepdims=True)
-    if float((top - lines[..., centres].min(axis=-1, keepdims=True)).max()) < _EXP_RANGE:
-        samples = np.exp(lines - top)
-        return samples, lambda win, w=np.exp(log_k): win @ w, lambda out: np.log(out) + top
-    return lines, lambda win: logsumexp(win + log_k, axis=-1), lambda out: out
 
 
 def _on_grid(grid: GridFunction, U: Array, boundary: str) -> GridFunction:
@@ -237,14 +212,20 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
     The quadrature nodes are the grid's, refined per axis until they are at
     most sigma/3 apart.  They extend the evaluation box far enough that the
     Gaussian mass ignored outside it is below ~1e-10 (``PAD_SIGMAS``
-    standard deviations), plus the reach of a distant low value of f.  Each
-    axis pass is linear (``_log_window_sums``): with every line shifted by
-    its maximum, exp once per sample, heat's window sum, log once per centre.
-    A pass with a window centre 700 or more below its line's maximum in the
-    exponent log-sum-exps every window instead, so beta * range(f) over the
-    box far beyond 700 stays safe.  The work
-    is checked against the budget before f is evaluated at all, and again
-    once f on the grid nodes sets the reach.
+    standard deviations), plus the reach of a distant low value of f.
+
+    Each axis pass computes log sum_j exp(F[i + j] + log_k[j]) on the lines
+    of F = -beta f in linear space: every line is shifted by its maximum and
+    exponentiated once per sample, the windows are heat's dot against the
+    unnormalized kernel exp(log_k) (its log-normalization is added once, at
+    the end), and the sums are logged and shifted back.  Every window holds
+    its centre with weight 1, so no sum underflows while every centre is
+    less than 700 (``_EXP_RANGE``) below its line's maximum; a sample more
+    than 745 below it flushes to zero and loses less than e^-45 of its
+    window's centre term.  A pass with a centre further down log-sum-exps
+    every window instead, so beta * range(f) over the box far beyond 700
+    stays safe.  The work is checked against the budget before f is
+    evaluated at all, and again once f on the grid nodes sets the reach.
     """
     if cfg.beta_inv == 0.0:
         return solve_hj_hopf_lax(objective, cfg.t_final, grid)
@@ -256,14 +237,20 @@ def solve_viscous_hj_cole_hopf(objective: Objective, cfg: PdeSolveConfig, grid: 
     _windows(grid, r, PAD_SIGMAS * sigma, periodic, cfg.beta_inv, t)
     nodes = objective.value_batch(grid.points())
     K = _windows(grid, r, PAD_SIGMAS * sigma + _search_radius(nodes, t), periodic, cfg.beta_inv, t)
-    ops, log_norm = [], 0.0
-    for h, k, rd in zip(grid.spacing / r, K, r):
-        offs = h * np.arange(-k, k + 1)
-        ops.append(lambda lines, log_k=-beta * offs**2 / (2.0 * t), centres=slice(k, -k or None, rd):
-                   _log_window_sums(lines, log_k, centres))
-        log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
     F = -beta * _sample_padded(objective, grid, K, r, periodic)
-    return _on_grid(grid, -(_reduce_windows(F, K, r, ops) + log_norm) / beta, cfg.boundary)
+    log_norm = 0.0
+    for axis, (h, k, rd) in enumerate(zip(grid.spacing / r, K, r)):
+        log_k = -beta * (h * np.arange(-k, k + 1)) ** 2 / (2.0 * t)
+        log_norm += math.log(h) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+        lines = np.moveaxis(F, axis, -1)
+        top = lines.max(axis=-1, keepdims=True)
+        if float((top - lines[..., k : -k or None : rd].min(axis=-1, keepdims=True)).max()) < _EXP_RANGE:
+            w = np.exp(log_k)
+            lines = np.log(_reduce_axis(np.exp(lines - top), -1, k, rd, lambda win: win @ w)) + top
+        else:
+            lines = _reduce_axis(lines, -1, k, rd, lambda win: logsumexp(win + log_k, axis=-1))
+        F = np.moveaxis(lines, -1, axis)
+    return _on_grid(grid, -(F + log_norm) / beta, cfg.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +272,12 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
     _windows(grid, r, 0.0, False, 0.0, t)
     K = _windows(grid, r, _search_radius(objective.value_batch(grid.points()), t), False, 0.0, t)
     inv2t = 1.0 / (2.0 * t)
-    ops = []
-    for h, k in zip(grid.spacing, K):
-        offs = h * np.arange(-k, k + 1)
-        ops.append(_as_sampled(lambda w, q=offs * offs * inv2t: (w + q).min(axis=-1)))
     F = _sample_padded(objective, grid, K, r, False)
-    return grid.with_values(_reduce_windows(F, K, r, ops))
+    for axis, (h, k) in enumerate(zip(grid.spacing, K)):
+        offs = h * np.arange(-k, k + 1)
+        q = offs * offs * inv2t
+        F = _reduce_axis(F, axis, k, 1, lambda win: (win + q).min(axis=-1))
+    return grid.with_values(F)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +449,12 @@ def solve_heat(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) ->
     periodic = cfg.boundary == "periodic"
     r = _refinement(grid, sigma)
     K = _windows(grid, r, PAD_SIGMAS * sigma, periodic, cfg.beta_inv, cfg.t_final)
-    ops = []
-    for h, k in zip(grid.spacing / r, K):
-        w = np.exp(-((h * np.arange(-k, k + 1)) ** 2) / (2.0 * sigma2))
-        ops.append(_as_sampled(lambda win, w=w / w.sum(): win @ w))
     F = _sample_padded(objective, grid, K, r, periodic)
-    return _on_grid(grid, _reduce_windows(F, K, r, ops), cfg.boundary)
+    for axis, (h, k, rd) in enumerate(zip(grid.spacing / r, K, r)):
+        w = np.exp(-((h * np.arange(-k, k + 1)) ** 2) / (2.0 * sigma2))
+        w = w / w.sum()
+        F = _reduce_axis(F, axis, k, rd, lambda win: win @ w)
+    return _on_grid(grid, F, cfg.boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ class TestSampleInvariantMeasure:
             analysis.sample_invariant_measure(bad, np.array([0.1]), 10.0, 0.01,
                                               n_steps=200_000, burn_in=100, seed=0)
 
+    def test_late_divergence_detected(self):
+        # 64 steps per chain: only step 0 meets the check every 256th step,
+        # and the rows pass 1e6 after it, so only the kept samples show it
+        with pytest.raises(RuntimeError, match="diverged"):
+            analysis.sample_invariant_measure(Quadratic([[-3.0]], [0.0]), [0.1], gamma=1.0, beta_inv=0.01,
+                                              n_steps=2048, burn_in=0, seed=0, n_chains=32, step_size=0.5)
+
     def test_burn_in_validation(self):
         # a burn-in of n_steps or more is fine: n_steps counts samples over all
         # chains, the burn-in steps per chain; no sample at all cannot run

@@ -633,15 +633,30 @@ class TestLinearColeHopf:
         u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
         np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
 
-    def test_wide_lines_fall_back_to_log_sum_exp(self, monkeypatch):
+    @pytest.mark.parametrize("name,n,beta_inv,t", [("rugged_s7_m5", 2049, 0.01, 0.05),
+                                                    ("quadratic_c1_n2", 17, 0.002, 0.2)])
+    def test_wide_lines_fall_back_to_log_sum_exp(self, name, n, beta_inv, t, monkeypatch):
         # beta * range(f) over the window centres is far above 700
-        entry = get_entry("rugged_s7_m5")
-        grid = GridFunction.geometry(*entry.domain_box, [2049])
-        cfg = PdeSolveConfig(beta_inv=0.01, t_final=0.05)
+        entry = get_entry(name)
+        grid = GridFunction.geometry(*entry.domain_box, [n] * len(entry.domain_box[0]))
+        cfg = PdeSolveConfig(beta_inv=beta_inv, t_final=t)
         calls = spy_logsumexp(monkeypatch)
         u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
         assert calls and np.isfinite(u.values).all()
-        np.testing.assert_allclose(u.values, log_sum_exp_cole_hopf(entry.objective, cfg, grid), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u.values.ravel(), log_sum_exp_cole_hopf(entry.objective, cfg, grid),
+                                   rtol=0, atol=1e-12)
+
+    def test_per_line_shift_keeps_2d_passes_linear(self, monkeypatch):
+        # each line of a pass is shifted by its own maximum; one shift by the
+        # maximum of the whole 2D sample puts window centres 700 or more below
+        # it, and that variant log-sum-exps 7 blocks here
+        entry = get_entry("quadratic_c1_n2")
+        grid = GridFunction.geometry(*entry.domain_box, [17, 17])
+        cfg = PdeSolveConfig(beta_inv=0.005, t_final=0.05)
+        spy_logsumexp(monkeypatch, allowed=False)
+        u = solve_viscous_hj_cole_hopf(entry.objective, cfg, grid)
+        np.testing.assert_allclose(u.values.ravel(), log_sum_exp_cole_hopf(entry.objective, cfg, grid),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name,n", [("rugged_s7_m5", 2049), ("quadratic_c1_n2", 129)])
     def test_smooth_lab_cases_stay_linear(self, name, n, monkeypatch):
