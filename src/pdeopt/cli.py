@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:   # a solver's refusal: its work budget, a NaN, paths exiting
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result.summary, indent=2, sort_keys=True, default=str))
+    print(json.dumps(result.summary, indent=2, sort_keys=True))
     if not result.passed:
         failing = [k for k, v in result.summary.get("checks", {}).items() if not v]
         print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)

@@ -62,14 +62,6 @@ def _grid_for(entry, n: int) -> GridFunction:
     return GridFunction.geometry(lo, hi, [n] * len(np.atleast_1d(lo)))
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
 def _table(header, rows):
     """A writer of a CSV table: a string as is, an int by ``str``, any other
     number by ``repr(float(v))``."""
@@ -386,5 +378,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for name, write in files.items():
             write(out / name)
         write_manifest(cfg, out)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(passed=summary["passed"], summary=summary, out_dir=out)

@@ -4,14 +4,13 @@
 geometry.  It is the common currency of the PDE solvers: smoothed losses,
 value functions and probability densities all live on these grids.
 
-Serialization: a CSV form (``x[,y],value`` columns) and a compact binary form
-(little-endian header ``dim, lower[], upper[], counts[]`` followed by a
-float64 payload).
+Serialization: a CSV form (``x[,y],value`` columns) and a compact binary form:
+one little-endian header struct ``<I{d}d{d}d{d}I`` (dim, lower[d], upper[d],
+counts[d]) followed by the float64 values.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import struct
@@ -66,11 +65,7 @@ class GridFunction:
 
     def points(self) -> Array:
         """All grid points as an (N, dim) array in row-major order."""
-        axes = self.axes()
-        if self.dim == 1:
-            return axes[0][:, None]
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([g0.ravel(), g1.ravel()])
+        return mesh(self.axes())
 
     @property
     def array(self) -> Array:
@@ -88,9 +83,9 @@ class GridFunction:
     def integral(self) -> float:
         """Trapezoidal integral over the box."""
         a = self.array
-        if self.dim == 1:
-            return float(np.trapezoid(a, dx=self.spacing[0]))
-        return float(np.trapezoid(np.trapezoid(a, dx=self.spacing[1], axis=1), dx=self.spacing[0]))
+        for axis in reversed(range(self.dim)):
+            a = np.trapezoid(a, dx=self.spacing[axis], axis=axis)
+        return float(a)
 
     def interp(self, x) -> float:
         """Multilinear interpolation at a point inside the box."""
@@ -133,26 +128,29 @@ class GridFunction:
         return g
 
     def to_binary(self, path) -> None:
-        buf = io.BytesIO()
-        buf.write(struct.pack("<I", self.dim))
-        buf.write(struct.pack(f"<{self.dim}d", *self.lower))
-        buf.write(struct.pack(f"<{self.dim}d", *self.upper))
-        buf.write(struct.pack(f"<{self.dim}I", *self.n_points))
-        buf.write(self.values.astype("<f8").tobytes())
+        header = _header(self.dim).pack(self.dim, *self.lower, *self.upper, *self.n_points)
         with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(header + self.values.astype("<f8").tobytes())
 
     @classmethod
     def from_binary(cls, path) -> "GridFunction":
         with open(path, "rb") as fh:
             raw = fh.read()
-        off = 0
-        (dim,) = struct.unpack_from("<I", raw, off); off += 4
-        lower = np.array(struct.unpack_from(f"<{dim}d", raw, off)); off += 8 * dim
-        upper = np.array(struct.unpack_from(f"<{dim}d", raw, off)); off += 8 * dim
-        n_points = struct.unpack_from(f"<{dim}I", raw, off); off += 4 * dim
-        values = np.frombuffer(raw, dtype="<f8", offset=off).copy()
-        return cls(lower, upper, n_points, values)
+        header = _header(int.from_bytes(raw[:4], "little"))
+        dim, *fields = header.unpack_from(raw)
+        values = np.frombuffer(raw, dtype="<f8", offset=header.size).copy()
+        return cls(fields[:dim], fields[dim:2 * dim], fields[2 * dim:], values)
+
+
+def _header(dim: int) -> struct.Struct:
+    """The binary form's header: dim, lower[dim], upper[dim], n_points[dim]."""
+    return struct.Struct(f"<I{dim}d{dim}d{dim}I")
+
+
+def mesh(axes) -> Array:
+    """The points of the tensor grid of ``axes`` as an (N, dim) array in
+    row-major order: the last axis varies fastest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
 
 # ---------------------------------------------------------------------------

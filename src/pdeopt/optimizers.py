@@ -31,7 +31,9 @@ gradient points, drawing any perturbation first: z for sgd, y for the coupled
 rows (entropy_sgd, hj, elastic), z - y for hj2, z + sqrt(gamma) N for heat;
 then the minibatch indices are drawn for them.  The apply phase takes one
 gradient per row, updates the rows and, on the last inner step, makes the
-outer update.  ``step(state)`` is the two phases around one gradient call.
+outer update.  One function, ``_step``, runs the two phases around one
+gradient call for a list of states; ``step(state)`` is
+:func:`run_lockstep`'s inner step on one state.
 
 :func:`init_state` binds a state to its objective, config and algorithm
 once; ``step(state)`` takes nothing else, so a state cannot be stepped as
@@ -41,12 +43,10 @@ The state is batched.  ``x``, ``z`` and ``<y>`` are (repeats, dim) arrays, one
 row per seed of a run, and the inner rows are one (repeats * workers, dim)
 array, repeat-major, with one worker per repeat except for ``elastic``
 (``n_workers``; ``sgd`` has none).  :func:`run_lockstep` steps several runs
-on one objective in lockstep: each inner step runs every state's points
-phase, one gradient call on the stacked rows and indices, and every state's
-apply phase on its own slice of the result, so the per-call cost of Python
-and numpy is paid once for all rows of all runs; :func:`run` is its one-run
-call.  A seed's record does not depend on the seeds or runs stepped beside
-it, bit for bit:
+on one objective in lockstep, one ``_step`` over the states still stepping
+per inner step, so the per-call cost of Python and numpy is paid once for
+all rows of all runs; :func:`run` is its one-run call.  A seed's record
+does not depend on the seeds or runs stepped beside it, bit for bit:
 
 * each row draws from its own stream: the row of repeat p (seed + p) from
   ``substream(seed + p, "optimizer")``, elastic worker w of repeat p from
@@ -120,28 +120,22 @@ class OptimizerConfig:
     anneal_period: float | None = None      # in effective epochs
 
     def __post_init__(self):
-        if self.eta <= 0 or self.eta_y <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.L < 1:
-            raise ValueError("L must be a positive integer")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if not (0.0 <= self.gamma1 < 1.0):
-            raise ValueError("gamma1 must lie in [0, 1)")
-        if self.beta_inv_ex < 0:
-            raise ValueError("beta_inv_ex must be >= 0")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.anneal_factor is not None and self.anneal_factor <= 0:
-            raise ValueError("anneal_factor must be positive")
-        if self.anneal_period is not None and self.anneal_period <= 0:
-            raise ValueError("anneal_period must be positive")
+        for key, ok, rule in (
+            ("eta", self.eta > 0, "step sizes must be positive"),
+            ("eta_y", self.eta_y > 0, "step sizes must be positive"),
+            ("L", self.L >= 1, "L must be a positive integer"),
+            ("gamma0", self.gamma0 > 0, "gamma0 must be positive"),
+            ("gamma1", 0.0 <= self.gamma1 < 1.0, "gamma1 must lie in [0, 1)"),
+            ("beta_inv_ex", self.beta_inv_ex >= 0, "beta_inv_ex must be >= 0"),
+            ("alpha", 0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
+            ("delta", 0.0 <= self.delta < 1.0, "delta must lie in [0, 1)"),
+            ("n_workers", self.n_workers >= 1, "n_workers must be >= 1"),
+            ("batch_size", self.batch_size is None or self.batch_size >= 1, "batch_size must be >= 1"),
+            ("anneal_factor", self.anneal_factor is None or self.anneal_factor > 0, "anneal_factor must be positive"),
+            ("anneal_period", self.anneal_period is None or self.anneal_period > 0, "anneal_period must be positive"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}={getattr(self, key)}: {rule}")
 
 
 def default_config(algo: str, **overrides) -> OptimizerConfig:
@@ -175,7 +169,7 @@ class _Plan:
     apply: Callable              # (state, plan, g, last) -> the row update; returns d on the last inner step
     grad: Callable               # (rows[, idx]) -> one gradient per row: the objective's
                                  # minibatch_grad when the plan draws, else its grad_batch
-    draw: bool                   # a minibatch smaller than the dataset: :func:`_grad` draws its indices
+    draw: bool                   # a minibatch smaller than the dataset: :func:`_draw` draws its indices
     ahead: bool                  # the rows' streams draw nothing but indices
     batch: int                   # samples per stochastic gradient
     epoch: int                   # samples per epoch
@@ -368,14 +362,6 @@ def _annealed_eta(state: OptimizerState, cfg: OptimizerConfig) -> float:
         return math.inf
 
 
-def _points(state: OptimizerState) -> tuple[Array, Array | None]:
-    """The points phase of an inner step: the rows' gradient points, with any
-    perturbation drawn first, and the minibatch indices drawn for them."""
-    p = state.plan
-    X = p.points(state, p)
-    return X, _draw(state, p)
-
-
 def _apply(state: OptimizerState, g: Array) -> None:
     """The apply phase: update the rows by their gradients g, then make the
     outer update when the step completes an outer step."""
@@ -402,12 +388,27 @@ def _apply(state: OptimizerState, g: Array) -> None:
         _scope(state, cfg)
 
 
+def _step(states: list[OptimizerState]) -> None:
+    """One inner step of states that share one gradient: every state's points
+    phase (its rows' gradient points, any perturbation drawn first, then the
+    minibatch indices drawn for them), one ``plan.grad`` call on the stacked
+    points and indices, and every state's apply phase on its own slice of the
+    result."""
+    points = [(s.plan.points(s, s.plan), _draw(s, s.plan)) for s in states]
+    # one state's points and indices go to the gradient as they are, without the copy stacking makes
+    X, idx = points[0] if len(points) == 1 else [None if a[0] is None else np.concatenate(a) for a in zip(*points)]
+    grad = states[0].plan.grad
+    g = grad(X) if idx is None else grad(X, idx)
+    start = 0
+    for state, (x, _) in zip(states, points):
+        _apply(state, g[start:start + len(x)])
+        start += len(x)
+
+
 def step(state: OptimizerState) -> OptimizerState:
-    """One inner step of the state's algorithm for every repeat: one minibatch
-    gradient per row, and the outer update when it completes an outer step."""
-    X, idx = _points(state)
-    p = state.plan
-    _apply(state, p.grad(X) if idx is None else p.grad(X, idx))
+    """One inner step of the state's algorithm for every repeat: the inner
+    step of :func:`run_lockstep` on this one state."""
+    _step([state])
     return state
 
 
@@ -487,9 +488,9 @@ def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int =
     each from ``x0`` with the seeds ``seed .. seed + repeats - 1``, and return
     each run's records as :func:`run` would.
 
-    Each inner step makes one gradient call over the stacked rows and indices
-    of the runs still stepping: the points phase of every run, one
-    ``plan.grad``, then the apply phase of every run.  A run leaves the stack
+    Each inner step is one ``_step`` over the runs still stepping: the
+    points phase of every run, one ``plan.grad`` call over their stacked rows
+    and indices, then the apply phase of every run.  A run leaves the stack
     when its outer steps are done, or when all its seeds have aborted.  An
     outer step of a run is ``cfg.L`` inner steps (for sgd, L updates), and a
     run logs every ``record_every`` of them and after its last.  A run's
@@ -510,16 +511,10 @@ def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int =
                            list(range(repeats)), cfg.L * record_every))
     if len({(lane.state.plan.grad, lane.state.plan.batch) for lane in lanes}) > 1:
         raise ValueError("runs in lockstep must share one gradient: the same objective and batch size")
-    grad = lanes[0].state.plan.grad
     stepping = lanes
     while stepping:
-        points = [_points(lane.state) for lane in stepping]
-        X = np.concatenate([x for x, _ in points])
-        g = grad(X) if points[0][1] is None else grad(X, np.concatenate([idx for _, idx in points]))
-        start = 0
-        for lane, (x, _) in zip(stepping, points):
-            _apply(lane.state, g[start:start + len(x)])
-            start += len(x)
+        _step([lane.state for lane in stepping])
+        for lane in stepping:
             if lane.state.k % lane.log_every == 0 or lane.state.k == lane.state.draw_until:
                 _record(lane, objective)
         stepping = [lane for lane in stepping if lane.live and lane.state.k < lane.state.draw_until]

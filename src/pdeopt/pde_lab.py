@@ -47,7 +47,9 @@ characteristic fixed point of Burgers' equation, lives with the tests
 
 The three explicit solvers (upwind, Fokker-Planck, backward HJB) share one
 step count, ``_time_steps``, which refuses, before any step, a solve of
-more than 2^30 node-steps (steps times grid nodes).
+more than 2^30 node-steps (steps times grid nodes).  The upwind and backward
+solvers, which evaluate f on the grid themselves, first refuse a grid of
+more than the quadrature's 2^23 samples (``_grid_points``).
 
 All solvers are pure functions of their inputs and run single-threaded.
 scipy is imported only where it is used: by the log-sum-exp fallback here,
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import GridFunction, multilinear
+from .grid import GridFunction, mesh, multilinear
 from .objectives import Objective, _polish_minimum, _scan_minima_1d
 
 Array = np.ndarray
@@ -132,8 +134,11 @@ _EXP_RANGE = 700.0  # exp(-x) is a normal double for x below about 708
 
 def _refinement(grid: GridFunction, sigma: float) -> list[int]:
     """Per-axis refinement r = ceil(3h/sigma): quadrature nodes at most sigma/3
-    apart resolve the kernel even when it is narrower than the grid."""
-    return [max(1, math.ceil(3.0 * h / sigma)) for h in grid.spacing]
+    apart resolve the kernel even when it is narrower than the grid.  A
+    refinement past the sample budget, which ``_windows`` refuses, is capped
+    there, so a sigma that underflows to 0 is refused too."""
+    return [max(1, math.ceil(3.0 * h / sigma)) if 3.0 * h < _MAX_SAMPLES * sigma else _MAX_SAMPLES
+            for h in grid.spacing]
 
 
 def _windows(grid: GridFunction, r, radius: float, periodic: bool, beta_inv: float, t: float) -> list[int]:
@@ -175,8 +180,7 @@ def _sample_padded(objective: Objective, grid: GridFunction, K, r, periodic: boo
             axes.append(lo + hq * np.arange((n - 1) * rd))
         else:
             axes.append(lo - k * hq + hq * np.arange((n - 1) * rd + 1 + 2 * k))
-    points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    F = objective.value_batch(points).reshape([len(a) for a in axes])
+    F = objective.value_batch(mesh(axes)).reshape([len(a) for a in axes])
     return np.pad(F, [(k, k) for k in K], mode="wrap") if periodic else F
 
 
@@ -275,7 +279,8 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
     F = _sample_padded(objective, grid, K, r, False)
     for axis, (h, k) in enumerate(zip(grid.spacing, K)):
         offs = h * np.arange(-k, k + 1)
-        q = offs * offs * inv2t
+        # the centre's 0 stays 0 where t is so small that 1 / (2t) overflows
+        q = np.multiply(offs * offs, inv2t, out=np.zeros(2 * k + 1), where=offs != 0)
         F = _reduce_axis(F, axis, k, 1, lambda win: (win + q).min(axis=-1))
     return grid.with_values(F)
 
@@ -373,6 +378,17 @@ def _time_steps(t: float, dt: float | None, safety: float, limit: float, shape: 
     return n, t / n
 
 
+def _grid_points(grid: GridFunction) -> Array:
+    """The grid's nodes, for a grid of at most ``_MAX_SAMPLES`` nodes, the
+    quadrature's sample budget; a larger grid raises a ValueError naming
+    grid_n before any node is built or f evaluated."""
+    nodes = math.prod(grid.n_points)
+    if nodes > _MAX_SAMPLES:
+        raise ValueError(f"grid_n={max(grid.n_points)} has {nodes:,} nodes, over the budget of "
+                         f"{_MAX_SAMPLES:,} samples; lower grid_n")
+    return grid.points()
+
+
 def solve_hj_monotone_fd(objective: Objective, cfg: PdeSolveConfig, grid: GridFunction) -> GridFunction:
     """Explicit upwind scheme for u_t = -|grad u|^2/2 + (beta_inv/2) Lap u.
 
@@ -385,10 +401,11 @@ def solve_hj_monotone_fd(objective: Objective, cfg: PdeSolveConfig, grid: GridFu
     linear extrapolation: a ghost value 2 u_0 - u_1 would give u_0 - (2 u_0 -
     u_1) = u_1 - u_0.  Zero viscosity is allowed.  The time step is
     validated against the monotone restriction, and the step count against
-    the node-step budget, before stepping; NaNs abort with a diagnostic.
-    The values f returns are copied, never stepped.
+    the node-step budget, before stepping, and the grid against the sample
+    budget before f is evaluated; NaNs abort with a diagnostic.  The values
+    f returns are copied, never stepped.
     """
-    u = np.array(objective.value_batch(grid.points()), dtype=float).reshape(grid.n_points)
+    u = np.array(objective.value_batch(_grid_points(grid)), dtype=float).reshape(grid.n_points)
     h = grid.spacing
     n_steps, dt = _time_steps(cfg.t_final, cfg.dt, cfg.cfl_safety, cfl_limit(u, h, cfg.beta_inv),
                               u.shape, cfg.beta_inv)
@@ -618,13 +635,14 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
     underflows after the first exp, which needs beta * (max V - min V) <= 700
     (``_EXP_RANGE``) on the grid; beyond that, or for beta_inv <= 0, a
-    ValueError is raised.
+    ValueError is raised, as it is, before f is evaluated, for a grid of more
+    than ``_MAX_SAMPLES`` nodes.
     Returns the gradient field grad u(x, s) ready for path simulation, on at
     most ``HJB_MAX_SLICES`` time slices.
     """
     if beta_inv <= 0:
         raise ValueError(f"the log transform needs beta_inv > 0, got beta_inv={beta_inv:g}")
-    pts = grid.points()
+    pts = _grid_points(grid)
     V = objective.value_batch(pts).reshape(grid.n_points)
     spread = float(V.max() - V.min()) / beta_inv
     if spread > _EXP_RANGE:

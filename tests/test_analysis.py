@@ -216,6 +216,11 @@ class TestHomogenization:
             se = samples.std(ddof=1) / np.sqrt(n_seeds)
             assert abs(samples.mean()) <= max(3 * se, 1e-9)
 
+    def test_two_dimensional_objective_refused(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            analysis.verify_homogenization(make_quadratic(1.0, 0.0, 2), [0.5], gamma=0.3, beta_inv=1e-8,
+                                           epsilons=[0.1])
+
     def test_nan_epsilon_refused(self):
         # sorted() does not order a NaN, so every epsilon is checked
         dw = DoubleWell(1.0)

@@ -25,6 +25,7 @@ from pdeopt.config import (
     write_manifest,
 )
 from pdeopt.experiments import _optimizer_config, run_experiment
+from pdeopt.grid import GridFunction
 from pdeopt.plotting import _span, _ticks, emit_plot
 from pdeopt.rng import substream
 
@@ -85,6 +86,17 @@ class TestParseConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             parse_config(overrides={"kind": "teleport"})
+
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found: .*absent.cfg"):
+            parse_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("section", [1, [1, 2], "kind=optimize"])
+    def test_json_section_that_is_not_an_object_refused(self, tmp_path, section):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({"experiment": {"kind": "optimize"}, "optimizer": section}))
+        with pytest.raises(ConfigError, match="section 'optimizer' must map keys to values"):
+            parse_config(p)
 
     def test_list_values(self):
         cfg = parse_config(overrides={"kind": "homogenization", "epsilons": "0.1,0.01"})
@@ -789,12 +801,31 @@ class TestCliMain:
         # 2.1e10 node-steps, minutes of upwind stepping
         (["solve-pde", "--scheme", "fd", "--objective", "rugged_s3_m6", "--grid-n", "8193", "--t", "10"],
          "error: explicit stepping at beta_inv=0.1, t=10, grid_n=8193 needs 2,505,104 steps of 8,193 nodes"),
+        (["optimize", "--objective", "quadratic_c1_n1", "--eta-y", "0"], "error: eta_y=0"),
+        (["optimize", "--objective", "quadratic_c1_n1", "--eta=-1"], "error: eta=-1"),
     ], ids=["control_paths_exit", "fd_periodic", "hopf_lax_periodic", "cole_hopf_zero_viscosity_periodic",
-            "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain", "fd_node_steps"])
+            "grid_above_2d", "record_every_zero", "steps_zero", "steps_negative", "one_chain", "fd_node_steps",
+            "eta_y_zero", "eta_negative"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-pde", "--scheme", "fd"],
+        ["solve-pde", "--scheme", "fd", "--beta-inv", "0"],
+        ["control-improvement"],
+    ], ids=["fd", "fd_inviscid", "control"])
+    def test_grid_over_the_sample_budget_refused_before_its_nodes(self, tmp_path, capsys, monkeypatch, argv):
+        def nodes(self):
+            raise AssertionError("grid nodes built before the grid was checked")
+        monkeypatch.setattr(GridFunction, "points", nodes)
+        argv = argv + ["--objective", "quadratic_c1_n2", "--grid-n", "4097", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_n=4097 has 16,785,409 nodes, over the budget")
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 

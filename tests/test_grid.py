@@ -37,6 +37,10 @@ class TestGeometry:
             GridFunction.geometry([1.0], [0.0], [5])       # inverted box
         with pytest.raises(ValueError):
             GridFunction([0.0], [1.0], (5,), np.zeros(4))  # wrong length
+        with pytest.raises(ValueError, match="must agree in length"):
+            GridFunction.geometry([0.0, 0.0], [1.0], [5, 5])
+        with pytest.raises(ValueError, match="must agree in length"):
+            GridFunction.geometry([0.0, 0.0], [1.0, 1.0], [5])
         with pytest.raises(ValueError):
             GridFunction.geometry([0.0] * 3, [1.0] * 3, [4] * 3)  # 3D unsupported
 

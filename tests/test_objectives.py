@@ -48,6 +48,15 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             make_quadratic(-1.0, 0.0, 2)
 
+    @pytest.mark.parametrize("Q, p, message", [
+        (np.ones((2, 3)), np.zeros(2), "square"),
+        (np.eye(2), np.zeros(3), "square"),
+        ([[1.0, 0.5], [0.0, 1.0]], np.zeros(2), "symmetric"),
+    ], ids=["not_square", "p_mismatch", "asymmetric"])
+    def test_rejects_bad_Q(self, Q, p, message):
+        with pytest.raises(ValueError, match=f"Q must be {message}"):
+            Quadratic(Q, p)
+
     def test_general_form_minimizer(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((3, 3))
@@ -148,6 +157,12 @@ class TestTinyMLP:
                               for _ in range(400)])
             traces.append(draws.var(axis=0).sum())
         assert all(a >= b - 1e-12 for a, b in zip(traces, traces[1:]))
+
+    @pytest.mark.parametrize("hidden, n_samples, message", [(1, 50, "hidden must be >= 2"),
+                                                            (8, 19, "n_samples must be >= 20")])
+    def test_rejects_small_network_or_dataset(self, hidden, n_samples, message):
+        with pytest.raises(ValueError, match=message):
+            TinyMLP(0, hidden, n_samples)
 
     def test_batch_size_validation(self):
         def plan(obj, **keys):
@@ -495,6 +510,8 @@ class TestCorpus:
         x_star = global_minimum(entry)
         vals = [v for _, v in entry.known_minima]
         assert entry.objective.value(x_star) == min(vals)
+        with pytest.raises(ValueError, match="mlp_h4_n20 has no catalogued minima"):
+            global_minimum(get_entry("mlp_h4_n20"))
 
 
 class TestCustomObjective:

@@ -1,6 +1,8 @@
 """Optimizer update rules: fixed points, drifts, equivalences, replay."""
 
 import hashlib
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -248,7 +250,21 @@ class TestElasticStep:
             opt.OptimizerConfig(n_workers=0)
 
 
+# one refused value of each field of OptimizerConfig
+BAD_CONFIG = {"eta": -1.0, "eta_y": 0.0, "L": 0, "gamma0": 0.0, "gamma1": 1.0, "beta_inv_ex": -0.5, "alpha": 1.5,
+              "delta": -0.1, "n_workers": 0, "batch_size": 0, "anneal_factor": 0.0, "anneal_period": -1.0}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("key", BAD_CONFIG)
+    def test_refusal_names_its_key_and_value(self, key):
+        value = BAD_CONFIG[key]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key}={value}: ')}"):
+            opt.OptimizerConfig(**{key: value})
+
+    def test_every_field_has_a_refusal_case(self):
+        assert set(BAD_CONFIG) == {f.name for f in fields(opt.OptimizerConfig)}
+
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_rejects_empty_batch(self, batch_size):
         # a zero batch would make every minibatch gradient zero
@@ -436,6 +452,11 @@ class TestRepeats:
         q = make_quadratic(1.0, 0.0, 1)
         records = opt.run("sgd", q, None, seed=5, n_outer_steps=3, x0=np.ones(1))
         assert isinstance(records, list) and [r.seed for r in records] == [5]
+
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros((1, 1)), 0.0], ids=["too_long", "2d", "scalar"])
+    def test_init_state_refuses_a_wrong_shaped_start(self, x0):
+        with pytest.raises(ValueError, match="state vectors must match the objective dimension"):
+            opt.init_state(make_quadratic(1.0, 0.0, 1), x0, opt.default_config("sgd"), seed=0, algo="sgd")
 
     def test_init_state_refuses_a_batch_above_the_dataset(self):
         obj = get_entry("mlp_h8_n200").objective

@@ -217,6 +217,14 @@ class TestHopfLax:
         with pytest.raises(ValueError):
             solve_hj_hopf_lax(q, 0.0, grid)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_t_returns_f(self):
+        # 1 / (2t) overflows to inf; the centre's 0 * inf made every value NaN
+        dw = DoubleWell(1.0)
+        grid = GridFunction.geometry([-2.0], [2.0], [33])
+        u = solve_hj_hopf_lax(dw, 5e-324, grid)
+        np.testing.assert_array_equal(u.values, dw.value_batch(grid.points()))
+
 
 class TestProx:
     def test_quadratic_closed_form(self):
@@ -248,6 +256,11 @@ class TestProx:
     def test_one_dimension_only(self):
         with pytest.raises(ValueError, match="1D"):
             prox_point(make_quadratic(1.0, 0.0, 2), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_rejects_nonpositive_t(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            prox_point(DoubleWell(1.0), np.array([0.5]), t)
 
     def test_quadratic_closed_form_beyond_the_scan(self):
         # h(y) = y^2/2 + 100 y + y^2/2 is least at y* = -50, far outside the
@@ -698,6 +711,14 @@ class TestWorkBudget:
             solve_pde(self.counted(q, calls), PdeSolveConfig(beta_inv=1e-4, t_final=0.05, scheme=scheme), grid)
         assert calls == []
 
+    @pytest.mark.parametrize("scheme", ["cole_hopf", "heat"])
+    def test_kernel_width_underflowing_to_zero_is_refused(self, scheme):
+        # beta_inv * t = 0.5 * 5e-324 rounds to 0: the refinement 3h / sigma
+        # overflowed math.ceil before the budget was checked
+        q, grid, _, _ = quadratic_129(0.5, 5e-324)
+        with pytest.raises(ValueError, match=r"grid_n=129 needs .*budget.*hopf_lax"):
+            solve_pde(q, PdeSolveConfig(beta_inv=0.5, t_final=5e-324, scheme=scheme), grid)
+
     def test_hopf_lax_reach_is_budgeted(self):
         # t = 1000 reaches 89 past the box: K = 2863, a sample of 5855^2 nodes
         q, grid, _, _ = quadratic_129(0.1, 0.5)
@@ -714,6 +735,21 @@ class TestWorkBudget:
         with pytest.raises(ValueError, match=r"t=0\.5, grid_n=129 needs 16,641 samples"):
             solve_hj_hopf_lax(self.counted(q, calls), 0.5, grid)
         assert calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda q, grid: solve_pde(q, PdeSolveConfig(beta_inv=0.1, t_final=0.5, scheme="monotone_fd"), grid),
+        lambda q, grid: solve_pde(q, PdeSolveConfig(beta_inv=0.0, t_final=0.5, scheme="monotone_fd"), grid),
+        lambda q, grid: pde_lab.solve_hjb_backward(q, 1.0, 0.5, grid),
+    ], ids=["monotone_fd", "monotone_fd_inviscid", "hjb_backward"])
+    def test_explicit_solver_grid_over_budget_refused_before_its_nodes(self, solve, monkeypatch):
+        # solve-pde --scheme fd --objective quadratic_c1_n2 --grid-n 4097: 16.8 M nodes, and f
+        # on them (and grad f for the backward solver) would take hundreds of MB
+        def nodes(self):
+            raise AssertionError("grid nodes built before the grid was checked")
+        monkeypatch.setattr(GridFunction, "points", nodes)
+        q, grid = get_entry("quadratic_c1_n2").objective, GridFunction.geometry([-2.0] * 2, [2.0] * 2, [4097] * 2)
+        with pytest.raises(ValueError, match=r"^grid_n=4097 has 16,785,409 nodes, over the budget of 8,388,608"):
+            solve(q, grid)
 
     def test_2d_grid_above_257_within_budget(self):
         # refused by a fixed 257-points-per-axis limit before the budget
@@ -840,6 +876,20 @@ class TestFokkerPlanck:
         ratio = np.log(np.maximum(rho.values, 1e-300) / np.maximum(target, 1e-300))
         kl = float(np.trapezoid(rho.values * ratio, xs))
         assert kl <= 1e-3
+
+    @pytest.mark.parametrize("case, message", [
+        ("negative_t", "t_final must be >= 0"),
+        ("two_drifts_1d", "one drift component per axis"),
+        ("drift_on_another_grid", "drift and density must share the grid"),
+    ])
+    def test_rejects_bad_inputs(self, case, message):
+        grid = GridFunction.geometry([-1.0], [1.0], [33])
+        rho0 = gaussian_density(grid, [0.0], 0.05)
+        zero = grid.with_values(np.zeros(33))
+        drift, t = {"negative_t": (zero, -0.1), "two_drifts_1d": ([zero, zero], 0.1),
+                    "drift_on_another_grid": (GridFunction.geometry([-1.0], [1.0], [17]), 0.1)}[case]
+        with pytest.raises(ValueError, match=message):
+            evolve_fokker_planck(drift, rho0, 0.1, t)
 
     def test_rejects_bad_density(self):
         grid = GridFunction.geometry([-1.0], [1.0], [33])
@@ -1055,6 +1105,95 @@ class TestHjbBackward:
             pde_lab.solve_hjb_backward(dw, 1.0, 0.03, grid)
 
 
+# ---------------------------------------------------------------------------
+# a sweep of valid inputs: each solve returns finite values or is refused by name
+
+
+def refused(exc: Exception) -> bool:
+    """A refusal by name: a CflError, a NanAbort, or another ValueError
+    naming beta_inv (a work budget, heat's viscosity, the log transform's
+    range)."""
+    return isinstance(exc, (CflError, pde_lab.NanAbort)) or "beta_inv" in str(exc)
+
+
+@st.composite
+def pde_solves(draw):
+    """A valid ``solve_pde`` input: a corpus objective on a grid of 3 to 65
+    nodes per axis, any scheme, a boundary the scheme takes, beta_inv in
+    [0, 1] and t in (0, 2]."""
+    entry = get_entry(draw(st.sampled_from(["double_well_a1", "rugged_s3_m6", "quadratic_c1_n1",
+                                            "quadratic_c1_n2"])))
+    grid = GridFunction.geometry(*entry.domain_box, [draw(st.integers(3, 65))] * entry.objective.dim)
+    scheme = draw(st.sampled_from(pde_lab.SCHEMES))
+    beta_inv = draw(st.floats(0.0, 1.0))
+    periodic = scheme == "heat" or scheme == "cole_hopf" and beta_inv > 0
+    boundary = draw(st.sampled_from(pde_lab.BOUNDARIES if periodic else ["extrapolating"]))
+    t = draw(st.floats(0.0, 2.0, exclude_min=True))
+    return entry.objective, PdeSolveConfig(beta_inv=beta_inv, t_final=t, scheme=scheme, boundary=boundary), grid
+
+
+@st.composite
+def diffusions_on_grids(draw):
+    """A 1D or 2D grid over [-2, 2]^dim of 3 to 33 nodes per axis, a
+    viscosity beta_inv in [0, 1] and a horizon in [0, 2]."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [draw(st.integers(3, 33))] * dim)
+    return grid, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSolverSweep:
+    """Valid inputs of the solvers either return finite values within the
+    work budgets or are refused by name: never a hang, never a silent NaN or
+    overflow.  Hypothesis draws subnormal t and beta_inv * t early, where
+    1 / (2t) and the kernel refinement 3h / sigma overflow."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=pde_solves())
+    def test_solve_pde(self, case):
+        objective, cfg, grid = case
+        sampled = []
+        counted = CustomObjective(objective.dim, None, objective.grad,
+                                  value_batch_fn=lambda X: sampled.append(len(X)) or objective.value_batch(X))
+        try:
+            u = solve_pde(counted, cfg, grid)
+        except (ValueError, pde_lab.NanAbort) as exc:
+            assert refused(exc), exc
+            return
+        assert np.isfinite(u.values).all()
+        assert sum(sampled) <= pde_lab._MAX_SAMPLES + grid.values.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions_on_grids(), data=st.data())
+    def test_evolve_fokker_planck(self, case, data):
+        grid, beta_inv, t = case
+        drifts = [grid.with_values(data.draw(arrays(np.float64, grid.values.shape, elements=st.floats(-5.0, 5.0))))
+                  for _ in range(grid.dim)]
+        rho0 = gaussian_density(grid, data.draw(arrays(np.float64, grid.dim, elements=st.floats(-1.0, 1.0))),
+                                data.draw(st.floats(0.05, 1.0)))
+        try:
+            rho = evolve_fokker_planck(drifts, rho0, beta_inv, t)
+        except (ValueError, pde_lab.NanAbort) as exc:
+            assert refused(exc), exc
+            return
+        assert np.isfinite(rho.values).all() and rho.values.min() >= -1e-12
+        assert rho.values.sum() == pytest.approx(rho0.values.sum(), rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions_on_grids(), curvature=st.floats(0.1, 3.0), double_well=st.booleans())
+    def test_solve_hjb_backward(self, case, curvature, double_well):
+        grid, beta_inv, T = case
+        objective = DoubleWell(curvature) if double_well and grid.dim == 1 else make_quadratic(curvature, 0.0, grid.dim)
+        try:
+            field = pde_lab.solve_hjb_backward(objective, T, beta_inv, grid)
+        except (ValueError, pde_lab.NanAbort) as exc:
+            assert refused(exc), exc
+            return
+        assert np.isfinite(field.gradients).all()
+        assert field.times[0] == pytest.approx(0.0, abs=1e-12) and field.times[-1] == T
+        assert len(field.times) <= pde_lab.HJB_MAX_SLICES + 1
+
+
 class TestBurgers:
     def test_quadratic_fixed_point(self):
         q = make_quadratic(1.0, 0.0, 1)
@@ -1105,3 +1244,7 @@ class TestConfigValidation:
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
             PdeSolveConfig(beta_inv=0.1, t_final=1.0, boundary="dirichlet")
+
+    def test_negative_beta_inv(self):
+        with pytest.raises(ValueError, match="beta_inv must be >= 0"):
+            PdeSolveConfig(beta_inv=-0.1, t_final=1.0)
