@@ -8,7 +8,8 @@ Checks implemented here, each backed by an independent oracle:
   the noise :func:`gibbs_beta_inv_ex` maps the lab's temperature to,
 * the two-timescale limit: the averaged inner iterate reproduces the
   gradient of the inf-convolution smoothed loss as the scale separation
-  shrinks,
+  shrinks; every (epsilon, probe) pair is one run of a single
+  ``optimizers.run_lockstep`` call, each run starting at its probe,
 * the controlled-descent improvement inequality
   E[V(x_ctrl(T))] + (1/2) E int |alpha|^2 <= E[V(x_plain(T))]
   with common random numbers, for the terminal cost V = f, the objective,
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .objectives import Objective
-from .optimizers import default_config, init_state, run, step
+from .optimizers import RunSpec, default_config, init_state, run_lockstep, step
 from .pde_lab import prox_point, solve_hjb_backward
 from .rng import substream
 
@@ -225,12 +226,15 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
 
     Each epsilon maps to L = round(1/epsilon) inner steps.  The drift is
     measured from one outer update of the entropy optimizer started at each
-    probe (``optimizers.run``, the seeds as its repeats), averaged over
-    seeds; the reference is (x - prox(x)) / gamma, the exact gradient of the
-    inf-convolution at scale gamma.  Empty ``epsilons`` or ``probes`` and an
-    epsilon that is not positive are refused by name before any work;
-    ``prox_point`` and the optimizer refuse ``gamma``, ``beta_inv`` and
-    ``n_seeds``.
+    probe, each (epsilon, probe) pair one run of a single
+    ``optimizers.run_lockstep`` call with the seeds ``seed * 1000 ..`` as its
+    repeats; the drift of a run is its end minus its start over its own
+    ``eta``, and the table is computed from the (epsilon, probe, seed) array of
+    drifts, averaged over seeds.  The reference is (x - prox(x)) / gamma, the
+    exact gradient of the inf-convolution at scale gamma.  Empty ``epsilons``
+    or ``probes`` and an epsilon that is not positive are refused by name
+    before any work; ``prox_point`` and the optimizer refuse ``gamma``,
+    ``beta_inv`` and ``n_seeds``.
     """
     if objective.dim != 1:
         raise ValueError("homogenization verification is one-dimensional")
@@ -245,26 +249,21 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
         raise ValueError("probes is empty: give at least one point")
     ref = np.array([prox_point(objective, np.array([p]), gamma).grad_u[0] for p in probes])
 
+    cfgs = [default_config("entropy_sgd", L=max(1, int(round(1.0 / eps))), gamma0=gamma, gamma1=0.0,
+                           beta_inv_ex=beta_inv, delta=0.0) for eps in epsilons]
+    specs = [RunSpec("entropy_sgd", cfg, 1, x0=[p]) for cfg in cfgs for p in probes]
+    runs = run_lockstep(objective, specs, seed * 1000, repeats=n_seeds)
+    drifts = [(np.array([rec.terminal_x[0] for rec in records]) - spec.x0[0]) / spec.cfg.eta
+              for spec, records in zip(specs, runs)]
+    all_samples = np.reshape(drifts, (len(epsilons), len(probes), n_seeds))
+    denom = np.maximum(np.abs(ref), 1e-12)
     rows: list[HomogenizationRow] = []
-    all_samples = np.empty((len(epsilons), len(probes), n_seeds))
-    for ei, eps in enumerate(epsilons):
-        L = max(1, int(round(1.0 / eps)))
-        cfg = default_config("entropy_sgd", L=L, gamma0=gamma, gamma1=0.0, beta_inv_ex=beta_inv, delta=0.0)
-        devs = np.empty((len(probes), n_seeds))
-        drift_mean = np.empty(len(probes))
-        for pi, p in enumerate(probes):
-            # one outer step; the seeds seed*1000 + s are the repeats of one run
-            records = run("entropy_sgd", objective, cfg, seed * 1000, 1, x0=[p], repeats=n_seeds)
-            drifts = (np.array([rec.terminal_x[0] for rec in records]) - p) / cfg.eta
-            devs[pi] = np.abs(drifts - (-ref[pi]))
-            drift_mean[pi] = drifts.mean()
-            all_samples[ei, pi] = drifts
-        per_seed = devs.mean(axis=0)     # mean over probes, one value per seed
-        denom = np.maximum(np.abs(ref), 1e-12)
-        rel = np.abs(drift_mean + ref) / denom
+    for eps, cfg, samples in zip(epsilons, cfgs, all_samples):
+        per_seed = np.abs(samples + ref[:, None]).mean(axis=0)     # mean over probes, one value per seed
+        rel = np.abs(samples.mean(axis=1) + ref) / denom
         rows.append(HomogenizationRow(
             epsilon=eps,
-            inner_steps=L,
+            inner_steps=cfg.L,
             mean_abs_deviation=float(per_seed.mean()),
             stderr=float(per_seed.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
             mean_rel_deviation=float(rel.mean()),

@@ -65,7 +65,7 @@ def _bool(v) -> bool:
         return True
     if s in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
+    raise ValueError("must be a boolean: true, yes, on or 1; false, no, off or 0")
 
 
 def _parse(v, integer: bool):

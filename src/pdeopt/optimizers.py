@@ -45,7 +45,8 @@ array, repeat-major, with one worker per repeat except for ``elastic``
 (``n_workers``; ``sgd`` has none).  :func:`run_lockstep` steps several runs
 on one objective in lockstep, one ``_step`` over the states still stepping
 per inner step, so the per-call cost of Python and numpy is paid once for
-all rows of all runs; :func:`run` is its one-run call.  A seed's record
+all rows of all runs; each run (a :class:`RunSpec`) carries its algorithm,
+config and start.  :func:`run` is its one-run call.  A seed's record
 does not depend on the seeds or runs stepped beside it, bit for bit:
 
 * each row draws from its own stream: the row of repeat p (seed + p) from
@@ -70,8 +71,8 @@ does not depend on the seeds or runs stepped beside it, bit for bit:
   through another kernel than many);
 * the elastic worker mean reduces a (repeats, workers, dim) view over the
   workers, the order a mean over a list of workers takes;
-* the control energy adds ``float(d[p] @ d[p])`` per repeat; a batched
-  einsum of the same products is not bit-equal;
+* the control energy adds ``np.vecdot(d, d)``, one dot product per repeat
+  and bit-equal to ``d[p] @ d[p]`` for each (a batched einsum is not);
 * a repeat whose loss turns non-finite stops recording while its rows keep
   being stepped with the others, which they do not touch; a run leaves the
   stack when all its repeats have stopped, or its outer steps are done.
@@ -380,9 +381,7 @@ def _apply(state: OptimizerState, g: Array) -> None:
         x = x + _normal(state.rngs, math.sqrt(eta * p.outer_noise), x.shape[1])
     state.x = x
     state.z = x + cfg.delta * (x - x_old) if cfg.delta else x
-    energy = state.control_energy
-    for r in range(len(d)):
-        energy[r] += 0.5 * float(d[r] @ d[r]) * eta
+    state.control_energy += 0.5 * np.vecdot(d, d) * eta
     if p.width:
         _restart(state, p)
         _scope(state, cfg)
@@ -453,11 +452,13 @@ class RunRecord:
 
 class RunSpec(NamedTuple):
     """One run of :func:`run_lockstep`: the algorithm, its config (None: the
-    algorithm's defaults), its outer steps and its logging period."""
+    algorithm's defaults), its outer steps, its logging period and its start
+    (None: the objective's initial point)."""
     algo: str
     cfg: OptimizerConfig | None
     n_outer_steps: int
     record_every: int = 1
+    x0: Array | None = None
 
 
 @dataclass
@@ -480,13 +481,13 @@ def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
     non-finite loss aborts that seed: its record stops, flagged, with the
     iterate of that moment, while the other seeds run on.
     """
-    return run_lockstep(objective, [RunSpec(algo, cfg, n_outer_steps, record_every)], seed, x0, repeats)[0]
+    return run_lockstep(objective, [RunSpec(algo, cfg, n_outer_steps, record_every, x0)], seed, repeats)[0]
 
 
-def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int = 1) -> list[list[RunRecord]]:
+def run_lockstep(objective: Objective, specs, seed: int, repeats: int = 1) -> list[list[RunRecord]]:
     """Execute several runs (:class:`RunSpec`) on one objective in lockstep,
-    each from ``x0`` with the seeds ``seed .. seed + repeats - 1``, and return
-    each run's records as :func:`run` would.
+    each from its own start with the seeds ``seed .. seed + repeats - 1``,
+    and return each run's records as :func:`run` would.
 
     Each inner step is one ``_step`` over the runs still stepping: the
     points phase of every run, one ``plan.grad`` call over their stacked rows
@@ -497,15 +498,14 @@ def run_lockstep(objective: Objective, specs, seed: int, x0=None, repeats: int =
     records do not depend on the runs stepped beside it, bit for bit (see the
     module docstring).
     """
-    x0 = objective.initial_point() if x0 is None else x0
     lanes = []
-    for algo, cfg, n_outer, record_every in specs:
+    for algo, cfg, n_outer, record_every, x0 in specs:
         if n_outer < 1:
             raise ValueError(f"steps={n_outer}: a run takes at least one outer step")
         if record_every < 1:
             raise ValueError(f"record_every={record_every}: must be at least 1")
         cfg = cfg if cfg is not None else default_config(algo)
-        state = init_state(objective, x0, cfg, seed, algo, repeats)
+        state = init_state(objective, objective.initial_point() if x0 is None else x0, cfg, seed, algo, repeats)
         state.draw_until = n_outer * cfg.L
         lanes.append(_Lane(state, [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)],
                            list(range(repeats)), cfg.L * record_every))

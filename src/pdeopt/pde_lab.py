@@ -570,10 +570,13 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
     generator ``_Generator`` (its ``rmatvec``): the walls carry zero flux, so
     the plain sum of rho is conserved up to roundoff, and the scheme is
     positivity-preserving under ``fp_cfl_limit``; it aborts if the density
-    dips below -1e-12 or turns NaN.
+    dips below -1e-12 or turns NaN.  A negative or NaN ``beta_inv`` is
+    refused by name.
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")
+    if not beta_inv >= 0:       # a NaN too; a negative one would run anti-diffusion
+        raise ValueError(f"beta_inv={beta_inv:g}: the diffusion must be >= 0")
     if not rho0.is_density(tol=1e-6):
         raise ValueError("rho0 must be a normalized non-negative density")
     drifts = [drift] if isinstance(drift, GridFunction) else list(drift)

@@ -56,6 +56,11 @@ class TestQuadraticClosedForm:
         with pytest.raises(ValueError):
             analysis.quadratic_invariant_closed_form(-10.0 * np.eye(1), [0.0], [0.0], 1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma, beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_nonpositive_gamma_or_beta_rejected(self, gamma, beta):
+        with pytest.raises(ValueError, match="gamma and beta must be positive"):
+            analysis.quadratic_invariant_closed_form(np.eye(1), [0.0], [0.0], gamma, beta)
+
 
 class TestSampleInvariantMeasure:
     def test_quadratic_reference(self):
@@ -120,6 +125,12 @@ class TestSampleInvariantMeasure:
         with pytest.raises(ValueError, match="n_steps=0"):
             analysis.sample_invariant_measure(q, np.array([0.0]), 1.0, 1.0,
                                               n_steps=0, burn_in=100, seed=0)
+
+    @pytest.mark.parametrize("gamma, beta_inv", [(0.0, 1.0), (-0.5, 1.0), (1.0, -1e-3)])
+    def test_nonpositive_gamma_or_negative_beta_inv_refused(self, gamma, beta_inv):
+        q = make_quadratic(1.0, 0.0, 1)
+        with pytest.raises(ValueError, match="gamma must be positive and beta_inv >= 0"):
+            analysis.sample_invariant_measure(q, np.array([0.0]), gamma, beta_inv, n_steps=64, burn_in=0, seed=0)
 
     def test_negative_burn_in_refused_by_name(self):
         # a negative burn-in would leave rows of the sample array unwritten
@@ -215,6 +226,18 @@ class TestHomogenization:
             samples = table.drift_samples[ei, 0]
             se = samples.std(ddof=1) / np.sqrt(n_seeds)
             assert abs(samples.mean()) <= max(3 * se, 1e-9)
+
+    @pytest.mark.parametrize("second, monotone", [
+        (0.12, True),       # a rise of 0.02 within 2 combined standard errors, 2 * hypot(0.01, 0.01)
+        (0.13, False),      # a rise of 0.03 beyond them
+        (0.05, True),
+    ])
+    def test_is_monotone_up_to_the_noise(self, second, monotone):
+        rows = [analysis.HomogenizationRow(epsilon=e, inner_steps=round(1 / e), mean_abs_deviation=dev, stderr=0.01,
+                                           mean_rel_deviation=0.0, max_rel_deviation=0.0)
+                for e, dev in ((0.1, 0.1), (0.01, second))]
+        table = analysis.HomogenizationTable(reference_grad=np.zeros(1), rows=rows, drift_samples=np.zeros((2, 1, 2)))
+        assert table.is_monotone() is monotone
 
     def test_two_dimensional_objective_refused(self):
         with pytest.raises(ValueError, match="one-dimensional"):

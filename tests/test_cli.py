@@ -102,6 +102,30 @@ class TestParseConfig:
         cfg = parse_config(overrides={"kind": "homogenization", "epsilons": "0.1,0.01"})
         assert cfg.params["epsilons"] == [0.1, 0.01]
 
+    @pytest.mark.parametrize("kind, key, value, parsed", [
+        ("compare", "algos", ["sgd", "hj2"], ["sgd", "hj2"]),      # a JSON list
+        ("compare", "assert_vs_sgd", True, True),
+        ("compare", "assert_vs_sgd", False, False),
+        ("compare", "assert_vs_sgd", "yes", True),
+        ("compare", "assert_vs_sgd", "on", True),
+        ("optimize", "batch_size", "none", None),
+        ("optimize", "batch_size", "", None),
+        ("optimize", "batch_size", None, None),                    # a JSON null
+    ])
+    def test_documented_value_forms_in_json(self, tmp_path, kind, key, value, parsed):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({"experiment": {"kind": kind, "objective": "double_well_a1"},
+                                 "optimizer": {key: value}}))
+        assert parse_config(p).params[key] == parsed
+        if isinstance(value, str):      # the same text as a flag
+            flags = {"kind": kind, "objective": "double_well_a1", key: value}
+            assert parse_config(overrides=flags).params[key] == parsed
+
+    def test_objective_property_is_the_name_set_or_empty(self):
+        assert parse_config(overrides={"kind": "spectrum"}).objective == ""
+        assert parse_config(overrides={"kind": "figure1"}).objective == ""     # a default is not a setting
+        assert parse_config(overrides={"kind": "optimize", "objective": "double_well_a1"}).objective == "double_well_a1"
+
 
 class TestManifest:
     def test_roundtrip(self):
@@ -192,6 +216,15 @@ class TestEmitPlot:
         assert len(_ticks(lo, hi)) <= 6
         emit_plot([("a", [0.0, 1.0], losses)], tmp_path / "p.svg")
         assert (tmp_path / "p.svg").read_text().count("<polyline") == 1
+
+    def test_no_finite_point_still_writes_the_plot(self, tmp_path):
+        # a run that diverges before its first record leaves nothing to
+        # span: both axes fall back to (0, 1)
+        path = tmp_path / "p.svg"
+        emit_plot([("sgd", [1.0], [np.nan]), ("hj", [1.0, 2.0], [np.inf, -np.inf])], path)
+        svg = path.read_text()
+        assert svg.count("<polyline") == 2 and svg.endswith("</svg>\n")
+        assert svg.count(">0</text>") == 2 and svg.count(">1</text>") == 2
 
 
 class TestKeyTable:
@@ -880,7 +913,7 @@ class TestCliMain:
     def test_bad_input_refused_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def work(*args, **kwargs):
             raise AssertionError("work started before the input was checked")
-        for module, name in ((analysis, "prox_point"), (analysis, "run"), (analysis, "init_state"),
+        for module, name in ((analysis, "prox_point"), (analysis, "run_lockstep"), (analysis, "init_state"),
                              (analysis, "solve_hjb_backward"),
                              (pde_lab, "solve_viscous_hj_cole_hopf"), (pde_lab, "solve_hj_hopf_lax"),
                              (pde_lab, "solve_hj_monotone_fd"), (pde_lab, "solve_heat"),
@@ -921,6 +954,13 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'assert_vs_sgd'" in err and "maybe" in err
         assert not (tmp_path / "c").exists()
+
+    def test_bad_boolean_flag_named_once(self, capsys, tmp_path):
+        assert main(["compare", "--objective", "quadratic_c1_n2", "--assert-vs-sgd", "maybe",
+                     "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: bad value for 'assert_vs_sgd': 'maybe' "
+                       "(must be a boolean: true, yes, on or 1; false, no, off or 0)\n")
 
     def test_spectrum_cli(self, tmp_path, capsys):
         code = main(["spectrum", "--n-random", "10", "--seed", "1",

@@ -290,6 +290,16 @@ class TestConfigValidation:
         # the step size is 0.0 once 10^-drops underflows: the iterate stops
         assert rec.rows[-1]["loss"] == rec.rows[-2]["loss"]
 
+    def test_growing_step_past_the_float_range_aborts_instead_of_raising(self):
+        # a factor below 1 grows the step: at the first outer update one
+        # gradient is one epoch, so drops = 1 // 0.5 = 2, and (1e-200)^-2
+        # leaves the float range; the step is inf and the loss turns non-finite
+        cfg = opt.default_config("sgd", anneal_factor=1e-200, anneal_period=0.5)
+        records = opt.run("sgd", make_quadratic(1.0, 0.0, 1), cfg, seed=0, n_outer_steps=5, x0=np.ones(1), repeats=2)
+        assert [r.aborted for r in records] == [True, True]
+        assert [len(r.rows) for r in records] == [1, 1]
+        assert all(not np.isfinite(r.final_loss) and np.isinf(r.terminal_x[0]) for r in records)
+
 
 class TestMomentum:
     def test_delta_zero_identity(self):
@@ -494,7 +504,8 @@ class TestLockstep:
         setattr(obj, name, spy)
 
     def assert_each_as_alone(self, obj, specs, x0, tmp_path):
-        together = opt.run_lockstep(obj, specs, seed=11, x0=x0, repeats=2)
+        specs = [spec._replace(x0=x0) for spec in specs]
+        together = opt.run_lockstep(obj, specs, seed=11, repeats=2)
         self.calls = list(self.rows)
         for spec, records in zip(specs, together):
             alone = opt.run(spec.algo, obj, spec.cfg, 11, spec.n_outer_steps, x0=x0,
@@ -539,6 +550,24 @@ class TestLockstep:
         # hj and entropy_sgd both take 40 inner steps; the logging calls take
         # one run's two rows, the stepping calls more
         assert [n for n in self.calls if n > 2] == [6] * 6 + [4] * 34
+
+    def test_runs_from_their_own_starts_match_their_own_runs(self, tmp_path):
+        # each spec carries its start (None: the objective's initial point);
+        # the runs differ in algorithm, L and logging period too
+        dw = DoubleWell(1.0)
+        specs = [
+            opt.RunSpec("sgd", opt.default_config("sgd", beta_inv_ex=1e-2), 30, 4, np.array([-0.7])),
+            opt.RunSpec("entropy_sgd", opt.default_config("entropy_sgd", L=5, beta_inv_ex=1e-3), 6, 1, np.array([0.4])),
+            opt.RunSpec("hj2", opt.default_config("hj2"), 4, 2, None),
+            opt.RunSpec("heat", opt.default_config("heat", L=5), 4, 1, np.array([1.3])),
+        ]
+        together = opt.run_lockstep(dw, specs, seed=3, repeats=2)
+        for spec, records in zip(specs, together):
+            alone = opt.run(spec.algo, dw, spec.cfg, 3, spec.n_outer_steps, x0=spec.x0,
+                            record_every=spec.record_every, repeats=2)
+            TestRepeats.assert_same_records(records, alone, tmp_path)
+        # the starts are the runs' own: sgd from -0.7 settles in the left well
+        assert together[0][0].terminal_x[0] < 0 < together[3][0].terminal_x[0]
 
     def test_runs_of_two_batch_sizes_refused(self):
         obj = TinyMLP(0, 8, 200)

@@ -881,15 +881,21 @@ class TestFokkerPlanck:
         ("negative_t", "t_final must be >= 0"),
         ("two_drifts_1d", "one drift component per axis"),
         ("drift_on_another_grid", "drift and density must share the grid"),
+        # refused before the stability limit, which reads a negative or NaN
+        # beta_inv as a fault of the drift or not at all
+        ("negative_beta_inv", r"beta_inv=-0.0001: the diffusion must be >= 0"),
+        ("nan_beta_inv", r"beta_inv=nan: the diffusion must be >= 0"),
     ])
     def test_rejects_bad_inputs(self, case, message):
         grid = GridFunction.geometry([-1.0], [1.0], [33])
         rho0 = gaussian_density(grid, [0.0], 0.05)
         zero = grid.with_values(np.zeros(33))
-        drift, t = {"negative_t": (zero, -0.1), "two_drifts_1d": ([zero, zero], 0.1),
-                    "drift_on_another_grid": (GridFunction.geometry([-1.0], [1.0], [17]), 0.1)}[case]
+        ramp = grid.with_values(3.0 * grid.axes()[0])
+        drift, beta_inv, t = {"negative_t": (zero, 0.1, -0.1), "two_drifts_1d": ([zero, zero], 0.1, 0.1),
+                              "drift_on_another_grid": (GridFunction.geometry([-1.0], [1.0], [17]), 0.1, 0.1),
+                              "negative_beta_inv": (ramp, -1e-4, 0.5), "nan_beta_inv": (ramp, math.nan, 0.5)}[case]
         with pytest.raises(ValueError, match=message):
-            evolve_fokker_planck(drift, rho0, 0.1, t)
+            evolve_fokker_planck(drift, rho0, beta_inv, t)
 
     def test_rejects_bad_density(self):
         grid = GridFunction.geometry([-1.0], [1.0], [33])
