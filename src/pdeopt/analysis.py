@@ -124,7 +124,7 @@ def sample_invariant_measure(objective: Objective, x, gamma: float, beta_inv: fl
         raise ValueError(f"burn_in={burn_in}: must be >= 0, or the first samples are never written")
     if n_chains < 2:
         raise ValueError(f"n_chains={n_chains}: the error bars are a spread over chains, so at least 2")
-    if gamma <= 0 or beta_inv < 0:
+    if not gamma > 0 or not beta_inv >= 0:      # a NaN too
         raise ValueError("gamma must be positive and beta_inv >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = objective.dim
@@ -177,7 +177,7 @@ def quadratic_invariant_closed_form(Q, p, x, gamma: float, beta: float) -> Quadr
     n = Q.shape[0]
     p = np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,))
     x = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (n,))
-    if gamma <= 0 or beta <= 0:
+    if not gamma > 0 or not beta > 0:      # a NaN too
         raise ValueError("gamma and beta must be positive")
     Sigma_shape = _spd_inverse(Q + np.eye(n) / gamma)
     return QuadraticMeasure(mean=x - Sigma_shape @ (p + Q @ x), covariance=Sigma_shape / beta)
@@ -185,7 +185,7 @@ def quadratic_invariant_closed_form(Q, p, x, gamma: float, beta: float) -> Quadr
 
 def _spd_inverse(A: Array) -> Array:
     eig = np.linalg.eigvalsh(A)
-    if eig.min() <= 0:
+    if not eig.min() > 0:      # a NaN matrix too
         raise ValueError("precision matrix is singular or indefinite")
     return np.linalg.inv(A)
 

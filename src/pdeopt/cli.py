@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one to experiment kinds, and each takes one flag per
 key its kind reads (``config.KINDS``); flags override config-file values,
-which override defaults.  Examples:
+which override defaults.  A refusal of the input (a ``ConfigError``) prints
+one ``config error:`` line, a solver's refusal one ``error:`` line, and both
+exit 2; exit 1 means a check failed.  Examples:
 
     pdeopt solve-pde --objective rugged_s3_m6 --scheme cole_hopf --beta-inv 0.1 --t 0.5 --grid-n 513 --out lab
     pdeopt optimize --algo entropy_sgd --objective mlp_h8_n200 --steps 500 --seed 7 --out runs
@@ -42,9 +44,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(path, {k: v for k, v in args.items() if v is not None}, kind=kind)
         result = run_experiment(cfg)
-    except (ConfigError, KeyError) as exc:
-        # a KeyError's str is the repr of its message
-        print(f"config error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:   # a solver's refusal: its work budget, a NaN, paths exiting
         print(f"error: {exc}", file=sys.stderr)

@@ -35,10 +35,14 @@ state, not on threads.  It stays only because the benchmark's ops pass it.
 
 Accepted config formats: an INI-style text file with ``key = value``
 sections, or the JSON equivalent (one object per section).  Sections are
-labels: the loader flattens them.  Keys keep their case (``T`` is not
+labels: the loader flattens them, and refuses a key set in two sections.
+A file that cannot be read or parsed is a ``ConfigError`` naming the file,
+as is every refusal of user input here.  Keys keep their case (``T`` is not
 ``t``).  Flags override file values.  A config is its kind and exactly the
-keys the user set, ``out`` included; every run directory gets a
-``manifest.json`` of the two, and ``parse_manifest(emit_manifest(cfg)) == cfg``.
+keys the user set, ``out`` included.  This module holds the manifest's
+format, ``parse_manifest(emit_manifest(cfg)) == cfg``;
+``experiments.run_experiment`` writes it into each run directory as
+``manifest.json``.
 """
 
 from __future__ import annotations
@@ -247,26 +251,36 @@ def _convert(key: str, value):
 
 
 def load_config_file(path) -> dict:
-    """Flat key -> raw value mapping from a JSON or key=value sections file."""
+    """Flat key -> raw value mapping from a JSON or key=value sections file.
+    A file that cannot be read as text, does not parse, or sets a key in two
+    sections is refused naming the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    flat: dict = {}
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        data = json.loads(text)
-        for section, content in data.items():
-            if not isinstance(content, dict):
-                raise ConfigError(f"section {section!r} must map keys to values")
-            for k, v in content.items():
-                flat[k] = v
-    else:
-        cp = configparser.ConfigParser()
-        cp.optionxform = str            # keep case: `T` and `L` are keys, `t` is another
-        cp.read_string(text)
-        for section in cp.sections():
-            for k, v in cp.items(section):
-                flat[k] = v
+    try:
+        text = path.read_text()
+        if path.suffix == ".json" or text.lstrip().startswith("{"):
+            sections = json.loads(text)
+        else:
+            # [DEFAULT] is a section like any other, not merged into each: a key sits in one
+            cp = configparser.ConfigParser(default_section="")
+            cp.optionxform = str            # keep case: `T` and `L` are keys, `t` is another
+            cp.read_string(text, source=str(path))
+            sections = {name: dict(cp.items(name)) for name in cp.sections()}
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except configparser.Error as exc:       # its message names the file
+        raise ConfigError(" ".join(str(exc).split())) from None
+    if not isinstance(sections, dict):
+        raise ConfigError(f"{path}: the top level must map sections to keys")
+    flat, where = {}, {}
+    for section, content in sections.items():
+        if not isinstance(content, dict):
+            raise ConfigError(f"{path}: section {section!r} must map keys to values")
+        for key, value in content.items():
+            if key in where:
+                raise ConfigError(f"{path}: key {key!r} is set in sections {where[key]!r} and {section!r}")
+            flat[key], where[key] = value, section
     return flat
 
 
@@ -310,10 +324,3 @@ def emit_manifest(cfg: ExperimentConfig) -> dict:
 def parse_manifest(data: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=data["kind"], params=dict(data["params"]))
 
-
-def write_manifest(cfg: ExperimentConfig, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "manifest.json"
-    path.write_text(json.dumps(emit_manifest(cfg), indent=2, sort_keys=True) + "\n")
-    return path

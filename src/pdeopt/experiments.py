@@ -1,14 +1,15 @@
 """Experiment drivers: dispatch configs, write artifacts, check assertions.
 
-``run_experiment`` resolves the objective once (``get_entry`` refuses an
-empty or unknown name; only ``spectrum`` runs without one, on None) and calls
-the kind's runner on the config and that corpus entry.  The runner returns
-``(summary, files)``: the summary with its per-check booleans, and a map from
-file name to a writer of that path (run CSVs, tables, grids, ``plot.svg``).
-``run_experiment`` alone sets ``kind`` and ``passed``, then creates the run
-directory and writes the files, ``manifest.json`` and ``summary.json``, so a
-run a solver refuses leaves no directory.  All randomness flows from the
-single config seed through named sub-streams.
+``run_experiment`` resolves the objective once (an empty or unknown name,
+or one whose parameters its constructor refuses, is a ``ConfigError``; only
+``spectrum`` runs without one, on None) and calls the kind's runner on the
+config and that corpus entry.  The runner returns ``(summary, files)``: the
+summary with its per-check booleans, and a map from file name to a writer of
+that path (run CSVs, tables, grids, ``plot.svg``).  ``run_experiment`` alone
+sets ``kind`` and ``passed``, adds the JSON writers of ``manifest.json`` and
+``summary.json`` to the map, then creates the run directory and writes every
+file into it, so a run a solver refuses leaves no directory.  All randomness
+flows from the single config seed through named sub-streams.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, optimizers, pde_lab
-from .config import KINDS, OPTIMIZER_KEYS, PER_ALGORITHM, ExperimentConfig, write_manifest
+from .config import KINDS, OPTIMIZER_KEYS, PER_ALGORITHM, ConfigError, ExperimentConfig, emit_manifest
 from .grid import GridFunction, gaussian_density, gradient
 from .objectives import Quadratic, TestCorpusEntry, get_entry, global_minimum
 from .plotting import emit_plot
@@ -76,6 +77,18 @@ def _table(header, rows):
     return write
 
 
+def _json(data):
+    """A writer of ``data`` as sorted, indented JSON."""
+    return lambda path: path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _final_losses(records) -> dict:
+    """The mean of the runs' final losses, and their standard deviation (0 for one run)."""
+    finals = np.array([rec.final_loss for rec in records])
+    return {"final_loss_mean": float(finals.mean()),
+            "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0}
+
+
 # ---------------------------------------------------------------------------
 # kinds
 
@@ -97,13 +110,9 @@ def _run_optimize(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, 
     series = [(f"seed {r.seed}", r.column("effective_epoch"), r.column("loss")) for r in records]
     files["plot.svg"] = partial(emit_plot, series, title=f"{algo} on {entry.name}",
                                 xlabel="effective epochs", ylabel="loss")
-    finals = np.array([r.final_loss for r in records])
     aborted = any(r.aborted for r in records)
-    return {
-        "algo": algo, "objective": entry.name,
-        "final_loss_mean": float(finals.mean()), "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
-        "checks": {"no_abort": not aborted},
-    }, files
+    return {"algo": algo, "objective": entry.name, **_final_losses(records),
+            "checks": {"no_abort": not aborted}}, files
 
 
 def _run_compare(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:
@@ -129,11 +138,8 @@ def _run_compare(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
     for algo, records in zip(sorted(algos), runs):
         files.update((f"run_{algo}_{rec.seed}.csv", rec.to_csv) for rec in records)
         curves[algo] = records[-1]
-        finals = np.array([rec.final_loss for rec in records])
         rows.append({
-            "algorithm": algo,
-            "final_loss_mean": float(finals.mean()),
-            "final_loss_std": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
+            "algorithm": algo, **_final_losses(records),
             "effective_epochs": float(np.mean([rec.rows[-1]["effective_epoch"] for rec in records])),
         })
     header = ("algorithm", "final_loss_mean", "final_loss_std", "effective_epochs")
@@ -364,7 +370,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if runner is None:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     objective = cfg.param("objective")   # empty: refused, unless the kind's default is empty too
-    entry = get_entry(objective) if objective or KINDS[cfg.kind].defaults["objective"] else None
+    try:
+        entry = get_entry(objective) if objective or KINDS[cfg.kind].defaults["objective"] else None
+    except KeyError as exc:              # an unknown name
+        raise ConfigError(exc.args[0]) from None
+    except ValueError as exc:            # a parameter the objective's constructor refuses
+        raise ConfigError(f"bad value for 'objective': {objective!r} ({exc})") from None
     summary, files = runner(cfg, entry)
     summary["kind"] = cfg.kind
     summary["passed"] = all(summary["checks"].values())
@@ -375,8 +386,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.kind == "optimize" and out.suffix == ".csv":   # `--out foo.csv` names the run file
             out = out.parent
         out.mkdir(parents=True, exist_ok=True)
+        files.update({"manifest.json": _json(emit_manifest(cfg)), "summary.json": _json(summary)})
         for name, write in files.items():
             write(out / name)
-        write_manifest(cfg, out)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(passed=summary["passed"], summary=summary, out_dir=out)

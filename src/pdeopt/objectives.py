@@ -381,6 +381,8 @@ def get_entry(name: str) -> TestCorpusEntry:
             continue
         if kind == "quadratic":
             c, n = float(m["c"]), int(m["n"])
+            if n < 1:
+                raise ValueError("n must be >= 1")
             box = (np.full(n, -2.0), np.full(n, 2.0))
             return TestCorpusEntry(name, make_quadratic(c, np.zeros(n), n), box, lambda: [(np.zeros(n), 0.0)])
         if kind == "double_well":

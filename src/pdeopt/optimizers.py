@@ -451,11 +451,11 @@ class RunRecord:
 
 
 class RunSpec(NamedTuple):
-    """One run of :func:`run_lockstep`: the algorithm, its config (None: the
-    algorithm's defaults), its outer steps, its logging period and its start
-    (None: the objective's initial point)."""
+    """One run of :func:`run_lockstep`: the algorithm, its config, its outer
+    steps, its logging period and its start (None: the objective's initial
+    point)."""
     algo: str
-    cfg: OptimizerConfig | None
+    cfg: OptimizerConfig
     n_outer_steps: int
     record_every: int = 1
     x0: Array | None = None
@@ -470,7 +470,7 @@ class _Lane:
     log_every: int                 # inner steps between its records: L * record_every
 
 
-def run(algo: str, objective: Objective, cfg: OptimizerConfig | None, seed: int,
+def run(algo: str, objective: Objective, cfg: OptimizerConfig, seed: int,
         n_outer_steps: int, x0=None, record_every: int = 1, repeats: int = 1) -> list[RunRecord]:
     """Execute ``n_outer_steps`` outer updates of the named optimizer: the
     one-run call of :func:`run_lockstep`.
@@ -504,7 +504,6 @@ def run_lockstep(objective: Objective, specs, seed: int, repeats: int = 1) -> li
             raise ValueError(f"steps={n_outer}: a run takes at least one outer step")
         if record_every < 1:
             raise ValueError(f"record_every={record_every}: must be at least 1")
-        cfg = cfg if cfg is not None else default_config(algo)
         state = init_state(objective, objective.initial_point() if x0 is None else x0, cfg, seed, algo, repeats)
         state.draw_until = n_outer * cfg.L
         lanes.append(_Lane(state, [RunRecord(algo=algo, seed=seed + r) for r in range(repeats)],

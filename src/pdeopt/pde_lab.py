@@ -83,7 +83,7 @@ class PdeSolveConfig:
     dt: float | None = None
     scheme: str = "cole_hopf"
     boundary: str = "extrapolating"
-    cfl_safety: float = CFL_SAFETY
+    cfl_safety = CFL_SAFETY     # a class attribute, not a field: no solve sets its own
 
     def __post_init__(self):
         if self.beta_inv < 0:

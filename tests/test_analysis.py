@@ -53,10 +53,12 @@ class TestQuadraticClosedForm:
         assert m.covariance[0, 0] == pytest.approx(var_o, abs=1e-8)
 
     def test_singular_precision_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.quadratic_invariant_closed_form(-10.0 * np.eye(1), [0.0], [0.0], 1.0, 1.0)
+        for Q in (-10.0 * np.eye(1), np.full((1, 1), np.nan)):      # indefinite, and NaN
+            with pytest.raises(ValueError, match="singular or indefinite"):
+                analysis.quadratic_invariant_closed_form(Q, [0.0], [0.0], 1.0, 1.0)
 
-    @pytest.mark.parametrize("gamma, beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("gamma, beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                             (np.nan, 1.0), (1.0, np.nan)])
     def test_nonpositive_gamma_or_beta_rejected(self, gamma, beta):
         with pytest.raises(ValueError, match="gamma and beta must be positive"):
             analysis.quadratic_invariant_closed_form(np.eye(1), [0.0], [0.0], gamma, beta)
@@ -126,7 +128,8 @@ class TestSampleInvariantMeasure:
             analysis.sample_invariant_measure(q, np.array([0.0]), 1.0, 1.0,
                                               n_steps=0, burn_in=100, seed=0)
 
-    @pytest.mark.parametrize("gamma, beta_inv", [(0.0, 1.0), (-0.5, 1.0), (1.0, -1e-3)])
+    @pytest.mark.parametrize("gamma, beta_inv", [(0.0, 1.0), (-0.5, 1.0), (1.0, -1e-3), (np.nan, 1.0),
+                                                (1.0, np.nan)])
     def test_nonpositive_gamma_or_negative_beta_inv_refused(self, gamma, beta_inv):
         q = make_quadratic(1.0, 0.0, 1)
         with pytest.raises(ValueError, match="gamma must be positive and beta_inv >= 0"):

@@ -22,7 +22,6 @@ from pdeopt.config import (
     emit_manifest,
     parse_config,
     parse_manifest,
-    write_manifest,
 )
 from pdeopt.experiments import _optimizer_config, run_experiment
 from pdeopt.grid import GridFunction
@@ -59,6 +58,13 @@ class TestParseConfig:
                      "[optimizer]\neta = 0.2\n")
         cfg = parse_config(p, overrides={"eta": 0.05})
         assert cfg.params == {"objective": "double_well_a1", "seed": 3, "eta": 0.05}
+
+    def test_default_section_is_a_label(self, tmp_path):
+        # not merged into the other sections, so its key sits in one section
+        p = tmp_path / "exp.cfg"
+        p.write_text("[DEFAULT]\nkind = optimize\n[run]\nobjective = double_well_a1\n[optimizer]\neta = 0.2\n")
+        cfg = parse_config(p)
+        assert (cfg.kind, cfg.params) == ("optimize", {"objective": "double_well_a1", "eta": 0.2})
 
     def test_json_equivalent(self, tmp_path):
         p = tmp_path / "exp.json"
@@ -151,8 +157,8 @@ class TestManifest:
 
     def test_written_file_roundtrip(self, tmp_path):
         cfg = parse_config(overrides={"kind": "optimize", "objective": "double_well_a1",
-                                      "seed": 9, "steps": 10})
-        write_manifest(cfg, tmp_path)
+                                      "seed": 9, "steps": 10, "out": str(tmp_path)})
+        run_experiment(cfg)
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert parse_manifest(data) == cfg
 
@@ -739,6 +745,30 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
         assert len(list(tmp_path.iterdir())) == len(self.RUNS)
 
 
+class TestEntryPoint:
+    """``python -m pdeopt`` in a fresh interpreter: a run, and a refusal."""
+
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(pdeopt.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "pdeopt", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_run_writes_its_directory(self, tmp_path):
+        out = tmp_path / "spec"
+        done = self.run("spectrum", "--n-random", "2", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["passed"] is True
+        assert (out / "manifest.json").exists() and (out / "summary.json").exists()
+
+    def test_refusal_is_one_line_without_a_traceback(self, tmp_path):
+        out = tmp_path / "lab"
+        done = self.run("solve-pde", "--objective", "quadratic_c1_n0", "--out", str(out))
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert not out.exists()
+
+
 class TestCliMain:
     def test_optimize_exit_zero(self, tmp_path, capsys):
         code = main(["optimize", "--objective", "quadratic_c1_n1", "--algo", "sgd",
@@ -757,6 +787,56 @@ class TestCliMain:
         assert main(["solve-pde", "--objective", "nope", "--out", str(tmp_path / "n")]) == 2
         assert capsys.readouterr().err == "config error: unknown objective name: 'nope'\n"
         assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("exp.json", "[1, 2]", "exp.json: the top level must map sections to keys"),
+        ("exp.cfg", "grid_n = 33\n", "File contains no section headers. file: '{path}', line: 1"),
+        ("exp.cfg", "[pde]\ngrid_n = 33\n[pde]\nt = 0.3\n",
+         "While reading from '{path}' [line 3]: section 'pde' already exists"),
+        ("exp.cfg", "[pde]\ngrid_n = 33\ngrid_n = 65\n",
+         "While reading from '{path}' [line 3]: option 'grid_n' in section 'pde' already exists"),
+        ("exp.json", "{objective: 1}", "exp.json: Expecting property name enclosed in double quotes"),
+        ("exp.cfg", "[experiment]\ngrid_n = 33\n[pde]\ngrid_n = 65\n",
+         "exp.cfg: key 'grid_n' is set in sections 'experiment' and 'pde'"),
+        ("exp.json", '{"experiment": {"grid_n": 33}, "pde": {"grid_n": 65}}',
+         "exp.json: key 'grid_n' is set in sections 'experiment' and 'pde'"),
+        ("exp.cfg", "\xff\xfe", "codec can't decode byte 0xff"),
+        ("exp.cfg", None, "exp.cfg: [Errno 21] Is a directory"),
+    ], ids=["json_list", "ini_no_section", "ini_section_twice", "ini_option_twice", "json_invalid",
+            "ini_key_in_two_sections", "json_key_in_two_sections", "not_text", "directory"])
+    def test_malformed_config_file_refused_by_name(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.mkdir() if text is None else path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "r"
+        assert main(["solve-pde", "--objective", "double_well_a1", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err and message.format(path=path) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, reason", [
+        ("quadratic_c1_n0", "n must be >= 1"),
+        ("quadratic_c0_n1", "c must be positive"),
+        ("double_well_a0", "a must be positive"),
+        ("mlp_h1_n200", "hidden must be >= 2"),
+        ("mlp_h8_n10", "n_samples must be >= 20"),
+        ("rugged_s3_m1", "n_modes must be >= 2"),
+        ("quadratic_c1.5.3_n2", "could not convert string to float: '1.5.3'"),
+    ])
+    @pytest.mark.parametrize("command", ["optimize", "spectrum"])
+    def test_objective_its_constructor_refuses_named(self, tmp_path, capsys, command, name, reason):
+        out = tmp_path / "r"
+        assert main([command, "--objective", name, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: bad value for 'objective': {name!r} ({reason})\n"
+        assert not out.exists()
+
+    def test_key_error_from_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # a KeyError from a bug keeps its traceback
+        def broken(cfg):
+            raise KeyError("a bug")
+        monkeypatch.setattr("pdeopt.cli.run_experiment", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["spectrum", "--out", str(tmp_path / "r")])
 
     def test_out_csv_names_run_file(self, tmp_path, capsys):
         target = tmp_path / "mine.csv"

@@ -466,6 +466,10 @@ class TestCorpus:
         with pytest.raises(KeyError):
             get_entry("nonsense_x1")
 
+    def test_zero_dimensional_quadratic_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            get_entry("quadratic_c1_n0")
+
     def test_gradient_invariant_100_points(self):
         # every analytic corpus entry: grad vs central differences
         rng = np.random.default_rng(17)

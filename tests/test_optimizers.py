@@ -411,7 +411,7 @@ class TestRun:
     def test_unknown_algorithm(self):
         q = make_quadratic(1.0, 0.0, 1)
         with pytest.raises(ValueError):
-            opt.run("adam", q, None, 0, 10)
+            opt.run("adam", q, opt.default_config("sgd"), 0, 10)
 
     def test_csv_roundtrip(self, tmp_path):
         q = make_quadratic(1.0, 0.0, 1)
@@ -456,11 +456,11 @@ class TestRepeats:
     def test_rejects_zero_repeats(self):
         q = make_quadratic(1.0, 0.0, 1)
         with pytest.raises(ValueError, match="repeats"):
-            opt.run("sgd", q, None, seed=0, n_outer_steps=3, repeats=0)
+            opt.run("sgd", q, opt.default_config("sgd"), seed=0, n_outer_steps=3, repeats=0)
 
     def test_one_seed_is_a_one_record_list(self):
         q = make_quadratic(1.0, 0.0, 1)
-        records = opt.run("sgd", q, None, seed=5, n_outer_steps=3, x0=np.ones(1))
+        records = opt.run("sgd", q, opt.default_config("sgd"), seed=5, n_outer_steps=3, x0=np.ones(1))
         assert isinstance(records, list) and [r.seed for r in records] == [5]
 
     @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros((1, 1)), 0.0], ids=["too_long", "2d", "scalar"])

@@ -1254,3 +1254,8 @@ class TestConfigValidation:
     def test_negative_beta_inv(self):
         with pytest.raises(ValueError, match="beta_inv must be >= 0"):
             PdeSolveConfig(beta_inv=-0.1, t_final=1.0)
+
+    def test_cfl_safety_is_read_not_set(self):
+        assert PdeSolveConfig(beta_inv=0.1, t_final=1.0).cfl_safety == pde_lab.CFL_SAFETY
+        with pytest.raises(TypeError):
+            PdeSolveConfig(beta_inv=0.1, t_final=1.0, cfl_safety=0.5)
