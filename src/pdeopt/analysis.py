@@ -278,28 +278,34 @@ def verify_homogenization(objective: Objective, probes, gamma: float, beta_inv: 
 
 @dataclass
 class ControlComparison:
-    terminal_ctrl: float
-    terminal_ctrl_stderr: float
-    terminal_plain: float
-    terminal_plain_stderr: float
-    control_energy: float
-    control_energy_stderr: float
+    """The paired control run's statistics, each once, as (mean, stderr) over
+    the paths, keyed by the name ``control.csv`` and ``summary.json`` use:
+
+    * ``terminal_controlled``, ``terminal_plain``: V(x(T)) = f(x(T)) of the
+      controlled and the plain paths;
+    * ``control_energy``: (1/2) int |alpha|^2 ds of the control added on top
+      of the plain drift -grad f;
+    * ``gap``: V(plain) - V(controlled), positive is better;
+    * ``bound_margin``: the gap minus the control energy, >= 0 up to noise.
+
+    ``exit_fraction``, the share of paths that reached a box wall at least
+    once, is one number with no standard error.
+    """
+    stats: dict[str, tuple[float, float]]
     exit_fraction: float
-    gap: float                 # E[V(plain)] - E[V(ctrl)], positive is better
-    gap_stderr: float
-    bound_margin: float        # gap - (1/2) E int |alpha|^2 (>= 0 up to noise)
-    bound_margin_stderr: float
 
     @property
     def improvement_holds(self) -> bool:
-        return self.bound_margin >= -3.0 * self.bound_margin_stderr
+        margin, stderr = self.stats["bound_margin"]
+        return margin >= -3.0 * stderr
 
     @property
     def strict_gap(self) -> bool:
-        return self.gap > 3.0 * self.gap_stderr
+        gap, stderr = self.stats["gap"]
+        return gap > 3.0 * stderr
 
 
-CONTROL_DT = 1e-3       # path step of control_improvement_experiment
+CONTROL_DT = 1e-3       # nominal path step of control_improvement_experiment
 CONTROL_BATCHES = 20    # batches its standard errors come from
 
 
@@ -313,9 +319,12 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     so the comparison E[V(ctrl)] + (1/2) E int |alpha|^2 <= E[V(plain)] is
     tested at small variance.  The inequality is checked for this optimal
     HJB control grad w only: no optimizer applies it, and the control an
-    entropy-SGD outer step applies is not checked.  Paths are reflected at
-    the box walls; if more than 1% of paths ever exit, the run is invalid
-    and raises.
+    entropy-SGD outer step applies is not checked.  The paths run to T in
+    max(1, round(T / CONTROL_DT)) equal steps (none for T = 0), and are
+    reflected at the box walls; if more than 1% of paths ever reach a wall,
+    the run is invalid and raises.  Each statistic of the returned
+    :class:`ControlComparison` is a mean over the paths with the standard
+    error of CONTROL_BATCHES batch means.
     """
     if not T >= 0:      # a NaN horizon too
         raise ValueError(f"T={T:g}: the horizon must be >= 0")
@@ -332,8 +341,8 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     energy = np.zeros(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
     lo, hi = grid.lower, grid.upper
-    dt = CONTROL_DT
-    n_steps = int(round(T / dt)) if T > 0 else 0
+    n_steps = max(1, round(T / CONTROL_DT)) if T > 0 else 0
+    dt = T / max(n_steps, 1)
     amp = math.sqrt(dt * beta_inv)
     for kstep in range(n_steps):
         s = kstep * dt
@@ -361,19 +370,12 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
         means = np.array([chunk.mean() for chunk in b])
         return float(values.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
 
-    t_c, se_c = batch_stats(v_ctrl)
-    t_p, se_p = batch_stats(v_plain)
-    en, se_en = batch_stats(energy)
-    gap, se_gap = batch_stats(v_plain - v_ctrl)
-    margin, se_margin = batch_stats(v_plain - v_ctrl - energy)
-    return ControlComparison(
-        terminal_ctrl=t_c, terminal_ctrl_stderr=se_c,
-        terminal_plain=t_p, terminal_plain_stderr=se_p,
-        control_energy=en, control_energy_stderr=se_en,
-        exit_fraction=exit_fraction,
-        gap=gap, gap_stderr=se_gap,
-        bound_margin=margin, bound_margin_stderr=se_margin,
-    )
+    gap = v_plain - v_ctrl
+    return ControlComparison({
+        "terminal_controlled": batch_stats(v_ctrl), "terminal_plain": batch_stats(v_plain),
+        "control_energy": batch_stats(energy), "gap": batch_stats(gap),
+        "bound_margin": batch_stats(gap - energy),
+    }, exit_fraction)
 
 
 # ---------------------------------------------------------------------------

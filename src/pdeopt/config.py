@@ -20,7 +20,9 @@ truncated), and no number key takes a boolean, so a flag and a file are
 refused alike, with one ``config error:`` line, before the objective is
 resolved.  The converters
 also check names: ``scheme`` (``fd`` is short for ``monotone_fd``),
-``boundary``, ``algo`` and ``algos`` (no name twice).  Checks that need the
+``boundary``, ``algo`` and ``algos`` (at least one, no name twice).
+``objective`` and ``out`` take a string only: a JSON null is refused, not
+read as ``'None'``.  Checks that need the
 objective, the grid or a second key stay with the code that has them.
 
 Every kind reads ``objective``, ``out`` and ``threads``.  ``optimize``,
@@ -35,7 +37,8 @@ state, not on threads.  It stays only because the benchmark's ops pass it.
 
 Accepted config formats: an INI-style text file with ``key = value``
 sections, or the JSON equivalent (one object per section).  Sections are
-labels: the loader flattens them, and refuses a key set in two sections.
+labels: the loader flattens them, and refuses a key set in two sections
+or written twice in one (in JSON, twice in any one object).
 A file that cannot be read or parsed is a ``ConfigError`` naming the file,
 as is every refusal of user input here.  Keys keep their case (``T`` is not
 ``t``).  Flags override file values.  A config is its kind and exactly the
@@ -145,6 +148,8 @@ _algo = _choice(*ALGORITHMS)
 
 def _algos(v) -> list[str]:
     algos = [_algo(a) for a in _str_list(v)]
+    if not algos:
+        raise ValueError("must name at least one algorithm")
     if len(set(algos)) < len(algos):
         raise ValueError("an algorithm is named twice")
     return algos
@@ -243,6 +248,8 @@ KINDS: dict[str, Kind] = {
 
 def _convert(key: str, value):
     try:
+        if KEY_SPECS[key] is str and not isinstance(value, str):    # a JSON null or number
+            raise ValueError("must be a string")
         return KEY_SPECS[key](value)
     except (TypeError, ValueError) as exc:
         # a value as typed: the JSON 64.9 and the flag text '64.9' read alike
@@ -252,15 +259,25 @@ def _convert(key: str, value):
 
 def load_config_file(path) -> dict:
     """Flat key -> raw value mapping from a JSON or key=value sections file.
-    A file that cannot be read as text, does not parse, or sets a key in two
-    sections is refused naming the file."""
+    A file that cannot be read as text, does not parse, writes a key twice in
+    one section or JSON object, or sets a key in two sections is refused
+    naming the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+
+    def once(pairs):        # json.loads would keep the later of a key written twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"{path}: key {key!r} is written twice in one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         text = path.read_text()
         if path.suffix == ".json" or text.lstrip().startswith("{"):
-            sections = json.loads(text)
+            sections = json.loads(text, object_pairs_hook=once)
         else:
             # [DEFAULT] is a section like any other, not merged into each: a key sits in one
             cp = configparser.ConfigParser(default_section="")

@@ -267,21 +267,11 @@ def _run_control(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
         "strict_gap": comparison.strict_gap if horizon > 0 else True,
         "exits_below_1pct": comparison.exit_fraction <= 0.01,
     }
-    c = comparison
-    table = _table(("quantity", "mean", "stderr"), [
-        ("terminal_controlled", c.terminal_ctrl, c.terminal_ctrl_stderr),
-        ("terminal_plain", c.terminal_plain, c.terminal_plain_stderr),
-        ("control_energy", c.control_energy, c.control_energy_stderr),
-        ("gap", c.gap, c.gap_stderr),
-        ("bound_margin", c.bound_margin, c.bound_margin_stderr),
-    ])
+    stats = comparison.stats
     return {
-        "objective": entry.name, "T": horizon,
-        "terminal_controlled": comparison.terminal_ctrl, "terminal_plain": comparison.terminal_plain,
-        "control_energy": comparison.control_energy, "gap": comparison.gap,
-        "gap_stderr": comparison.gap_stderr, "bound_margin": comparison.bound_margin,
-        "checks": checks,
-    }, {"control.csv": table}
+        "objective": entry.name, "T": horizon, **{name: mean for name, (mean, _) in stats.items()},
+        "gap_stderr": stats["gap"][1], "checks": checks,
+    }, {"control.csv": _table(("quantity", "mean", "stderr"), [(name, *ms) for name, ms in stats.items()])}
 
 
 def _run_invariant_measure(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, dict]:

@@ -125,9 +125,10 @@ def test_05_control_improvement():
         x0=np.array([0.0]), grid=grid)
     elapsed = time.perf_counter() - t0
     ok = comp.improvement_holds and comp.strict_gap and elapsed < 300.0
-    report(5, ok, f"control improvement: E[V_plain]-E[V_ctrl]={comp.gap:.4f} "
-                  f"(> {3*comp.gap_stderr:.4f}), margin after energy "
-                  f"{comp.bound_margin:.4f} >= {-3*comp.bound_margin_stderr:.4f}, "
+    (gap, gap_se), (margin, margin_se) = comp.stats["gap"], comp.stats["bound_margin"]
+    report(5, ok, f"control improvement: E[V_plain]-E[V_ctrl]={gap:.4f} "
+                  f"(> {3*gap_se:.4f}), margin after energy "
+                  f"{margin:.4f} >= {-3*margin_se:.4f}, "
                   f"{elapsed:.0f}s (< 300s)")
     assert comp.improvement_holds           # E[V_c] + energy <= E[V_p] + 3 se
     assert comp.strict_gap                  # E[V_c] < E[V_p] by > 3 se

@@ -268,8 +268,9 @@ class TestControlImprovement:
         comp = analysis.control_improvement_experiment(
             dw, T=0.0, beta_inv=0.2, n_paths=500, seed=0,
             x0=np.array([0.4]), grid=grid)
-        assert comp.terminal_ctrl == comp.terminal_plain == pytest.approx(dw.value(np.array([0.4])))
-        assert comp.control_energy == 0.0
+        assert comp.stats["terminal_controlled"][0] == comp.stats["terminal_plain"][0] \
+            == pytest.approx(dw.value(np.array([0.4])))
+        assert comp.stats["control_energy"][0] == 0.0
 
     def test_quadratic_strict_improvement(self):
         q = make_quadratic(1.0, 0.0, 1)
@@ -279,7 +280,7 @@ class TestControlImprovement:
             x0=np.array([1.0]), grid=grid)
         assert comp.improvement_holds
         assert comp.strict_gap
-        assert comp.gap > 0
+        assert comp.stats["gap"][0] > 0
 
     def test_double_well_improvement(self):
         dw = DoubleWell(1.0)
@@ -288,8 +289,15 @@ class TestControlImprovement:
             dw, T=1.0, beta_inv=0.2, n_paths=3000, seed=2,
             x0=np.array([0.0]), grid=grid)
         assert comp.improvement_holds
-        assert comp.gap > 0
+        assert comp.stats["gap"][0] > 0
         assert comp.exit_fraction <= 0.01
+
+    def test_horizon_below_half_a_step_takes_one(self):
+        # round(T / CONTROL_DT) is 0 here: the paths still run to T, in one step
+        comp = analysis.control_improvement_experiment(
+            DoubleWell(1.0), T=0.0004, beta_inv=0.2, n_paths=500, seed=0,
+            x0=np.array([0.4]), grid=GridFunction.geometry([-2.5], [2.5], [257]))
+        assert comp.stats["control_energy"][0] > 0.0
 
     @staticmethod
     def _run_in_box(half_width):

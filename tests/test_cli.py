@@ -800,10 +800,15 @@ class TestCliMain:
          "exp.cfg: key 'grid_n' is set in sections 'experiment' and 'pde'"),
         ("exp.json", '{"experiment": {"grid_n": 33}, "pde": {"grid_n": 65}}',
          "exp.json: key 'grid_n' is set in sections 'experiment' and 'pde'"),
+        ("exp.json", '{"pde": {"grid_n": 33, "grid_n": 65}}',
+         "exp.json: key 'grid_n' is written twice in one object"),
+        ("exp.json", '{"pde": {"grid_n": 33}, "pde": {"t": 0.2}}',
+         "exp.json: key 'pde' is written twice in one object"),
         ("exp.cfg", "\xff\xfe", "codec can't decode byte 0xff"),
         ("exp.cfg", None, "exp.cfg: [Errno 21] Is a directory"),
     ], ids=["json_list", "ini_no_section", "ini_section_twice", "ini_option_twice", "json_invalid",
-            "ini_key_in_two_sections", "json_key_in_two_sections", "not_text", "directory"])
+            "ini_key_in_two_sections", "json_key_in_two_sections", "json_key_twice", "json_section_twice",
+            "not_text", "directory"])
     def test_malformed_config_file_refused_by_name(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.mkdir() if text is None else path.write_bytes(text.encode("latin-1"))
@@ -813,6 +818,17 @@ class TestCliMain:
         assert err.startswith("config error: ") and str(path) in err and message.format(path=path) in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["objective", "out"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_non_string_name_in_json_refused(self, tmp_path, capsys, monkeypatch, key, value):
+        # a JSON null is not the name 'None'
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps({"experiment": {"objective": "double_well_a1", key: value}}))
+        assert main(["solve-pde", "--config", "exp.json"]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: bad value for {key!r}: {json.dumps(value)!r} (must be a string)\n"
+        assert os.listdir() == ["exp.json"]
 
     @pytest.mark.parametrize("name, reason", [
         ("quadratic_c1_n0", "n must be >= 1"),
@@ -1085,6 +1101,18 @@ class TestCliMain:
         assert main(["compare", "--objective", "double_well_a1", "--budget", budget, "--algos", "sgd,hj",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: budget={budget} is below hj's gradients per outer step (5)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", ",", []])
+    def test_no_algorithm_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"optimizer": {"algos": value}}))
+        route = ["--config", str(path)] if isinstance(value, list) else ["--algos", value]
+        out = tmp_path / "cmp"
+        assert main(["compare", "--objective", "double_well_a1", *route, "--out", str(out)]) == 2
+        text = value if isinstance(value, str) else json.dumps(value)
+        assert capsys.readouterr().err == (f"config error: bad value for 'algos': {text!r} "
+                                           "(must name at least one algorithm)\n")
         assert not out.exists()
 
     def test_algorithm_named_twice_refused(self, tmp_path, capsys):
