@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one to experiment kinds, and each takes one flag per
 key its kind reads (``config.KINDS``); flags override config-file values,
-which override defaults.  A refusal of the input (a ``ConfigError``) prints
+which override defaults, and a config file's ``kind`` must be the
+subcommand's.  A refusal of the input (a ``ConfigError``) prints
 one ``config error:`` line, a solver's refusal one ``error:`` line, and both
 exit 2; exit 1 means a check failed.  Examples:
 

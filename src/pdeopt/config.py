@@ -304,9 +304,11 @@ def load_config_file(path) -> dict:
 def parse_config(path=None, overrides: dict | None = None, kind: str | None = None) -> ExperimentConfig:
     """Build a strict, typed configuration.
 
-    Precedence: ``kind`` > flag overrides > file values.  A key the kind does
-    not read, a mistyped value, or a ``REQUIRED`` key left unset raises
-    ``ConfigError`` naming the key.
+    Precedence: flag overrides > file values.  ``kind``, when given (the CLI
+    passes its subcommand's), must agree with a ``kind`` in the file or the
+    overrides; two that differ raise ``ConfigError`` naming both.  A key the
+    kind does not read, a mistyped value, or a ``REQUIRED`` key left unset
+    raises ``ConfigError`` naming the key.
     Defaults stay out: they resolve when the runner reads the key.
     """
     raw: dict = {}
@@ -316,7 +318,10 @@ def parse_config(path=None, overrides: dict | None = None, kind: str | None = No
         if v is not None:
             raw[k] = v
     file_kind = raw.pop("kind", None)
-    kind = kind if kind is not None else file_kind
+    if kind is None:
+        kind = file_kind
+    elif file_kind is not None and str(file_kind) != kind:
+        raise ConfigError(f"the config's kind {str(file_kind)!r} differs from the requested kind {kind!r}")
     if kind is None:
         raise ConfigError("missing required key 'kind'")
     kind = str(kind)

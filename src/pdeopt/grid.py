@@ -21,6 +21,7 @@ import numpy as np
 Array = np.ndarray
 
 _DENSITY_TOL = 1e-8
+_CSV_BLOCK = 1024   # rows formatted and written per string by GridFunction.to_csv
 
 
 @dataclass
@@ -107,14 +108,20 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """One ``x[,y],value`` row per point in row-major order, every number
-        written by ``repr``: each axis coordinate is formatted once and the
-        rows stream from the product of the axes."""
+        written by ``repr``.  Each axis coordinate is formatted once, with its
+        trailing comma, and the rows stream from the product of the axes in
+        blocks of ``_CSV_BLOCK``: a block's values are the float ``repr``s of
+        its list's ``repr``, and the block is written as one string, so peak
+        memory stays flat in the grid size."""
         header = ("x,value" if self.dim == 1 else "x,y,value")
-        axes = [[repr(float(c)) for c in ax] for ax in self.axes()]
-        rows = map(",".join, itertools.product(*axes))
+        axes = [[repr(float(c)) + "," for c in ax] for ax in self.axes()]
+        prefixes = map("".join, itertools.product(*axes))
+        values = np.asarray(self.values, dtype=float)
         with open(path, "w", newline="") as fh:
             fh.write(header + "\n")
-            fh.writelines(map("{},{!r}\n".format, rows, map(float, self.values)))
+            for start in range(0, values.size, _CSV_BLOCK):
+                block = repr(values[start : start + _CSV_BLOCK].tolist())[1:-1].split(", ")
+                fh.write("\n".join(map(str.__add__, itertools.islice(prefixes, len(block)), block)) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":

@@ -497,8 +497,11 @@ class _Generator:
     (``np.add.reduce`` over the offsets from an initial 0.0), and the
     diagonal adds each row's rates in ascending column order by
     ``np.add.reduceat``: the arithmetic, and so the bytes, of a scipy CSR
-    matrix built from the same rates.  The products share scratch buffers,
-    so one instance serves one solve at a time.
+    matrix built from the same rates.  ``evolve`` takes n explicit steps
+    v += step * (G v), or of G^T v, inside the padded buffer the products
+    read, with the arithmetic of ``v + step * G.matvec(v)``, and copies
+    nothing per step.  The products share scratch buffers, so one instance
+    serves one solve at a time.
     """
 
     def __init__(self, drifts: list[Array], spacing: Array, beta_inv: float):
@@ -537,20 +540,34 @@ class _Generator:
         self._runs = [(slice(a, b), shifted[pad + offsets[a] : pad + offsets[b - 1] + 1])
                       for a, b in zip([0, *breaks], [*breaks, len(offsets)])]
         self._products = np.empty_like(self._rows)
+        self._increment = np.empty(size)
 
-    def _product(self, coefs: Array, v: Array) -> Array:
-        self._v[...] = v
+    def _product(self, coefs: Array, out: Array | None = None) -> Array:
+        """G v (``_rows``) or G^T v (``_cols``) of the buffered v."""
         for run, shifted in self._runs:
             np.multiply(coefs[run], shifted, out=self._products[run])
-        return np.add.reduce(self._products, axis=0, initial=0.0)
+        return np.add.reduce(self._products, axis=0, initial=0.0, out=out)
 
     def matvec(self, v: Array) -> Array:
         """G v."""
-        return self._product(self._rows, v)
+        self._v[...] = v
+        return self._product(self._rows)
 
     def rmatvec(self, v: Array) -> Array:
         """G^T v."""
-        return self._product(self._cols, v)
+        self._v[...] = v
+        return self._product(self._cols)
+
+    def evolve(self, v: Array, step: float, n: int, transpose: bool = False) -> Array:
+        """v after n steps v += step * (G v), or (G^T v) with ``transpose``.
+        Returns the buffer's view of the iterate, which the next call takes
+        back as ``v`` without a copy; any other call overwrites it."""
+        if v is not self._v:
+            self._v[...] = v
+        coefs = self._cols if transpose else self._rows
+        for _ in range(n):
+            self._v += np.multiply(self._product(coefs, self._increment), step, out=self._increment)
+        return self._v
 
 
 def fp_cfl_limit(drifts: list[Array], spacing: Array, beta_inv: float) -> float:
@@ -567,7 +584,7 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
 
     ``drift`` is a GridFunction on the same geometry as ``rho0`` (a sequence
     of two for 2D).  Each step is rho += dt * G^T rho with the reflecting
-    generator ``_Generator`` (its ``rmatvec``): the walls carry zero flux, so
+    generator ``_Generator``, stepped in place: the walls carry zero flux, so
     the plain sum of rho is conserved up to roundoff, and the scheme is
     positivity-preserving under ``fp_cfl_limit``; it aborts if the density
     dips below -1e-12 or turns NaN.  A negative or NaN ``beta_inv`` is
@@ -589,18 +606,18 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
     n_steps, step = _time_steps(t_final, dt, cfl_safety, fp_cfl_limit(b, rho0.spacing, beta_inv),
                                  rho0.n_points, beta_inv)
     G = _Generator(b, rho0.spacing, beta_inv)
-    rho = rho0.values.copy()
-    for it in range(n_steps):
-        rho += step * G.rmatvec(rho)
-        if it % 32 == 0:
-            m = float(rho.min())
-            if m < -1e-12:
-                raise NanAbort(f"density went negative ({m:g}) at step {it}")
-            if not np.isfinite(rho).all():
-                raise NanAbort(f"NaN density at step {it}")
+    rho, done = rho0.values, 0
+    for it in range(0, n_steps, 32):    # checked after steps 1, 33, 65, ...
+        rho, done = G.evolve(rho, step, it + 1 - done, transpose=True), it + 1
+        m = float(rho.min())
+        if m < -1e-12:
+            raise NanAbort(f"density went negative ({m:g}) at step {it}")
+        if not np.isfinite(rho).all():
+            raise NanAbort(f"NaN density at step {it}")
+    rho = G.evolve(rho, step, n_steps - done, transpose=True)
     if float(rho.min()) < -1e-12:
         raise NanAbort(f"density went negative ({float(rho.min()):g}) at final step")
-    return rho0.with_values(rho)
+    return rho0.with_values(rho.copy())
 
 
 @dataclass
@@ -664,9 +681,7 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     phi = np.exp(-(V - V.min()).ravel() / beta_inv)
     done = 0
     for slot, it in enumerate(kept, start=1):
-        for _ in range(it - done):
-            phi += step * G.matvec(phi)
-        done = it
+        phi, done = G.evolve(phi, step, it - done), it
         if not np.isfinite(phi).all():
             raise NanAbort(f"NaN in value function at reversed step {it}")
         w = (-beta_inv * np.log(phi)).reshape(grid.n_points)

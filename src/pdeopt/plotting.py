@@ -45,6 +45,11 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
     ``series`` is a list of (label, xs, ys) with equal-length pairs.  Legend
     entries appear in input order.  Points with a non-finite coordinate (a
     diverged loss) are left out of their polyline and of the axis ranges.
+
+    ``sx`` and ``sy`` map data to pixels on a tick's float and on a whole
+    series' array alike, with the same IEEE operations in the same order, so
+    a polyline's points are those of the per-point formula; they are
+    formatted by one ``map`` over each series.
     """
     if not series:
         raise ValueError("series must be non-empty")
@@ -91,7 +96,7 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
                      f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
     for idx, (label, xs, ys) in enumerate(prepared):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx(xs).tolist(), sy(ys).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     ly = _MT + 8
     for idx, (label, _, _) in enumerate(prepared):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pdeopt
-from pdeopt import analysis, optimizers, pde_lab
+from pdeopt import analysis, optimizers, pde_lab, plotting
 from pdeopt.cli import build_parser, main
 from pdeopt.config import (
     KEY_SPECS,
@@ -222,6 +223,27 @@ class TestEmitPlot:
         assert len(_ticks(lo, hi)) <= 6
         emit_plot([("a", [0.0, 1.0], losses)], tmp_path / "p.svg")
         assert (tmp_path / "p.svg").read_text().count("<polyline") == 1
+
+    @pytest.mark.parametrize("series", [
+        [("a", np.linspace(-3.0, 7.0, 2049), np.sin(np.linspace(-3.0, 7.0, 2049)) / 3.0),
+         ("b", [0.0, 1.5, 2.0, np.inf, 4.0, -0.0], [np.nan, 0.1, -np.inf, 1.0, 0.3, 1e-9])],
+        [("flat", [0.0, 1.0, 2.0], [0.25, 0.25, 0.25]), ("one", [1.3], [0.25])],
+        [("one", [3.0], [-1.5])],
+    ], ids=["non_finite_dropped", "flat", "one_point"])
+    def test_polyline_points_are_the_per_point_formula(self, tmp_path, series):
+        kept = []
+        for _, xs, ys in series:
+            xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+            finite = np.isfinite(xs) & np.isfinite(ys)
+            kept.append((xs[finite], ys[finite]))
+        x_lo, x_hi = _span(np.concatenate([xs for xs, _ in kept]))
+        y_lo, y_hi = _span(np.concatenate([ys for _, ys in kept]))
+        pw, ph = plotting._W - plotting._ML - plotting._MR, plotting._H - plotting._MT - plotting._MB
+        expected = [" ".join(f"{plotting._ML + (x - x_lo) / (x_hi - x_lo) * pw:.2f},"
+                             f"{plotting._MT + ph - (y - y_lo) / (y_hi - y_lo) * ph:.2f}"
+                             for x, y in zip(xs, ys)) for xs, ys in kept]
+        emit_plot(series, tmp_path / "p.svg")
+        assert re.findall(r'<polyline points="([^"]*)"', (tmp_path / "p.svg").read_text()) == expected
 
     def test_no_finite_point_still_writes_the_plot(self, tmp_path):
         # a run that diverges before its first record leaves nothing to
@@ -711,6 +733,26 @@ class TestSummaryGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestWriterGolden:
+    """The grid CSV and SVG plot writers replay bit for bit: sha256 of a 2D
+    ``solution.csv`` of 16,641 rows (several ``to_csv`` blocks), of a 1D
+    ``solve-pde`` plot and of figure 1's plot."""
+
+    RUNS = {
+        "solve_pde/2d_csv": ({"objective": "quadratic_c1_n2", "scheme": "hopf_lax", "grid_n": 129},
+                             "solution.csv", "5c4794ef221916f37b308ce62b98ebe11058cc807e11b78681e7f14acb13e9a7"),
+        "solve_pde/1d_plot": ({"objective": "rugged_s7_m5", "scheme": "cole_hopf", "grid_n": 2049},
+                              "plot.svg", "a792b88e2b7feef965c2f5f8fc95a15640e764f8b8e571ddab5c9e69db594246"),
+        "figure1/plot": ({}, "plot.svg", "f6667db5276ba409e7efa054aed0ebc8c89a2c45db140ab7151176fce399faf9"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_replays_recorded_file(self, tmp_path, run):
+        keys, name, digest = self.RUNS[run]
+        run_experiment(parse_config(overrides={"kind": run.partition("/")[0], **keys, "out": str(tmp_path)}))
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 class TestNoScipy:
     """A fresh interpreter imports the CLI and runs a small ``optimize``,
     ``compare``, ``control-improvement`` and ``solve-pde``, on MLP,
@@ -829,6 +871,22 @@ class TestCliMain:
         assert capsys.readouterr().err == \
             f"config error: bad value for {key!r}: {json.dumps(value)!r} (must be a string)\n"
         assert os.listdir() == ["exp.json"]
+
+    @pytest.mark.parametrize("name, text", [
+        ("k.cfg", "[experiment]\nkind = {kind}\n"),
+        ("k.json", '{{"experiment": {{"kind": "{kind}"}}}}'),
+    ], ids=["ini", "json"])
+    def test_config_kind_must_be_the_subcommands(self, tmp_path, capsys, monkeypatch, name, text):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(text.format(kind="compare"))
+        assert main(["spectrum", "--config", name, "--out", "r"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: the config's kind 'compare' differs from the requested kind 'spectrum'\n"
+        assert os.listdir() == [name]
+        Path(name).write_text(text.format(kind="solve_pde"))
+        assert main(["solve-pde", "--config", name, "--objective", "double_well_a1", "--grid-n", "33",
+                     "--out", "r"]) == 0
+        assert json.loads(Path("r/manifest.json").read_text())["kind"] == "solve_pde"
 
     @pytest.mark.parametrize("name, reason", [
         ("quadratic_c1_n0", "n must be >= 1"),

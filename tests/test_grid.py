@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdeopt.grid import (
+    _CSV_BLOCK,
     GridFunction,
     gaussian_density,
     gradient,
@@ -146,11 +147,14 @@ class TestSerialization:
     @pytest.mark.parametrize("lower, upper, n_points", [
         ([-0.7], [2.3], [11]),                 # spacings 0.3, 0.3 and 0.24: not dyadic
         ([-0.3, 0.1], [0.9, 1.3], [5, 6]),
+        ([-1.1, 0.3], [0.7, 2.9], [67, 131]),  # 8,777 rows: several blocks of to_csv
     ])
     def test_csv_bytes_are_repr_per_row(self, tmp_path, lower, upper, n_points):
         # the per-row formula: every coordinate and value of a row through repr
         g = grid_of(lambda P: np.exp(P.sum(axis=1)) / 3.0, lower, upper, n_points)
         g.values[:5] = [-0.0, 1e-7, 1e17, np.nan, np.inf]
+        for edge in range(_CSV_BLOCK, g.values.size, _CSV_BLOCK):   # either side of each block edge
+            g.values[edge - 3 : edge + 3] = [-0.0, np.nan, 1e16, np.inf, 1e-5, 5e-324]
         path = tmp_path / "g.csv"
         g.to_csv(path)
         header = "x,value" if g.dim == 1 else "x,y,value"

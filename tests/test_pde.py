@@ -1026,6 +1026,28 @@ class TestGenerator:
         tol = 1e-12 * phi.max()
         assert np.all(nxt >= phi.min() - tol) and np.all(nxt <= phi.max() + tol)
 
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+    @pytest.mark.parametrize("shape", [(17,), (7, 9)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["G", "GT"])
+    def test_in_place_steps_equal_the_product_steps(self, n, shape, transpose):
+        rng = np.random.default_rng(len(shape) * 100 + n)
+        drifts = [3.0 * rng.standard_normal(shape) for _ in shape]
+        spacing, beta_inv = np.array([0.3, 0.2][: len(shape)]), 0.4
+        step = 0.9 * pde_lab.fp_cfl_limit(drifts, spacing, beta_inv)
+        reference = pde_lab._Generator(drifts, spacing, beta_inv)
+        product = reference.rmatvec if transpose else reference.matvec
+        v0 = rng.random(math.prod(shape))
+        expected = [v0.copy()]
+        for _ in range(n + 2):
+            expected.append(expected[-1] + step * product(expected[-1]))
+        G = pde_lab._Generator(drifts, spacing, beta_inv)
+        v = G.evolve(v0, step, n, transpose=transpose)
+        assert v.tobytes() == expected[n].tobytes()
+        assert v0.tobytes() == expected[0].tobytes()     # the input is untouched
+        # the returned view is taken back and stepped on without a copy
+        assert G.evolve(v, step, 2, transpose=transpose) is v
+        assert v.tobytes() == expected[n + 2].tobytes()
+
 
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
