@@ -1,9 +1,10 @@
 """Paired benchmark runs of two source checkouts, and their summary.
 
-    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S]
 
-Each pair runs ``bench/run.py --workload W --seed 0 --seconds T --trace 0``,
-with T the ``run_seconds`` of ``BENCHMARK.json``, once from each checkout,
+Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``,
+with S the benchmark seed (default 0) and T the ``run_seconds`` of
+``BENCHMARK.json``, once from each checkout,
 one after the other, and alternates which side runs first: the parent in
 even pairs (0, 2, ...), the change in odd ones, so a drift of the host's
 speed falls on both sides alike.  ``--setup-only`` runs one setup-only
@@ -79,11 +80,11 @@ def format_rows(rows: list[dict], pairs: int) -> str:
     return "\n".join(lines)
 
 
-def run_side(checkout: Path, workload: str, seconds: float, setup_only: bool) -> dict:
-    """One benchmark run, or one setup-only child, from ``checkout``:
-    its metric values and failed-op count."""
+def run_side(checkout: Path, workload: str, seconds: float, setup_only: bool, seed: int) -> dict:
+    """One benchmark run, or one setup-only child, from ``checkout`` at
+    benchmark seed ``seed``: its metric values and failed-op count."""
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     if setup_only:
         cmd += ["--child", "setup", "--launched", repr(time.perf_counter())]
@@ -101,6 +102,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--setup-only", action="store_true", help="time setup-only children")
+    p.add_argument("--seed", type=int, default=0, help="benchmark seed of every run (default: 0)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -109,8 +111,8 @@ def main(argv=None) -> int:
     runs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs.append({side: run_side(sides[side], args.workload, benchmark["run_seconds"], args.setup_only)
-                     for side in order})
+        runs.append({side: run_side(sides[side], args.workload, benchmark["run_seconds"], args.setup_only,
+                                    args.seed) for side in order})
         print(f"pair {i}: " + ", ".join(f"{side} {runs[-1][side]}" for side in order), file=sys.stderr)
     print(format_rows(summarize(runs, benchmark["end_to_end"]), args.pairs))
     print("failed ops: " + ", ".join(f"{side} {sum(run[side]['failed'] for run in runs)}" for side in sides))

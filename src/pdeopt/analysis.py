@@ -21,6 +21,7 @@ Checks implemented here, each backed by an independent oracle:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -309,6 +310,57 @@ CONTROL_DT = 1e-3       # nominal path step of control_improvement_experiment
 CONTROL_BATCHES = 20    # batches its standard errors come from
 
 
+# Path-noise steps per buffer of :func:`_normals_ahead`.  Each buffer holds
+# n_paths * dim * 32 bytes and the ring holds two.  On the control_dw
+# benchmark's op (10,000 paths, 1D, a 2-vCPU host) the ring raised a bare
+# process's peak RSS by about 0.3 MB at chunks of 2, 0.7 MB at 4, 1.2 MB at
+# 8 and 2.4 MB at 16; chunks of 4 and 8 ran about equally fast.
+_NOISE_CHUNK = 4
+
+
+def _normals_ahead(rng, n_steps: int, shape: tuple):
+    """Yield ``n_steps`` arrays of ``rng.standard_normal(shape)``, drawn
+    ahead by one worker thread into a ring of two ``_NOISE_CHUNK``-step
+    buffers.  ``standard_normal(out=(k, *shape))`` draws the same values in
+    the same order as k per-step calls, so the values and the generator's
+    final state are those of per-step draws.  Only the worker touches
+    ``rng`` while it lives; each yielded array is overwritten a few steps
+    later.  The worker is joined on every exit, and its error is raised
+    here.  ``n_steps`` = 0 starts no thread."""
+    if n_steps == 0:
+        return
+    bufs = [np.empty((_NOISE_CHUNK, *shape)) for _ in range(2)]
+    # chunk c goes in buffer c % 2; free counts the buffers the worker may fill,
+    # full those the caller may read, so the worker runs at most two chunks ahead
+    free, full = threading.Semaphore(len(bufs)), threading.Semaphore(0)
+    error, stop = [], False
+
+    def draw():
+        for c, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
+            free.acquire()
+            if stop or error:
+                return
+            try:
+                rng.standard_normal(out=bufs[c % 2][:n_steps - k])
+            except BaseException as exc:     # raised in the caller
+                error.append(exc)
+            full.release()
+
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    try:
+        for c, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
+            full.acquire()
+            if error:
+                raise error[0]
+            yield from bufs[c % 2][:n_steps - k]
+            free.release()
+    finally:
+        stop = True
+        free.release()                       # wake a worker waiting for a buffer
+        worker.join()
+
+
 def control_improvement_experiment(objective: Objective, T: float, beta_inv: float, n_paths: int,
                                    seed: int, x0, grid: GridFunction) -> ControlComparison:
     """Paired simulation of plain vs drift-controlled noisy descent.
@@ -322,7 +374,11 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     entropy-SGD outer step applies is not checked.  The paths run to T in
     max(1, round(T / CONTROL_DT)) equal steps (none for T = 0), and are
     reflected at the box walls; if more than 1% of paths ever reach a wall,
-    the run is invalid and raises.  Each statistic of the returned
+    the run is invalid and raises.  A start ``x0`` outside the grid box is
+    refused before the solve.  The path noise is drawn a few steps ahead on
+    one worker thread (:func:`_normals_ahead`): the same values as one
+    ``standard_normal((n_paths, dim))`` per step, and faster only where a
+    second core is free.  Each statistic of the returned
     :class:`ControlComparison` is a mean over the paths with the standard
     error of CONTROL_BATCHES batch means.
     """
@@ -331,6 +387,9 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     if n_paths < CONTROL_BATCHES:
         raise ValueError(f"n_paths={n_paths}: at least {CONTROL_BATCHES}, one per batch of the standard errors")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    lo, hi = grid.lower, grid.upper
+    if not ((x0 >= lo) & (x0 <= hi)).all():    # a NaN too
+        raise ValueError(f"x0={x0.tolist()}: the start lies outside the grid box {lo.tolist()} to {hi.tolist()}")
     dim = objective.dim
     rng = substream(seed, "control-paths")
     control = solve_hjb_backward(objective, T, beta_inv, grid) if T > 0 else None
@@ -340,14 +399,11 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     xc = paths[0]
     energy = np.zeros(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
-    lo, hi = grid.lower, grid.upper
     n_steps = max(1, round(T / CONTROL_DT)) if T > 0 else 0
     dt = T / max(n_steps, 1)
     amp = math.sqrt(dt * beta_inv)
-    for kstep in range(n_steps):
-        s = kstep * dt
-        a = control.alpha(xc, s)
-        xi = rng.standard_normal((n_paths, dim))
+    for kstep, xi in enumerate(_normals_ahead(rng, n_steps, (n_paths, dim))):
+        a = control.alpha(xc, kstep * dt)
         energy += 0.5 * (a * a).sum(axis=1) * dt
         drift = -objective.grad_batch(rows).reshape(paths.shape)
         drift[0] -= a
@@ -366,8 +422,7 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     v_ctrl, v_plain = objective.value_batch(rows).reshape(2, n_paths)
 
     def batch_stats(values):
-        b = np.array_split(values, CONTROL_BATCHES)
-        means = np.array([chunk.mean() for chunk in b])
+        means = np.array([chunk.mean() for chunk in np.array_split(values, CONTROL_BATCHES)])
         return float(values.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
 
     gap = v_plain - v_ctrl

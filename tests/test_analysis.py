@@ -1,6 +1,8 @@
 """Theory checks: invariant measures, homogenization, control, spectra."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -315,6 +317,138 @@ class TestControlImprovement:
         # on [-1.1, 1.1] about half of the paths reach a wall
         with pytest.raises(RuntimeError, match="left the box"):
             self._run_in_box(1.1)
+
+
+    @pytest.mark.parametrize("x0", [2.4, 5.0])
+    def test_start_outside_the_box_refused_before_the_solve(self, monkeypatch, x0):
+        def no_solve(*args):
+            raise AssertionError("the HJB solve ran")
+
+        monkeypatch.setattr(analysis, "solve_hjb_backward", no_solve)
+        with pytest.raises(ValueError, match=rf"x0=\[{x0}\]: .* outside the grid box \[-2.0\] to \[2.0\]"):
+            analysis.control_improvement_experiment(
+                DoubleWell(1.0), T=1.0, beta_inv=0.2, n_paths=400, seed=0,
+                x0=np.array([x0]), grid=GridFunction.geometry([-2.0], [2.0], [65]))
+
+
+class _GradRaisesAt(DoubleWell):
+    """A double well whose ``grad_batch`` raises on its ``n``-th call."""
+
+    def __init__(self, n):
+        super().__init__(1.0)
+        self.n, self.calls = n, 0
+
+    def grad_batch(self, X):
+        self.calls += 1
+        if self.calls == self.n:
+            raise FloatingPointError(f"grad_batch call {self.n}")
+        return super().grad_batch(X)
+
+
+class _DrawRaisesAt:
+    """A generator stand-in whose ``n``-th ``standard_normal`` call raises."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, 0
+
+    def standard_normal(self, shape=None, out=None):
+        self.calls += 1
+        if self.calls == self.n:
+            raise MemoryError(f"draw {self.n}")
+        out[...] = 0.0
+        return out
+
+
+class TestNormalsAhead:
+    """The control paths' noise, drawn ahead on one worker thread: the values
+    and the generator's end state of per-step draws, and no thread left
+    behind on any exit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_steps", [0, 1, 3, 4, 5, 2001])
+    def test_same_values_and_state_as_per_step_draws(self, n_steps, dim):
+        shape = (7, dim)
+        rng, ref = (analysis.substream(5, "control-paths") for _ in range(2))
+        got = [xi.copy() for xi in analysis._normals_ahead(rng, n_steps, shape)]
+        want = [ref.standard_normal(shape) for _ in range(n_steps)]
+        assert len(got) == n_steps
+        assert all(g.shape == shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_hand_off_under_frequent_thread_switches(self):
+        # four consumers and their four workers on a shortened switch interval:
+        # a buffer refilled before it was read would break the equality
+        def consume(seed, out):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            out[seed] = all(xi.tobytes() == ref.standard_normal((50, 2)).tobytes()
+                            for xi in analysis._normals_ahead(rng, 503, (50, 2)))
+
+        interval, done = sys.getswitchinterval(), {}
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [threading.Thread(target=consume, args=(seed, done), daemon=True) for seed in range(4)]
+            for t in consumers:
+                t.start()
+            for t in consumers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers)
+        assert done == {0: True, 1: True, 2: True, 3: True}
+
+    @staticmethod
+    def _control(objective=None, T=0.05):
+        return analysis.control_improvement_experiment(
+            objective or DoubleWell(1.0), T=T, beta_inv=0.2, n_paths=100, seed=0,
+            x0=np.array([0.4]), grid=GridFunction.geometry([-2.5], [2.5], [65]))
+
+    def test_normal_run_leaves_no_thread(self):
+        baseline = threading.active_count()
+        self._control()
+        assert threading.active_count() == baseline
+
+    def test_path_step_error_reaches_the_caller_and_leaves_no_thread(self):
+        baseline = threading.active_count()
+        objective = _GradRaisesAt(7)
+        with pytest.raises(FloatingPointError, match="grad_batch call 7"):
+            self._control(objective)
+        assert objective.calls == 7
+        assert threading.active_count() == baseline
+
+    def test_draw_error_reaches_the_caller_without_a_hang(self, monkeypatch):
+        monkeypatch.setattr(analysis, "substream", lambda seed, label: _DrawRaisesAt(3))
+        baseline = threading.active_count()
+        raised = []
+
+        def guarded():
+            try:
+                self._control()
+            except MemoryError as exc:
+                raised.append(exc)
+
+        guard = threading.Thread(target=guarded, daemon=True)
+        guard.start()
+        guard.join(timeout=60)
+        assert not guard.is_alive(), "the control run hung after its draw raised"
+        assert [str(e) for e in raised] == ["draw 3"]
+        assert threading.active_count() == baseline
+
+    def test_closed_early_leaves_no_thread(self):
+        baseline = threading.active_count()
+        noise = analysis._normals_ahead(np.random.default_rng(0), 100, (3, 1))
+        next(noise)
+        noise.close()
+        assert threading.active_count() == baseline
+
+    def test_zero_horizon_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        baseline = threading.active_count()
+        comp = self._control(T=0.0)
+        assert comp.stats["control_energy"][0] == 0.0
+        assert threading.active_count() == baseline
 
 
 class TestSemiconcavity:

@@ -1,5 +1,6 @@
-"""The summary arithmetic of ``scripts/bench_pairs.py`` on fixed inputs."""
+"""The summary arithmetic of ``scripts/bench_pairs.py`` on fixed inputs, and its ``--seed``."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +37,25 @@ def test_summary_rows():
     assert (setup["parent_wins"], setup["change_wins"]) == (0, 0)
     table = bench_pairs.format_rows([wall, setup], pairs=5)
     assert "| wall_rel (lower) | 1.41 / 1.42 / 1.45 | 1.26 / 1.27 / 1.29 | -0.15 (0.04) | 0 / 4 |" in table
+
+
+@pytest.mark.parametrize("argv, seed", [([], "0"), (["--seed", "3"], "3")])
+def test_seed_reaches_every_run(monkeypatch, capsys, tmp_path, argv, seed):
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"metrics": {"wall_rel": {"value": 1.5}}, "failed": 0}\n')
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "control_dw",
+                             "--pairs", "2", *argv]) == 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--seed") + 1] == seed for cmd in commands)
+    assert "failed ops: parent 0, change 0" in capsys.readouterr().out
+
+
+def test_seed_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["a", "b", "--workload", "control_dw", "--pairs", "1", "--seed", "x"])
+    assert "--seed: invalid int value" in capsys.readouterr().err

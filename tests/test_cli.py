@@ -671,7 +671,8 @@ class TestGeneratorRunGolden:
     """Runs through the reflected generator replay bit for bit: the sha256 of
     every CSV of two ``control`` runs (the backward HJB, then the path
     simulator) and of ``figure1`` (Fokker-Planck densities), recorded when
-    the generator was a scipy CSR matrix."""
+    the generator was a scipy CSR matrix, and of a 2D ``control`` run,
+    recorded when the path noise was drawn one step at a time."""
 
     RUNS = {
         "control_257": ({"kind": "control", "objective": "double_well_a1", "seed": 3, "T": 0.5,
@@ -681,6 +682,11 @@ class TestGeneratorRunGolden:
         "control_513": ({"kind": "control", "objective": "double_well_a1", "seed": 8, "T": 1.0,
                          "beta_inv": 0.2, "n_paths": 400, "grid_n": 513, "x0": 0.0}, {
             "control.csv": "e2754fbf0c8febe96a3909e98010d938f6ea65d62e115c7f879e6a01e5968619",
+        }),
+        # 2D: pins the bytes of (n_paths, 2) path noise
+        "control_2d": ({"kind": "control", "objective": "quadratic_c1_n2", "T": 0.5, "n_paths": 400,
+                        "grid_n": 33}, {
+            "control.csv": "45c45d60c37c94dc4d8828b04c737cf7785f04eab9ea9b69b83b3097d9149eb5",
         }),
         "figure1": ({"kind": "figure1", "objective": "rugged_s3_m6"}, {
             "density_nonviscous.csv": "6412a7610446d311da3515d1f622d53701a5ce74d21e6817faee86d334de069c",
@@ -969,6 +975,22 @@ class TestCliMain:
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("x0", ["2.4", "5"])
+    def test_control_start_outside_the_box_is_refused_by_name(self, tmp_path, capsys, x0):
+        # double_well_a1's box is [-2, 2]; --grid-n refines it and cannot widen it
+        code = main(["control-improvement", "--objective", "double_well_a1", "--x0", x0,
+                     "--out", str(tmp_path / "c")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: x0=[{float(x0)}]: the start lies outside the grid box [-2.0] to [2.0]\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_control_start_inside_the_box_runs(self, tmp_path, capsys):
+        code = main(["control-improvement", "--objective", "double_well_a1", "--x0", "0.4", "--T", "0.2",
+                     "--n-paths", "200", "--grid-n", "65", "--out", str(tmp_path / "c")])
+        assert code == 0
+        assert (tmp_path / "c" / "control.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         # 2.5 % of the paths leave the box at this diffusion
