@@ -26,6 +26,7 @@ its minibatches and hand the indices to ``TinyMLP.minibatch_grad``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
@@ -342,12 +343,48 @@ class TestCorpusEntry:
         return self.find_minima()
 
 
-def _polish_minimum(obj: Objective, x0: Array) -> Array:
-    from scipy.optimize import minimize
+# First step of the polish's downhill walk: about the spacing of the corpus
+# scan (4001 points on a box a few units wide), so a minimum the scan saw is
+# bracketed within a step or two, and doubling reaches one far beyond it.
+_WALK_STEP = 1e-3
 
-    res = minimize(lambda z: obj.value(z), x0, jac=lambda z: obj.grad(z), method="BFGS",
-                   options={"gtol": 1e-12, "maxiter": 500})
-    return np.atleast_1d(res.x)
+
+def _polish_minimum(obj: Objective, x0: Array) -> Array:
+    """A local minimum of a 1D objective near x0, from its slope f' alone.
+
+    Walk downhill from x0, in the direction -sign f'(x0), with a first step
+    of ``_WALK_STEP`` that doubles each time, until the sign of f' turns:
+    the last two points bracket a local minimum.  Then bisect f' in that
+    bracket until the midpoint equals one of its two ends, and return the
+    midpoint.  x0 itself is returned when f'(x0) = 0.  Refuses, with a
+    ``ValueError`` naming x0, a slope at x0 that is not finite and a walk
+    that leaves the float range before the slope turns (no minimum downhill).
+    """
+    x0 = np.array(x0, dtype=float, ndmin=1)
+
+    def slope(x: float) -> float:
+        return float(obj.grad(np.array([x]))[0])
+
+    a, g0 = float(x0[0]), slope(float(x0[0]))
+    if not math.isfinite(g0):
+        raise ValueError(f"x0={x0}: the slope there is {g0}, not finite")
+    if g0 == 0:
+        return x0
+    down, step = -math.copysign(1.0, g0), _WALK_STEP
+    b = a + down * step
+    while math.isfinite(b) and not slope(b) * down >= 0:   # still downhill; a NaN slope walks on
+        a, step = b, 2 * step
+        b = a + down * step
+    if not math.isfinite(b):
+        raise ValueError(f"x0={x0}: no minimum downhill, the slope keeps its sign out to {b}")
+    mid = a + (b - a) / 2
+    while mid != a and mid != b:   # the slope is downhill at a, not at b
+        if slope(mid) * down >= 0:
+            b = mid
+        else:
+            a = mid
+        mid = a + (b - a) / 2
+    return np.array([mid])
 
 
 def _scan_minima_1d(obj: Objective, lo: float, hi: float, n: int = 4001) -> list[tuple[Array, float]]:

@@ -40,7 +40,8 @@ G itself steps the Cole-Hopf transform phi = exp(-beta (w - min w)) of the
 backward HJB value function backward (``solve_hjb_backward``, used by the
 control experiments), so the control solve is linear.  Also the 1D proximal
 map ``prox_point``, which minimizes f(y) + |x-y|^2/(2t) with the corpus
-scanner of ``objectives`` (``_scan_minima_1d`` and ``_polish_minimum``).
+scan of ``objectives`` (``_scan_minima_1d``) and its numpy polish, a
+downhill walk and a bisection of the slope (``_polish_minimum``).
 The independent oracle for the derivative of the Hopf-Lax solution, the
 characteristic fixed point of Burgers' equation, lives with the tests
 (``tests/oracles.py``).
@@ -52,8 +53,8 @@ solvers, which evaluate f on the grid themselves, first refuse a grid of
 more than the quadrature's 2^23 samples (``_grid_points``).
 
 All solvers are pure functions of their inputs and run single-threaded.
-scipy is imported only where it is used: by the log-sum-exp fallback here,
-and by the minima polish in ``objectives``, which ``prox_point`` calls.
+scipy is imported in one place only, where it is used: by the log-sum-exp
+fallback here.
 """
 
 from __future__ import annotations
@@ -315,10 +316,10 @@ class _ProxObjective(Objective):
 def prox_point(objective: Objective, x, t: float) -> ProxResult:
     """argmin_y { f(y) + |x-y|^2/(2t) } of a 1D objective: the lowest of the
     polished local minima of h(y) = f(y) + |x-y|^2/(2t) on a scan of the box
-    widened to hold x (x +- R without a box), and of h polished from x, which
-    reaches a minimizer beyond the scan.  The result is flagged non-unique
-    when two of these minimizers farther apart than 1e-4 have values within
-    1e-10 of each other.
+    widened to hold x (x +- R without a box), and of h polished from x, whose
+    doubling downhill walk reaches a minimizer beyond the scan.  The result
+    is flagged non-unique when two of these minimizers farther apart than
+    1e-4 have values within 1e-10 of each other.
     """
     if t <= 0:
         raise ValueError("t must be positive")

@@ -714,9 +714,9 @@ class TestSummaryGolden:
                     "68f09a1ff65157cfbc0025cd6354b6637e31e4b49694f1790356cf36462618b5"),
         "solve_pde": ({"objective": "rugged_s7_m5", "scheme": "heat", "grid_n": 257},
                       "986109e6706ea5cdb30abd608f27751c3340abc9c92a9f86c705542e2a5d00b3"),
-        "figure1": ({}, "b6ad426cda3ac79fe4579f4a5ce57c4a269fcd2680fe98c46f670673690b8022"),
+        "figure1": ({}, "c02bf3df26f49d815874e8785c3efb9d48409655f73f8ed1f045d395573c8e5e"),
         "homogenization": ({"probes": [-0.75, 0.55], "n_seeds": 4},
-                           "b3f35606a71ed8230963cb1f7ffb757dfa9f0e795b041edacf87f163e015f78b"),
+                           "e84d1d3cd6d1eabffbf5f86562e2e5aa4f409fc984f518a28244a0ad78b35bc1"),
         "control": ({"T": 0.5, "n_paths": 400, "grid_n": 129},
                     "6dc4ff88a1ac154802f1e1302b716463ac9efd5707d61e3cb5953da67a580a3c"),
         "invariant_measure": ({"n_steps": 20000},
@@ -762,8 +762,10 @@ class TestWriterGolden:
 class TestNoScipy:
     """A fresh interpreter imports the CLI and runs a small ``optimize``,
     ``compare``, ``control-improvement`` and ``solve-pde``, on MLP,
-    double-well and rugged objectives, without loading any scipy module; the
-    log-sum-exp fallback tests show the lazy import still runs."""
+    double-well and rugged objectives, and the runs that polish minima
+    (``reproduce-figure1``, ``spectrum``, ``verify-homogenization``), without
+    loading any scipy module; the log-sum-exp fallback tests show the lazy
+    import still runs."""
 
     RUNS = [
         ["optimize", "--objective", "mlp_h4_n20", "--steps", "20"],
@@ -772,6 +774,10 @@ class TestNoScipy:
         # rugged objectives: their minima are polished only when read
         ["solve-pde", "--objective", "rugged_s7_m5", "--scheme", "heat", "--grid-n", "257"],
         ["optimize", "--objective", "rugged_s3_m6", "--steps", "20"],
+        # runs that read minima: the global minimum and the proximal points
+        ["reproduce-figure1"],
+        ["spectrum", "--objective", "rugged_s3_m6"],
+        ["verify-homogenization", "--probes=-0.75,0.55", "--n-seeds", "4"],
     ]
 
     SCRIPT = """

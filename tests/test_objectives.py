@@ -453,10 +453,10 @@ class TestCorpus:
         assert entry.objective.dim >= 1
 
     def test_known_minima_are_critical(self):
-        for name in ("double_well_a1", "rugged_s7_m5", "quadratic_c1_n2"):
+        for name in ("double_well_a1", "rugged_s3_m6", "rugged_s7_m5", "quadratic_c1_n2"):
             entry = get_entry(name)
             for x, _ in entry.known_minima:
-                assert np.linalg.norm(entry.objective.grad(x)) <= 1e-8
+                assert np.linalg.norm(entry.objective.grad(x)) <= 1e-12
 
     def test_mlp_entry(self):
         entry = get_entry("mlp_h8_n200")
@@ -516,6 +516,44 @@ class TestCorpus:
         assert entry.objective.value(x_star) == min(vals)
         with pytest.raises(ValueError, match="mlp_h4_n20 has no catalogued minima"):
             global_minimum(get_entry("mlp_h4_n20"))
+
+
+class TestPolishMinimum:
+    @pytest.mark.parametrize("name", ["rugged_s3_m6", "rugged_s7_m5"])
+    def test_agrees_with_bfgs_from_the_same_starts(self, monkeypatch, name):
+        # oracle: scipy's BFGS, which polished the corpus minima before, run
+        # from each start the scan hands the polish
+        from scipy.optimize import minimize
+
+        starts = []
+        polish = objectives._polish_minimum
+        monkeypatch.setattr(objectives, "_polish_minimum", lambda obj, x0: starts.append(x0) or polish(obj, x0))
+        entry = get_entry(name)
+        f = entry.objective
+        minima = entry.known_minima
+        bfgs = [minimize(f.value, x0, jac=f.grad, method="BFGS", options={"gtol": 1e-12, "maxiter": 500}).x
+                for x0 in starts]
+        assert len(bfgs) == len(minima) >= 5
+        assert sorted(float(x[0]) for x, _ in minima) == pytest.approx(sorted(float(x[0]) for x in bfgs), abs=5e-9)
+        for x, _ in minima:
+            assert f.hessian(x)[0, 0] > 0
+
+    def test_walks_to_a_minimum_beyond_the_first_steps(self):
+        q = make_quadratic(2.0, -150.0, 1)     # least at 75, about 16 doublings away
+        assert objectives._polish_minimum(q, np.array([0.0]))[0] == pytest.approx(75.0, abs=1e-12)
+
+    def test_returns_a_critical_start(self):
+        assert objectives._polish_minimum(DoubleWell(1.0), np.array([0.0])).tolist() == [0.0]
+
+    def test_no_minimum_downhill_refused(self):
+        line = CustomObjective(1, lambda x: float(x[0]), lambda x: np.ones(1))
+        with pytest.raises(ValueError, match=r"x0=\[0.5\]: no minimum downhill"):
+            objectives._polish_minimum(line, np.array([0.5]))
+
+    def test_nan_slope_at_the_start_refused(self):
+        hole = CustomObjective(1, lambda x: float(x[0] ** 2), lambda x: np.full(1, np.nan) if x[0] == 1.0 else 2 * x)
+        with pytest.raises(ValueError, match=r"x0=\[1.\]: the slope there is nan"):
+            objectives._polish_minimum(hole, np.array([1.0]))
 
 
 class TestCustomObjective:
