@@ -18,6 +18,11 @@ parent's interquartile range, and each side's pair wins: the pairs in which
 its value is the better one.  A tie counts for neither side.  The failed ops
 of every run are summed per side, and every run's metrics go to stderr as
 it ends.
+
+Each row also gives the ``gain`` verdict, the rule a claimed speedup must
+meet: the change wins at least nine tenths of the pairs, and its median
+beats the parent's by more than the parent's interquartile range.  A run of
+fewer than 10 pairs prints a warning that no claim can rest on it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CLAIM_PAIRS = 10    # the fewest pairs a claimed gain can rest on
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -51,6 +57,14 @@ def wins(parent, change, better: str) -> tuple[int, int]:
     return sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
 
 
+def gain(row: dict, pairs: int) -> bool:
+    """The claim rule on a summary row of ``pairs`` pairs: the change wins at
+    least nine tenths of them (ties count for neither side), and its median
+    beats the parent's by more than the parent's interquartile range."""
+    beats = -row["median_diff"] if row["better"] == "lower" else row["median_diff"]
+    return 10 * row["change_wins"] >= 9 * pairs and beats > row["parent_iqr"]
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
     """One row per metric from ``runs``, a list of pairs ``{"parent": m,
     "change": m}`` of metric values; ``metrics`` lists ``{"name", "better"}``."""
@@ -63,20 +77,23 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
         change = [run["change"][name] for run in runs]
         qp, qc = quartiles(parent), quartiles(change)
         parent_wins, change_wins = wins(parent, change, metric["better"])
-        rows.append({"metric": name, "better": metric["better"], "parent": qp, "change": qc,
-                     "median_diff": qc[1] - qp[1], "parent_iqr": qp[2] - qp[0],
-                     "parent_wins": parent_wins, "change_wins": change_wins})
+        row = {"metric": name, "better": metric["better"], "parent": qp, "change": qc,
+               "median_diff": qc[1] - qp[1], "parent_iqr": qp[2] - qp[0],
+               "parent_wins": parent_wins, "change_wins": change_wins}
+        rows.append({**row, "gain": gain(row, len(runs))})
     return rows
 
 
 def format_rows(rows: list[dict], pairs: int) -> str:
     lines = [f"| metric | parent q1 / median / q3 | change q1 / median / q3 | change - parent "
-             f"(parent IQR) | wins parent / change of {pairs} |", "|---|---|---|---|---|"]
+             f"(parent IQR) | wins parent / change of {pairs} | gain |", "|---|---|---|---|---|---|"]
     for r in rows:
         lines.append(f"| {r['metric']} ({r['better']}) | {' / '.join(f'{v:.4g}' for v in r['parent'])} "
                      f"| {' / '.join(f'{v:.4g}' for v in r['change'])} "
                      f"| {r['median_diff']:+.4g} ({r['parent_iqr']:.4g}) "
-                     f"| {r['parent_wins']} / {r['change_wins']} |")
+                     f"| {r['parent_wins']} / {r['change_wins']} | {'yes' if r['gain'] else 'no'} |")
+    if pairs < CLAIM_PAIRS:
+        lines.append(f"warning: {pairs} pairs, fewer than {CLAIM_PAIRS}: no claimed gain can rest on this run")
     return "\n".join(lines)
 
 

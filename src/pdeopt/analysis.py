@@ -290,7 +290,10 @@ class ControlComparison:
     * ``bound_margin``: the gap minus the control energy, >= 0 up to noise.
 
     ``exit_fraction``, the share of paths that reached a box wall at least
-    once, is one number with no standard error.
+    once, is one number with no standard error.  ``strict_gap`` holds
+    where the control did not act at all, a mean control energy of exactly
+    0 (a horizon of 0, or alpha = 0 along every path): the two path sets
+    then coincide and no gap can open.
     """
     stats: dict[str, tuple[float, float]]
     exit_fraction: float
@@ -303,7 +306,7 @@ class ControlComparison:
     @property
     def strict_gap(self) -> bool:
         gap, stderr = self.stats["gap"]
-        return gap > 3.0 * stderr
+        return self.stats["control_energy"][0] == 0.0 or gap > 3.0 * stderr
 
 
 CONTROL_DT = 1e-3       # nominal path step of control_improvement_experiment

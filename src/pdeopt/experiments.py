@@ -264,7 +264,7 @@ def _run_control(cfg: ExperimentConfig, entry: TestCorpusEntry) -> tuple[dict, d
     )
     checks = {
         "improvement_inequality": comparison.improvement_holds,
-        "strict_gap": comparison.strict_gap if horizon > 0 else True,
+        "strict_gap": comparison.strict_gap,
         "exits_below_1pct": comparison.exit_fraction <= 0.01,
     }
     stats = comparison.stats

@@ -38,7 +38,10 @@ reflecting walls like the path simulator's, held as its 2 dim + 1 diagonals
 in numpy.  Its transpose steps densities forward (``evolve_fokker_planck``);
 G itself steps the Cole-Hopf transform phi = exp(-beta (w - min w)) of the
 backward HJB value function backward (``solve_hjb_backward``, used by the
-control experiments), so the control solve is linear.  Also the 1D proximal
+control experiments), so the control solve is linear.  On a 1D grid the
+explicit steps run in blocks of up to 16, each block one product with the
+band of (I + dt G)^m, built once per solve; grids of two or more dimensions
+step one product at a time and keep their bytes.  Also the 1D proximal
 map ``prox_point``, which minimizes f(y) + |x-y|^2/(2t) with the corpus
 scan of ``objectives`` (``_scan_minima_1d``) and its numpy polish, a
 downhill walk and a bisection of the slope (``_polish_minimum``).
@@ -75,6 +78,8 @@ BOUNDARIES = ("extrapolating", "periodic")
 PAD_SIGMAS = 8.0   # kernel standard deviations a quadrature window reaches: mass beyond is below ~1e-10
 CFL_SAFETY = 0.8   # an explicit step's share of its stability limit, unless dt is given
 _MAX_NODE_STEPS = 1 << 30   # steps x grid nodes of one explicit solve (upwind, Fokker-Planck, backward HJB)
+_BLOCK = 16                 # explicit steps per banded product of a 1D generator, at most
+_BAND_TERMS = 1 << 17       # doubles in one band of a 1D generator, at most (1 MiB), unless m = 1
 
 
 @dataclass
@@ -357,9 +362,11 @@ def _time_steps(t: float, dt: float | None, safety: float, limit: float, shape: 
                 beta_inv: float) -> tuple[int, float]:
     """(n, t / n): the fewest equal explicit steps no longer than dt, or than
     safety * limit when dt is None.  A limit that is not finite and positive,
-    or an explicit dt above it, raises CflError; a dt that is not positive and
-    finite, or n steps of a grid of ``shape`` over the node-step budget, a
-    ValueError."""
+    or an explicit dt above it, raises CflError; a t that is not finite, a dt
+    that is not positive and finite, or n steps of a grid of ``shape`` over
+    the node-step budget, a ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"t={t:g}: an explicit solve needs a finite horizon")
     if dt is not None:
         _check_dt(dt)
     if not (math.isfinite(limit) and limit > 0.0):
@@ -500,8 +507,15 @@ class _Generator:
     ``np.add.reduceat``: the arithmetic, and so the bytes, of a scipy CSR
     matrix built from the same rates.  ``evolve`` takes n explicit steps
     v += step * (G v), or of G^T v, inside the padded buffer the products
-    read, with the arithmetic of ``v + step * G.matvec(v)``, and copies
-    nothing per step.  The products share scratch buffers, so one instance
+    read.  On a grid of two or more dimensions each step has the
+    arithmetic of ``v + step * G.matvec(v)`` and copies nothing.  On a 1D
+    grid, where the one-step matrix A = I + step G is tridiagonal, m steps
+    are one product with the 2m + 1 diagonals of A^m (of (A^T)^m with
+    ``transpose``), a dot per node over a window of the zero-padded
+    iterate: ``_band`` builds them by m products with A's band, whose
+    entries are >= 0 under ``fp_cfl_limit``, so no term cancels and a
+    block rounds about as its m single steps do.
+    The products share scratch buffers and cached bands, so one instance
     serves one solve at a time.
     """
 
@@ -533,6 +547,10 @@ class _Generator:
         for j, k in enumerate(offsets):
             self._cols[j, max(0, -k) : size - max(0, k)] = by_offset[-k][max(0, k) : size + min(0, k)]
         pad = offsets[-1]
+        self._block = 0         # steps per banded product; 0 steps one product at a time
+        if len(drifts) == 1:    # up to _BLOCK, fewer where a band would pass _BAND_TERMS
+            self._block = pad = max(1, min(_BLOCK, (_BAND_TERMS // size - 1) // 2))
+        self._bands = {}        # (step, m, transpose): the band of A^m and its windows
         self._padded = np.zeros(size + 2 * pad)    # v, then zeros beyond either end
         self._v = self._padded[pad : pad + size]
         shifted = sliding_window_view(self._padded, size)   # shifted[pad + k][i] is v[i + k]
@@ -559,12 +577,42 @@ class _Generator:
         self._v[...] = v
         return self._product(self._cols)
 
+    def _band(self, step: float, m: int, transpose: bool) -> tuple[Array, Array]:
+        """The band of A^m for the 1D one-step matrix A = I + step G (of its
+        transpose with ``transpose``), as (nodes, 2m + 1) with [i, m + k] the
+        coefficient of v[i + k], zero across a wall, and the windows of the
+        padded iterate it multiplies, [i, m + k] holding v[i + k].  Built by
+        m products A (A^p) on the band, each diagonal d of A scaling the
+        band shifted by d, and cached per (step, m, transpose)."""
+        key = (step, m, transpose)
+        if key not in self._bands:
+            one = step * (self._cols if transpose else self._rows)     # offsets -1, 0, 1
+            one[1] += 1.0
+            band = np.zeros((2 * m + 1, one.shape[1]))                  # [m + k, i]: A^p[i, i + k]
+            band[m] = 1.0
+            for _ in range(m):
+                prev = band.copy()
+                np.multiply(prev, one[1], out=band)
+                band[1:, :-1] += one[2, :-1] * prev[:-1, 1:]
+                band[:-1, 1:] += one[0, 1:] * prev[1:, :-1]
+            start = self._block - m
+            windows = sliding_window_view(self._padded, 2 * m + 1)[start : start + band.shape[1]]
+            self._bands[key] = np.ascontiguousarray(band.T), windows
+        return self._bands[key]
+
     def evolve(self, v: Array, step: float, n: int, transpose: bool = False) -> Array:
-        """v after n steps v += step * (G v), or (G^T v) with ``transpose``.
-        Returns the buffer's view of the iterate, which the next call takes
-        back as ``v`` without a copy; any other call overwrites it."""
+        """v after n steps v += step * (G v), or (G^T v) with ``transpose``:
+        in 1D in blocks of m = min(``_BLOCK``, steps left) steps, each one
+        product with the band of (I + step G)^m, otherwise one product per
+        step.  Returns the buffer's view of the iterate, which the next call
+        takes back as ``v`` without a copy; any other call overwrites it."""
         if v is not self._v:
             self._v[...] = v
+        if self._block:
+            for done in range(0, n, self._block):
+                band, windows = self._band(step, min(self._block, n - done), transpose)
+                self._v[...] = np.vecdot(windows, band, out=self._increment)
+            return self._v
         coefs = self._cols if transpose else self._rows
         for _ in range(n):
             self._v += np.multiply(self._product(coefs, self._increment), step, out=self._increment)
@@ -641,6 +689,7 @@ class ControlField:
 
 
 HJB_MAX_SLICES = 1024   # time slices of grad u kept by solve_hjb_backward, at most
+_SLICE_BLOCK = 1 << 17  # bytes of phi slices whose log and gradient solve_hjb_backward takes at once
 
 
 def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: GridFunction) -> ControlField:
@@ -656,11 +705,15 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     [min phi_0, 1] for phi_0 = exp(-(V - min V) / beta_inv), so nothing
     underflows after the first exp, which needs beta * (max V - min V) <= 700
     (``_EXP_RANGE``) on the grid; beyond that, or for beta_inv <= 0, a
-    ValueError is raised, as it is, before f is evaluated, for a grid of more
-    than ``_MAX_SAMPLES`` nodes.
+    ValueError is raised, as it is, before f is evaluated, for a horizon T
+    that is not positive and finite or a grid of more than ``_MAX_SAMPLES``
+    nodes.
     Returns the gradient field grad u(x, s) ready for path simulation, on at
-    most ``HJB_MAX_SLICES`` time slices.
+    most ``HJB_MAX_SLICES`` time slices.  The log and gradient of the kept
+    slices run over blocks of up to ``_SLICE_BLOCK`` bytes of phi.
     """
+    if not 0.0 < T < math.inf:      # a NaN too; at T = 0 both slices would share s = 0
+        raise ValueError(f"T={T:g}: the horizon must be positive and finite")
     if beta_inv <= 0:
         raise ValueError(f"the log transform needs beta_inv > 0, got beta_inv={beta_inv:g}")
     pts = _grid_points(grid)
@@ -679,15 +732,23 @@ def solve_hjb_backward(objective: Objective, T: float, beta_inv: float, grid: Gr
     kept = sorted({*range(0, n_steps + 1, keep_every), n_steps})
     # slices ascend in forward time s = T - tau: tau = 0 fills the last one
     gradients = np.empty((len(kept), *grid.n_points, grid.dim))
+    reversed_slices = gradients[::-1]
     phi = np.exp(-(V - V.min()).ravel() / beta_inv)
+    per_block = max(1, _SLICE_BLOCK // phi.nbytes)
     done = 0
-    for slot, it in enumerate(kept, start=1):
-        phi, done = G.evolve(phi, step, it - done), it
-        if not np.isfinite(phi).all():
-            raise NanAbort(f"NaN in value function at reversed step {it}")
-        w = (-beta_inv * np.log(phi)).reshape(grid.n_points)
+    for first in range(0, len(kept), per_block):
+        its = kept[first : first + per_block]
+        phis = np.empty((len(its), phi.size))
+        for row, it in zip(phis, its):
+            phi, done = G.evolve(phi, step, it - done), it
+            row[...] = phi
+        finite = np.isfinite(phis).all(axis=1)
+        if not finite.all():
+            raise NanAbort(f"NaN in value function at reversed step {its[int(finite.argmin())]}")
+        w = (-beta_inv * np.log(phis)).reshape(len(its), *grid.n_points)
         for axis in range(grid.dim):
-            gradients[-slot, ..., axis] = np.gradient(w, spacing[axis], axis=axis, edge_order=2)
+            reversed_slices[first : first + len(its), ..., axis] = np.gradient(
+                w, spacing[axis], axis=axis + 1, edge_order=2)
     return ControlField(grid=grid, times=T - step * np.array(kept[::-1]), gradients=gradients)
 
 

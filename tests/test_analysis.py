@@ -273,6 +273,17 @@ class TestControlImprovement:
         assert comp.stats["terminal_controlled"][0] == comp.stats["terminal_plain"][0] \
             == pytest.approx(dw.value(np.array([0.4])))
         assert comp.stats["control_energy"][0] == 0.0
+        assert comp.strict_gap          # no control acted, so no gap can open
+
+    @pytest.mark.parametrize("energy, gap, holds", [
+        ((0.0, 0.0), (0.0, 0.0), True),          # no control acted: waived
+        ((1e-300, 1e-301), (0.0, 0.0), False),   # a control acted and opened no gap
+        ((0.1, 0.01), (0.2, 0.05), True),
+        ((0.1, 0.01), (0.2, 0.07), False),
+    ])
+    def test_strict_gap_is_waived_only_where_no_control_acted(self, energy, gap, holds):
+        comp = analysis.ControlComparison({"control_energy": energy, "gap": gap}, exit_fraction=0.0)
+        assert comp.strict_gap is holds
 
     def test_quadratic_strict_improvement(self):
         q = make_quadratic(1.0, 0.0, 1)

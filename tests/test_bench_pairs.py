@@ -36,7 +36,34 @@ def test_summary_rows():
     assert (wall["parent_wins"], wall["change_wins"]) == (0, 4)
     assert (setup["parent_wins"], setup["change_wins"]) == (0, 0)
     table = bench_pairs.format_rows([wall, setup], pairs=5)
-    assert "| wall_rel (lower) | 1.41 / 1.42 / 1.45 | 1.26 / 1.27 / 1.29 | -0.15 (0.04) | 0 / 4 |" in table
+    assert "| wall_rel (lower) | 1.41 / 1.42 / 1.45 | 1.26 / 1.27 / 1.29 | -0.15 (0.04) | 0 / 4 | no |" in table
+    assert "warning: 5 pairs, fewer than 10: no claimed gain can rest on this run" in table
+
+
+def _rows(parent, change, better="lower"):
+    runs = [{"parent": {"wall_rel": p}, "change": {"wall_rel": c}} for p, c in zip(parent, change)]
+    return bench_pairs.summarize(runs, [{"name": "wall_rel", "better": better}])
+
+
+@pytest.mark.parametrize("parent, change, better, holds", [
+    # 10 of 10 wins, median 0.2 lower against a parent IQR of about 0.05
+    ([1.80 + 0.01 * i for i in range(10)], [1.60 + 0.01 * i for i in range(10)], "lower", True),
+    # 9 of 10 wins: the last pair is a tie, which counts for neither side
+    ([1.80 + 0.01 * i for i in range(10)], [1.60 + 0.01 * i for i in range(9)] + [1.89], "lower", True),
+    # 8 of 10 wins: too few, however far the median moved
+    ([1.80 + 0.01 * i for i in range(10)], [1.60 + 0.01 * i for i in range(8)] + [1.90, 1.95], "lower", False),
+    # 10 of 10 wins by 0.001, inside the parent's IQR
+    ([1.80 + 0.01 * i for i in range(10)], [1.799 + 0.01 * i for i in range(10)], "lower", False),
+    # a higher-is-better metric: the same rule, mirrored
+    ([100.0 + i for i in range(10)], [120.0 + i for i in range(10)], "higher", True),
+    ([100.0 + i for i in range(10)], [80.0 + i for i in range(10)], "higher", False),
+])
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_parent_iqr(parent, change, better, holds):
+    (row,) = _rows(parent, change, better)
+    assert row["gain"] is holds
+    table = bench_pairs.format_rows([row], pairs=10)
+    assert table.splitlines()[2].endswith(f"| {'yes' if holds else 'no'} |")
+    assert "warning" not in table
 
 
 @pytest.mark.parametrize("argv, seed", [([], "0"), (["--seed", "3"], "3")])

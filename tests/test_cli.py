@@ -671,17 +671,17 @@ class TestGeneratorRunGolden:
     """Runs through the reflected generator replay bit for bit: the sha256 of
     every CSV of two ``control`` runs (the backward HJB, then the path
     simulator) and of ``figure1`` (Fokker-Planck densities), recorded when
-    the generator was a scipy CSR matrix, and of a 2D ``control`` run,
-    recorded when the path noise was drawn one step at a time."""
+    the 1D generator's steps became banded blocks, and of a 2D ``control``
+    run, recorded when the path noise was drawn one step at a time."""
 
     RUNS = {
         "control_257": ({"kind": "control", "objective": "double_well_a1", "seed": 3, "T": 0.5,
                          "beta_inv": 0.2, "n_paths": 600, "grid_n": 257, "x0": 0.0}, {
-            "control.csv": "46f5368f157f64bb44cc5b104b3db8a4a7414dbbb21c01d000bb9ead5880cace",
+            "control.csv": "a71fecc016485d5a208de56b5c5c326df1d9bc550875b2b60b5ed90424523ce4",
         }),
         "control_513": ({"kind": "control", "objective": "double_well_a1", "seed": 8, "T": 1.0,
                          "beta_inv": 0.2, "n_paths": 400, "grid_n": 513, "x0": 0.0}, {
-            "control.csv": "e2754fbf0c8febe96a3909e98010d938f6ea65d62e115c7f879e6a01e5968619",
+            "control.csv": "270a373eda0f5eff105b8b7b57f7ab6f50c02d9b8a32c4ebdffa6df9792bbcb3",
         }),
         # 2D: pins the bytes of (n_paths, 2) path noise
         "control_2d": ({"kind": "control", "objective": "quadratic_c1_n2", "T": 0.5, "n_paths": 400,
@@ -689,9 +689,9 @@ class TestGeneratorRunGolden:
             "control.csv": "45c45d60c37c94dc4d8828b04c737cf7785f04eab9ea9b69b83b3097d9149eb5",
         }),
         "figure1": ({"kind": "figure1", "objective": "rugged_s3_m6"}, {
-            "density_nonviscous.csv": "6412a7610446d311da3515d1f622d53701a5ce74d21e6817faee86d334de069c",
-            "density_sgd.csv": "067e7bdd83e2fef44fc07e2c506ea22d1414f8dae5ae870a1306dbe38ffb6dbd",
-            "density_viscous.csv": "4af7b62a09b3f832f216dccc4d86be2054720e3ba88bacbf643e8bca92672e14",
+            "density_nonviscous.csv": "0869f605b4035c891f08b470879ab5dc176496136638e73d52825f2e1451f5ee",
+            "density_sgd.csv": "75df63dd1a19f8b95169d046368685014ae66a9b19492502c385f1267b5c37de",
+            "density_viscous.csv": "623137718bbab84fefffc1fffc5c50d65202f15470461d7ee7f84803b56b4687",
         }),
     }
 
@@ -714,11 +714,11 @@ class TestSummaryGolden:
                     "68f09a1ff65157cfbc0025cd6354b6637e31e4b49694f1790356cf36462618b5"),
         "solve_pde": ({"objective": "rugged_s7_m5", "scheme": "heat", "grid_n": 257},
                       "986109e6706ea5cdb30abd608f27751c3340abc9c92a9f86c705542e2a5d00b3"),
-        "figure1": ({}, "c02bf3df26f49d815874e8785c3efb9d48409655f73f8ed1f045d395573c8e5e"),
+        "figure1": ({}, "84f4d71461a8a1d76f0b8b6b666a3e2c19d5eb25931557a639dcacff9deda208"),
         "homogenization": ({"probes": [-0.75, 0.55], "n_seeds": 4},
                            "e84d1d3cd6d1eabffbf5f86562e2e5aa4f409fc984f518a28244a0ad78b35bc1"),
         "control": ({"T": 0.5, "n_paths": 400, "grid_n": 129},
-                    "6dc4ff88a1ac154802f1e1302b716463ac9efd5707d61e3cb5953da67a580a3c"),
+                    "669df8bcb7b2bfd164482a95b74bf00992c5f5d08606ce103ed2cf8e9140b1e8"),
         "invariant_measure": ({"n_steps": 20000},
                               "aaecff22cf914de55256f10daf2b1dae0b54d0c93ade3bd3e8b6dfb99acd187b"),
         "spectrum": ({}, "ba3c83add6500dceea1405d9fe236f56c32364b450c7062db620c38cb7eeff16"),
@@ -997,6 +997,15 @@ class TestCliMain:
                      "--n-paths", "200", "--grid-n", "65", "--out", str(tmp_path / "c")])
         assert code == 0
         assert (tmp_path / "c" / "control.csv").exists()
+
+    def test_control_where_no_control_acts_passes(self, tmp_path, capsys):
+        # one path step from x0 = 0 on the symmetric double well: alpha(0, 0)
+        # = 0, so no energy is spent and the two path sets coincide
+        code = main(["control-improvement", "--T", "0.0004", "--out", str(tmp_path / "c")])
+        assert code == 0
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        assert summary["control_energy"] == 0.0 and summary["gap"] == 0.0
+        assert summary["checks"]["strict_gap"] is True
 
     @pytest.mark.parametrize("argv, message", [
         # 2.5 % of the paths leave the box at this diffusion

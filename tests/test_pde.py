@@ -885,6 +885,8 @@ class TestFokkerPlanck:
         # beta_inv as a fault of the drift or not at all
         ("negative_beta_inv", r"beta_inv=-0.0001: the diffusion must be >= 0"),
         ("nan_beta_inv", r"beta_inv=nan: the diffusion must be >= 0"),
+        ("infinite_t", r"t=inf: an explicit solve needs a finite horizon"),
+        ("nan_t", r"t=nan: an explicit solve needs a finite horizon"),
     ])
     def test_rejects_bad_inputs(self, case, message):
         grid = GridFunction.geometry([-1.0], [1.0], [33])
@@ -893,7 +895,8 @@ class TestFokkerPlanck:
         ramp = grid.with_values(3.0 * grid.axes()[0])
         drift, beta_inv, t = {"negative_t": (zero, 0.1, -0.1), "two_drifts_1d": ([zero, zero], 0.1, 0.1),
                               "drift_on_another_grid": (GridFunction.geometry([-1.0], [1.0], [17]), 0.1, 0.1),
-                              "negative_beta_inv": (ramp, -1e-4, 0.5), "nan_beta_inv": (ramp, math.nan, 0.5)}[case]
+                              "negative_beta_inv": (ramp, -1e-4, 0.5), "nan_beta_inv": (ramp, math.nan, 0.5),
+                              "infinite_t": (ramp, 0.1, math.inf), "nan_t": (ramp, 0.1, math.nan)}[case]
         with pytest.raises(ValueError, match=message):
             evolve_fokker_planck(drift, rho0, beta_inv, t)
 
@@ -952,9 +955,10 @@ class TestFokkerPlanck:
 
 
 @st.composite
-def diffusions(draw):
-    """Random drift components, spacing and viscosity on a small 1D/2D grid."""
-    dim = draw(st.sampled_from([1, 2]))
+def diffusions(draw, dims=(1, 2)):
+    """Random drift components, spacing and viscosity on a small grid of one
+    of ``dims`` dimensions."""
+    dim = draw(st.sampled_from(dims))
     shape = tuple(draw(st.integers(3, 9)) for _ in range(dim))
     drifts = [draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0))) for _ in range(dim)]
     spacing = np.array([draw(st.floats(0.05, 1.0)) for _ in range(dim)])
@@ -1030,6 +1034,8 @@ class TestGenerator:
     @pytest.mark.parametrize("shape", [(17,), (7, 9)], ids=["1d", "2d"])
     @pytest.mark.parametrize("transpose", [False, True], ids=["G", "GT"])
     def test_in_place_steps_equal_the_product_steps(self, n, shape, transpose):
+        # 2D steps replay the product steps bit for bit; 1D blocks of steps
+        # are banded products, which round differently
         rng = np.random.default_rng(len(shape) * 100 + n)
         drifts = [3.0 * rng.standard_normal(shape) for _ in shape]
         spacing, beta_inv = np.array([0.3, 0.2][: len(shape)]), 0.4
@@ -1040,13 +1046,62 @@ class TestGenerator:
         expected = [v0.copy()]
         for _ in range(n + 2):
             expected.append(expected[-1] + step * product(expected[-1]))
+
+        def assert_steps(v, k):
+            if len(shape) == 1:
+                assert np.abs(v - expected[k]).max() <= 1e-12 * np.abs(expected[k]).max()
+            else:
+                assert v.tobytes() == expected[k].tobytes()
+
         G = pde_lab._Generator(drifts, spacing, beta_inv)
         v = G.evolve(v0, step, n, transpose=transpose)
-        assert v.tobytes() == expected[n].tobytes()
+        assert_steps(v, n)
         assert v0.tobytes() == expected[0].tobytes()     # the input is untouched
         # the returned view is taken back and stepped on without a copy
         assert G.evolve(v, step, 2, transpose=transpose) is v
-        assert v.tobytes() == expected[n + 2].tobytes()
+        assert_steps(v, n + 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions(dims=(1,)), n=st.sampled_from([0, 1, 15, 16, 17, 33, 100]),
+           share=st.floats(0.01, 1.0), transpose=st.booleans(), seed=st.integers(0, 2**16))
+    def test_banded_blocks_match_single_steps(self, case, n, share, transpose, seed):
+        # 1D: blocks of up to 16 steps, each one product with the band of
+        # (I + step G)^m, against the steps v + step * G v taken one at a time
+        drifts, spacing, beta_inv = case
+        step = share * pde_lab.fp_cfl_limit(drifts, spacing, beta_inv)
+        reference = pde_lab._Generator(*case)
+        product = reference.rmatvec if transpose else reference.matvec
+        v = np.random.default_rng(seed).standard_normal(drifts[0].size)
+        expected = v.copy()
+        for _ in range(n):
+            expected = expected + step * product(expected)
+        got = pde_lab._Generator(*case).evolve(v, step, n, transpose=transpose)
+        scale = max(np.abs(v).max(), np.abs(expected).max())
+        assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=diffusions(dims=(1,)), m=st.integers(1, 16), share=st.floats(0.01, 1.0))
+    def test_band_is_the_power_of_a_stochastic_step(self, case, m, share):
+        # under fp_cfl_limit, I + step G is row-stochastic and its transpose
+        # column-stochastic, and so are their m-th powers
+        drifts, spacing, beta_inv = case
+        step = share * pde_lab.fp_cfl_limit(drifts, spacing, beta_inv)
+        G = pde_lab._Generator(*case)
+        size = drifts[0].size
+        one = np.eye(size) + step * np.column_stack([G.matvec(e) for e in np.eye(size)])
+        for transpose, power in ((False, np.linalg.matrix_power(one, m)),
+                                 (True, np.linalg.matrix_power(one.T, m))):
+            band = G._band(step, m, transpose)[0]
+            assert band.shape == (size, 2 * m + 1)
+            dense = np.zeros((size, size + 2 * m))       # [i, m + j]: band[i, m + j - i]
+            for i in range(size):
+                dense[i, i : i + 2 * m + 1] = band[i]
+            assert not dense[:, :m].any() and not dense[:, m + size :].any()   # nothing across a wall
+            dense = dense[:, m : m + size]
+            assert np.all(band >= 0.0)
+            assert np.abs(dense - power).max() <= 1e-13
+            sums = dense.sum(axis=0 if transpose else 1)
+            assert np.abs(sums - 1.0).max() <= 1e-13
 
 
 def _sha256(a) -> str:
@@ -1055,12 +1110,13 @@ def _sha256(a) -> str:
 
 class TestGeneratorGolden:
     """Solves through the reflected generator replay bit for bit: sha256 of
-    the backward HJB's gradient slices and of Fokker-Planck densities,
-    recorded when the generator was a scipy CSR matrix."""
+    the backward HJB's gradient slices and of Fokker-Planck densities.  The
+    2D digests were recorded when the generator was a scipy CSR matrix, the
+    1D ones when its steps became banded blocks."""
 
     HJB = {  # (upper corner, nodes per axis, tilt, T) of OU quadratics on [-upper, upper]
-        "1d_129": (([2.0], [129], 0.0, 1.0), "8104dd9e2124044a0d1cdddb76fd3c2d3ee1fa2a02db32fd046e3c763b86dc75"),
-        "1d_257": (([2.0], [257], 0.0, 1.0), "b09e568acc7e256cab607ba65cfd353ec2d2acf7cc2ac2a5e72eabd8d384f323"),
+        "1d_129": (([2.0], [129], 0.0, 1.0), "d9da29e34789b59541f3fc7f156aa7465aa36601f2173085cca8ba04490fd935"),
+        "1d_257": (([2.0], [257], 0.0, 1.0), "f2490e75e88680a016bb0586101f81fa69c93fda420be2b56858c6fb8cbcd39b"),
         "2d_65": (([2.0, 2.0], [65, 65], 0.0, 1.0),
                   "90331de8fae133c1d695887e80095b730c582f3a30b9e8b040e77265552234aa"),
         "2d_tilted": (([2.0, 1.5], [33, 17], [0.4, -0.7], 0.5),
@@ -1079,7 +1135,7 @@ class TestGeneratorGolden:
         rho0 = gaussian_density(grid, [0.3], 0.15)
         drift = grid.with_values(DoubleWell(1.0).grad_batch(grid.points())[:, 0])
         rho = evolve_fokker_planck(drift, rho0, 0.1, 3.0)
-        assert _sha256(rho.values) == "6f7165ef70a6911ac2650f1b0e80b549c0f08656cc10db7b0dd638a0dec1fbe1"
+        assert _sha256(rho.values) == "fa968e5effda16a90c3489d3615662ccb3a62db0435e560afbd30f4faecbcc44"
 
     def test_fokker_planck_2d(self):
         grid = GridFunction.geometry([-2.0, -1.5], [2.0, 1.5], [33, 17])
@@ -1116,6 +1172,41 @@ class TestHjbBackward:
         grid = GridFunction.geometry([-2.5], [2.5], [65])
         with pytest.raises(ValueError, match="beta_inv"):
             pde_lab.solve_hjb_backward(dw, 1.0, beta_inv, grid)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_horizon_not_positive_and_finite_before_f(self, T):
+        # at T = 0 both slices would share s = 0 and alpha read NaN; T = -1
+        # would step diffusion backward; NaN and inf reached int(ceil(T / dt))
+        def unread(X):
+            raise AssertionError("f evaluated")
+
+        grid = GridFunction.geometry([-2.0], [2.0], [65])
+        with pytest.raises(ValueError, match=f"T={T:g}: the horizon must be positive and finite"):
+            pde_lab.solve_hjb_backward(CustomObjective(1, None, unread, value_batch_fn=unread), T, 0.2, grid)
+
+    @pytest.mark.parametrize("bad_step", [0, 1, 200, 407, 1000])
+    def test_nan_abort_names_the_first_bad_kept_step(self, monkeypatch, bad_step):
+        # the finite check runs over blocks of slices and still names the
+        # first kept reversed step whose phi is not finite
+        evolve = pde_lab._Generator.evolve
+        reached = [0]
+
+        def poisoned(self, v, step, n, transpose=False):
+            reached[0] += n
+            out = evolve(self, v, step, n, transpose)
+            if reached[0] >= bad_step:
+                out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(pde_lab._Generator, "evolve", poisoned)
+        grid = GridFunction.geometry([-2.0], [2.0], [129])
+        n_steps, _ = pde_lab._time_steps(1.0, None, pde_lab.CFL_SAFETY,
+                                         pde_lab.fp_cfl_limit([DoubleWell(1.0).grad_batch(grid.points())[:, 0]],
+                                                              grid.spacing, 0.3), grid.n_points, 0.3)
+        keep_every = math.ceil((n_steps + 1) / pde_lab.HJB_MAX_SLICES)
+        first = min(math.ceil(bad_step / keep_every) * keep_every, n_steps)
+        with pytest.raises(pde_lab.NanAbort, match=f"at reversed step {first}$"):
+            pde_lab.solve_hjb_backward(DoubleWell(1.0), 1.0, 0.3, grid)
 
     def test_node_step_budget_refused_before_stepping(self, monkeypatch):
         # at T = 2 this solve takes 48,128 steps of 1025 nodes (4.9e7
@@ -1161,12 +1252,13 @@ def pde_solves(draw):
 
 
 @st.composite
-def diffusions_on_grids(draw):
+def diffusions_on_grids(draw, positive_horizon=False):
     """A 1D or 2D grid over [-2, 2]^dim of 3 to 33 nodes per axis, a
-    viscosity beta_inv in [0, 1] and a horizon in [0, 2]."""
+    viscosity beta_inv in [0, 1] and a horizon in [0, 2], or in (0, 2] with
+    ``positive_horizon`` (the backward HJB refuses T = 0)."""
     dim = draw(st.sampled_from([1, 2]))
     grid = GridFunction.geometry([-2.0] * dim, [2.0] * dim, [draw(st.integers(3, 33))] * dim)
-    return grid, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0))
+    return grid, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0, exclude_min=positive_horizon))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1208,7 +1300,8 @@ class TestSolverSweep:
         assert rho.values.sum() == pytest.approx(rho0.values.sum(), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(case=diffusions_on_grids(), curvature=st.floats(0.1, 3.0), double_well=st.booleans())
+    @given(case=diffusions_on_grids(positive_horizon=True), curvature=st.floats(0.1, 3.0),
+           double_well=st.booleans())
     def test_solve_hjb_backward(self, case, curvature, double_well):
         grid, beta_inv, T = case
         objective = DoubleWell(curvature) if double_well and grid.dim == 1 else make_quadratic(curvature, 0.0, grid.dim)
