@@ -21,7 +21,6 @@ Checks implemented here, each backed by an independent oracle:
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -314,54 +313,41 @@ CONTROL_BATCHES = 20    # batches its standard errors come from
 
 
 # Path-noise steps per buffer of :func:`_normals_ahead`.  Each buffer holds
-# n_paths * dim * 32 bytes and the ring holds two.  On the control_dw
-# benchmark's op (10,000 paths, 1D, a 2-vCPU host) the ring raised a bare
+# n_paths * dim * 32 bytes and there are two.  On the control_dw
+# benchmark's op (10,000 paths, 1D, a 2-vCPU host) the buffers raised a bare
 # process's peak RSS by about 0.3 MB at chunks of 2, 0.7 MB at 4, 1.2 MB at
 # 8 and 2.4 MB at 16; chunks of 4 and 8 ran about equally fast.
 _NOISE_CHUNK = 4
 
 
 def _normals_ahead(rng, n_steps: int, shape: tuple):
-    """Yield ``n_steps`` arrays of ``rng.standard_normal(shape)``, drawn
-    ahead by one worker thread into a ring of two ``_NOISE_CHUNK``-step
-    buffers.  ``standard_normal(out=(k, *shape))`` draws the same values in
-    the same order as k per-step calls, so the values and the generator's
-    final state are those of per-step draws.  Only the worker touches
-    ``rng`` while it lives; each yielded array is overwritten a few steps
-    later.  The worker is joined on every exit, and its error is raised
-    here.  ``n_steps`` = 0 starts no thread."""
+    """Yield ``n_steps`` arrays of ``rng.standard_normal(shape)``, drawn one
+    ``_NOISE_CHUNK``-step chunk ahead by a single-worker executor into two
+    preallocated buffers in turn.  ``standard_normal(out=(k, *shape))``
+    draws the same values in the same order as k per-step calls, so the
+    values and the generator's final state are those of per-step draws.
+    Only the worker touches ``rng`` while a draw is in flight; each yielded
+    array is overwritten a few steps later.  A draw error is raised here by
+    ``Future.result()``, and the ``with`` block joins the worker on every
+    exit.  ``n_steps`` = 0 starts no thread."""
     if n_steps == 0:
         return
+    # imported here, so that ``import pdeopt`` loads neither concurrent.futures nor logging
+    from concurrent.futures import ThreadPoolExecutor
+
     bufs = [np.empty((_NOISE_CHUNK, *shape)) for _ in range(2)]
-    # chunk c goes in buffer c % 2; free counts the buffers the worker may fill,
-    # full those the caller may read, so the worker runs at most two chunks ahead
-    free, full = threading.Semaphore(len(bufs)), threading.Semaphore(0)
-    error, stop = [], False
+    n_chunks = -(-n_steps // _NOISE_CHUNK)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # chunk c goes in buffer c % 2, drawn while the caller reads chunk c - 1
+        def draw(c):
+            return worker.submit(rng.standard_normal, out=bufs[c % 2][:n_steps - c * _NOISE_CHUNK])
 
-    def draw():
-        for c, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
-            free.acquire()
-            if stop or error:
-                return
-            try:
-                rng.standard_normal(out=bufs[c % 2][:n_steps - k])
-            except BaseException as exc:     # raised in the caller
-                error.append(exc)
-            full.release()
-
-    worker = threading.Thread(target=draw, daemon=True)
-    worker.start()
-    try:
-        for c, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
-            full.acquire()
-            if error:
-                raise error[0]
-            yield from bufs[c % 2][:n_steps - k]
-            free.release()
-    finally:
-        stop = True
-        free.release()                       # wake a worker waiting for a buffer
-        worker.join()
+        ahead = draw(0)
+        for c in range(n_chunks):
+            chunk = ahead.result()
+            if c + 1 < n_chunks:
+                ahead = draw(c + 1)
+            yield from chunk
 
 
 def control_improvement_experiment(objective: Objective, T: float, beta_inv: float, n_paths: int,
@@ -378,10 +364,10 @@ def control_improvement_experiment(objective: Objective, T: float, beta_inv: flo
     max(1, round(T / CONTROL_DT)) equal steps (none for T = 0), and are
     reflected at the box walls; if more than 1% of paths ever reach a wall,
     the run is invalid and raises.  A start ``x0`` outside the grid box is
-    refused before the solve.  The path noise is drawn a few steps ahead on
-    one worker thread (:func:`_normals_ahead`): the same values as one
-    ``standard_normal((n_paths, dim))`` per step, and faster only where a
-    second core is free.  Each statistic of the returned
+    refused before the solve.  The path noise is drawn one 4-step chunk
+    ahead on a single-worker executor (:func:`_normals_ahead`): the same
+    values as one ``standard_normal((n_paths, dim))`` per step, and faster
+    only where a second core is free.  Each statistic of the returned
     :class:`ControlComparison` is a mean over the paths with the standard
     error of CONTROL_BATCHES batch means.
     """

@@ -92,10 +92,10 @@ class PdeSolveConfig:
     cfl_safety = CFL_SAFETY     # a class attribute, not a field: no solve sets its own
 
     def __post_init__(self):
-        if self.beta_inv < 0:
-            raise ValueError("beta_inv must be >= 0")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0 <= self.beta_inv < math.inf:      # a NaN too
+            raise ValueError(f"beta_inv={self.beta_inv:g}: beta_inv must be >= 0 and finite")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final={self.t_final:g}: t_final must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.boundary not in BOUNDARIES:
@@ -276,8 +276,8 @@ def solve_hj_hopf_lax(objective: Objective, t: float, grid: GridFunction) -> Gri
     against the budget before f is evaluated, and again once f on the grid
     nodes sets the reach.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:    # a NaN too
+        raise ValueError(f"t={t:g}: t must be positive and finite")
     r = [1] * grid.dim
     _windows(grid, r, 0.0, False, 0.0, t)
     K = _windows(grid, r, _search_radius(objective.value_batch(grid.points()), t), False, 0.0, t)
@@ -326,8 +326,8 @@ def prox_point(objective: Objective, x, t: float) -> ProxResult:
     is flagged non-unique when two of these minimizers farther apart than
     1e-4 have values within 1e-10 of each other.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:    # a NaN too
+        raise ValueError(f"t={t:g}: t must be positive and finite")
     if objective.dim != 1:
         raise ValueError(f"prox_point supports 1D objectives only, got dim={objective.dim}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -362,11 +362,13 @@ def _time_steps(t: float, dt: float | None, safety: float, limit: float, shape: 
                 beta_inv: float) -> tuple[int, float]:
     """(n, t / n): the fewest equal explicit steps no longer than dt, or than
     safety * limit when dt is None.  A limit that is not finite and positive,
-    or an explicit dt above it, raises CflError; a t that is not finite, a dt
-    that is not positive and finite, or n steps of a grid of ``shape`` over
-    the node-step budget, a ValueError."""
+    or an explicit dt above it, raises CflError; a t that is not finite, a
+    safety outside (0, 1], a dt that is not positive and finite, or n steps
+    of a grid of ``shape`` over the node-step budget, a ValueError."""
     if not math.isfinite(t):
         raise ValueError(f"t={t:g}: an explicit solve needs a finite horizon")
+    if not 0 < safety <= 1:     # a NaN too; above 1 a step outruns the stability limit
+        raise ValueError(f"cfl_safety={safety:g}: the share of the stability limit must be in (0, 1]")
     if dt is not None:
         _check_dt(dt)
     if not (math.isfinite(limit) and limit > 0.0):
@@ -636,8 +638,8 @@ def evolve_fokker_planck(drift, rho0: GridFunction, beta_inv: float, t_final: fl
     generator ``_Generator``, stepped in place: the walls carry zero flux, so
     the plain sum of rho is conserved up to roundoff, and the scheme is
     positivity-preserving under ``fp_cfl_limit``; it aborts if the density
-    dips below -1e-12 or turns NaN.  A negative or NaN ``beta_inv`` is
-    refused by name.
+    dips below -1e-12 or turns NaN.  A negative or NaN ``beta_inv``, and a
+    ``cfl_safety`` outside (0, 1], are refused by name.
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")

@@ -799,6 +799,37 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
         assert len(list(tmp_path.iterdir())) == len(self.RUNS)
 
 
+class TestLazyExecutorImport:
+    """A fresh interpreter's ``import pdeopt`` loads neither
+    ``concurrent.futures`` nor ``logging``, and nor does a
+    ``control-improvement`` run at T = 0, which takes no path step; a run
+    with path steps imports the executor that draws their noise ahead."""
+
+    SCRIPT = """
+import contextlib, io, sys
+import pdeopt
+from pdeopt.cli import main
+
+def loaded():
+    return sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules)
+
+print(loaded())
+for i, T in enumerate(["0", "0.05"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["control-improvement", "--T", T, "--n-paths", "100", "--grid-n", "65",
+                     "--out", f"{sys.argv[1]}/run{i}"])
+    assert code == 0, (T, code)
+    print(loaded())
+"""
+
+    def test_executor_imported_only_by_path_steps(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(pdeopt.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:3] == ["[]", "[]", "['concurrent.futures', 'logging']"]
+
+
 class TestEntryPoint:
     """``python -m pdeopt`` in a fresh interpreter: a run, and a refusal."""
 

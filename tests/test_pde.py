@@ -225,6 +225,16 @@ class TestHopfLax:
         u = solve_hj_hopf_lax(dw, 5e-324, grid)
         np.testing.assert_array_equal(u.values, dw.value_batch(grid.points()))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_t_not_positive_and_finite_refused_before_f(self, t):
+        # a NaN or infinite t used to fail in the window sizing, naming no key
+        def unread(X):
+            raise AssertionError("f evaluated")
+
+        grid = GridFunction.geometry([-2.0], [2.0], [33])
+        with pytest.raises(ValueError, match=f"^t={t:g}: t must be positive and finite$"):
+            solve_hj_hopf_lax(CustomObjective(1, None, unread, value_batch_fn=unread), t, grid)
+
 
 class TestProx:
     def test_quadratic_closed_form(self):
@@ -260,6 +270,12 @@ class TestProx:
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_rejects_nonpositive_t(self, t):
         with pytest.raises(ValueError, match="t must be positive"):
+            prox_point(DoubleWell(1.0), np.array([0.5]), t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_t_by_name(self, t):
+        # inf used to return garbage with RuntimeWarnings, NaN to blame x0's slope
+        with pytest.raises(ValueError, match=f"^t={t:g}: t must be positive and finite$"):
             prox_point(DoubleWell(1.0), np.array([0.5]), t)
 
     def test_quadratic_closed_form_beyond_the_scan(self):
@@ -900,6 +916,26 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError, match=message):
             evolve_fokker_planck(drift, rho0, beta_inv, t)
 
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("safety", [0.0, -1.0, 1.5, 2.0, math.nan, math.inf])
+    def test_cfl_safety_outside_the_unit_interval_refused(self, safety, dt):
+        # 2.0 stepped past the stability limit; -1 and inf took one step of the
+        # whole horizon; 0 and NaN failed on int(ceil(t / dt)) naming nothing
+        grid = GridFunction.geometry([-1.0], [1.0], [33])
+        rho0 = gaussian_density(grid, [0.0], 0.05)
+        drift = grid.with_values(3.0 * grid.axes()[0])
+        with pytest.raises(ValueError, match=f"^cfl_safety={safety:g}: the share of the stability limit"):
+            evolve_fokker_planck(drift, rho0, 0.1, 0.5, dt=dt, cfl_safety=safety)
+
+    @pytest.mark.parametrize("safety", [0.25, 1.0])
+    def test_cfl_safety_in_the_unit_interval_runs(self, safety):
+        grid = GridFunction.geometry([-1.0], [1.0], [33])
+        rho0 = gaussian_density(grid, [0.0], 0.05)
+        drift = grid.with_values(3.0 * grid.axes()[0])
+        rho = evolve_fokker_planck(drift, rho0, 0.1, 0.5, cfl_safety=safety)
+        assert rho.values.min() >= -1e-12
+        assert abs(rho.values.sum() - rho0.values.sum()) < 1e-12
+
     def test_rejects_bad_density(self):
         grid = GridFunction.geometry([-1.0], [1.0], [33])
         drift = grid.with_values(np.zeros(33))
@@ -1369,6 +1405,19 @@ class TestConfigValidation:
     def test_negative_beta_inv(self):
         with pytest.raises(ValueError, match="beta_inv must be >= 0"):
             PdeSolveConfig(beta_inv=-0.1, t_final=1.0)
+
+    @pytest.mark.parametrize("scheme", ["cole_hopf", "heat", "hopf_lax", "monotone_fd"])
+    @pytest.mark.parametrize("key, value, rule", [
+        ("beta_inv", -0.1, ">= 0 and finite"), ("beta_inv", math.inf, ">= 0 and finite"),
+        ("beta_inv", math.nan, ">= 0 and finite"), ("t_final", 0.0, "positive and finite"),
+        ("t_final", -1.0, "positive and finite"), ("t_final", math.inf, "positive and finite"),
+        ("t_final", math.nan, "positive and finite"),
+    ])
+    def test_input_outside_its_range_refused_by_name(self, scheme, key, value, rule):
+        # a non-finite t_final (or beta_inv for cole_hopf and heat) used to fail
+        # in the solve's window sizing naming no key; hopf_lax solved at any beta_inv
+        with pytest.raises(ValueError, match=f"^{key}={value:g}: {key} must be {rule}$"):
+            PdeSolveConfig(**{"beta_inv": 0.1, "t_final": 1.0, key: value}, scheme=scheme)
 
     def test_cfl_safety_is_read_not_set(self):
         assert PdeSolveConfig(beta_inv=0.1, t_final=1.0).cfl_safety == pde_lab.CFL_SAFETY
